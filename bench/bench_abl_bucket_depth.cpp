@@ -17,29 +17,31 @@ int main() {
               "max train", "modal burst len");
   std::printf("%s\n", std::string(68, '-').c_str());
   for (int depth : depths_packets) {
-    // Run the picoquic profile with an overridden bucket depth through the
-    // low-level API (the framework runner keeps profiles stock).
+    // Run the picoquic profile with an overridden bucket depth over a
+    // hand-wired path (the framework runner keeps profiles stock).
     sim::EventLoop loop;
     sim::Rng rng(7);
-    framework::Topology topo(loop, {}, rng);
+    const framework::TopologyConfig tcfg;
+    kernel::OsModel server_os(tcfg.server_os, rng.fork(1));
+    framework::BottleneckPath path(loop, tcfg, rng, server_os);
+    framework::SenderPath sender(loop, tcfg, server_os, path.wire_ingress(),
+                                 path.slab());
     auto profile = stacks::picoquic_profile({});
     profile.pacer.bucket_depth_bytes = depth * 1500;
     quic::Connection::Config conn_cfg;
     conn_cfg.total_payload_bytes = framework::env_payload_bytes();
-    stacks::StackServer server(loop, topo.server_os(), profile, conn_cfg,
-                               topo.server_egress());
+    stacks::StackServer server(loop, server_os, profile, conn_cfg,
+                               sender.egress());
     quic::Client client(
         loop,
         {.ack = {}, .expected_payload_bytes = conn_cfg.total_payload_bytes},
-        topo.client_egress());
-    topo.set_client_handler(
-        [&](net::Packet pkt) { client.on_datagram(pkt); });
-    topo.set_server_handler(
-        [&](net::Packet pkt) { server.on_datagram(pkt); });
+        path.ack_ingress());
+    path.register_flow(conn_cfg.flow, &client, &server);
+    path.finish_flow_registration();
     server.start();
     loop.run_until(sim::Time::zero() + sim::Duration::seconds(600));
 
-    auto trains = metrics::TrainAnalyzer().analyze(topo.tap().capture());
+    auto trains = metrics::TrainAnalyzer().analyze(path.tap().capture());
     std::size_t modal_len = 1;
     std::int64_t modal_packets = 0;
     for (const auto& [len, packets] : trains.packets_by_length) {

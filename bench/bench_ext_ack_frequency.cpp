@@ -27,26 +27,29 @@ AckFreqResult run_ack_threshold(framework::QdiscKind qdisc, int threshold,
   sim::Rng rng(17);
   framework::TopologyConfig tcfg;
   tcfg.server_qdisc = qdisc;
-  framework::Topology topo(loop, tcfg, rng);
+  kernel::OsModel server_os(tcfg.server_os, rng.fork(1));
+  framework::BottleneckPath path(loop, tcfg, rng, server_os);
+  framework::SenderPath sender(loop, tcfg, server_os, path.wire_ingress(),
+                               path.slab());
 
   auto profile = stacks::quiche_profile({.sf_patch = true});
   quic::Connection::Config conn_cfg;
   conn_cfg.total_payload_bytes = payload;
-  stacks::StackServer server(loop, topo.server_os(), profile, conn_cfg,
-                             topo.server_egress());
+  stacks::StackServer server(loop, server_os, profile, conn_cfg,
+                             sender.egress());
   quic::Client::Config ccfg;
   ccfg.expected_payload_bytes = payload;
   ccfg.ack.ack_eliciting_threshold = threshold;
-  quic::Client client(loop, ccfg, topo.client_egress());
-  topo.set_client_handler([&](net::Packet pkt) { client.on_datagram(pkt); });
-  topo.set_server_handler([&](net::Packet pkt) { server.on_datagram(pkt); });
+  quic::Client client(loop, ccfg, path.ack_ingress());
+  path.register_flow(conn_cfg.flow, &client, &server);
+  path.finish_flow_registration();
 
   server.start();
   loop.run_until(sim::Time::zero() + 600_s);
 
   AckFreqResult result;
   result.trains_up_to_5 = metrics::TrainAnalyzer()
-                              .analyze(topo.tap().capture())
+                              .analyze(path.tap().capture())
                               .fraction_in_trains_up_to(5);
   result.acks_per_data_packet =
       static_cast<double>(client.stats().acks_sent) /
@@ -57,7 +60,7 @@ AckFreqResult run_ack_threshold(framework::QdiscKind qdisc, int threshold,
                                client.stats().first_packet_time,
                                client.stats().completion_time)
           .goodput.mbps();
-  result.dropped = static_cast<double>(topo.bottleneck_drops());
+  result.dropped = static_cast<double>(path.bottleneck_drops());
   return result;
 }
 

@@ -1,7 +1,7 @@
 // Extension: competing flows at the shared bottleneck (paper Section 3.4
 // future work). Two senders share the 40 Mbit/s link; we measure who wins,
 // how fair the split is, and what pacing does to total loss. `--flows N`
-// scales the duels up to N-sender fabrics over the same bottleneck; from
+// scales the pairs up to N-sender fabrics over the same bottleneck; from
 // N=64 the bench switches to fabric-scale mode — homogeneous ideal-pacing
 // fleets on a capacity-scaled bottleneck (per-flow fair share held
 // constant as N grows), reporting Jain's index and the per-flow drop
@@ -13,8 +13,6 @@
 #include <cstring>
 
 #include "bench_common.hpp"
-
-#include "framework/duel.hpp"
 
 using namespace quicsteps;
 using namespace quicsteps::bench;
@@ -255,17 +253,13 @@ int main(int argc, char** argv) {
                  framework::QdiscKind::kFqCodel, payload)},
   };
 
-  // Duels are independent simulations; fan the matchup list out across the
-  // worker pool and print in input order.
-  std::vector<framework::DuelConfig> duels;
+  // Pairs are independent two-flow simulations; fan the matchup list out
+  // across the worker pool and print in input order.
+  std::vector<framework::MultiFlowConfig> pairs;
   for (const auto& matchup : matchups) {
-    framework::DuelConfig duel;
-    duel.a = matchup.a;
-    duel.b = matchup.b;
-    duel.seed = 7;
-    duels.push_back(duel);
+    pairs.push_back(fleet(2, {matchup.a, matchup.b}));
   }
-  const auto results = framework::ParallelRunner().run_duels(duels);
+  const auto results = framework::ParallelRunner().run_flow_sets(pairs);
 
   std::printf("%-30s %10s %10s %10s %10s\n", "matchup", "A [Mb]", "B [Mb]",
               "fairness", "drops");
@@ -273,8 +267,8 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& result = results[i];
     std::printf("%-30s %10.2f %10.2f %10.3f %10lld\n", matchups[i].label,
-                result.a.goodput.goodput.mbps(),
-                result.b.goodput.goodput.mbps(), result.fairness,
+                result.flows[0].goodput.goodput.mbps(),
+                result.flows[1].goodput.goodput.mbps(), result.fairness,
                 static_cast<long long>(result.bottleneck_drops));
   }
 

@@ -192,12 +192,8 @@ BENCHMARK(BM_FqEnqueueDequeue)
     ->Args({10000, 10000});
 
 void BM_FlowTableRegister(benchmark::State& state) {
-  // range(0) routes in a scrambled id order; range(1) selects the
-  // incremental sorted-insert path (0) or the bulk builder (1). The
-  // incremental path memmoves on every out-of-order insert — O(n^2)
-  // worst case — while the bulk build appends and sorts once.
+  // range(0) routes in a scrambled id order, appended and sorted once.
   const int routes = static_cast<int>(state.range(0));
-  const bool bulk = state.range(1) != 0;
   net::CollectorSink sink;
   std::vector<std::uint32_t> ids;
   ids.reserve(static_cast<std::size_t>(routes));
@@ -209,16 +205,13 @@ void BM_FlowTableRegister(benchmark::State& state) {
   }
   for (auto _ : state) {
     net::FlowTableSink table;
-    if (bulk) table.begin_bulk(ids.size());
     for (const std::uint32_t id : ids) table.add_route(id, &sink);
-    if (bulk) table.finish_bulk();
+    table.sort_routes();
     benchmark::DoNotOptimize(table.route_count());
   }
   state.SetItemsProcessed(state.iterations() * routes);
 }
-BENCHMARK(BM_FlowTableRegister)
-    ->Args({10000, 0})
-    ->Args({10000, 1});
+BENCHMARK(BM_FlowTableRegister)->Arg(10000);
 
 void BM_TbfShaping(benchmark::State& state) {
   for (auto _ : state) {
@@ -383,7 +376,7 @@ std::vector<net::Packet> synthetic_multi_flow_capture(int n, int flows) {
 }
 
 void BM_FlowDemuxPerFlowRescan(benchmark::State& state) {
-  // What run_duel used to do, generalized to N flows: one full capture
+  // The pre-demux extraction, generalized to N flows: one full capture
   // walk per flow, filtering on the flow id. O(N * packets).
   const int flows = static_cast<int>(state.range(1));
   auto capture =

@@ -1,5 +1,5 @@
 // Pacing precision lab: a low-level tour of the library. Builds the
-// topology by hand, attaches different senders (the ideal reference server
+// path by hand, attaches different senders (the ideal reference server
 // vs. the stack models), dials OS timing quality up and down, and measures
 // what reaches the wire — the experiment you'd run to answer "how good can
 // user-space pacing get on my host?".
@@ -29,31 +29,34 @@ LabResult run_ideal(std::int64_t payload, kernel::OsTimingConfig os_timing) {
   framework::TopologyConfig tcfg;
   tcfg.server_qdisc = framework::QdiscKind::kFifo;  // no kernel help
   tcfg.server_os = os_timing;
-  framework::Topology topo(loop, tcfg, rng);
+  kernel::OsModel server_os(tcfg.server_os, rng.fork(1));
+  framework::BottleneckPath path(loop, tcfg, rng, server_os);
+  framework::SenderPath sender(loop, tcfg, server_os, path.wire_ingress(),
+                               path.slab());
 
   quic::Connection::Config conn_cfg;
   conn_cfg.total_payload_bytes = payload;
-  quic::ReferenceServer server(loop, conn_cfg, topo.server_egress());
+  quic::ReferenceServer server(loop, conn_cfg, sender.egress());
   // Pacer sleeps go through the host's timer quality (50 us slack on the
   // RT host, more on the noisy one).
   kernel::TimerService::Config timer_cfg;
   timer_cfg.slack_max = os_timing.wakeup_latency_mean * 6.0 +
                         sim::Duration::micros(20);
-  kernel::TimerService timers(loop, topo.server_os(), timer_cfg);
+  kernel::TimerService timers(loop, server_os, timer_cfg);
   server.set_pacer_timers(&timers);
   quic::Client client(loop, {.ack = {}, .expected_payload_bytes = payload},
-                      topo.client_egress());
-  topo.set_client_handler([&](net::Packet pkt) { client.on_datagram(pkt); });
-  topo.set_server_handler([&](net::Packet pkt) { server.on_datagram(pkt); });
+                      path.ack_ingress());
+  path.register_flow(conn_cfg.flow, &client, &server);
+  path.finish_flow_registration();
 
   server.start();
   loop.run_until(sim::Time::zero() + 600_s);
 
   LabResult result;
   result.precision_ms =
-      metrics::PrecisionAnalyzer().analyze(topo.tap().capture()).precision_ms;
+      metrics::PrecisionAnalyzer().analyze(path.tap().capture()).precision_ms;
   result.trains_up_to_3 = metrics::TrainAnalyzer()
-                              .analyze(topo.tap().capture())
+                              .analyze(path.tap().capture())
                               .fraction_in_trains_up_to(3);
   result.goodput_mbps =
       metrics::compute_goodput(client.stats().payload_bytes_received,

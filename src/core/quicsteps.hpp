@@ -29,7 +29,6 @@
 #include "cc/new_reno.hpp"
 #include "framework/aggregate.hpp"
 #include "framework/artifacts.hpp"
-#include "framework/duel.hpp"
 #include "framework/endpoint.hpp"
 #include "framework/experiment.hpp"
 #include "framework/flows.hpp"

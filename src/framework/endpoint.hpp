@@ -2,11 +2,9 @@
 // to a sender host: a measured QUIC stack (StackServer + its event-loop
 // quirks), the ideal reference QUIC server, or the kernel TCP baseline.
 //
-// Runner::run_once and run_duel used to each construct these by hand with
-// diverging feature sets (the duel path had no app source, no qlog, no
-// cwnd trace). make_flow_endpoint is now the only place an experiment
-// config turns into transport objects; every caller — single-flow runs,
-// duels, N-flow fairness experiments — gets the same construction.
+// make_flow_endpoint is the only place an experiment config turns into
+// transport objects; every caller — single-flow runs and N-flow fairness
+// experiments alike — gets the same construction.
 #pragma once
 
 #include <cstdint>

@@ -60,31 +60,26 @@ SenderHost::SenderHost(sim::EventLoop& loop, const FlowSpec& spec,
 
 Network::Network(sim::EventLoop& loop, const MultiFlowConfig& config,
                  sim::Rng& rng, std::vector<RunResult>& live_results)
-    : loop_(loop),
-      hosts_(config.flows.size()),
-      deadline_(sim::Time::zero() + flows_deadline(config)) {
+    : loop_(loop), deadline_(sim::Time::zero() + flows_deadline(config)) {
   QUICSTEPS_AUDIT(!config.flows.empty(), "Network needs at least one flow");
   QUICSTEPS_AUDIT(live_results.size() == config.flows.size(),
                   "live_results must be sized to the flow count");
   if (config.flows.empty()) return;
   const std::size_t n = config.flows.size();
+  os_.reserve(n);
+  hosts_.reserve(n);
 
-  // Host 0's kernel also runs the shared server-side ACK receiver — as in
-  // the single-flow topology, where the one server OS serves both roles.
-  // Its slot is reserved and its OS lane built before the path, which
-  // borrows the OsModel&. Per-host OS salts are 1 + 16*i: host 0 keeps
-  // Topology's fork(1) so an N=1 run is bit-identical to the old wiring,
-  // and salts 2-4 stay reserved for the shared path.
-  const FlowStateSlab<SenderHost>::Handle host0 = hosts_.reserve_slot();
-  kernel::OsModel& host0_os = hosts_.emplace_os(
-      host0, config.flows[0].config.topology.server_os, rng.fork(1));
+  // Rng::fork draws from the parent, so every result depends on the ORDER
+  // of the forks below, not just their salts: host 0's OS = fork(1), then
+  // the path's fork(2), fork(3), fork(4), then host i's OS = fork(1 + 16i)
+  // for i = 1, 2, ... in flows[] order. Host 0's OS comes first because
+  // its kernel also runs the shared server-side ACK receiver, so the path
+  // borrows it. Reordering any of these changes every wire_hash.
+  os_.emplace_back(config.flows[0].config.topology.server_os, rng.fork(1));
   path_ = std::make_unique<BottleneckPath>(
-      loop, config.flows[0].config.topology, rng, host0_os);
+      loop, config.flows[0].config.topology, rng, os_[0]);
+  path_->reserve_flows(n);
 
-  // Routes are bulk-registered: reserve, append per host, sort once at
-  // finish (an O(n) insert per flow is O(n^2) at 10k routes).
-  path_->begin_flow_registration(n);
-  handles_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     FlowSpec spec = config.flows[i];
     const std::uint32_t id = default_flow_id(spec, i, n);
@@ -92,22 +87,18 @@ Network::Network(sim::EventLoop& loop, const MultiFlowConfig& config,
       // One qlog file per flow, not N writers on one file.
       spec.config.qlog_path += ".flow" + std::to_string(id);
     }
-    const FlowStateSlab<SenderHost>::Handle handle =
-        i == 0 ? host0 : hosts_.reserve_slot();
     if (i != 0) {
-      hosts_.emplace_os(handle, spec.config.topology.server_os,
-                        rng.fork(1 + 16 * static_cast<std::uint64_t>(i)));
+      os_.emplace_back(spec.config.topology.server_os,
+                       rng.fork(1 + 16 * static_cast<std::uint64_t>(i)));
     }
-    hosts_.emplace_record(handle, loop, spec, id, config.seed,
-                          hosts_.os(handle), *path_, live_results[i]);
-    handles_.push_back(handle);
+    hosts_.emplace_back(loop, spec, id, config.seed, os_[i], *path_,
+                        live_results[i]);
   }
   path_->finish_flow_registration();
 }
 
 void Network::start() {
-  for (std::size_t i = 0; i < handles_.size(); ++i) {
-    SenderHost& flow_host = host(i);
+  for (SenderHost& flow_host : hosts_) {
     if (flow_host.start_delay().is_zero()) {
       flow_host.start();
       continue;
@@ -127,14 +118,13 @@ void Network::set_trace(obs::TraceBus& bus) {
 
 void Network::set_trace(obs::TraceBus& bus, const obs::FlowSampler& sampler) {
   bus.set_sampler(sampler);
-  for (std::size_t i = 0; i < handles_.size(); ++i) {
+  for (std::size_t i = 0; i < hosts_.size(); ++i) {
     // Sender-side components of unsampled flows never get a bus: their
     // QUICSTEPS_TRACE_SPAN sites stay on the null-pointer fast path, so an
     // unsampled flow costs the same as an untraced one.
     if (!sampler.sampled(host(i).flow_id())) continue;
     const std::string prefix =
-        handles_.size() == 1 ? std::string()
-                             : "host" + std::to_string(i) + "/";
+        hosts_.size() == 1 ? std::string() : "host" + std::to_string(i) + "/";
     host(i).set_trace(bus, prefix);
   }
   path_->set_trace(bus);
@@ -142,11 +132,11 @@ void Network::set_trace(obs::TraceBus& bus, const obs::FlowSampler& sampler) {
 
 net::CountersTable Network::counters_table() const {
   net::CountersTable table;
-  for (std::size_t i = 0; i < handles_.size(); ++i) {
-    const SenderHost& flow_host = hosts_.record(handles_[i]);
+  for (std::size_t i = 0; i < hosts_.size(); ++i) {
+    const SenderHost& flow_host = hosts_[i];
     const std::string prefix =
-        handles_.size() == 1 ? std::string("qdisc/")
-                             : "host" + std::to_string(i) + "/qdisc/";
+        hosts_.size() == 1 ? std::string("qdisc/")
+                           : "host" + std::to_string(i) + "/qdisc/";
     table.add(prefix + flow_host.qdisc().name(), flow_host.qdisc().counters());
   }
   path_->add_counters(table);
@@ -155,11 +145,11 @@ net::CountersTable Network::counters_table() const {
 
 check::ConservationAuditor Network::conservation_auditor() const {
   check::ConservationAuditor auditor;
-  for (std::size_t i = 0; i < handles_.size(); ++i) {
-    const SenderHost& flow_host = hosts_.record(handles_[i]);
+  for (std::size_t i = 0; i < hosts_.size(); ++i) {
+    const SenderHost& flow_host = hosts_[i];
     const std::string prefix =
-        handles_.size() == 1 ? std::string("qdisc/")
-                             : "host" + std::to_string(i) + "/qdisc/";
+        hosts_.size() == 1 ? std::string("qdisc/")
+                           : "host" + std::to_string(i) + "/qdisc/";
     const kernel::Qdisc& qdisc = flow_host.qdisc();
     if (qdisc.backlog_packets() >= 0) {
       // The discipline reports its live depth: audit the full per-stage

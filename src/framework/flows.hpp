@@ -9,8 +9,7 @@
 //   run_flows   builds a Network, runs every transfer to its deadline,
 //               and demuxes the shared tap into per-flow metrics in a
 //               single pass. Runner::run_once is the N=1 call (and stays
-//               bit-identical to the historical single-flow wiring);
-//               run_duel is the N=2 call.
+//               bit-identical to the historical single-flow wiring).
 #pragma once
 
 #include <cstdint>
@@ -21,7 +20,6 @@
 
 #include "framework/endpoint.hpp"
 #include "framework/experiment.hpp"
-#include "framework/flow_slab.hpp"
 #include "framework/network.hpp"
 #include "obs/flow_sampler.hpp"
 #include "obs/health_report.hpp"
@@ -97,8 +95,8 @@ struct MultiFlowResult {
 };
 
 /// One sender host: kernel egress chain + endpoint, attached to the shared
-/// path under `flow_id`. The host's OsModel lives on the flow slab's kernel
-/// lane (same slot), not inside the host — `os` must outlive it.
+/// path under `flow_id`. The host's OsModel lives in Network's OS array
+/// (same index), not inside the host — `os` must outlive it.
 class SenderHost {
  public:
   SenderHost(sim::EventLoop& loop, const FlowSpec& spec,
@@ -130,7 +128,7 @@ class SenderHost {
   SenderPath path_;
   // The endpoint stays behind one pointer: it is the polymorphic seam
   // (QUIC stack / ideal server / TCP baseline share no layout). Everything
-  // monomorphic about a flow lives flat on the slab lanes.
+  // monomorphic about a flow lives flat in Network's arrays.
   std::unique_ptr<FlowEndpoint> endpoint_;
 };
 
@@ -153,12 +151,13 @@ class Network {
   sim::Time deadline() const { return deadline_; }
 
   BottleneckPath& path() { return *path_; }
-  std::size_t flow_count() const { return handles_.size(); }
-  SenderHost& host(std::size_t i) { return hosts_.record(handles_[i]); }
+  std::size_t flow_count() const { return hosts_.size(); }
+  SenderHost& host(std::size_t i) { return hosts_[i]; }
 
   /// Per-component counters / conservation stages across all hosts plus
-  /// the shared path. Single-host networks use Topology's stage names;
-  /// multi-host networks prefix per-sender stages with "host<i>/".
+  /// the shared path. A single-host network's stages are unprefixed
+  /// ("qdisc/<name>"); multi-host networks prefix per-sender stages with
+  /// "host<i>/".
   net::CountersTable counters_table() const;
   check::ConservationAuditor conservation_auditor() const;
 
@@ -174,14 +173,15 @@ class Network {
 
  private:
   sim::EventLoop& loop_;
-  // path_ before hosts_: hosts are destroyed first (their NICs point into
-  // the path, their endpoints into the slab's OS lane).
+  // Per-flow state lives in two contiguous arrays indexed in flows[]
+  // order, not N heap objects. Both are reserved to the flow count before
+  // the first emplace and never grow, so hosts_[i] may borrow os_[i] and
+  // the path may borrow os_[0]. Members are destroyed bottom-up: hosts
+  // first (their NICs point into the path, their endpoints at their OS),
+  // then the path, then the OS models.
+  std::vector<kernel::OsModel> os_;
   std::unique_ptr<BottleneckPath> path_;
-  // Per-flow state lives flat on the slab (OS lane + host lane, one slot
-  // per flow) instead of N heap objects; handles_ maps flows[] order to
-  // generation-checked slots.
-  FlowStateSlab<SenderHost> hosts_;
-  std::vector<FlowStateSlab<SenderHost>::Handle> handles_;
+  std::vector<SenderHost> hosts_;
   sim::Time deadline_;
 };
 

@@ -79,11 +79,7 @@ BottleneckPath::BottleneckPath(sim::EventLoop& loop,
                  rng.fork(4), server_receiver_.get()) {
   bottleneck_.set_drop_observer([this](const net::Packet& pkt) {
     const std::size_t slot = drop_slot(pkt.flow);
-    if (slot < drop_counts_.size()) {
-      ++drop_counts_[slot];
-    } else {
-      ++stray_drops_;  // handler-mode (default-route) traffic
-    }
+    if (slot < drop_counts_.size()) ++drop_counts_[slot];
   });
   batched_ = config.batched_datapath;
   if (batched_) {
@@ -98,41 +94,25 @@ BottleneckPath::BottleneckPath(sim::EventLoop& loop,
   }
 }
 
+void BottleneckPath::reserve_flows(std::size_t flows) {
+  data_dispatch_.reserve(flows);
+  ack_dispatch_.reserve(flows);
+  drop_flow_ids_.reserve(drop_flow_ids_.size() + flows);
+}
+
 void BottleneckPath::register_flow(std::uint32_t id, net::PacketSink* data,
                                    net::PacketSink* ack) {
   data_dispatch_.add_route(id, data);
   ack_dispatch_.add_route(id, ack);
-  if (registering_) {
-    drop_flow_ids_.push_back(id);  // sorted at finish_flow_registration
-    return;
-  }
-  const auto pos =
-      std::lower_bound(drop_flow_ids_.begin(), drop_flow_ids_.end(), id);
-  if (pos != drop_flow_ids_.end() && *pos == id) return;  // add_route audited
-  drop_counts_.insert(
-      drop_counts_.begin() + (pos - drop_flow_ids_.begin()), 0);
-  drop_flow_ids_.insert(pos, id);
-}
-
-void BottleneckPath::begin_flow_registration(std::size_t expected) {
-  registering_ = true;
-  data_dispatch_.begin_bulk(expected);
-  ack_dispatch_.begin_bulk(expected);
-  drop_flow_ids_.reserve(drop_flow_ids_.size() + expected);
+  drop_flow_ids_.push_back(id);
 }
 
 void BottleneckPath::finish_flow_registration() {
-  registering_ = false;
-  data_dispatch_.finish_bulk();
-  ack_dispatch_.finish_bulk();
+  // The dispatch sorts audit duplicate ids.
+  data_dispatch_.sort_routes();
+  ack_dispatch_.sort_routes();
   std::sort(drop_flow_ids_.begin(), drop_flow_ids_.end());
   drop_counts_.assign(drop_flow_ids_.size(), 0);
-}
-
-void BottleneckPath::set_default_routes(net::PacketSink* data,
-                                        net::PacketSink* ack) {
-  data_dispatch_.set_default_route(data);
-  ack_dispatch_.set_default_route(ack);
 }
 
 std::size_t BottleneckPath::drop_slot(std::uint32_t flow) const {

@@ -1,9 +1,5 @@
-// The datapath fabric, factored so one wiring serves any sender count.
-//
-// Three constructions used to build the paper's Figure 1 path by hand:
-// framework::Topology (one sender), Runner::run_once (endpoint attachment
-// on top of Topology), and run_duel (the whole path again, with 2-element
-// arrays). This header holds the two shareable pieces they had in common:
+// The datapath fabric: the paper's Figure 1 path, built one way for any
+// sender count.
 //
 //   SenderPath      one sender's kernel egress: [qdisc under test] -> NIC
 //                   (1 Gbit/s, optional LaunchTime) -> the wire.
@@ -13,9 +9,10 @@
 //                   the ACK return path (netem +20 ms -> server receiver
 //                   -> dispatch back to the owning sender).
 //
-// Topology is the N=1 instantiation (one SenderPath on one
-// BottleneckPath); framework::Network (flows.hpp) composes N sender hosts
-// onto one shared path for competing-flow experiments.
+// framework::Network (flows.hpp) composes N sender hosts onto one shared
+// path. Hand-wired single-flow experiments (ablations that swap in a
+// custom endpoint) build the same two pieces directly and register their
+// endpoints with BottleneckPath::register_flow.
 #pragma once
 
 #include <cstdint>
@@ -72,10 +69,9 @@ class SenderPath {
 /// owning its flow.
 ///
 /// `server_recv_os` models the kernel that runs the server-side ACK
-/// receiver (Topology and the N-flow fabric both use the first sender
-/// host's OS). RNG forks are salt-addressed: client OS = fork(2), data
-/// netem = fork(3), ack netem = fork(4) — the same salts Topology always
-/// used, so an N=1 fabric run is bit-identical to the historical wiring.
+/// receiver (the first sender host's OS). The constructor forks `rng`
+/// three times, in this order: client OS = fork(2), data netem = fork(3),
+/// ack netem = fork(4).
 class BottleneckPath {
  public:
   BottleneckPath(sim::EventLoop& loop, const TopologyConfig& config,
@@ -86,20 +82,17 @@ class BottleneckPath {
   /// Where client endpoints send ACKs: netem back toward the servers.
   net::PacketSink* ack_ingress() { return &ack_netem_; }
 
+  /// Room for `flows` more registrations in both dispatch tables and the
+  /// drop attribution, so fabric-scale registration never regrows them.
+  void reserve_flows(std::size_t flows);
   /// Routes flow `id`'s data packets (client side) to `data` and its ACKs
-  /// (server side) to `ack`. Unregistered ids trip QUICSTEPS_AUDIT unless
-  /// default routes are set.
+  /// (server side) to `ack`. Registration appends; the routes take effect
+  /// at finish_flow_registration(). Unregistered ids trip QUICSTEPS_AUDIT.
   void register_flow(std::uint32_t id, net::PacketSink* data,
                      net::PacketSink* ack);
-  /// Bulk registration bracket for fabric-scale flow counts: reserves the
-  /// dispatch tables and the drop-attribution array for `expected` flows,
-  /// turns each register_flow into O(1) appends, and sorts everything once
-  /// at finish. Optional — incremental register_flow keeps working (and is
-  /// what the N<=8 paths use).
-  void begin_flow_registration(std::size_t expected);
+  /// Sorts the dispatch tables and the drop-attribution ids once. Call
+  /// after the last register_flow and before the first packet.
   void finish_flow_registration();
-  /// Endpoint-agnostic fallback routes (Topology's handler API).
-  void set_default_routes(net::PacketSink* data, net::PacketSink* ack);
 
   net::WireTap& tap() { return *tap_; }
   const net::WireTap& tap() const { return *tap_; }
@@ -157,14 +150,11 @@ class BottleneckPath {
   /// runs on the bottleneck's per-drop hot path.
   std::size_t drop_slot(std::uint32_t flow) const;
 
-  // Per-flow drop attribution, flat instead of a map: ids sorted after
-  // registration, counts aligned by index, strays (ids that were never
-  // registered — Topology's handler mode) in one overflow counter. A drop
-  // costs one branchless search + one increment, not a map node touch.
+  // Per-flow drop attribution, flat instead of a map: ids sorted at
+  // finish_flow_registration, counts aligned by index. A drop costs one
+  // branchless search + one increment, not a map node touch.
   std::vector<std::uint32_t> drop_flow_ids_;
   std::vector<std::int64_t> drop_counts_;
-  std::int64_t stray_drops_ = 0;
-  bool registering_ = false;
 };
 
 }  // namespace quicsteps::framework

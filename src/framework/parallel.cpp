@@ -57,14 +57,6 @@ std::vector<std::vector<RunResult>> ParallelRunner::run_grid(
   return results;
 }
 
-std::vector<DuelResult> ParallelRunner::run_duels(
-    const std::vector<DuelConfig>& duels) const {
-  std::vector<DuelResult> results(duels.size());
-  parallel_for(duels.size(), jobs_,
-               [&](std::size_t i) { results[i] = run_duel(duels[i]); });
-  return results;
-}
-
 std::vector<MultiFlowResult> ParallelRunner::run_flow_sets(
     const std::vector<MultiFlowConfig>& configs) const {
   std::vector<MultiFlowResult> results(configs.size());

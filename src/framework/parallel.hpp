@@ -1,7 +1,7 @@
 // Parallel experiment execution.
 //
 // Every paper artifact is dozens of independent (config, seed) simulations;
-// each Runner::run_once owns its EventLoop, Rng, and Topology, so the runs
+// each Runner::run_once owns its EventLoop, Rng, and Network, so the runs
 // are embarrassingly parallel. ParallelRunner fans a whole grid out across
 // a worker pool and returns results in deterministic (config index, rep
 // index) order regardless of scheduling — parallel output is bit-identical
@@ -16,7 +16,6 @@
 
 #include <vector>
 
-#include "framework/duel.hpp"
 #include "framework/experiment.hpp"
 #include "framework/flows.hpp"
 
@@ -42,10 +41,6 @@ class ParallelRunner {
   /// when repetition counts differ per config.
   std::vector<std::vector<RunResult>> run_grid(
       const std::vector<ExperimentConfig>& configs) const;
-
-  /// Independent duels (competing-flow pairs), in input order.
-  std::vector<DuelResult> run_duels(
-      const std::vector<DuelConfig>& duels) const;
 
   /// Independent N-flow fabrics (each one shared bottleneck with its own
   /// sender set), in input order.

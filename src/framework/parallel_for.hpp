@@ -2,7 +2,7 @@
 //
 // parallel_for(n, jobs, body) runs body(0..n-1), each index exactly once,
 // across `jobs` workers pulling indices from one atomic counter. It is the
-// concurrency funnel of the repo: ParallelRunner's grid/duel/flow-set
+// concurrency funnel of the repo: ParallelRunner's grid and flow-set
 // collectors and run_flows_sharded's extraction shards all go through it,
 // so the analyzer's concurrency/parallel-shared-state walk roots here
 // (tools/analyze/layers.json parallel_entries) and audits every lambda

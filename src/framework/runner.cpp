@@ -60,8 +60,9 @@ sim::Duration run_deadline(const ExperimentConfig& config) {
 RunResult Runner::run_once(const ExperimentConfig& config,
                            std::uint64_t seed) {
   // The N=1 instantiation of the flow fabric. run_flows reproduces the
-  // historical single-flow wiring bit-for-bit (same RNG fork salts, same
-  // flow id, same start order), so this delegation changes no wire_hash.
+  // historical single-flow wiring bit-for-bit (same RNG forks in the same
+  // order, same flow id, same start order), so this delegation changes no
+  // wire_hash.
   MultiFlowConfig flows;
   flows.seed = seed;
   flows.flows.push_back(FlowSpec{.config = config});

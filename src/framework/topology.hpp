@@ -10,35 +10,19 @@
 // The tap sits before the shaper, so captured timing reflects the server's
 // pacing, not the bottleneck's re-shaping — exactly the paper's design.
 //
-// Topology is the single-sender (N=1) instantiation of the datapath
-// fabric: one framework::SenderPath on one framework::BottleneckPath
-// (network.hpp), with endpoint-agnostic handler routing. Competing-flow
-// experiments compose N sender hosts onto the same shared path via
-// framework::Network (flows.hpp).
+// This header holds the path's parameters. The path itself is built from
+// framework::SenderPath and framework::BottleneckPath (network.hpp), one
+// SenderPath per sender host, composed by framework::Network (flows.hpp).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
-#include "check/conservation_auditor.hpp"
-#include "kernel/nic.hpp"
 #include "kernel/os_model.hpp"
-#include "kernel/qdisc.hpp"
 #include "kernel/qdisc_etf.hpp"
-#include "kernel/qdisc_fifo.hpp"
-#include "kernel/qdisc_fq.hpp"
-#include "kernel/qdisc_fq_codel.hpp"
-#include "kernel/qdisc_netem.hpp"
-#include "kernel/qdisc_tbf.hpp"
-#include "kernel/udp_socket.hpp"
-#include "net/wire_tap.hpp"
-#include "sim/event_loop.hpp"
-#include "sim/random.hpp"
+#include "net/data_rate.hpp"
+#include "sim/time.hpp"
 
 namespace quicsteps::framework {
-
-class BottleneckPath;
-class SenderPath;
 
 enum class QdiscKind : std::uint8_t {
   kFifo,        // pfifo_fast: kernel default, txtime ignored
@@ -86,62 +70,6 @@ struct TopologyConfig {
   /// OFF reproduces the pre-batching datapath for A/B benchmarking
   /// (bench/bench_ext_highbw.cpp reports the ratio).
   bool batched_datapath = true;
-};
-
-/// Owns every path element between (and including) the two hosts' kernels.
-/// The transport endpoints attach via the exposed sinks/handlers.
-class Topology {
- public:
-  Topology(sim::EventLoop& loop, TopologyConfig config, sim::Rng& rng);
-  ~Topology();
-
-  /// Head of the server egress chain: the stack's UdpSocket target.
-  net::PacketSink* server_egress();
-  /// Head of the client egress chain (ACK path back to the server).
-  net::PacketSink* client_egress();
-
-  /// Wire the endpoint handlers.
-  void set_client_handler(kernel::UdpReceiver::Handler handler);
-  void set_server_handler(kernel::UdpReceiver::Handler handler);
-
-  const net::WireTap& tap() const;
-  net::WireTap& tap();
-  /// Bottleneck drop count — the paper's "dropped packets" column.
-  std::int64_t bottleneck_drops() const;
-  const kernel::TbfQdisc& bottleneck() const;
-  const kernel::Qdisc& server_qdisc() const;
-  const kernel::NetemQdisc& data_netem() const;
-  const kernel::NetemQdisc& client_netem() const;
-  kernel::OsModel& server_os() { return server_os_; }
-  kernel::OsModel& client_os();
-  const TopologyConfig& config() const { return config_; }
-
-  /// The shared-path half of this topology (the fabric piece the N-flow
-  /// Network also builds).
-  BottleneckPath& path() { return *path_; }
-
-  /// Per-component counter snapshots in sorted name order.
-  net::CountersTable counters_table() const;
-
-  /// Conservation auditor spanning both directions of the path. The
-  /// auditor borrows this topology's counters — audit() while it's alive.
-  /// Valid at any instant, including mid-run: it checks per-stage book
-  /// balance and the synchronous bottleneck -> netem hand-off, not
-  /// end-to-end delivery (packets may legitimately be in flight on links).
-  check::ConservationAuditor conservation_auditor() const;
-
- private:
-  TopologyConfig config_;
-  kernel::OsModel server_os_;
-  std::unique_ptr<BottleneckPath> path_;
-  std::unique_ptr<SenderPath> sender_;
-
-  // Endpoint-agnostic routing: the shared path's default routes point at
-  // these adapters, which forward to whatever handlers are set (or drop).
-  net::CallbackSink to_client_;
-  net::CallbackSink to_server_;
-  kernel::UdpReceiver::Handler client_handler_;
-  kernel::UdpReceiver::Handler server_handler_;
 };
 
 }  // namespace quicsteps::framework

@@ -8,32 +8,10 @@
 namespace quicsteps::net {
 
 void FlowTableSink::add_route(std::uint32_t flow, PacketSink* sink) {
-  if (bulk_) {
-    table_.push_back({flow, sink});  // sorted (and deduped) at finish_bulk
-    return;
-  }
-  const auto pos = std::lower_bound(
-      table_.begin(), table_.end(), flow,
-      [](const auto& entry, std::uint32_t id) { return entry.first < id; });
-  QUICSTEPS_AUDIT(pos == table_.end() || pos->first != flow,
-                  "flow " + std::to_string(flow) + " registered twice");
-  if (pos != table_.end() && pos->first == flow) {
-    pos->second = sink;  // audit-off builds: last registration wins
-    return;
-  }
-  table_.insert(pos, {flow, sink});
-  last_hit_ = 0;
+  table_.push_back({flow, sink});
 }
 
-void FlowTableSink::begin_bulk(std::size_t expected) {
-  QUICSTEPS_AUDIT(!bulk_, "FlowTableSink::begin_bulk nested");
-  bulk_ = true;
-  table_.reserve(table_.size() + expected);
-}
-
-void FlowTableSink::finish_bulk() {
-  QUICSTEPS_AUDIT(bulk_, "FlowTableSink::finish_bulk without begin_bulk");
-  bulk_ = false;
+void FlowTableSink::sort_routes() {
   std::sort(table_.begin(), table_.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   for (std::size_t i = 1; i < table_.size(); ++i) {
@@ -41,6 +19,7 @@ void FlowTableSink::finish_bulk() {
                     "flow " + std::to_string(table_[i].first) +
                         " registered twice");
   }
+  sorted_ = table_.size();
   last_hit_ = 0;
 }
 
@@ -69,13 +48,10 @@ PacketSink* FlowTableSink::find(std::uint32_t flow) {
 }
 
 void FlowTableSink::deliver(Packet pkt) {
-  QUICSTEPS_AUDIT(!bulk_, "FlowTableSink lookup during a bulk build");
+  QUICSTEPS_AUDIT(sorted_ == table_.size(),
+                  "FlowTableSink lookup before sort_routes()");
   if (PacketSink* sink = find(pkt.flow)) {
     sink->deliver(std::move(pkt));
-    return;
-  }
-  if (default_route_ != nullptr) {
-    default_route_->deliver(std::move(pkt));
     return;
   }
   QUICSTEPS_AUDIT(false, "packet for unregistered flow " +

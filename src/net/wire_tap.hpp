@@ -36,8 +36,8 @@ class WireTap final : public PacketSink, public obs::TraceSource {
   const std::vector<Packet>& capture() const { return capture_; }
   void clear() { capture_.clear(); }
 
-  /// Retention switch. Defaults to on (every Topology user reads the
-  /// capture directly); run_flows turns it off under the batched datapath
+  /// Retention switch. Defaults to on (hand-wired paths read the capture
+  /// directly); run_flows turns it off under the batched datapath
   /// — its analysis streams through on_packet, so retaining a copy of
   /// every wire packet was pure per-packet allocation.
   void set_retain_capture(bool retain) { retain_capture_ = retain; }

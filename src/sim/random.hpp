@@ -19,6 +19,9 @@ class Rng {
   explicit Rng(std::uint64_t seed) : engine_(seed) {}
 
   /// Derives an independent child generator; `salt` distinguishes siblings.
+  /// The child is seeded from one draw of this generator, so each fork
+  /// advances the parent: a child depends on how many draws and forks
+  /// preceded it, not just on its salt.
   Rng fork(std::uint64_t salt);
 
   /// Uniform integer in [lo, hi] inclusive.

@@ -6,7 +6,8 @@
 #include <sstream>
 
 #include "framework/artifacts.hpp"
-#include "framework/duel.hpp"
+#include "framework/flows.hpp"
+#include "framework/parallel.hpp"
 #include "framework/runner.hpp"
 #include "quic/connection.hpp"
 #include "stacks/event_loop_model.hpp"
@@ -185,46 +186,61 @@ TEST(AppSource, CbrTransferCompletesEndToEnd) {
 
 // ------------------------------------------------------------------ duel
 
+/// Two flows sharing the bottleneck: flow B joins `b_start_delay` after A.
+framework::MultiFlowConfig duel(const framework::ExperimentConfig& a,
+                                const framework::ExperimentConfig& b,
+                                std::uint64_t seed,
+                                sim::Duration b_start_delay =
+                                    sim::Duration::zero()) {
+  framework::MultiFlowConfig config;
+  config.seed = seed;
+  config.flows.push_back(framework::FlowSpec{.config = a});
+  config.flows.push_back(
+      framework::FlowSpec{.config = b, .start_delay = b_start_delay});
+  return config;
+}
+
 TEST(Duel, SameStackSplitsFairly) {
-  framework::DuelConfig duel;
-  duel.a.stack = framework::StackKind::kQuicheSf;
-  duel.a.payload_bytes = 3ll * 1024 * 1024;
-  duel.b = duel.a;
-  duel.seed = 11;
-  auto result = framework::run_duel(duel);
-  EXPECT_TRUE(result.a.completed);
-  EXPECT_TRUE(result.b.completed);
+  framework::ExperimentConfig a;
+  a.stack = framework::StackKind::kQuicheSf;
+  a.payload_bytes = 3ll * 1024 * 1024;
+  const auto result = framework::run_flows(duel(a, a, 11));
+  ASSERT_EQ(result.flows.size(), 2u);
+  EXPECT_TRUE(result.flows[0].completed);
+  EXPECT_TRUE(result.flows[1].completed);
   EXPECT_GT(result.fairness, 0.95);
   // Both flows fit through the shared bottleneck: aggregate is bounded.
-  EXPECT_LE(result.a.goodput.goodput.mbps() +
-                result.b.goodput.goodput.mbps(),
+  EXPECT_LE(result.flows[0].goodput.goodput.mbps() +
+                result.flows[1].goodput.goodput.mbps(),
             40.0);
 }
 
 TEST(Duel, StaggeredStartStillCompletes) {
-  framework::DuelConfig duel;
-  duel.a.stack = framework::StackKind::kQuicheSf;
-  duel.a.payload_bytes = 2ll * 1024 * 1024;
-  duel.b = duel.a;
-  duel.b.stack = framework::StackKind::kPicoquic;
-  duel.b_start_delay = 500_ms;
-  duel.seed = 13;
-  auto result = framework::run_duel(duel);
-  EXPECT_TRUE(result.a.completed);
-  EXPECT_TRUE(result.b.completed);
+  framework::ExperimentConfig a;
+  a.stack = framework::StackKind::kQuicheSf;
+  a.payload_bytes = 2ll * 1024 * 1024;
+  framework::ExperimentConfig b = a;
+  b.stack = framework::StackKind::kPicoquic;
+  const auto result = framework::run_flows(duel(a, b, 13, 500_ms));
+  ASSERT_EQ(result.flows.size(), 2u);
+  EXPECT_TRUE(result.flows[0].completed);
+  EXPECT_TRUE(result.flows[1].completed);
 }
 
 TEST(Duel, TcpParticipates) {
-  framework::DuelConfig duel;
-  duel.a.stack = framework::StackKind::kPicoquic;
-  duel.a.payload_bytes = 2ll * 1024 * 1024;
-  duel.b = duel.a;
-  duel.b.stack = framework::StackKind::kTcpTls;
-  duel.seed = 17;
-  auto result = framework::run_duel(duel);
-  EXPECT_TRUE(result.a.completed);
-  EXPECT_TRUE(result.b.completed);
-  EXPECT_GT(result.bottleneck_drops, 0);
+  framework::ExperimentConfig a;
+  a.stack = framework::StackKind::kPicoquic;
+  a.payload_bytes = 2ll * 1024 * 1024;
+  framework::ExperimentConfig b = a;
+  b.stack = framework::StackKind::kTcpTls;
+  // Through the worker pool, as bench_ext_competing_flows runs its pairs.
+  const auto results =
+      framework::ParallelRunner(2).run_flow_sets({duel(a, b, 17)});
+  ASSERT_EQ(results.size(), 1u);
+  ASSERT_EQ(results[0].flows.size(), 2u);
+  EXPECT_TRUE(results[0].flows[0].completed);
+  EXPECT_TRUE(results[0].flows[1].completed);
+  EXPECT_GT(results[0].bottleneck_drops, 0);
 }
 
 // ------------------------------------------------------------- artifacts

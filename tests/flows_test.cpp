@@ -165,6 +165,12 @@ TEST(RunFlows, HundredIdenticalFlowsShareNearPerfectly) {
   }
   EXPECT_GE(result.fairness, 0.99);
   EXPECT_EQ(attributed_drops, result.bottleneck_drops);
+
+  // Literal golden over every flow's wire stream, in flows[] order: pins
+  // the fabric's RNG fork order (host 0, path, hosts 1..) and flow ids.
+  check::DeterminismHasher fleet;
+  for (const RunResult& flow : result.flows) fleet.add_u64(flow.wire_hash);
+  EXPECT_EQ(fleet.digest(), 0xd22f54df4db815a6ull);
 }
 
 TEST(RunFlows, LiteMetricsKeepAggregatesIdentical) {

@@ -23,19 +23,37 @@ ExperimentConfig quick_config(StackKind stack,
   return config;
 }
 
+/// The paper's Figure 1 path for one sender, wired by hand the way the
+/// ablation benches do it: host OS, shared path, sender egress, then the
+/// endpoints registered under flow 1.
+struct OneSenderPath {
+  OneSenderPath(sim::EventLoop& loop, const TopologyConfig& config,
+                sim::Rng& rng)
+      : os(config.server_os, rng.fork(1)),
+        path(loop, config, rng, os),
+        sender(loop, config, os, path.wire_ingress(), path.slab()) {
+    path.register_flow(1, &client, &server);
+    path.finish_flow_registration();
+  }
+
+  net::CollectorSink client;
+  net::CollectorSink server;
+  kernel::OsModel os;
+  BottleneckPath path;
+  SenderPath sender;
+};
+
 TEST(Topology, WiresDataPathThroughTap) {
   sim::EventLoop loop;
   sim::Rng rng(3);
-  Topology topo(loop, {}, rng);
-  int delivered = 0;
-  topo.set_client_handler([&](net::Packet) { ++delivered; });
+  OneSenderPath topo(loop, {}, rng);
   net::Packet pkt;
   pkt.flow = 1;
   pkt.size_bytes = 1500;
-  topo.server_egress()->deliver(pkt);
+  topo.sender.egress()->deliver(pkt);
   loop.run();
-  EXPECT_EQ(delivered, 1);
-  ASSERT_EQ(topo.tap().capture().size(), 1u);
+  EXPECT_EQ(topo.client.packets().size(), 1u);
+  ASSERT_EQ(topo.path.tap().capture().size(), 1u);
   // One-way latency ~20 ms plus serialization.
   EXPECT_GE(loop.now(), sim::Time::zero() + 20_ms);
   EXPECT_LT(loop.now(), sim::Time::zero() + 25_ms);
@@ -44,17 +62,16 @@ TEST(Topology, WiresDataPathThroughTap) {
 TEST(Topology, AckPathHasNoBottleneck) {
   sim::EventLoop loop;
   sim::Rng rng(3);
-  Topology topo(loop, {}, rng);
-  int delivered = 0;
-  topo.set_server_handler([&](net::Packet) { ++delivered; });
+  OneSenderPath topo(loop, {}, rng);
   for (int i = 0; i < 100; ++i) {
     net::Packet ack;
+    ack.flow = 1;
     ack.kind = net::PacketKind::kQuicAck;
     ack.size_bytes = 60;
-    topo.client_egress()->deliver(ack);
+    topo.path.ack_ingress()->deliver(ack);
   }
   loop.run();
-  EXPECT_EQ(delivered, 100);
+  EXPECT_EQ(topo.server.packets().size(), 100u);
 }
 
 TEST(Topology, QdiscSelection) {
@@ -62,8 +79,8 @@ TEST(Topology, QdiscSelection) {
   sim::Rng rng(3);
   TopologyConfig cfg;
   cfg.server_qdisc = QdiscKind::kFq;
-  Topology topo(loop, cfg, rng);
-  EXPECT_EQ(topo.server_qdisc().name(), "fq");
+  OneSenderPath topo(loop, cfg, rng);
+  EXPECT_EQ(topo.sender.qdisc().name(), "fq");
 }
 
 TEST(Runner, RecordsCwndTraceWhenRequested) {
@@ -235,19 +252,23 @@ TEST_P(ExperimentSweep, DeterministicForSameSeed) {
   EXPECT_EQ(a.gaps.gaps_ms, b.gaps.gaps_ms);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllStacks, ExperimentSweep,
-    ::testing::Values(
-        SweepParam{StackKind::kQuiche, CcAlgorithm::kCubic, 1},
-        SweepParam{StackKind::kQuiche, CcAlgorithm::kBbr, 2},
-        SweepParam{StackKind::kQuicheSf, CcAlgorithm::kCubic, 3},
-        SweepParam{StackKind::kPicoquic, CcAlgorithm::kCubic, 4},
-        SweepParam{StackKind::kPicoquic, CcAlgorithm::kBbr, 5},
-        SweepParam{StackKind::kPicoquic, CcAlgorithm::kNewReno, 6},
-        SweepParam{StackKind::kNgtcp2, CcAlgorithm::kCubic, 7},
-        SweepParam{StackKind::kTcpTls, CcAlgorithm::kCubic, 8},
-        SweepParam{StackKind::kIdealQuic, CcAlgorithm::kCubic, 9}),
-    param_name);
+// A static table rather than Values(...) temporaries: gtest prints an
+// unprintable param's raw bytes, padding included, into the test name, and
+// temporaries carry stack garbage in that padding, so the ctest names
+// changed from one execution to the next. Static storage zeroes the padding.
+constexpr SweepParam kSweepParams[] = {
+    {StackKind::kQuiche, CcAlgorithm::kCubic, 1},
+    {StackKind::kQuiche, CcAlgorithm::kBbr, 2},
+    {StackKind::kQuicheSf, CcAlgorithm::kCubic, 3},
+    {StackKind::kPicoquic, CcAlgorithm::kCubic, 4},
+    {StackKind::kPicoquic, CcAlgorithm::kBbr, 5},
+    {StackKind::kPicoquic, CcAlgorithm::kNewReno, 6},
+    {StackKind::kNgtcp2, CcAlgorithm::kCubic, 7},
+    {StackKind::kTcpTls, CcAlgorithm::kCubic, 8},
+    {StackKind::kIdealQuic, CcAlgorithm::kCubic, 9}};
+
+INSTANTIATE_TEST_SUITE_P(AllStacks, ExperimentSweep,
+                         ::testing::ValuesIn(kSweepParams), param_name);
 
 // Qdisc sweep: the transfer must complete under every server qdisc.
 class QdiscSweep : public ::testing::TestWithParam<QdiscKind> {};

@@ -173,6 +173,7 @@ TEST(FlowTable, RoutesByFlowId) {
   // Register out of order: lookup must not depend on insertion order.
   table.add_route(9, &b);
   table.add_route(7, &a);
+  table.sort_routes();
   EXPECT_EQ(table.route_count(), 2u);
 
   table.deliver(make_flow_packet(7, 1));
@@ -187,21 +188,6 @@ TEST(FlowTable, RoutesByFlowId) {
   EXPECT_EQ(b.packets()[0].id, 3u);
 }
 
-TEST(FlowTable, DefaultRouteCatchesUnregisteredFlows) {
-  FlowTableSink table;
-  CollectorSink a;
-  CollectorSink fallback;
-  table.add_route(7, &a);
-  table.set_default_route(&fallback);
-
-  table.deliver(make_flow_packet(7, 1));
-  table.deliver(make_flow_packet(42, 2));
-
-  ASSERT_EQ(a.packets().size(), 1u);
-  ASSERT_EQ(fallback.packets().size(), 1u);
-  EXPECT_EQ(fallback.packets()[0].id, 2u);
-}
-
 TEST(FlowTable, UnregisteredFlowTripsAuditAndDrops) {
   if (!check::kAuditEnabled) GTEST_SKIP() << "audit compiled out";
   std::vector<std::string> failures;
@@ -212,7 +198,8 @@ TEST(FlowTable, UnregisteredFlowTripsAuditAndDrops) {
   FlowTableSink table;
   CollectorSink a;
   table.add_route(7, &a);
-  table.deliver(make_flow_packet(42, 1));  // no route, no default
+  table.sort_routes();
+  table.deliver(make_flow_packet(42, 1));  // no route
 
   check::set_audit_handler({});
   EXPECT_TRUE(a.packets().empty());
@@ -227,11 +214,15 @@ TEST(FlowTable, DuplicateRegistrationTripsAudit) {
     failures.push_back(failure.to_string());
   });
 
+  // Re-registering an id that is already routed is caught by the next
+  // sort, not just duplicates within one build.
   FlowTableSink table;
   CollectorSink first;
   CollectorSink second;
   table.add_route(7, &first);
+  table.sort_routes();
   table.add_route(7, &second);
+  table.sort_routes();
 
   check::set_audit_handler({});
   ASSERT_EQ(failures.size(), 1u);
@@ -239,30 +230,37 @@ TEST(FlowTable, DuplicateRegistrationTripsAudit) {
 }
 
 TEST(FlowTable, BulkRegistrationRoutesLikeIncremental) {
-  // The fabric-scale path: append out of order under begin_bulk, sort
-  // once at finish_bulk, then route exactly as O(n)-insert tables do —
-  // including the burst cache and the train-switch binary search.
-  FlowTableSink table;
-  std::vector<CollectorSink> sinks(64);
-  table.begin_bulk(sinks.size());
-  for (std::size_t i = 0; i < sinks.size(); ++i) {
-    // Reverse order with gaps: the sort at finish_bulk does the work.
-    const std::uint32_t flow = static_cast<std::uint32_t>(
-        10 + 3 * (sinks.size() - 1 - i));
-    table.add_route(flow, &sinks[sinks.size() - 1 - i]);
+  // The fabric-scale build: append out of order, sort once, then route
+  // exactly as a table sorted after every add does — including the burst
+  // cache and the train-switch binary search.
+  FlowTableSink bulk;
+  FlowTableSink incremental;
+  std::vector<CollectorSink> bulk_sinks(64);
+  std::vector<CollectorSink> incremental_sinks(64);
+  for (std::size_t i = 0; i < bulk_sinks.size(); ++i) {
+    // Reverse order with gaps: the sort does the work.
+    const std::size_t slot = bulk_sinks.size() - 1 - i;
+    const auto flow = static_cast<std::uint32_t>(10 + 3 * slot);
+    bulk.add_route(flow, &bulk_sinks[slot]);
+    incremental.add_route(flow, &incremental_sinks[slot]);
+    incremental.sort_routes();
   }
-  table.finish_bulk();
-  EXPECT_EQ(table.route_count(), sinks.size());
+  bulk.sort_routes();
+  EXPECT_EQ(bulk.route_count(), bulk_sinks.size());
 
-  for (std::size_t i = 0; i < sinks.size(); ++i) {
-    const std::uint32_t flow = static_cast<std::uint32_t>(10 + 3 * i);
-    table.deliver(make_flow_packet(flow, i));
-    table.deliver(make_flow_packet(flow, 1000 + i));  // burst-cache hit
+  for (FlowTableSink* table : {&bulk, &incremental}) {
+    for (std::size_t i = 0; i < bulk_sinks.size(); ++i) {
+      const auto flow = static_cast<std::uint32_t>(10 + 3 * i);
+      table->deliver(make_flow_packet(flow, i));
+      table->deliver(make_flow_packet(flow, 1000 + i));  // burst-cache hit
+    }
   }
-  for (std::size_t i = 0; i < sinks.size(); ++i) {
-    ASSERT_EQ(sinks[i].packets().size(), 2u) << "sink " << i;
-    EXPECT_EQ(sinks[i].packets()[0].id, i);
-    EXPECT_EQ(sinks[i].packets()[1].id, 1000 + i);
+  for (std::size_t i = 0; i < bulk_sinks.size(); ++i) {
+    ASSERT_EQ(bulk_sinks[i].packets().size(), 2u) << "sink " << i;
+    EXPECT_EQ(bulk_sinks[i].packets()[0].id, i);
+    EXPECT_EQ(bulk_sinks[i].packets()[1].id, 1000 + i);
+    ASSERT_EQ(incremental_sinks[i].packets().size(), 2u) << "sink " << i;
+    EXPECT_EQ(incremental_sinks[i].packets()[0].id, i);
   }
 }
 
@@ -276,11 +274,10 @@ TEST(FlowTable, BulkDuplicateIsCaughtAtFinish) {
   FlowTableSink table;
   CollectorSink first;
   CollectorSink second;
-  table.begin_bulk(2);
   table.add_route(7, &first);
   table.add_route(7, &second);  // not detectable until the sort
   EXPECT_TRUE(failures.empty());
-  table.finish_bulk();
+  table.sort_routes();
 
   check::set_audit_handler({});
   ASSERT_EQ(failures.size(), 1u);
@@ -296,14 +293,12 @@ TEST(FlowTable, LookupDuringBulkBuildTripsAudit) {
 
   FlowTableSink table;
   CollectorSink a;
-  table.begin_bulk(1);
   table.add_route(7, &a);
-  table.deliver(make_flow_packet(7, 1));  // table is unsorted mid-bulk
+  table.deliver(make_flow_packet(7, 1));  // the build is not sorted yet
 
   check::set_audit_handler({});
   ASSERT_FALSE(failures.empty());
-  EXPECT_NE(failures[0].find("bulk build"), std::string::npos);
-  table.finish_bulk();
+  EXPECT_NE(failures[0].find("before sort_routes"), std::string::npos);
 }
 
 TEST(Packet, GsoBufferPredicate) {

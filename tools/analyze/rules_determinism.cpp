@@ -1,7 +1,6 @@
 // Determinism rules: every published number must be a pure function of
-// (config, seed). These port tools/quicsteps_lint.py's regex rules onto
-// the token stream, so string literals and comments can never false-
-// positive and one engine owns the policy.
+// (config, seed). The rules match on the token stream, so string literals
+// and comments can never false-positive and one engine owns the policy.
 #include "rule.hpp"
 
 namespace quicsteps::analyze {

@@ -12,8 +12,7 @@
 #   4. static analysis                -> quicsteps-analyze over src/ AND
 #                                        its own sources (self-hosting):
 #                                        layering / units / determinism /
-#                                        scheduling / perf / concurrency,
-#                                        plus the legacy lint wrapper CLI
+#                                        scheduling / perf / concurrency
 #   5. clang-tidy (when installed)    -> `tidy` target, .clang-tidy profile
 #
 # Build trees live in build-check/, build-asan/, build-tsan/ next to the
@@ -59,11 +58,8 @@ step "3/5 TSan tier-1 + ParallelRunner framework tests"
 configure_and_build build-tsan "-DQUICSTEPS_SANITIZE=thread"
 ctest --test-dir "$ROOT/build-tsan" -L tier1-tsan --output-on-failure --no-tests=error -j "$JOBS"
 
-step "4/5 static analysis (quicsteps-analyze + lint wrapper)"
+step "4/5 static analysis (quicsteps-analyze)"
 cmake --build "$ROOT/build-check" --target analyze
-# The legacy lint CLI is now a thin wrapper over the analyzer's
-# determinism family; run it too so its interface stays covered.
-cmake --build "$ROOT/build-check" --target lint
 
 step "5/5 clang-tidy (no-op when not installed)"
 cmake --build "$ROOT/build-check" --target tidy
