@@ -15,9 +15,8 @@ namespace quicsteps::framework {
 
 namespace {
 
-std::uint32_t default_flow_id(const FlowSpec& spec, std::size_t index,
-                              std::size_t count) {
-  if (spec.id != 0) return spec.id;
+std::uint32_t wire_flow_id(const FlowSpec& spec, std::size_t index,
+                           std::size_t count) {
   if (count == 1) {
     // Runner::run_once's historical convention, load-bearing for the N=1
     // bit-identity guarantee.
@@ -82,7 +81,7 @@ Network::Network(sim::EventLoop& loop, const MultiFlowConfig& config,
 
   for (std::size_t i = 0; i < n; ++i) {
     FlowSpec spec = config.flows[i];
-    const std::uint32_t id = default_flow_id(spec, i, n);
+    const std::uint32_t id = wire_flow_id(spec, i, n);
     if (n > 1 && !spec.config.qlog_path.empty()) {
       // One qlog file per flow, not N writers on one file.
       spec.config.qlog_path += ".flow" + std::to_string(id);

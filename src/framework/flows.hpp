@@ -31,14 +31,15 @@
 
 namespace quicsteps::framework {
 
+/// One flow of a MultiFlowConfig. Its wire flow id follows from its
+/// position: a single flow keeps Runner::run_once's historical ids
+/// (QUIC=1, TCP=2) so N=1 runs are bit-identical to the old wiring;
+/// multi-flow runs get ids 10, 11, ... (dense, which the flow tables'
+/// net::FlowIndex relies on).
 struct FlowSpec {
   ExperimentConfig config;
   /// Delay before this flow's sender starts.
   sim::Duration start_delay = sim::Duration::zero();
-  /// Wire flow id; 0 = auto-assign. A single flow keeps Runner::run_once's
-  /// historical ids (QUIC=1, TCP=2) so N=1 runs are bit-identical to the
-  /// old wiring; multi-flow runs get ids 10, 11, ...
-  std::uint32_t id = 0;
 };
 
 struct MultiFlowConfig {
@@ -137,7 +138,7 @@ class Network {
  public:
   /// `live_results[i]` receives flow i's streaming fields (cwnd trace)
   /// during the run; it must be sized to the flow count and outlive the
-  /// network. Flow ids come from FlowSpec::id (0 = auto, see FlowSpec).
+  /// network. Flow ids follow from the flow count (see FlowSpec).
   Network(sim::EventLoop& loop, const MultiFlowConfig& config, sim::Rng& rng,
           std::vector<RunResult>& live_results);
 

@@ -1,6 +1,5 @@
 #include "framework/network.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "kernel/qdisc_etf.hpp"
@@ -78,8 +77,8 @@ BottleneckPath::BottleneckPath(sim::EventLoop& loop,
                   .limit_packets = config.netem_limit_packets},
                  rng.fork(4), server_receiver_.get()) {
   bottleneck_.set_drop_observer([this](const net::Packet& pkt) {
-    const std::size_t slot = drop_slot(pkt.flow);
-    if (slot < drop_counts_.size()) ++drop_counts_[slot];
+    const std::uint32_t slot = drop_index_.find(pkt.flow);
+    if (slot != net::FlowIndex::kNone) ++drop_counts_[slot];
   });
   batched_ = config.batched_datapath;
   if (batched_) {
@@ -97,39 +96,27 @@ BottleneckPath::BottleneckPath(sim::EventLoop& loop,
 void BottleneckPath::reserve_flows(std::size_t flows) {
   data_dispatch_.reserve(flows);
   ack_dispatch_.reserve(flows);
-  drop_flow_ids_.reserve(drop_flow_ids_.size() + flows);
+  drop_index_.reserve(flows);
 }
 
 void BottleneckPath::register_flow(std::uint32_t id, net::PacketSink* data,
                                    net::PacketSink* ack) {
   data_dispatch_.add_route(id, data);
   ack_dispatch_.add_route(id, ack);
-  drop_flow_ids_.push_back(id);
+  drop_index_.add(id);
 }
 
 void BottleneckPath::finish_flow_registration() {
-  // The dispatch sorts audit duplicate ids.
-  data_dispatch_.sort_routes();
-  ack_dispatch_.sort_routes();
-  std::sort(drop_flow_ids_.begin(), drop_flow_ids_.end());
-  drop_counts_.assign(drop_flow_ids_.size(), 0);
-}
-
-std::size_t BottleneckPath::drop_slot(std::uint32_t flow) const {
-  std::size_t lo = 0;
-  std::size_t len = drop_flow_ids_.size();
-  while (len > 1) {
-    const std::size_t half = len / 2;
-    lo += drop_flow_ids_[lo + half - 1] < flow ? half : 0;
-    len -= half;
-  }
-  if (len == 1 && drop_flow_ids_[lo] == flow) return lo;
-  return drop_flow_ids_.size();
+  // The dispatch tables audit duplicate ids; attribution charges a
+  // duplicate's drops to its first registration, as dispatch routes it.
+  data_dispatch_.finish_routes();
+  ack_dispatch_.finish_routes();
+  drop_counts_.assign(drop_index_.size(), 0);
 }
 
 std::int64_t BottleneckPath::bottleneck_drops(std::uint32_t flow) const {
-  const std::size_t slot = drop_slot(flow);
-  return slot < drop_counts_.size() ? drop_counts_[slot] : 0;
+  const std::uint32_t slot = drop_index_.find(flow);
+  return slot != net::FlowIndex::kNone ? drop_counts_[slot] : 0;
 }
 
 void BottleneckPath::add_counters(net::CountersTable& table) const {

@@ -29,6 +29,7 @@
 #include "kernel/qdisc_tbf.hpp"
 #include "kernel/udp_socket.hpp"
 #include "net/counters.hpp"
+#include "net/flow_index.hpp"
 #include "net/flow_table.hpp"
 #include "net/packet_slab.hpp"
 #include "net/wire_tap.hpp"
@@ -90,8 +91,8 @@ class BottleneckPath {
   /// at finish_flow_registration(). Unregistered ids trip QUICSTEPS_AUDIT.
   void register_flow(std::uint32_t id, net::PacketSink* data,
                      net::PacketSink* ack);
-  /// Sorts the dispatch tables and the drop-attribution ids once. Call
-  /// after the last register_flow and before the first packet.
+  /// Builds the dispatch tables and the drop attribution once. Call after
+  /// the last register_flow and before the first packet.
   void finish_flow_registration();
 
   net::WireTap& tap() { return *tap_; }
@@ -145,15 +146,9 @@ class BottleneckPath {
   std::unique_ptr<kernel::UdpReceiver> server_receiver_;
   kernel::NetemQdisc ack_netem_;
 
-  /// Index of `flow` in drop_flow_ids_, or drop_flow_ids_.size() when the
-  /// id was never registered. Branchless binary search — the drop observer
-  /// runs on the bottleneck's per-drop hot path.
-  std::size_t drop_slot(std::uint32_t flow) const;
-
-  // Per-flow drop attribution, flat instead of a map: ids sorted at
-  // finish_flow_registration, counts aligned by index. A drop costs one
-  // branchless search + one increment, not a map node touch.
-  std::vector<std::uint32_t> drop_flow_ids_;
+  // Per-flow drop attribution: counts by registration slot, found through
+  // a dense flow index. A drop costs one table load and one increment.
+  net::FlowIndex drop_index_;
   std::vector<std::int64_t> drop_counts_;
 };
 

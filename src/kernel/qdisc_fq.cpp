@@ -18,35 +18,19 @@ bool releases_later(const T& a, const T& b) {
 }  // namespace
 
 FqQdisc::FlowQueue& FqQdisc::flow_for(std::uint32_t flow) {
-  if (last_hit_ < flow_index_.size() &&
-      flow_index_[last_hit_].first == flow) {
-    return flows_[flow_index_[last_hit_].second];
+  std::uint32_t index = flow_index_.find(flow);
+  if (index == net::FlowIndex::kNone) {
+    // First packet of a new flow: create its queue.
+    index = flow_index_.add(flow);
+    flows_.emplace_back();
+    flows_.back().flow = flow;
   }
-  const auto pos = std::lower_bound(
-      flow_index_.begin(), flow_index_.end(), flow,
-      [](const auto& entry, std::uint32_t id) { return entry.first < id; });
-  if (pos != flow_index_.end() && pos->first == flow) {
-    last_hit_ = static_cast<std::size_t>(pos - flow_index_.begin());
-    return flows_[pos->second];
-  }
-  // First packet of a new flow: create its queue. The O(n) sorted insert
-  // happens once per flow, not per packet.
-  const std::uint32_t index = static_cast<std::uint32_t>(flows_.size());
-  flows_.emplace_back();
-  flows_.back().flow = flow;
-  last_hit_ = static_cast<std::size_t>(pos - flow_index_.begin());
-  flow_index_.insert(pos, {flow, index});
   return flows_[index];
 }
 
 const FqQdisc::FlowQueue* FqQdisc::find_flow(std::uint32_t flow) const {
-  const auto pos = std::lower_bound(
-      flow_index_.begin(), flow_index_.end(), flow,
-      [](const auto& entry, std::uint32_t id) { return entry.first < id; });
-  if (pos != flow_index_.end() && pos->first == flow) {
-    return &flows_[pos->second];
-  }
-  return nullptr;
+  const std::uint32_t index = flow_index_.find(flow);
+  return index != net::FlowIndex::kNone ? &flows_[index] : nullptr;
 }
 
 void FqQdisc::set_flow_rate(std::uint32_t flow, net::DataRate rate) {

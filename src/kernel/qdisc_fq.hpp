@@ -12,8 +12,8 @@
 // model now reproduces the parts of sch_fq that matter when many flows
 // share one qdisc (the 10k-flow fabric):
 //
-//   classification   per-flow queues keyed by pkt.flow (sorted index +
-//                    burst cache, the FlowTableSink idiom);
+//   classification   per-flow queues keyed by pkt.flow through the
+//                    dense net::FlowIndex the flow tables share;
 //   scheduling       each flow's packets release in (txtime, arrival)
 //                    order via a per-flow binary min-heap, and the qdisc
 //                    arms its watchdog off a global heap of flow head
@@ -40,6 +40,7 @@
 #include "kernel/os_model.hpp"
 #include "kernel/qdisc.hpp"
 #include "net/data_rate.hpp"
+#include "net/flow_index.hpp"
 
 namespace quicsteps::kernel {
 
@@ -117,10 +118,8 @@ class FqQdisc final : public Qdisc {
   Config config_;
   OsModel& os_;
 
-  /// (flow id -> flows_ index), sorted by id, with a burst cache — packets
-  /// arrive in per-flow trains, so the previous answer usually repeats.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> flow_index_;
-  std::size_t last_hit_ = 0;
+  /// flow id -> flows_ index (queues are created in arrival order).
+  net::FlowIndex flow_index_;
   std::vector<FlowQueue> flows_;
 
   /// Min-heap of flow head release keys (lazy deletion). Its pruned top is

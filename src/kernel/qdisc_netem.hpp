@@ -58,11 +58,17 @@ class NetemQdisc final : public Qdisc {
     }
     if (slab_ != nullptr) {
       // Batched datapath: the delivery is a slotless drain record carrying
-      // a slab ref (deliveries are never cancelled). Refs are
-      // payload-addressed, so jitter and reorder deliveries surfacing out
-      // of arrival order need no extra bookkeeping.
-      loop_.post_drain_at(loop_.now() + d, delay_channel_,
-                          slab_->put(std::move(pkt)));
+      // a slab ref (deliveries are never cancelled). A constant delay
+      // delivers in arrival order, so the packet joins the channel's delay
+      // line; jitter and reorder deliveries surface out of arrival order
+      // and keep one queued record each (refs are payload-addressed, so
+      // that needs no extra bookkeeping).
+      const std::uint32_t ref = slab_->put(std::move(pkt));
+      if (in_order()) {
+        loop_.post_line_at(loop_.now() + d, delay_channel_, ref);
+      } else {
+        loop_.post_drain_at(loop_.now() + d, delay_channel_, ref);
+      }
       return;
     }
     loop_.schedule_after(d, sim::EventClass::kDelay,
@@ -85,6 +91,13 @@ class NetemQdisc final : public Qdisc {
   std::int64_t reordered() const { return reordered_; }
 
  private:
+  /// True when every packet gets the same delay (no jitter, no reorder),
+  /// so packets leave in the order they arrived.
+  bool in_order() const {
+    return config_.jitter <= sim::Duration::zero() &&
+           config_.reorder_probability <= 0.0;
+  }
+
   static void drain_delivery(void* self, std::uint32_t ref) {
     NetemQdisc* netem = static_cast<NetemQdisc*>(self);
     --netem->in_flight_;

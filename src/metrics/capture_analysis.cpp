@@ -1,7 +1,5 @@
 #include "metrics/capture_analysis.hpp"
 
-#include <algorithm>
-
 namespace quicsteps::metrics {
 
 void CaptureAnalyzer::add(const net::Packet& pkt) {
@@ -95,40 +93,16 @@ CaptureAnalysis CaptureAnalyzer::analyze(
 std::size_t FlowCaptureDemux::add_flow(std::uint32_t flow,
                                        CaptureAnalyzer::Config config) {
   config.flow = flow;
+  index_.add(flow);
   slots_.push_back(Slot{flow, CaptureAnalyzer(config)});
-  const std::uint32_t slot = static_cast<std::uint32_t>(slots_.size() - 1);
-  const auto pos = std::lower_bound(
-      index_.begin(), index_.end(), flow,
-      [](const auto& entry, std::uint32_t id) { return entry.first < id; });
-  if (pos == index_.end() || pos->first != flow) {
-    // Duplicate registrations keep routing to the first slot, as the old
-    // linear scan did.
-    index_.insert(pos, {flow, slot});
-  }
-  return slot;
+  return slots_.size() - 1;
 }
 
 int FlowCaptureDemux::add(const net::Packet& pkt) {
-  // Burst cache: wire packets arrive in per-flow trains.
-  if (last_hit_ < slots_.size() && slots_[last_hit_].flow == pkt.flow) {
-    slots_[last_hit_].analyzer.add(pkt);
-    return static_cast<int>(last_hit_);
-  }
-  // Branchless binary search over the sorted (flow -> slot) index.
-  std::size_t lo = 0;
-  std::size_t len = index_.size();
-  while (len > 1) {
-    const std::size_t half = len / 2;
-    lo += index_[lo + half - 1].first < pkt.flow ? half : 0;
-    len -= half;
-  }
-  if (len == 1 && index_[lo].first == pkt.flow) {
-    const std::size_t slot = index_[lo].second;
-    last_hit_ = slot;
-    slots_[slot].analyzer.add(pkt);
-    return static_cast<int>(slot);
-  }
-  return -1;
+  const std::uint32_t slot = index_.find(pkt.flow);
+  if (slot == net::FlowIndex::kNone) return -1;
+  slots_[slot].analyzer.add(pkt);
+  return static_cast<int>(slot);
 }
 
 void FlowCaptureDemux::analyze(const std::vector<net::Packet>& capture) {

@@ -13,13 +13,13 @@
 
 #include <cstdint>
 #include <map>
-#include <utility>
 #include <vector>
 
 #include "metrics/gap_analyzer.hpp"
 #include "metrics/precision.hpp"
 #include "metrics/stats.hpp"
 #include "metrics/train_analyzer.hpp"
+#include "net/flow_index.hpp"
 #include "net/packet.hpp"
 
 namespace quicsteps::metrics {
@@ -93,7 +93,8 @@ class CaptureAnalyzer {
 class FlowCaptureDemux {
  public:
   /// Registers a flow; `config.flow` is overwritten with `flow`. Returns
-  /// the flow's slot index (stable; also returned by add()).
+  /// the flow's slot index (stable; also returned by add()). A duplicate
+  /// id gets a slot of its own, but packets keep routing to the first.
   std::size_t add_flow(std::uint32_t flow, CaptureAnalyzer::Config config = {});
 
   /// Feeds one packet in wire order. Returns the owning flow's slot index,
@@ -118,14 +119,10 @@ class FlowCaptureDemux {
     std::uint32_t flow = 0;
     CaptureAnalyzer analyzer;
   };
-  /// In registration order (slot indices are stable); add() remembers the
-  /// last hit because wire packets arrive in per-flow trains, and falls
-  /// back to a branchless binary search over the sorted (flow -> slot)
-  /// index — the old linear rescan made every cold dispatch O(N), which is
-  /// the difference between O(P) and O(P*N) over a 10k-flow capture.
+  /// In registration order (slot indices are stable); routing a packet is
+  /// one dense-index load at any flow count.
   std::vector<Slot> slots_;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> index_;  // sorted
-  std::size_t last_hit_ = 0;
+  net::FlowIndex index_;
 };
 
 }  // namespace quicsteps::metrics

@@ -1,24 +1,55 @@
 #include "quic/sent_packet_map.hpp"
 
 #include <algorithm>
+#include <utility>
+
+#include "check/audit.hpp"
 
 namespace quicsteps::quic {
 
 void SentPacketMap::add(SentPacket pkt) {
+  QUICSTEPS_AUDIT(pkt.pn >= end_ && pkt.pn != kNoPacket,
+                  "SentPacketMap: packet numbers must increase");
+  if (size_ == 0) base_ = pkt.pn;  // nothing outstanding: restart here
+  if (pkt.pn - base_ >= ring_.size()) grow(pkt.pn - base_ + 1);
   if (pkt.in_flight) bytes_in_flight_ += pkt.bytes;
-  packets_.emplace(pkt.pn, std::move(pkt));
+  end_ = pkt.pn + 1;
+  slot(pkt.pn) = std::move(pkt);
+  ++size_;
+}
+
+void SentPacketMap::grow(std::uint64_t span) {
+  std::size_t capacity = ring_.empty() ? 16 : 2 * ring_.size();
+  while (capacity < span) capacity *= 2;
+  SentPacket empty;
+  empty.pn = kNoPacket;
+  std::vector<SentPacket> grown(capacity, empty);
+  for (std::uint64_t pn = base_; pn < end_; ++pn) {
+    const SentPacket& p = slot(pn);
+    if (p.pn == pn) grown[pn & (capacity - 1)] = p;
+  }
+  ring_.swap(grown);
+}
+
+void SentPacketMap::erase(SentPacket& p) {
+  if (p.in_flight) bytes_in_flight_ -= p.bytes;
+  p.pn = kNoPacket;
+  --size_;
+  while (base_ < end_ && slot(base_).pn != base_) ++base_;
 }
 
 SentPacketMap::AckResult SentPacketMap::on_ack_blocks(
     const std::vector<net::AckBlock>& blocks) {
   AckResult result;
   for (const auto& block : blocks) {
-    auto it = packets_.lower_bound(block.first);
-    while (it != packets_.end() && it->first <= block.last) {
-      if (it->second.in_flight) bytes_in_flight_ -= it->second.bytes;
-      result.acked_bytes += it->second.bytes;
-      result.newly_acked.push_back(std::move(it->second));
-      it = packets_.erase(it);
+    // Numbers below base_ or at/after end_ are acked already or unsent.
+    const std::uint64_t last = block.last < end_ ? block.last + 1 : end_;
+    for (std::uint64_t pn = std::max(block.first, base_); pn < last; ++pn) {
+      SentPacket& p = slot(pn);
+      if (p.pn != pn) continue;
+      result.acked_bytes += p.bytes;
+      result.newly_acked.push_back(p);
+      erase(p);
     }
   }
   // Blocks arrive newest-first; report ascending for deterministic
@@ -29,21 +60,18 @@ SentPacketMap::AckResult SentPacketMap::on_ack_blocks(
 }
 
 bool SentPacketMap::take(std::uint64_t pn, SentPacket* out) {
-  auto it = packets_.find(pn);
-  if (it == packets_.end()) return false;
-  if (it->second.in_flight) bytes_in_flight_ -= it->second.bytes;
-  if (out != nullptr) *out = std::move(it->second);
-  packets_.erase(it);
+  if (pn < base_ || pn >= end_) return false;
+  SentPacket& p = slot(pn);
+  if (p.pn != pn) return false;
+  if (out != nullptr) *out = p;
+  erase(p);
   return true;
 }
 
 const SentPacket* SentPacketMap::find(std::uint64_t pn) const {
-  auto it = packets_.find(pn);
-  return it == packets_.end() ? nullptr : &it->second;
-}
-
-const SentPacket* SentPacketMap::oldest() const {
-  return packets_.empty() ? nullptr : &packets_.begin()->second;
+  if (pn < base_ || pn >= end_) return nullptr;
+  const SentPacket& p = slot(pn);
+  return p.pn == pn ? &p : nullptr;
 }
 
 }  // namespace quicsteps::quic

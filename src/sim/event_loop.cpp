@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "check/audit.hpp"
@@ -51,6 +53,24 @@ std::uint32_t EventLoop::acquire_slot() {
   return slot;
 }
 
+void EventLoop::note_scheduled(EventClass cls) {
+  ++live_count_;
+  if constexpr (kLoopProfilingEnabled) {
+    ++stats_.scheduled[static_cast<std::size_t>(cls)];
+    if (live_count_ > stats_.max_pending) stats_.max_pending = live_count_;
+  }
+}
+
+void EventLoop::enqueue(const Rec& rec) {
+  if (bucket_index(rec.at_ns) < base_idx_ + kBuckets) {
+    wheel_insert(rec);
+  } else {
+    if constexpr (kLoopProfilingEnabled) ++stats_.overflow_scheduled;
+    overflow_.push_back(rec);
+    std::push_heap(overflow_.begin(), overflow_.end(), rec_after);
+  }
+}
+
 EventHandle EventLoop::schedule_at(Time at, EventClass cls,
                                    std::function<void()> fn) {
   if (at < now_) at = now_;
@@ -60,20 +80,8 @@ EventHandle EventLoop::schedule_at(Time at, EventClass cls,
   s.fn = std::move(fn);
   s.live = true;
 
-  const Rec rec{at.ns(), next_seq_++, slot,
-                static_cast<std::uint16_t>(cls)};
-  ++live_count_;
-  if constexpr (kLoopProfilingEnabled) {
-    ++stats_.scheduled[static_cast<std::size_t>(cls)];
-    if (live_count_ > stats_.max_pending) stats_.max_pending = live_count_;
-  }
-  if (bucket_index(rec.at_ns) < base_idx_ + kBuckets) {
-    wheel_insert(rec);
-  } else {
-    if constexpr (kLoopProfilingEnabled) ++stats_.overflow_scheduled;
-    overflow_.push_back(rec);
-    std::push_heap(overflow_.begin(), overflow_.end(), rec_after);
-  }
+  note_scheduled(cls);
+  enqueue(Rec{at.ns(), next_seq_++, slot, static_cast<std::uint16_t>(cls)});
   return EventHandle(this, slot, s.gen);
 }
 
@@ -84,8 +92,14 @@ EventHandle EventLoop::schedule_after(Duration delay, EventClass cls,
 }
 
 DrainId EventLoop::register_drain(EventClass cls, DrainFn fn, void* ctx) {
-  QUICSTEPS_AUDIT(drains_.size() <= kTrainChannelMask,
-                  "drain channel id space exhausted");
+  // One id more would alias the record flag bits: channel 0x4000 reads as
+  // a slotless record on channel 0. That misroutes silently, so the limit
+  // is checked in every build, not only under QUICSTEPS_AUDIT.
+  if (drains_.size() >= kMaxDrainChannels) {
+    throw std::length_error("EventLoop: more than " +
+                            std::to_string(kMaxDrainChannels) +
+                            " drain channels registered");
+  }
   drains_.push_back(DrainChannel{fn, ctx, cls});
   return static_cast<DrainId>(drains_.size() - 1);
 }
@@ -102,20 +116,9 @@ EventHandle EventLoop::schedule_drain_at(Time at, DrainId ch,
   s.payload = payload;
   s.live = true;
 
-  const Rec rec{at.ns(), next_seq_++, slot,
-                static_cast<std::uint16_t>(kTrainClsBit | ch)};
-  ++live_count_;
-  if constexpr (kLoopProfilingEnabled) {
-    ++stats_.scheduled[static_cast<std::size_t>(drains_[ch].cls)];
-    if (live_count_ > stats_.max_pending) stats_.max_pending = live_count_;
-  }
-  if (bucket_index(rec.at_ns) < base_idx_ + kBuckets) {
-    wheel_insert(rec);
-  } else {
-    if constexpr (kLoopProfilingEnabled) ++stats_.overflow_scheduled;
-    overflow_.push_back(rec);
-    std::push_heap(overflow_.begin(), overflow_.end(), rec_after);
-  }
+  note_scheduled(drains_[ch].cls);
+  enqueue(Rec{at.ns(), next_seq_++, slot,
+              static_cast<std::uint16_t>(kTrainClsBit | ch)});
   return EventHandle(this, slot, s.gen);
 }
 
@@ -123,20 +126,43 @@ void EventLoop::post_drain_at(Time at, DrainId ch, std::uint32_t payload) {
   if (at < now_) at = now_;
   QUICSTEPS_AUDIT(ch < drains_.size(), "drain channel not registered");
 
+  note_scheduled(drains_[ch].cls);
+  enqueue(Rec{at.ns(), next_seq_++, payload,
+              static_cast<std::uint16_t>(kTrainClsBit | kPostClsBit | ch)});
+}
+
+void EventLoop::DelayLine::push(const Rec& rec) {
+  if (count == ring.size()) {
+    // Grow to the next power of two, unrolling the ring to start at 0.
+    std::vector<Rec> grown(ring.empty() ? 16 : 2 * ring.size());
+    for (std::size_t i = 0; i < count; ++i) {
+      grown[i] = ring[(head + i) & (ring.size() - 1)];
+    }
+    ring.swap(grown);
+    head = 0;
+  }
+  ring[(head + count) & (ring.size() - 1)] = rec;
+  ++count;
+}
+
+void EventLoop::post_line_at(Time at, DrainId ch, std::uint32_t payload) {
+  if (at < now_) at = now_;
+  QUICSTEPS_AUDIT(ch < drains_.size(), "drain channel not registered");
+
+  DrainChannel& channel = drains_[ch];
+  if (channel.line == kNoLine) {
+    channel.line = static_cast<std::uint32_t>(lines_.size());
+    lines_.emplace_back();
+  }
+  DelayLine& line = lines_[channel.line];
   const Rec rec{at.ns(), next_seq_++, payload,
                 static_cast<std::uint16_t>(kTrainClsBit | kPostClsBit | ch)};
-  ++live_count_;
-  if constexpr (kLoopProfilingEnabled) {
-    ++stats_.scheduled[static_cast<std::size_t>(drains_[ch].cls)];
-    if (live_count_ > stats_.max_pending) stats_.max_pending = live_count_;
-  }
-  if (bucket_index(rec.at_ns) < base_idx_ + kBuckets) {
-    wheel_insert(rec);
-  } else {
-    if constexpr (kLoopProfilingEnabled) ++stats_.overflow_scheduled;
-    overflow_.push_back(rec);
-    std::push_heap(overflow_.begin(), overflow_.end(), rec_after);
-  }
+  QUICSTEPS_AUDIT(line.count == 0 || line.back().at_ns <= rec.at_ns,
+                  "delay line posted out of time order");
+  note_scheduled(channel.cls);
+  line.push(rec);
+  // An empty line arms its first entry; later entries wait for it to run.
+  if (line.count == 1) enqueue(rec);
 }
 
 void EventLoop::deactivate_slot(std::uint32_t slot) {
@@ -159,11 +185,86 @@ void EventLoop::cancel_slot(std::uint32_t slot, std::uint32_t gen) {
 
 void EventLoop::wheel_insert(const Rec& rec) {
   const std::uint64_t idx = bucket_index(rec.at_ns);
-  wheel_[idx & kMask].push_back(rec);
+  std::vector<Rec>& b = wheel_[idx & kMask];
+  if (idx == active_idx_ && b.size() == b.capacity() &&
+      2 * active_head_ >= b.size()) {
+    // Reuse the room of records already run before growing, so a bucket's
+    // capacity follows its pending records, not all it held while active.
+    b.erase(b.begin(),
+            b.begin() + static_cast<std::ptrdiff_t>(active_head_));
+    active_head_ = 0;
+  }
+  if (idx == active_idx_ && rec_before(rec, b.back())) {
+    // Keep the bucket being drained sorted. A new record is later than
+    // every record already run (at >= now, larger seq), so it lands at or
+    // after the head.
+    b.insert(std::upper_bound(b.begin() + static_cast<std::ptrdiff_t>(
+                                              active_head_),
+                              b.end(), rec, rec_before),
+             rec);
+  } else {
+    // Non-active buckets are sorted when they activate; into the active
+    // one, the usual record is the latest so far and appends.
+    b.push_back(rec);
+  }
   set_bit(idx);
   ++wheel_count_;
   if (idx < hint_idx_) hint_idx_ = idx;
-  if (idx == active_idx_) active_sorted_ = false;
+}
+
+void EventLoop::activate(std::uint64_t idx) {
+  if (active_idx_ != kNoBucket) deactivate();
+  std::vector<Rec>& b = wheel_[idx & kMask];
+  std::size_t kept = 0;
+  for (const Rec& rec : b) {
+    if (rec_live(rec)) {
+      b[kept++] = rec;
+    } else {
+      release_slot(rec.slot);
+    }
+  }
+  wheel_count_ -= b.size() - kept;
+  b.resize(kept);
+  std::sort(b.begin(), b.end(), rec_before);
+  active_idx_ = idx;
+  active_head_ = 0;
+}
+
+void EventLoop::deactivate() {
+  std::vector<Rec>& b = wheel_[active_idx_ & kMask];
+  b.erase(b.begin(),
+          b.begin() + static_cast<std::ptrdiff_t>(active_head_));
+  active_idx_ = kNoBucket;
+  active_head_ = 0;
+}
+
+void EventLoop::retire_active() {
+  wheel_[active_idx_ & kMask].clear();
+  clear_bit(active_idx_);
+  active_idx_ = kNoBucket;
+  active_head_ = 0;
+}
+
+EventLoop::Rec EventLoop::pop_active() {
+  std::vector<Rec>& b = wheel_[active_idx_ & kMask];
+  const Rec rec = b[active_head_++];
+  --wheel_count_;
+  if (active_head_ == b.size()) retire_active();
+  return rec;
+}
+
+bool EventLoop::prune_active_head() {
+  std::vector<Rec>& b = wheel_[active_idx_ & kMask];
+  // Records cancelled since the sort lie dead at arbitrary positions; only
+  // the head needs to be live.
+  while (active_head_ < b.size() && !rec_live(b[active_head_])) {
+    release_slot(b[active_head_].slot);
+    ++active_head_;
+    --wheel_count_;
+  }
+  if (active_head_ < b.size()) return true;
+  retire_active();
+  return false;
 }
 
 void EventLoop::clean_overflow_top() {
@@ -200,6 +301,10 @@ void EventLoop::advance_now(Time to) {
   if (nb <= base_idx_) return;
   base_idx_ = nb;
   if (hint_idx_ < base_idx_) hint_idx_ = base_idx_;
+  // A jump past the active bucket (run_until with only tombstones left in
+  // it) strands it behind the window, where its ring slot aliases a bucket
+  // inside; make it an ordinary tombstone bucket again.
+  if (active_idx_ < base_idx_) deactivate();
   // Overflow records that entered the horizon move into the wheel. Every
   // live record here is >= now(), so it lands in [base_idx_, base_idx_ +
   // kBuckets); dead ones are discarded.
@@ -224,37 +329,8 @@ bool EventLoop::locate_next(bool* from_overflow) {
       const std::uint64_t found = next_occupied(hint_idx_);
       if (found != kNoBucket) {
         hint_idx_ = found;
-        std::vector<Rec>& b = wheel_[found & kMask];
-        if (found != active_idx_ || !active_sorted_) {
-          // Prune tombstones, then sort latest-first so draining pops the
-          // earliest record off the back.
-          std::size_t kept = 0;
-          for (const Rec& rec : b) {
-            if (rec_live(rec)) {
-              b[kept++] = rec;
-            } else {
-              release_slot(rec.slot);
-            }
-          }
-          wheel_count_ -= b.size() - kept;
-          b.resize(kept);
-          std::sort(b.begin(), b.end(), rec_after);
-          active_idx_ = found;
-          active_sorted_ = true;
-        } else {
-          // Sorted earlier; records cancelled since then pile up dead at
-          // arbitrary positions — only the back needs to be live.
-          while (!b.empty() && !rec_live(b.back())) {
-            release_slot(b.back().slot);
-            b.pop_back();
-            --wheel_count_;
-          }
-        }
-        if (b.empty()) {
-          clear_bit(found);
-          active_idx_ = kNoBucket;
-          continue;
-        }
+        if (found != active_idx_) activate(found);
+        if (!prune_active_head()) continue;
         *from_overflow = false;
         return true;
       }
@@ -277,28 +353,15 @@ bool EventLoop::run_one() {
   Rec rec;
   bool have = false;
   // Fast path: the cursor run_one/drain_trains left behind is still pinned
-  // on the sorted active bucket (the same invariant drain_trains relies
-  // on: an earlier insert lowers hint_idx_, an insert into the bucket
-  // clears active_sorted_), so the earliest live record is its back — no
-  // bitmap scan needed. Overflow records sit beyond the wheel horizon by
-  // construction, so they can never beat a wheel record.
-  if (active_idx_ != kNoBucket && active_sorted_ && hint_idx_ == active_idx_) {
-    std::vector<Rec>& b = wheel_[active_idx_ & kMask];
-    while (!b.empty() && !rec_live(b.back())) {
-      release_slot(b.back().slot);
-      b.pop_back();
-      --wheel_count_;
-    }
-    if (!b.empty()) {
-      rec = b.back();
-      b.pop_back();
-      --wheel_count_;
-      have = true;
-    }
-    if (b.empty()) {
-      clear_bit(active_idx_);
-      active_idx_ = kNoBucket;
-    }
+  // on the active bucket (an insert into an earlier bucket lowers
+  // hint_idx_; one into the active bucket keeps it sorted), so the
+  // earliest live record is at its head — no bitmap scan needed. Overflow
+  // records sit beyond the wheel horizon by construction, so they can
+  // never beat a wheel record.
+  if (active_idx_ != kNoBucket && hint_idx_ == active_idx_ &&
+      prune_active_head()) {
+    rec = pop_active();
+    have = true;
   }
   if (!have) {
     bool from_overflow = false;
@@ -309,14 +372,7 @@ bool EventLoop::run_one() {
       overflow_.pop_back();
       clean_overflow_top();
     } else {
-      std::vector<Rec>& b = wheel_[active_idx_ & kMask];
-      rec = b.back();
-      b.pop_back();
-      --wheel_count_;
-      if (b.empty()) {
-        clear_bit(active_idx_);
-        active_idx_ = kNoBucket;
-      }
+      rec = pop_active();
     }
   }
 
@@ -360,32 +416,36 @@ void EventLoop::execute_train(const Rec& rec) {
     ++stats_.drain_executed;
   }
   advance_now(Time::from_ns(rec.at_ns));
+  if (ch.line != kNoLine) {
+    // The line's front ran: arm the next entry with its posted (at, seq)
+    // before the callback, so the queue holds it exactly as if it had been
+    // queued at post time.
+    DelayLine& line = lines_[ch.line];
+    if (line.count != 0 && line.front().seq == rec.seq) {
+      line.pop();
+      if (line.count != 0) enqueue(line.front());
+    }
+  }
   ch.fn(ch.ctx, payload);
 }
 
 std::size_t EventLoop::drain_trains(Time deadline) {
   std::size_t n = 0;
   for (;;) {
-    // The fast path is only sound while the cursor state run_one left
-    // behind is provably untouched: the active bucket is still the sorted
-    // front (an insert into an earlier bucket moves hint_idx_ below it; an
-    // insert into the bucket itself clears active_sorted_).
-    if (active_idx_ == kNoBucket || !active_sorted_) break;
-    if (hint_idx_ != active_idx_) break;
-    std::vector<Rec>& b = wheel_[active_idx_ & kMask];
-    if (b.empty()) break;
-    const Rec rec = b.back();
-    if (!(rec.cls & kTrainClsBit)) break;
-    if (!rec_live(rec)) break;  // cancelled since the sort
-    if (rec.at_ns > deadline.ns()) break;
-    b.pop_back();
-    --wheel_count_;
+    // The fast path is only sound while the active bucket is the front of
+    // the queue: an insert into an earlier bucket moves hint_idx_ below it
+    // (an insert into the bucket itself keeps it sorted).
+    if (active_idx_ == kNoBucket || hint_idx_ != active_idx_) break;
+    const Rec& head = wheel_[active_idx_ & kMask][active_head_];
+    if (!(head.cls & kTrainClsBit)) break;
+    if (!rec_live(head)) break;  // cancelled since the sort
+    if (head.at_ns > deadline.ns()) break;
+    const Rec rec = pop_active();
     ++n;
     if constexpr (kLoopProfilingEnabled) ++stats_.drain_batched;
-    if (b.empty()) {
-      clear_bit(active_idx_);
-      active_idx_ = kNoBucket;
-      execute_train(rec);
+    const bool bucket_done = active_idx_ == kNoBucket;
+    execute_train(rec);
+    if (bucket_done) {
       // The bucket is drained but the train may continue in the next one:
       // re-position the cursor (locate_next prunes and sorts exactly as it
       // would for run_one) and let the loop conditions decide. When the
@@ -393,9 +453,7 @@ std::size_t EventLoop::drain_trains(Time deadline) {
       // heap, the cursor state is left for run_one to consume.
       bool from_overflow = false;
       if (!locate_next(&from_overflow) || from_overflow) break;
-      continue;
     }
-    execute_train(rec);
   }
   return n;
 }
@@ -413,9 +471,9 @@ std::size_t EventLoop::run_until(Time deadline) {
   std::size_t n = 0;
   bool from_overflow = false;
   while (locate_next(&from_overflow)) {
-    const std::int64_t at = from_overflow
-                                ? overflow_.front().at_ns
-                                : wheel_[active_idx_ & kMask].back().at_ns;
+    const std::int64_t at =
+        from_overflow ? overflow_.front().at_ns
+                      : wheel_[active_idx_ & kMask][active_head_].at_ns;
     if (at > deadline.ns()) break;
     run_one();
     ++n;
@@ -429,14 +487,16 @@ Time EventLoop::next_event_time() const {
   if (live_count_ == 0) return Time::infinite();
   // Earliest live wheel record: scan occupied buckets from the front and
   // take the min over live records of the first bucket that has any
-  // (buckets partition time, so no later bucket can beat it).
+  // (buckets partition time, so no later bucket can beat it). The active
+  // bucket's records before its head have already run.
   std::uint64_t idx = std::max(base_idx_, hint_idx_);
   while ((idx = next_occupied(idx)) != kNoBucket) {
     const std::vector<Rec>& b = wheel_[idx & kMask];
     const Rec* best = nullptr;
-    for (const Rec& rec : b) {
-      if (!rec_live(rec)) continue;
-      if (best == nullptr || rec_before(rec, *best)) best = &rec;
+    for (std::size_t i = idx == active_idx_ ? active_head_ : 0; i < b.size();
+         ++i) {
+      if (!rec_live(b[i])) continue;
+      if (best == nullptr || rec_before(b[i], *best)) best = &b[i];
     }
     if (best != nullptr) return Time::from_ns(best->at_ns);
     ++idx;  // tombstone-only bucket; the next pop sweeps it

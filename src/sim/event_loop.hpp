@@ -3,9 +3,12 @@
 // Events live in a calendar queue: a ring of fixed-width time buckets (the
 // wheel) for the near future plus a min-heap for events beyond the wheel
 // horizon. Scheduling appends a 24-byte POD record to its bucket in O(1);
-// draining sorts each bucket once when the cursor reaches it. Events at the
-// same instant run in scheduling order (a global sequence number breaks
-// ties), which makes every run of a given seed bit-for-bit reproducible.
+// draining sorts each bucket once, earliest first, when the cursor reaches
+// it, and a record scheduled into that active bucket afterwards is placed
+// by binary search (usually an append: it is the latest record so far), so
+// the bucket being drained is always sorted. Events at the same instant run
+// in scheduling order (a global sequence number breaks ties), which makes
+// every run of a given seed bit-for-bit reproducible.
 //
 // Callbacks are kept in a slab of reusable slots, recycled through a free
 // list, so steady-state scheduling performs no allocations (callbacks that
@@ -23,6 +26,14 @@
 // re-entering the cursor search. Drain records share the global sequence
 // counter with closure events, so a datapath that switches a schedule site
 // from closures to drains preserves execution order bit-for-bit.
+//
+// Delay lines are the fast lane for FIFO hops (a constant-delay netem):
+// post_line_at appends a slotless drain record to its channel's ring, and
+// only the line's front record sits in the wheel or the overflow heap.
+// When the front runs, the next entry is queued with the (time, sequence)
+// it was posted with, so execution order is exactly that of
+// post_drain_at — but a 20 ms propagation delay no longer puts one record
+// per in-flight packet into the O(log n) overflow heap.
 #pragma once
 
 #include <array>
@@ -141,8 +152,11 @@ class EventLoop {
 
   /// Registers a drain channel. Called once per component during wiring;
   /// `cls` is the event class its records are profiled under. The channel
-  /// lives as long as the loop.
+  /// lives as long as the loop. Ids are 14 bits wide (the queue record's
+  /// class field carries two flag bits beside them): registering more than
+  /// kMaxDrainChannels channels throws std::length_error, in every build.
   DrainId register_drain(EventClass cls, DrainFn fn, void* ctx);
+  static constexpr std::size_t kMaxDrainChannels = 0x4000;
 
   /// Schedules `payload` to be handed to channel `ch` at absolute time
   /// `at` (clamped to now() like schedule_at). Fully interleaves with
@@ -158,6 +172,14 @@ class EventLoop {
   /// receive wakeups). Ordering is identical to the other schedule calls
   /// (same sequence counter).
   void post_drain_at(Time at, DrainId ch, std::uint32_t payload);
+
+  /// post_drain_at for a FIFO hop: the record joins channel `ch`'s delay
+  /// line and is queued only once every earlier entry of the line has run.
+  /// `at` (after clamping to now()) must never decrease along a line
+  /// (audited). Execution order, pending_count() and the loop profile are
+  /// exactly those of the equivalent post_drain_at calls; the two may be
+  /// mixed on one channel.
+  void post_line_at(Time at, DrainId ch, std::uint32_t payload);
 
   /// Runs events until the queue is empty. Returns the number executed.
   std::size_t run();
@@ -208,9 +230,11 @@ class EventLoop {
   /// in bytes that were padding before, so profiling does not grow it.
   /// Records with kTrainClsBit set are drain records: the low cls bits are
   /// the DrainId and the slot's payload goes to the channel's function.
-  /// Records that also carry kPostClsBit are slotless (post_drain_at): the
-  /// `slot` field IS the payload, the record is always live, and no slab
-  /// slot is consulted on any path.
+  /// Records that also carry kPostClsBit are slotless (post_drain_at,
+  /// post_line_at): the `slot` field IS the payload, the record is always
+  /// live, and no slab slot is consulted on any path. A line record is
+  /// recognised through its channel (the line's front has its `seq`), so
+  /// it needs no flag bit of its own.
   struct Rec {
     std::int64_t at_ns;
     std::uint64_t seq;
@@ -222,11 +246,34 @@ class EventLoop {
   static constexpr std::uint16_t kTrainClsBit = 0x8000;
   static constexpr std::uint16_t kPostClsBit = 0x4000;
   static constexpr std::uint16_t kTrainChannelMask = 0x3fff;
+  static_assert(kMaxDrainChannels == kTrainChannelMask + 1u,
+                "channel ids must fit below the record's flag bits");
+  static constexpr std::uint32_t kNoLine = 0xffffffffu;
 
   struct DrainChannel {
     DrainFn fn = nullptr;
     void* ctx = nullptr;
     EventClass cls = EventClass::kGeneral;
+    std::uint32_t line = kNoLine;  // index into lines_, once posted to
+  };
+
+  /// One channel's FIFO of posted records, a ring whose capacity is a
+  /// power of two. front() is the record armed in the wheel or heap; the
+  /// rest wait here, in post order, which is also (time, seq) order.
+  struct DelayLine {
+    std::vector<Rec> ring;
+    std::size_t head = 0;
+    std::size_t count = 0;
+
+    const Rec& front() const { return ring[head]; }
+    const Rec& back() const {
+      return ring[(head + count - 1) & (ring.size() - 1)];
+    }
+    void push(const Rec& rec);
+    void pop() {
+      head = (head + 1) & (ring.size() - 1);
+      --count;
+    }
   };
 
   static bool rec_before(const Rec& a, const Rec& b) {
@@ -273,7 +320,26 @@ class EventLoop {
   /// kBuckets), or kNoBucket. (Tombstone-only buckets count as occupied.)
   std::uint64_t next_occupied(std::uint64_t from) const;
 
+  /// Counts a newly scheduled record (profile, liveness, high-water mark).
+  void note_scheduled(EventClass cls);
+  /// Queues a record: into its wheel bucket, or the overflow heap when it
+  /// lies beyond the horizon.
+  void enqueue(const Rec& rec);
   void wheel_insert(const Rec& rec);
+  /// Sorts bucket `idx` for draining (tombstones pruned, earliest first)
+  /// and makes it the active bucket.
+  void activate(std::uint64_t idx);
+  /// Drops the active bucket's consumed prefix and forgets the cursor; the
+  /// bucket's remaining records stay as an ordinary (sorted) bucket.
+  void deactivate();
+  /// Empties the fully consumed active bucket and forgets the cursor.
+  void retire_active();
+  /// Pops the active bucket's head record; retires the bucket when that
+  /// was its last record.
+  Rec pop_active();
+  /// Advances past dead records at the active bucket's head; returns false
+  /// (and retires the bucket) when none is left.
+  bool prune_active_head();
   /// Drops dead records off the overflow heap top so the top, if any, is
   /// live (keeps next_event_time() exact without mutation).
   void clean_overflow_top();
@@ -282,21 +348,24 @@ class EventLoop {
   void advance_now(Time to);
   /// Positions the cursor on the earliest live record, pruning tombstones
   /// on the way. Returns false when no live events remain; otherwise the
-  /// record is wheel_[active_idx_ & kMask].back() (when *from_overflow is
-  /// false) or overflow_.front().
+  /// record is wheel_[active_idx_ & kMask][active_head_] (when
+  /// *from_overflow is false) or overflow_.front().
   bool locate_next(bool* from_overflow);
 
-  /// Runs one surfaced drain record: payload out, slot recycled, channel
-  /// function called (the drain-path analogue of run_one's tail).
+  /// Runs one surfaced drain record: payload out, slot recycled, the next
+  /// entry of its delay line queued, channel function called (the
+  /// drain-path analogue of run_one's tail).
   void execute_train(const Rec& rec);
   /// Train loop: executes consecutive drain records (time <= deadline)
-  /// off the back of the sorted active bucket without re-entering
-  /// locate_next, stopping the moment a callback perturbs cursor state or
-  /// a closure record surfaces. Returns the number executed.
+  /// off the head of the sorted active bucket without re-entering
+  /// locate_next, stopping at a closure or cancelled record, at the
+  /// deadline, or when the next record is in the overflow heap. Returns
+  /// the number executed.
   std::size_t drain_trains(Time deadline);
 
   std::vector<Slot> slots_;
   std::vector<DrainChannel> drains_;
+  std::vector<DelayLine> lines_;
   std::uint32_t free_head_ = kNoSlot;  // intrusive free list through payload
   std::vector<std::vector<Rec>> wheel_;
   std::array<std::uint64_t, kBuckets / 64> occupied_{};
@@ -304,7 +373,7 @@ class EventLoop {
   std::uint64_t base_idx_ = 0;        // bucket holding now()
   std::uint64_t hint_idx_ = 0;        // scans start here (<= first occupied)
   std::uint64_t active_idx_ = kNoBucket;  // bucket sorted for draining
-  bool active_sorted_ = false;
+  std::size_t active_head_ = 0;  // next record of the active bucket
   std::size_t wheel_count_ = 0;  // records in the wheel, incl. tombstones
   std::size_t live_count_ = 0;
   Time now_;

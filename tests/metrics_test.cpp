@@ -2,6 +2,7 @@
 // packet-train analysis (the paper's 0.1 ms rule), precision, and goodput.
 #include <gtest/gtest.h>
 
+#include "metrics/capture_analysis.hpp"
 #include "metrics/gap_analyzer.hpp"
 #include "metrics/goodput.hpp"
 #include "metrics/precision.hpp"
@@ -167,6 +168,23 @@ TEST(PrecisionTest, SkipsNonLeadGsoSegments) {
   tail.gso_segment_index = 1;
   auto report = PrecisionAnalyzer().analyze({lead, tail});
   EXPECT_EQ(report.samples, 1u);
+}
+
+TEST(FlowCaptureDemuxTest, RoutesByFlowAndKeepsFirstSlotOfADuplicate) {
+  FlowCaptureDemux demux;
+  EXPECT_EQ(demux.add_flow(11), 0u);
+  EXPECT_EQ(demux.add_flow(10), 1u);
+  EXPECT_EQ(demux.add_flow(11), 2u);  // duplicate: packets stay on slot 0
+  EXPECT_EQ(demux.add(wire_packet(1.0, 11)), 0);
+  EXPECT_EQ(demux.add(wire_packet(1.5, 10)), 1);
+  EXPECT_EQ(demux.add(wire_packet(2.0, 11)), 0);
+  EXPECT_EQ(demux.add(wire_packet(2.5, 12)), -1);  // unregistered
+  EXPECT_EQ(demux.finish(0).wire_data_packets, 2);
+  EXPECT_EQ(demux.finish(1).wire_data_packets, 1);
+  EXPECT_EQ(demux.finish(2).wire_data_packets, 0);
+  // Registering after packets flowed routes the next packet too.
+  EXPECT_EQ(demux.add_flow(12), 3u);
+  EXPECT_EQ(demux.add(wire_packet(3.0, 12)), 3);
 }
 
 TEST(GoodputTest, ComputesRate) {

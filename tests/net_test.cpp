@@ -2,10 +2,12 @@
 // and the wire tap.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 
 #include "check/audit.hpp"
 #include "net/data_rate.hpp"
+#include "net/flow_index.hpp"
 #include "net/flow_table.hpp"
 #include "net/link.hpp"
 #include "net/packet.hpp"
@@ -173,13 +175,13 @@ TEST(FlowTable, RoutesByFlowId) {
   // Register out of order: lookup must not depend on insertion order.
   table.add_route(9, &b);
   table.add_route(7, &a);
-  table.sort_routes();
+  table.finish_routes();
   EXPECT_EQ(table.route_count(), 2u);
 
   table.deliver(make_flow_packet(7, 1));
-  table.deliver(make_flow_packet(7, 2));  // exercises the last-hit cache
+  table.deliver(make_flow_packet(7, 2));
   table.deliver(make_flow_packet(9, 3));
-  table.deliver(make_flow_packet(7, 4));  // cache miss after flow switch
+  table.deliver(make_flow_packet(7, 4));  // back after a flow switch
 
   ASSERT_EQ(a.packets().size(), 3u);
   ASSERT_EQ(b.packets().size(), 1u);
@@ -198,7 +200,7 @@ TEST(FlowTable, UnregisteredFlowTripsAuditAndDrops) {
   FlowTableSink table;
   CollectorSink a;
   table.add_route(7, &a);
-  table.sort_routes();
+  table.finish_routes();
   table.deliver(make_flow_packet(42, 1));  // no route
 
   check::set_audit_handler({});
@@ -215,14 +217,14 @@ TEST(FlowTable, DuplicateRegistrationTripsAudit) {
   });
 
   // Re-registering an id that is already routed is caught by the next
-  // sort, not just duplicates within one build.
+  // finish, not just duplicates within one build.
   FlowTableSink table;
   CollectorSink first;
   CollectorSink second;
   table.add_route(7, &first);
-  table.sort_routes();
+  table.finish_routes();
   table.add_route(7, &second);
-  table.sort_routes();
+  table.finish_routes();
 
   check::set_audit_handler({});
   ASSERT_EQ(failures.size(), 1u);
@@ -230,29 +232,28 @@ TEST(FlowTable, DuplicateRegistrationTripsAudit) {
 }
 
 TEST(FlowTable, BulkRegistrationRoutesLikeIncremental) {
-  // The fabric-scale build: append out of order, sort once, then route
-  // exactly as a table sorted after every add does — including the burst
-  // cache and the train-switch binary search.
+  // The fabric-scale build: append out of order, finish once, then route
+  // exactly as a table finished after every add does.
   FlowTableSink bulk;
   FlowTableSink incremental;
   std::vector<CollectorSink> bulk_sinks(64);
   std::vector<CollectorSink> incremental_sinks(64);
   for (std::size_t i = 0; i < bulk_sinks.size(); ++i) {
-    // Reverse order with gaps: the sort does the work.
+    // Reverse order with gaps: every add moves the table's lowest id.
     const std::size_t slot = bulk_sinks.size() - 1 - i;
     const auto flow = static_cast<std::uint32_t>(10 + 3 * slot);
     bulk.add_route(flow, &bulk_sinks[slot]);
     incremental.add_route(flow, &incremental_sinks[slot]);
-    incremental.sort_routes();
+    incremental.finish_routes();
   }
-  bulk.sort_routes();
+  bulk.finish_routes();
   EXPECT_EQ(bulk.route_count(), bulk_sinks.size());
 
   for (FlowTableSink* table : {&bulk, &incremental}) {
     for (std::size_t i = 0; i < bulk_sinks.size(); ++i) {
       const auto flow = static_cast<std::uint32_t>(10 + 3 * i);
       table->deliver(make_flow_packet(flow, i));
-      table->deliver(make_flow_packet(flow, 1000 + i));  // burst-cache hit
+      table->deliver(make_flow_packet(flow, 1000 + i));
     }
   }
   for (std::size_t i = 0; i < bulk_sinks.size(); ++i) {
@@ -275,9 +276,9 @@ TEST(FlowTable, BulkDuplicateIsCaughtAtFinish) {
   CollectorSink first;
   CollectorSink second;
   table.add_route(7, &first);
-  table.add_route(7, &second);  // not detectable until the sort
+  table.add_route(7, &second);  // reported when the build finishes
   EXPECT_TRUE(failures.empty());
-  table.sort_routes();
+  table.finish_routes();
 
   check::set_audit_handler({});
   ASSERT_EQ(failures.size(), 1u);
@@ -294,11 +295,39 @@ TEST(FlowTable, LookupDuringBulkBuildTripsAudit) {
   FlowTableSink table;
   CollectorSink a;
   table.add_route(7, &a);
-  table.deliver(make_flow_packet(7, 1));  // the build is not sorted yet
+  table.deliver(make_flow_packet(7, 1));  // the build is not finished yet
 
   check::set_audit_handler({});
   ASSERT_FALSE(failures.empty());
-  EXPECT_NE(failures[0].find("before sort_routes"), std::string::npos);
+  EXPECT_NE(failures[0].find("before finish_routes"), std::string::npos);
+}
+
+TEST(FlowIndex, DenseLookupKeepsFirstSlotOfADuplicate) {
+  FlowIndex index;
+  EXPECT_EQ(index.find(10), FlowIndex::kNone);  // empty
+  EXPECT_EQ(index.add(10), 0u);
+  EXPECT_EQ(index.add(11), 1u);
+  EXPECT_EQ(index.add(13), 2u);  // a hole at 12
+  EXPECT_EQ(index.add(11), 3u);  // duplicate: its own slot, routed to 1
+  EXPECT_EQ(index.add(7), 4u);   // below the lowest id so far
+  EXPECT_EQ(index.size(), 5u);
+  EXPECT_EQ(index.find(7), 4u);
+  EXPECT_EQ(index.find(10), 0u);
+  EXPECT_EQ(index.find(11), 1u);
+  EXPECT_EQ(index.find(13), 2u);
+  for (const std::uint32_t absent : {0u, 6u, 8u, 9u, 12u, 14u, 0xffffffffu}) {
+    EXPECT_EQ(index.find(absent), FlowIndex::kNone) << absent;
+  }
+}
+
+TEST(FlowIndex, RejectsIdsFarSparserThanTheFlowCount) {
+  // Two flows at ids a million apart would need a million-entry table.
+  FlowIndex index;
+  index.add(1);
+  EXPECT_THROW(index.add(1'000'000), std::length_error);
+  EXPECT_EQ(index.size(), 1u);
+  EXPECT_EQ(index.find(1), 0u);
+  EXPECT_EQ(index.find(1'000'000), FlowIndex::kNone);
 }
 
 TEST(Packet, GsoBufferPredicate) {

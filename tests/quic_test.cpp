@@ -4,6 +4,12 @@
 // transfer over a lossy bottleneck using the reference server.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "check/audit.hpp"
 #include "net/link.hpp"
 #include "quic/ack_manager.hpp"
 #include "quic/client.hpp"
@@ -254,6 +260,181 @@ Packet ack_packet(std::uint64_t first, std::uint64_t last,
   pkt.size_bytes = kAckPacketSize;
   pkt.ack = ack_of(first, last, delay);
   return pkt;
+}
+
+// ------------------------------------- differential: SentPacketMap ring
+//
+// The pn-indexed ring against the std::map implementation it replaced,
+// kept here as the oracle. Random sends (with gaps and non-in-flight
+// packets), ACK block lists (newest-first, overlapping acked ranges,
+// ranges below the base or past the largest sent), takes from the middle
+// and for_each_below scans must agree on every return value and on
+// size(), oldest() and bytes_in_flight() after every step.
+
+class MapOracle {
+ public:
+  void add(SentPacket pkt) {
+    if (pkt.in_flight) bytes_in_flight_ += pkt.bytes;
+    packets_.emplace(pkt.pn, pkt);
+  }
+  SentPacketMap::AckResult on_ack_blocks(
+      const std::vector<AckBlock>& blocks) {
+    SentPacketMap::AckResult result;
+    for (const auto& block : blocks) {
+      auto it = packets_.lower_bound(block.first);
+      while (it != packets_.end() && it->first <= block.last) {
+        if (it->second.in_flight) bytes_in_flight_ -= it->second.bytes;
+        result.acked_bytes += it->second.bytes;
+        result.newly_acked.push_back(it->second);
+        it = packets_.erase(it);
+      }
+    }
+    std::sort(result.newly_acked.begin(), result.newly_acked.end(),
+              [](const SentPacket& a, const SentPacket& b) {
+                return a.pn < b.pn;
+              });
+    return result;
+  }
+  bool take(std::uint64_t pn, SentPacket* out) {
+    auto it = packets_.find(pn);
+    if (it == packets_.end()) return false;
+    if (it->second.in_flight) bytes_in_flight_ -= it->second.bytes;
+    *out = it->second;
+    packets_.erase(it);
+    return true;
+  }
+  const SentPacket* find(std::uint64_t pn) const {
+    auto it = packets_.find(pn);
+    return it == packets_.end() ? nullptr : &it->second;
+  }
+  const SentPacket* oldest() const {
+    return packets_.empty() ? nullptr : &packets_.begin()->second;
+  }
+  std::vector<std::uint64_t> below(std::uint64_t bound) const {
+    std::vector<std::uint64_t> pns;
+    for (const auto& [pn, pkt] : packets_) {
+      if (pn >= bound) break;
+      pns.push_back(pn);
+    }
+    return pns;
+  }
+  std::size_t size() const { return packets_.size(); }
+  std::int64_t bytes_in_flight() const { return bytes_in_flight_; }
+
+ private:
+  std::map<std::uint64_t, SentPacket> packets_;
+  std::int64_t bytes_in_flight_ = 0;
+};
+
+bool same_packet(const SentPacket& a, const SentPacket& b) {
+  return a.pn == b.pn && a.bytes == b.bytes && a.time_sent == b.time_sent &&
+         a.ack_eliciting == b.ack_eliciting && a.in_flight == b.in_flight &&
+         a.stream_offset == b.stream_offset &&
+         a.stream_length == b.stream_length && a.fin == b.fin &&
+         a.delivered_at_send == b.delivered_at_send &&
+         a.delivered_time_at_send == b.delivered_time_at_send &&
+         a.app_limited_at_send == b.app_limited_at_send;
+}
+
+bool same_ptr(const SentPacket* a, const SentPacket* b) {
+  if (a == nullptr || b == nullptr) return a == b;
+  return same_packet(*a, *b);
+}
+
+TEST(SentPacketMapDifferential, RingMatchesOrderedMapOracle) {
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    sim::Rng rng(seed);
+    SentPacketMap ring;
+    MapOracle oracle;
+    std::uint64_t next_pn = rng.uniform(0, 3);
+    // Window bursts drive the ring through growth and back to empty.
+    const std::int64_t window = rng.uniform(4, 300);
+    for (int step = 0; step < 4000; ++step) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << " step "
+                                        << step);
+      const std::int64_t op = rng.uniform(0, 99);
+      if (op < 45 && static_cast<std::int64_t>(oracle.size()) < window) {
+        SentPacket pkt;
+        pkt.pn = next_pn;
+        pkt.bytes = rng.uniform(40, 1500);
+        pkt.time_sent = Time::from_ns(static_cast<std::int64_t>(next_pn));
+        pkt.in_flight = !rng.chance(0.1);
+        pkt.ack_eliciting = pkt.in_flight;
+        pkt.stream_offset = rng.chance(0.1) ? -1 : rng.uniform(0, 1 << 20);
+        pkt.stream_length = rng.uniform(0, 1200);
+        pkt.fin = rng.chance(0.05);
+        pkt.delivered_at_send = rng.uniform(0, 1 << 20);
+        pkt.app_limited_at_send = rng.chance(0.2);
+        ring.add(pkt);
+        oracle.add(pkt);
+        // Now and then a number is skipped.
+        next_pn += rng.chance(0.1)
+                       ? static_cast<std::uint64_t>(rng.uniform(2, 40))
+                       : 1;
+      } else if (op < 80) {
+        // Newest-first blocks; some overlap acked ranges, reach below
+        // the oldest tracked number, or past the largest sent.
+        std::vector<AckBlock> blocks;
+        std::uint64_t last =
+            next_pn + static_cast<std::uint64_t>(rng.uniform(0, 8));
+        for (std::int64_t b = rng.uniform(1, 4); b > 0; --b) {
+          const std::uint64_t len =
+              std::min(last, static_cast<std::uint64_t>(rng.uniform(0, 30)));
+          const std::uint64_t first = last - len;
+          blocks.push_back({first, last});
+          // The next, older block lies below this one, or overlaps it.
+          const std::uint64_t gap =
+              static_cast<std::uint64_t>(rng.uniform(0, 40));
+          if (gap > first) break;
+          last = first - gap + (rng.chance(0.2) ? 5 : 0);
+        }
+        if (rng.chance(0.1)) blocks.push_back({0, 1u << 30});  // everything
+        const auto got = ring.on_ack_blocks(blocks);
+        const auto want = oracle.on_ack_blocks(blocks);
+        ASSERT_EQ(got.acked_bytes, want.acked_bytes);
+        ASSERT_EQ(got.newly_acked.size(), want.newly_acked.size());
+        for (std::size_t k = 0; k < got.newly_acked.size(); ++k) {
+          ASSERT_TRUE(same_packet(got.newly_acked[k], want.newly_acked[k]));
+        }
+      } else if (op < 90) {
+        const auto pn = static_cast<std::uint64_t>(
+            rng.uniform(0, static_cast<std::int64_t>(next_pn) + 4));
+        SentPacket got;
+        SentPacket want;
+        const bool took = ring.take(pn, &got);
+        ASSERT_EQ(took, oracle.take(pn, &want));
+        if (took) {
+          ASSERT_TRUE(same_packet(got, want));
+        }
+        ASSERT_TRUE(same_ptr(ring.find(pn + 1), oracle.find(pn + 1)));
+      } else {
+        const auto bound = static_cast<std::uint64_t>(
+            rng.uniform(0, static_cast<std::int64_t>(next_pn) + 4));
+        std::vector<std::uint64_t> seen;
+        ring.for_each_below(
+            bound, [&seen](const SentPacket& p) { seen.push_back(p.pn); });
+        ASSERT_EQ(seen, oracle.below(bound));
+      }
+      ASSERT_EQ(ring.size(), oracle.size());
+      ASSERT_EQ(ring.empty(), oracle.size() == 0);
+      ASSERT_EQ(ring.bytes_in_flight(), oracle.bytes_in_flight());
+      ASSERT_TRUE(same_ptr(ring.oldest(), oracle.oldest()));
+    }
+  }
+}
+
+TEST(SentPacketMapTest, DecreasingPacketNumberTripsTheAudit) {
+  if (!check::kAuditEnabled) GTEST_SKIP() << "audit compiled out";
+  std::vector<std::string> failures;
+  check::set_audit_handler([&failures](const check::AuditFailure& failure) {
+    failures.push_back(failure.to_string());
+  });
+  SentPacketMap map;
+  map.add(sent_pkt(5, Time::zero()));
+  map.add(sent_pkt(5, Time::zero()));  // pn must increase
+  check::set_audit_handler({});
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_NE(failures[0].find("must increase"), std::string::npos);
 }
 
 TEST(ConnectionTest, BuildsSequentialChunks) {

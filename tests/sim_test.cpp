@@ -2,6 +2,11 @@
 // cancellation, and deterministic randomness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <set>
+#include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "sim/event_loop.hpp"
@@ -213,6 +218,219 @@ TEST(EventLoop, StaleHandlesFromReusedSlotsAreInert) {
   b.cancel();  // stale after run: also a no-op
   loop.run();
   EXPECT_EQ(fourth, 1);
+}
+
+// -------------------------------------------- differential: EventLoop
+//
+// Drives seeded random interleavings of every way to queue work
+// (schedule_at, schedule_drain_at, post_drain_at, post_line_at, cancel),
+// from the outside and from inside running callbacks, against a reference
+// (at, seq) priority queue. Callbacks schedule zero-delay records into the
+// bucket being drained, records past the 16.8 ms wheel horizon, and line
+// posts; the test alternates run_one() and run_until() deadlines. After
+// every step the executed sequence, now(), pending_count() and
+// next_event_time() must equal the reference's.
+
+class LoopDifferential {
+ public:
+  explicit LoopDifferential(std::uint64_t seed) : rng_(seed) {
+    for (int i = 0; i < 3; ++i) {
+      channels_.push_back(
+          loop_.register_drain(EventClass::kDelay, &drain_fn, this));
+    }
+  }
+
+  void run(int steps) {
+    for (int step = 0; step < steps && ok_; ++step) {
+      const std::int64_t pick = rng_.uniform(0, 99);
+      if (pick < 40) {
+        queue_random(/*from_callback=*/false);
+      } else if (pick < 50) {
+        cancel_random();
+      } else if (pick < 80) {
+        const bool ran = loop_.run_one();
+        expect(ran == (executed_before_ != executed_), "run_one result");
+      } else {
+        const Time deadline =
+            loop_.now() + Duration::nanos(rng_.uniform(0, 3'000'000));
+        loop_.run_until(deadline);
+        expect(ref_.empty() || std::get<0>(*ref_.begin()) > deadline.ns(),
+               "run_until left a due event");
+        if (ref_now_ < deadline.ns()) ref_now_ = deadline.ns();
+      }
+      executed_before_ = executed_;
+      check_state();
+    }
+    final_run_ = true;  // callbacks stop queueing, so run() terminates
+    loop_.run();
+    check_state();
+    expect(ref_.empty(), "run() left events behind");
+  }
+
+  bool ok() const { return ok_; }
+  std::uint64_t executed() const { return executed_; }
+
+ private:
+  using Entry = std::tuple<std::int64_t, std::uint64_t, std::uint32_t>;
+
+  static void drain_fn(void* self, std::uint32_t id) {
+    static_cast<LoopDifferential*>(self)->on_run(id);
+  }
+
+  void expect(bool cond, const char* what) {
+    if (!cond && ok_) {
+      ok_ = false;
+      ADD_FAILURE() << what << " (after " << executed_ << " events)";
+    }
+  }
+
+  Duration random_delay() {
+    switch (rng_.uniform(0, 5)) {
+      case 0:
+        return Duration::zero();  // same instant: the active bucket
+      case 1:
+        return Duration::nanos(rng_.uniform(1, 8'000));  // same bucket
+      case 2:
+        return Duration::nanos(rng_.uniform(1, 1'000'000));
+      case 3:
+        return Duration::nanos(rng_.uniform(1, 16'000'000));
+      case 4:  // beyond the wheel horizon
+        return Duration::nanos(rng_.uniform(16'800'000, 40'000'000));
+      default:  // in the past: clamps to now()
+        return Duration::nanos(-rng_.uniform(0, 1'000'000));
+    }
+  }
+
+  void queue_random(bool from_callback) {
+    // The loop clamps past times to now(); the reference clamps here.
+    Time at = loop_.now() + random_delay();
+    const Time due = std::max(at, loop_.now());
+    const std::uint32_t id = next_id_++;
+    switch (rng_.uniform(0, 4)) {
+      case 0:
+        handles_.push_back(
+            {id, loop_.schedule_at(at, EventClass::kTimer,
+                                   [this, id] { on_run(id); })});
+        break;
+      case 1:
+        handles_.push_back({id, loop_.schedule_drain_at(at, channels_[2], id)});
+        break;
+      case 2:
+        loop_.post_drain_at(
+            at, channels_[static_cast<std::size_t>(rng_.uniform(0, 2))], id);
+        break;
+      default: {
+        // Lines on channels 0 and 1: `due` may not decrease along a line.
+        const auto line = static_cast<std::size_t>(rng_.uniform(0, 1));
+        if (due.ns() < line_last_[line]) at = Time::from_ns(line_last_[line]);
+        line_last_[line] = std::max(due.ns(), line_last_[line]);
+        loop_.post_line_at(at, channels_[line], id);
+        break;
+      }
+    }
+    ref_.insert({std::max(at, loop_.now()).ns(), next_seq_++, id});
+    if (from_callback) return;
+    // Occasionally queue a burst, so buckets hold more than one record.
+    if (rng_.chance(0.2)) queue_random(false);
+  }
+
+  void cancel_random() {
+    if (handles_.empty()) return;
+    const auto i =
+        static_cast<std::size_t>(rng_.uniform(0, static_cast<std::int64_t>(
+                                                     handles_.size()) - 1));
+    auto [id, handle] = handles_[i];
+    handles_[i] = handles_.back();
+    handles_.pop_back();
+    const auto it = find_ref(id);
+    expect(handle.pending() == (it != ref_.end()), "pending() disagrees");
+    handle.cancel();
+    expect(!handle.pending(), "cancel() left the handle pending");
+    if (it != ref_.end()) ref_.erase(it);
+  }
+
+  std::set<Entry>::iterator find_ref(std::uint32_t id) {
+    for (auto it = ref_.begin(); it != ref_.end(); ++it) {
+      if (std::get<2>(*it) == id) return it;
+    }
+    return ref_.end();
+  }
+
+  void on_run(std::uint32_t id) {
+    ++executed_;
+    expect(!ref_.empty() && std::get<2>(*ref_.begin()) == id,
+           "executed out of (at, seq) order");
+    if (!ok_) return;
+    expect(loop_.now().ns() == std::get<0>(*ref_.begin()), "now() != at");
+    ref_now_ = std::get<0>(*ref_.begin());
+    ref_.erase(ref_.begin());
+    // A callback sees the queue it runs in: the event itself gone, the
+    // next entry of its delay line already queued.
+    check_state();
+    // Work queued from inside a callback lands in the bucket being drained
+    // when its delay is short: the case in-order insertion must keep
+    // sorted.
+    if (final_run_) return;
+    // Fewer than one child per event on average keeps the queue bounded.
+    const std::int64_t extra = rng_.chance(0.4) ? rng_.uniform(1, 2) : 0;
+    for (std::int64_t i = 0; i < extra; ++i) queue_random(true);
+    if (rng_.chance(0.1)) cancel_random();
+  }
+
+  void check_state() {
+    expect(loop_.now().ns() == ref_now_, "now()");
+    expect(loop_.pending_count() == ref_.size(), "pending_count()");
+    expect(loop_.empty() == ref_.empty(), "empty()");
+    const Time next = ref_.empty() ? Time::infinite()
+                                   : Time::from_ns(std::get<0>(*ref_.begin()));
+    expect(loop_.next_event_time() == next, "next_event_time()");
+  }
+
+  EventLoop loop_;
+  Rng rng_;
+  std::vector<DrainId> channels_;
+  std::vector<std::pair<std::uint32_t, EventHandle>> handles_;
+  std::set<Entry> ref_;
+  std::int64_t line_last_[2] = {0, 0};
+  std::int64_t ref_now_ = 0;
+  std::uint64_t next_seq_ = 0;
+  std::uint32_t next_id_ = 0;
+  std::uint64_t executed_ = 0;
+  std::uint64_t executed_before_ = 0;
+  bool final_run_ = false;
+  bool ok_ = true;
+};
+
+TEST(EventLoopDifferential, MatchesReferenceQueueOnRandomInterleavings) {
+  std::uint64_t executed = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    LoopDifferential diff(seed);
+    diff.run(2500);
+    ASSERT_TRUE(diff.ok()) << "seed " << seed;
+    executed += diff.executed();
+  }
+  EXPECT_GT(executed, 50'000u);  // the interleavings did real work
+}
+
+TEST(EventLoop, RegisteringPastTheChannelIdLimitThrows) {
+  // Channel ids are 14 bits; id 0x4000 would read as a slotless record on
+  // channel 0. The limit holds in every build, not only audit builds.
+  EventLoop loop;
+  std::vector<std::uint32_t> seen;
+  const DrainFn ignore = [](void*, std::uint32_t) {};
+  const DrainFn record = [](void* ctx, std::uint32_t payload) {
+    static_cast<std::vector<std::uint32_t>*>(ctx)->push_back(payload);
+  };
+  for (std::size_t i = 0; i + 1 < EventLoop::kMaxDrainChannels; ++i) {
+    loop.register_drain(EventClass::kTransmit, ignore, nullptr);
+  }
+  const DrainId last = loop.register_drain(EventClass::kTransmit, record, &seen);
+  EXPECT_EQ(last, EventLoop::kMaxDrainChannels - 1);
+  EXPECT_THROW(loop.register_drain(EventClass::kTransmit, record, &seen),
+               std::length_error);
+  loop.post_drain_at(Time::zero() + 1_us, last, 7);
+  loop.run();
+  EXPECT_EQ(seen, std::vector<std::uint32_t>{7});
 }
 
 TEST(Rng, DeterministicForSameSeed) {

@@ -197,6 +197,44 @@ TEST(DrainChannel, RunUntilHonorsTheDeadlineForDrainRecords) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
+TEST(DrainChannel, DelayLineRunsInPostOrderBesidePlainPosts) {
+  // A line arms one record at a time, yet interleaves with plain posts on
+  // the same channel and with closures exactly by (time, post order).
+  EventLoop loop;
+  std::vector<int> order;
+  const sim::DrainId ch =
+      loop.register_drain(EventClass::kDelay, push_payload, &order);
+  loop.post_line_at(Time::from_ns(1000), ch, 1);
+  loop.post_line_at(Time::from_ns(1000), ch, 2);
+  loop.post_drain_at(Time::from_ns(1000), ch, 3);
+  loop.post_line_at(Time::from_ns(30'000'000), ch, 4);  // past the horizon
+  loop.schedule_at(Time::from_ns(500), [&order] { order.push_back(0); });
+  loop.post_drain_at(Time::from_ns(2000), ch, 5);
+  EXPECT_EQ(loop.pending_count(), 6u);
+  EXPECT_EQ(loop.next_event_time(), Time::from_ns(500));
+  loop.run_until(Time::from_ns(1000));
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(loop.pending_count(), 2u);
+  EXPECT_EQ(loop.next_event_time(), Time::from_ns(2000));
+  loop.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 5, 4}));
+  EXPECT_EQ(loop.now(), Time::from_ns(30'000'000));
+}
+
+TEST_F(AuditCaptureTest, DelayLinePostedBackInTimeTripsTheAudit) {
+  if (!check::kAuditEnabled) {
+    GTEST_SKIP() << "built with -DQUICSTEPS_AUDIT=OFF";
+  }
+  EventLoop loop;
+  std::vector<int> order;
+  const sim::DrainId ch =
+      loop.register_drain(EventClass::kDelay, push_payload, &order);
+  loop.post_line_at(Time::from_ns(2000), ch, 1);
+  loop.post_line_at(Time::from_ns(1000), ch, 2);  // not FIFO
+  ASSERT_EQ(failures_.size(), 1u);
+  EXPECT_NE(failures_[0].find("out of time order"), std::string::npos);
+}
+
 // ------------------------------------------- slab-backed TBF drop trains
 
 TEST(SlabTbf, BurstTrainSplitsAcrossTheDropTailBoundary) {
