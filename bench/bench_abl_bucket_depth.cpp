@@ -24,14 +24,14 @@ int main() {
     const framework::TopologyConfig tcfg;
     kernel::OsModel server_os(tcfg.server_os, rng.fork(1));
     framework::BottleneckPath path(loop, tcfg, rng, server_os);
-    framework::SenderPath sender(loop, tcfg, server_os, path.wire_ingress(),
-                                 path.slab());
+    framework::SenderPath sender(loop, path.slab(), tcfg, server_os,
+                                 path.wire_ingress());
     auto profile = stacks::picoquic_profile({});
     profile.pacer.bucket_depth_bytes = depth * 1500;
     quic::Connection::Config conn_cfg;
     conn_cfg.total_payload_bytes = framework::env_payload_bytes();
-    stacks::StackServer server(loop, server_os, profile, conn_cfg,
-                               sender.egress());
+    stacks::StackServer server(loop, path.slab(), server_os, profile,
+                               conn_cfg, sender.egress());
     quic::Client client(
         loop,
         {.ack = {}, .expected_payload_bytes = conn_cfg.total_payload_bytes},

@@ -29,14 +29,14 @@ AckFreqResult run_ack_threshold(framework::QdiscKind qdisc, int threshold,
   tcfg.server_qdisc = qdisc;
   kernel::OsModel server_os(tcfg.server_os, rng.fork(1));
   framework::BottleneckPath path(loop, tcfg, rng, server_os);
-  framework::SenderPath sender(loop, tcfg, server_os, path.wire_ingress(),
-                               path.slab());
+  framework::SenderPath sender(loop, path.slab(), tcfg, server_os,
+                               path.wire_ingress());
 
   auto profile = stacks::quiche_profile({.sf_patch = true});
   quic::Connection::Config conn_cfg;
   conn_cfg.total_payload_bytes = payload;
-  stacks::StackServer server(loop, server_os, profile, conn_cfg,
-                             sender.egress());
+  stacks::StackServer server(loop, path.slab(), server_os, profile,
+                             conn_cfg, sender.egress());
   quic::Client::Config ccfg;
   ccfg.expected_payload_bytes = payload;
   ccfg.ack.ack_eliciting_threshold = threshold;

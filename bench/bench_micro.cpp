@@ -44,8 +44,8 @@ void BM_DrainScheduleRun(benchmark::State& state) {
   // The drain-channel counterpart of BM_EventLoopScheduleRun: the same
   // schedule pattern, but each event is a 32-bit payload on a registered
   // channel instead of a std::function closure. The ratio between the two
-  // is the per-event saving the batched datapath banks on, and feeds the
-  // `throughput` section of BENCH_micro.json.
+  // is the per-event saving the datapath's drain channels bank on, and
+  // feeds the `throughput` section of BENCH_micro.json.
   for (auto _ : state) {
     sim::EventLoop loop;
     long sum = 0;
@@ -113,7 +113,7 @@ struct HopConsumer {
 };
 
 void BM_LoopHopPacketBatched(benchmark::State& state) {
-  // The batched datapath for the same hop: the Packet parks in the slab,
+  // The datapath's idiom for the same hop: the Packet parks in the slab,
   // a slotless 24-byte drain record rides the wheel, and the wave drains
   // as a train without leaving run()'s cursor. Same work as the closure
   // arm — compare items_per_second.
@@ -192,20 +192,18 @@ BENCHMARK(BM_FqEnqueueDequeue)
     ->Args({10000, 10000});
 
 void BM_FlowTableRegister(benchmark::State& state) {
-  // range(0) routes in a scrambled id order, appended and sorted once.
+  // range(0) routes registered the way framework::Network registers them:
+  // dense ids 10, 11, ... in ascending order. (net::FlowIndex rejects a
+  // scrambled order of that many ids: mid-build their span far exceeds
+  // the flows registered so far.)
   const int routes = static_cast<int>(state.range(0));
   net::CollectorSink sink;
-  std::vector<std::uint32_t> ids;
-  ids.reserve(static_cast<std::size_t>(routes));
-  for (int i = 0; i < routes; ++i) {
-    // A fixed odd-stride permutation of [0, routes): deterministic,
-    // uniformly scrambled registration order.
-    ids.push_back(static_cast<std::uint32_t>(
-        10 + (static_cast<std::uint64_t>(i) * 7919) % routes));
-  }
   for (auto _ : state) {
     net::FlowTableSink table;
-    for (const std::uint32_t id : ids) table.add_route(id, &sink);
+    table.reserve(static_cast<std::size_t>(routes));
+    for (int i = 0; i < routes; ++i) {
+      table.add_route(static_cast<std::uint32_t>(10 + i), &sink);
+    }
     table.finish_routes();
     benchmark::DoNotOptimize(table.route_count());
   }
@@ -216,8 +214,9 @@ BENCHMARK(BM_FlowTableRegister)->Arg(10000);
 void BM_TbfShaping(benchmark::State& state) {
   for (auto _ : state) {
     sim::EventLoop loop;
+    net::PacketSlab slab;
     net::CollectorSink sink;
-    kernel::TbfQdisc tbf(loop,
+    kernel::TbfQdisc tbf(loop, slab,
                          {.rate = net::DataRate::megabits_per_second(40),
                           .burst_bytes = 3000,
                           .limit_bytes = 1 << 24},
@@ -549,15 +548,13 @@ void BM_RunWithTrace(benchmark::State& state) {
 }
 BENCHMARK(BM_RunWithTrace)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-framework::ExperimentConfig highbw_config(bool batched) {
+framework::ExperimentConfig highbw_config() {
   // The 10 Gbit/s point of the bench_ext_highbw family: a short-RTT
   // multi-Gbit path that stresses the per-packet event cost rather than
   // the paper's 40 Mbit/s bottleneck. items_per_second is simulated
-  // packets per wall-clock second on one core — the number the
-  // `throughput` section of BENCH_micro.json gates on (batched >= 2x
-  // legacy at this point).
+  // packets per wall-clock second on one core.
   framework::ExperimentConfig config;
-  config.label = batched ? "highbw-batched" : "highbw-legacy";
+  config.label = "highbw";
   config.stack = framework::StackKind::kQuicheSf;
   config.payload_bytes = 8ll * 1024 * 1024;
   config.repetitions = 1;
@@ -568,15 +565,11 @@ framework::ExperimentConfig highbw_config(bool batched) {
   config.topology.bottleneck_buffer_bytes =
       net::DataRate::gigabits_per_second(10).bytes_in(sim::Duration::millis(2));
   config.topology.tbf_burst_bytes = 16 * 1514;
-  config.topology.batched_datapath = batched;
   return config;
 }
 
 void BM_HighBwRun(benchmark::State& state) {
-  // Arg 0 = legacy closure-per-packet datapath (pre-batching baseline),
-  // arg 1 = batched drain trains + packet slab. Identical wire_hash either
-  // way; only host-side cost differs.
-  const auto config = highbw_config(state.range(0) != 0);
+  const auto config = highbw_config();
   std::int64_t packets = 0;
   for (auto _ : state) {
     auto run = framework::Runner::run_once(config, config.seed);
@@ -585,7 +578,7 @@ void BM_HighBwRun(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * packets);
 }
-BENCHMARK(BM_HighBwRun)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_HighBwRun)->Unit(benchmark::kMillisecond);
 
 std::vector<framework::ExperimentConfig> bench_grid() {
   std::vector<framework::ExperimentConfig> grid;

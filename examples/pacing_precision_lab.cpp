@@ -31,8 +31,8 @@ LabResult run_ideal(std::int64_t payload, kernel::OsTimingConfig os_timing) {
   tcfg.server_os = os_timing;
   kernel::OsModel server_os(tcfg.server_os, rng.fork(1));
   framework::BottleneckPath path(loop, tcfg, rng, server_os);
-  framework::SenderPath sender(loop, tcfg, server_os, path.wire_ingress(),
-                               path.slab());
+  framework::SenderPath sender(loop, path.slab(), tcfg, server_os,
+                               path.wire_ingress());
 
   quic::Connection::Config conn_cfg;
   conn_cfg.total_payload_bytes = payload;

@@ -23,10 +23,11 @@ namespace {
 /// downloading client and the application source feeding the connection.
 class QuicEndpoint final : public FlowEndpoint {
  public:
-  QuicEndpoint(sim::EventLoop& loop, kernel::OsModel& sender_os,
-               const ExperimentConfig& config, std::uint32_t flow_id,
-               std::uint64_t seed, net::PacketSink* server_egress,
-               net::PacketSink* client_egress, RunResult& live_result) {
+  QuicEndpoint(sim::EventLoop& loop, net::PacketSlab& slab,
+               kernel::OsModel& sender_os, const ExperimentConfig& config,
+               std::uint32_t flow_id, std::uint64_t seed,
+               net::PacketSink* server_egress, net::PacketSink* client_egress,
+               RunResult& live_result) {
     const stacks::StackProfile profile = profile_for(config);
     quic::Connection::Config conn_cfg;
     conn_cfg.total_payload_bytes = config.payload_bytes;
@@ -41,7 +42,7 @@ class QuicEndpoint final : public FlowEndpoint {
                                                        server_egress);
     } else {
       stack_ = std::make_unique<stacks::StackServer>(
-          loop, sender_os, profile, conn_cfg, server_egress);
+          loop, slab, sender_os, profile, conn_cfg, server_egress);
     }
 
     client_ = std::make_unique<quic::Client>(
@@ -95,10 +96,6 @@ class QuicEndpoint final : public FlowEndpoint {
   }
 
   bool complete() const override { return client_->complete(); }
-
-  void enable_batched(net::PacketSlab* slab) override {
-    if (stack_ != nullptr && slab != nullptr) stack_->enable_batched(slab);
-  }
 
   void set_trace(obs::TraceBus& bus, const std::string& prefix) override {
     const std::uint16_t id = bus.register_component(prefix + "stack");
@@ -197,7 +194,7 @@ class TcpEndpoint final : public FlowEndpoint {
 }  // namespace
 
 std::unique_ptr<FlowEndpoint> make_flow_endpoint(
-    sim::EventLoop& loop, kernel::OsModel& sender_os,
+    sim::EventLoop& loop, net::PacketSlab& slab, kernel::OsModel& sender_os,
     const ExperimentConfig& config, std::uint32_t flow_id, std::uint64_t seed,
     net::PacketSink* server_egress, net::PacketSink* client_egress,
     RunResult& live_result) {
@@ -205,9 +202,9 @@ std::unique_ptr<FlowEndpoint> make_flow_endpoint(
     return std::make_unique<TcpEndpoint>(loop, config, flow_id,
                                          server_egress, client_egress);
   }
-  return std::make_unique<QuicEndpoint>(loop, sender_os, config, flow_id,
-                                        seed, server_egress, client_egress,
-                                        live_result);
+  return std::make_unique<QuicEndpoint>(loop, slab, sender_os, config,
+                                        flow_id, seed, server_egress,
+                                        client_egress, live_result);
 }
 
 }  // namespace quicsteps::framework

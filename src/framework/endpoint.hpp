@@ -45,24 +45,21 @@ class FlowEndpoint {
     (void)prefix;
   }
 
-  /// Joins the shared packet slab (batched datapath): the stack's socket
-  /// recycles GSO segment buffers through the slab's pool. Default: the
-  /// endpoint has no socket to wire (ideal server, TCP baseline).
-  virtual void enable_batched(net::PacketSlab* slab) { (void)slab; }
-
   /// Endpoint-side result fields: completion, sender stats, goodput.
   /// Wire-derived fields (gaps, trains, precision, hash, drops) come from
   /// the shared tap and are filled by the caller.
   virtual void fill_result(RunResult& result) const = 0;
 };
 
-/// Builds the endpoint `config` selects. `sender_os` is the host kernel
-/// the stack's syscalls and timers are charged to; `server_egress` is the
-/// host's qdisc; `client_egress` is the shared ACK return path. Cwnd
-/// trace points stream into `live_result` during the run (it must outlive
-/// the endpoint); qlog files are named "<qlog_path>.<seed>".
+/// Builds the endpoint `config` selects. `slab` is the shared packet slab
+/// (a measured stack's socket recycles GSO segment buffers through its
+/// pool); `sender_os` is the host kernel the stack's syscalls and timers
+/// are charged to; `server_egress` is the host's qdisc; `client_egress` is
+/// the shared ACK return path. Cwnd trace points stream into
+/// `live_result` during the run (it must outlive the endpoint); qlog files
+/// are named "<qlog_path>.<seed>".
 std::unique_ptr<FlowEndpoint> make_flow_endpoint(
-    sim::EventLoop& loop, kernel::OsModel& sender_os,
+    sim::EventLoop& loop, net::PacketSlab& slab, kernel::OsModel& sender_os,
     const ExperimentConfig& config, std::uint32_t flow_id, std::uint64_t seed,
     net::PacketSink* server_egress, net::PacketSink* client_egress,
     RunResult& live_result);

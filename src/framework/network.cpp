@@ -9,15 +9,14 @@
 
 namespace quicsteps::framework {
 
-SenderPath::SenderPath(sim::EventLoop& loop, const TopologyConfig& config,
-                       kernel::OsModel& os, net::PacketSink* wire,
-                       net::PacketSlab* slab) {
+SenderPath::SenderPath(sim::EventLoop& loop, net::PacketSlab& slab,
+                       const TopologyConfig& config, kernel::OsModel& os,
+                       net::PacketSink* wire) {
   kernel::Nic::Config nic_cfg;
   nic_cfg.line_rate = config.server_nic_rate;
   nic_cfg.launch_time = config.server_qdisc == QdiscKind::kEtfOffload;
   nic_cfg.drop_missed_launch = config.drop_missed_launch;
-  nic_ = std::make_unique<kernel::Nic>(loop, nic_cfg, os, wire);
-  if (slab != nullptr) nic_->enable_batched(slab);
+  nic_ = std::make_unique<kernel::Nic>(loop, slab, nic_cfg, os, wire);
 
   switch (config.server_qdisc) {
     case QdiscKind::kFifo:
@@ -53,26 +52,26 @@ BottleneckPath::BottleneckPath(sim::EventLoop& loop,
                                kernel::OsModel& server_recv_os)
     : client_os_(config.client_os, rng.fork(2)),
       client_receiver_(std::make_unique<kernel::UdpReceiver>(
-          loop, client_os_, config.client_rcvbuf_bytes,
+          loop, slab_, client_os_, config.client_rcvbuf_bytes,
           [this](net::Packet pkt) { data_dispatch_.deliver(std::move(pkt)); },
           config.client_gro_window)),
-      data_netem_(loop,
+      data_netem_(loop, slab_,
                   {.delay = config.path_delay_one_way,
                    .jitter = config.path_jitter,
                    .limit_packets = config.netem_limit_packets,
                    .loss_probability = config.path_loss_probability,
                    .reorder_probability = config.path_reorder_probability},
                   rng.fork(3), client_receiver_.get()),
-      bottleneck_(loop,
+      bottleneck_(loop, slab_,
                   {.rate = config.bottleneck_rate,
                    .burst_bytes = config.tbf_burst_bytes,
                    .limit_bytes = config.bottleneck_buffer_bytes},
                   &data_netem_),
       tap_(std::make_unique<net::WireTap>(loop, &bottleneck_)),
       server_receiver_(std::make_unique<kernel::UdpReceiver>(
-          loop, server_recv_os, config.client_rcvbuf_bytes,
+          loop, slab_, server_recv_os, config.client_rcvbuf_bytes,
           [this](net::Packet pkt) { ack_dispatch_.deliver(std::move(pkt)); })),
-      ack_netem_(loop,
+      ack_netem_(loop, slab_,
                  {.delay = config.path_delay_one_way,
                   .limit_packets = config.netem_limit_packets},
                  rng.fork(4), server_receiver_.get()) {
@@ -80,17 +79,6 @@ BottleneckPath::BottleneckPath(sim::EventLoop& loop,
     const std::uint32_t slot = drop_index_.find(pkt.flow);
     if (slot != net::FlowIndex::kNone) ++drop_counts_[slot];
   });
-  batched_ = config.batched_datapath;
-  if (batched_) {
-    // One slab serves the whole shared path (and, via slab(), every
-    // sender path built on it). Channel registration order is wiring
-    // order — deterministic, like trace component ids.
-    bottleneck_.enable_batched(&slab_);
-    data_netem_.enable_batched(&slab_);
-    ack_netem_.enable_batched(&slab_);
-    client_receiver_->enable_batched(&slab_);
-    server_receiver_->enable_batched(&slab_);
-  }
 }
 
 void BottleneckPath::reserve_flows(std::size_t flows) {

@@ -40,14 +40,13 @@
 namespace quicsteps::framework {
 
 /// One sender's kernel egress chain, built per `config.server_qdisc`:
-/// the qdisc under test feeding a NIC that serializes onto `wire`.
-/// `slab` is the shared packet slab when the batched datapath is on
-/// (null = legacy per-packet closures).
+/// the qdisc under test feeding a NIC that serializes onto `wire`. `slab`
+/// is the shared packet slab of the BottleneckPath behind `wire`.
 class SenderPath {
  public:
-  SenderPath(sim::EventLoop& loop, const TopologyConfig& config,
-             kernel::OsModel& os, net::PacketSink* wire,
-             net::PacketSlab* slab = nullptr);
+  SenderPath(sim::EventLoop& loop, net::PacketSlab& slab,
+             const TopologyConfig& config, kernel::OsModel& os,
+             net::PacketSink* wire);
 
   /// Head of the chain: the stack's UdpSocket target.
   net::PacketSink* egress() { return qdisc_.get(); }
@@ -97,9 +96,9 @@ class BottleneckPath {
 
   net::WireTap& tap() { return *tap_; }
   const net::WireTap& tap() const { return *tap_; }
-  /// The shared packet slab, or null when the legacy datapath is active.
-  /// Sender paths built on this bottleneck join the same slab.
-  net::PacketSlab* slab() { return batched_ ? &slab_ : nullptr; }
+  /// The shared packet slab. Sender paths and endpoints built on this
+  /// bottleneck join the same slab.
+  net::PacketSlab& slab() { return slab_; }
   const kernel::TbfQdisc& bottleneck() const { return bottleneck_; }
   const kernel::NetemQdisc& data_netem() const { return data_netem_; }
   const kernel::NetemQdisc& ack_netem() const { return ack_netem_; }
@@ -126,10 +125,8 @@ class BottleneckPath {
  private:
   kernel::OsModel client_os_;
 
-  // The flat packet store every datapath component shares under the
-  // batched datapath — constructed first so it outlives the components
-  // holding a pointer to it.
-  bool batched_ = true;
+  // The flat packet store every datapath component shares — constructed
+  // before the components so it outlives every one holding a reference.
   net::PacketSlab slab_;
 
   // Dispatch tables outlive the receivers that deliver into them.

@@ -62,14 +62,9 @@ struct TopologyConfig {
   kernel::OsTimingConfig server_os;
   kernel::OsTimingConfig client_os;
 
-  /// Batched datapath (the multi-Gbit hot path): per-packet hops ride the
-  /// event loop's drain channels with packets stored flat in a shared
-  /// net::PacketSlab, instead of one heap-allocated closure per packet.
-  /// Timing, RNG draw order, and wire_hash are identical either way
-  /// (tests/check_test.cpp pins batched == legacy across stacks x seeds);
-  /// OFF reproduces the pre-batching datapath for A/B benchmarking
-  /// (bench/bench_ext_highbw.cpp reports the ratio).
-  bool batched_datapath = true;
+  /// Not a setting: every run takes the slab-backed datapath. The constant
+  /// exists only because perfbench/src/traced_run.cpp still reads it.
+  static constexpr bool batched_datapath = true;
 };
 
 }  // namespace quicsteps::framework

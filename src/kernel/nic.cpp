@@ -15,10 +15,9 @@ void Nic::deliver(net::Packet pkt) {
     // rate); the paced-GSO patch spaces segment i by i * seg/rate.
     const bool paced = !pkt.gso_pacing_rate.is_zero();
     sim::Time release = now;
-    if (slab_ != nullptr && pkt.gso_segments.use_count() == 1) {
-      // Batched fast path: the buffer is uniquely ours at the driver
-      // boundary, so the segment train moves straight into the slab —
-      // no per-segment Packet copy.
+    if (pkt.gso_segments.use_count() == 1) {
+      // The buffer is uniquely ours at the driver boundary, so the segment
+      // train moves straight into the slab — no per-segment Packet copy.
       auto& segments =
           const_cast<std::vector<net::Packet>&>(*pkt.gso_segments);
       for (auto& seg : segments) {
@@ -35,10 +34,11 @@ void Nic::deliver(net::Packet pkt) {
       // The buffer is spent; hand the husk (and its capacity) back to the
       // slab pool so the next sendmsg_gso reuses it instead of allocating.
       segments.clear();
-      slab_->put_gso_buffer(std::const_pointer_cast<std::vector<net::Packet>>(
+      slab_.put_gso_buffer(std::const_pointer_cast<std::vector<net::Packet>>(
           std::move(pkt.gso_segments)));
       return;
     }
+    // Someone else still holds the buffer: copy the segments out.
     const auto& segments = *pkt.gso_segments;
     for (const auto& seg : segments) {
       net::Packet wire = seg;
@@ -75,26 +75,13 @@ void Nic::transmit(net::Packet pkt, sim::Time earliest) {
   ++packets_sent_;
   QUICSTEPS_TRACE_SPAN(trace_bus_, obs::TraceStage::kNicTx, trace_component_,
                        start, pkt);
-  if (slab_ != nullptr) {
-    // Completions are never cancelled, so the record can be slotless.
-    loop_.post_drain_at(busy_until_, tx_channel_, slab_->put(std::move(pkt)));
-    return;
-  }
-  loop_.schedule_at(busy_until_, sim::EventClass::kTransmit,
-                    [this, pkt = std::move(pkt)]() mutable {
-    if (downstream_ != nullptr) downstream_->deliver(std::move(pkt));
-  });
-}
-
-void Nic::enable_batched(net::PacketSlab* slab) {
-  slab_ = slab;
-  tx_channel_ =
-      loop_.register_drain(sim::EventClass::kTransmit, &Nic::drain_tx, this);
+  // Completions are never cancelled, so the record can be slotless.
+  loop_.post_drain_at(busy_until_, tx_channel_, slab_.put(std::move(pkt)));
 }
 
 void Nic::drain_tx(void* self, std::uint32_t ref) {
   Nic* nic = static_cast<Nic*>(self);
-  net::Packet pkt = nic->slab_->take(ref);
+  net::Packet pkt = nic->slab_.take(ref);
   if (nic->downstream_ != nullptr) nic->downstream_->deliver(std::move(pkt));
 }
 

@@ -7,6 +7,9 @@
 //     txtime until that txtime (clipping ETF's early-dequeue error);
 //   * serializes everything at the line rate, which produces the ~12 us
 //     minimum inter-packet gap the paper calls out for 1 Gbit/s.
+//
+// TX completions are drain records carrying refs into the shared
+// net::PacketSlab.
 #pragma once
 
 #include <cstdint>
@@ -34,20 +37,24 @@ class Nic final : public net::PacketSink, public obs::TraceSource {
     bool drop_missed_launch = false;
   };
 
-  Nic(sim::EventLoop& loop, Config config, OsModel& os,
+  Nic(sim::EventLoop& loop, net::PacketSlab& slab, Config config, OsModel& os,
       net::PacketSink* downstream)
-      : loop_(loop), config_(config), os_(os), downstream_(downstream) {}
+      : loop_(loop),
+        slab_(slab),
+        tx_channel_(loop.register_drain(sim::EventClass::kTransmit,
+                                        &Nic::drain_tx, this)),
+        config_(config),
+        os_(os),
+        downstream_(downstream) {}
+  // The TX drain channel holds `this`.
+  Nic(const Nic&) = delete;
+  Nic& operator=(const Nic&) = delete;
 
   void deliver(net::Packet pkt) override;
 
   void set_downstream(net::PacketSink* sink) { downstream_ = sink; }
   std::int64_t packets_sent() const { return packets_sent_; }
   std::int64_t missed_launch_drops() const { return missed_launch_drops_; }
-
-  /// Switches TX completions to the batched datapath: completions become
-  /// drain records carrying slab refs, and GSO segments are moved (not
-  /// copied) out of a uniquely-owned buffer. Call once during wiring.
-  void enable_batched(net::PacketSlab* slab);
 
  private:
   /// Serializes one wire packet whose transmission may start no earlier
@@ -57,8 +64,8 @@ class Nic final : public net::PacketSink, public obs::TraceSource {
   static void drain_tx(void* self, std::uint32_t ref);
 
   sim::EventLoop& loop_;
-  net::PacketSlab* slab_ = nullptr;
-  sim::DrainId tx_channel_ = 0;
+  net::PacketSlab& slab_;
+  sim::DrainId tx_channel_;
   Config config_;
   OsModel& os_;
   net::PacketSink* downstream_;

@@ -24,6 +24,9 @@ class Qdisc : public net::PacketSink, public obs::TraceSource {
  public:
   Qdisc(sim::EventLoop& loop, std::string name, net::PacketSink* downstream)
       : loop_(loop), name_(std::move(name)), downstream_(downstream) {}
+  // Scheduled events and drain channels hold `this`.
+  Qdisc(const Qdisc&) = delete;
+  Qdisc& operator=(const Qdisc&) = delete;
 
   const std::string& name() const { return name_; }
   const net::Counters& counters() const { return counters_; }

@@ -4,6 +4,9 @@
 // the 40 ms minimum RTT. Following the paper's setup, its buffer is sized
 // to two bandwidth-delay products so that it never drops — drops must only
 // happen at the TBF bottleneck.
+//
+// A delivery is a slotless drain record carrying a ref into the shared
+// net::PacketSlab (deliveries are never cancelled).
 #pragma once
 
 #include <cstdint>
@@ -29,11 +32,15 @@ class NetemQdisc final : public Qdisc {
     sim::Duration reorder_gap = sim::Duration::millis(2);
   };
 
-  NetemQdisc(sim::EventLoop& loop, Config config, sim::Rng rng,
-             net::PacketSink* downstream)
+  NetemQdisc(sim::EventLoop& loop, net::PacketSlab& slab, Config config,
+             sim::Rng rng, net::PacketSink* downstream)
       : Qdisc(loop, "netem", downstream),
         config_(config),
-        rng_(std::move(rng)) {}
+        rng_(std::move(rng)),
+        slab_(slab),
+        delay_channel_(loop.register_drain(sim::EventClass::kDelay,
+                                           &NetemQdisc::drain_delivery,
+                                           this)) {}
 
   void deliver(net::Packet pkt) override {
     note_arrival(pkt);
@@ -56,34 +63,16 @@ class NetemQdisc final : public Qdisc {
       d = sim::max(d - config_.reorder_gap, sim::Duration::zero());
       ++reordered_;
     }
-    if (slab_ != nullptr) {
-      // Batched datapath: the delivery is a slotless drain record carrying
-      // a slab ref (deliveries are never cancelled). A constant delay
-      // delivers in arrival order, so the packet joins the channel's delay
-      // line; jitter and reorder deliveries surface out of arrival order
-      // and keep one queued record each (refs are payload-addressed, so
-      // that needs no extra bookkeeping).
-      const std::uint32_t ref = slab_->put(std::move(pkt));
-      if (in_order()) {
-        loop_.post_line_at(loop_.now() + d, delay_channel_, ref);
-      } else {
-        loop_.post_drain_at(loop_.now() + d, delay_channel_, ref);
-      }
-      return;
+    // A constant delay delivers in arrival order, so the packet joins the
+    // channel's delay line; jitter and reorder deliveries surface out of
+    // arrival order and keep one queued record each (refs are
+    // payload-addressed, so that needs no extra bookkeeping).
+    const std::uint32_t ref = slab_.put(std::move(pkt));
+    if (in_order()) {
+      loop_.post_line_at(loop_.now() + d, delay_channel_, ref);
+    } else {
+      loop_.post_drain_at(loop_.now() + d, delay_channel_, ref);
     }
-    loop_.schedule_after(d, sim::EventClass::kDelay,
-                         [this, pkt = std::move(pkt)]() mutable {
-                           --in_flight_;
-                           forward(std::move(pkt));
-                         });
-  }
-
-  /// Switches deliveries to slab-backed drain records (batched datapath).
-  /// Call once during wiring.
-  void enable_batched(net::PacketSlab* slab) {
-    slab_ = slab;
-    delay_channel_ = loop_.register_drain(sim::EventClass::kDelay,
-                                          &NetemQdisc::drain_delivery, this);
   }
 
   std::int64_t in_flight() const { return in_flight_; }
@@ -101,13 +90,13 @@ class NetemQdisc final : public Qdisc {
   static void drain_delivery(void* self, std::uint32_t ref) {
     NetemQdisc* netem = static_cast<NetemQdisc*>(self);
     --netem->in_flight_;
-    netem->forward(netem->slab_->take(ref));
+    netem->forward(netem->slab_.take(ref));
   }
 
   Config config_;
   sim::Rng rng_;
-  net::PacketSlab* slab_ = nullptr;
-  sim::DrainId delay_channel_ = 0;
+  net::PacketSlab& slab_;
+  sim::DrainId delay_channel_;
   std::int64_t in_flight_ = 0;
   std::int64_t random_losses_ = 0;
   std::int64_t reordered_ = 0;

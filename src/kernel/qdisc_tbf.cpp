@@ -5,10 +5,13 @@
 
 namespace quicsteps::kernel {
 
-TbfQdisc::TbfQdisc(sim::EventLoop& loop, Config config,
+TbfQdisc::TbfQdisc(sim::EventLoop& loop, net::PacketSlab& slab, Config config,
                    net::PacketSink* downstream)
     : Qdisc(loop, "tbf", downstream),
       config_(config),
+      slab_(slab),
+      wake_channel_(loop.register_drain(sim::EventClass::kQueue,
+                                        &TbfQdisc::drain_wake, this)),
       tokens_bytes_(static_cast<double>(config.burst_bytes)),
       last_refill_(loop.now()) {}
 
@@ -21,18 +24,8 @@ void TbfQdisc::deliver(net::Packet pkt) {
     return;
   }
   backlog_bytes_ += pkt.size_bytes;
-  if (slab_ != nullptr) {
-    ref_queue_.push_back(slab_->put(std::move(pkt)));
-  } else {
-    queue_.push_back(std::move(pkt));
-  }
+  queue_.push_back(slab_.put(std::move(pkt)));
   try_release();
-}
-
-void TbfQdisc::enable_batched(net::PacketSlab* slab) {
-  slab_ = slab;
-  wake_channel_ = loop_.register_drain(sim::EventClass::kQueue,
-                                       &TbfQdisc::drain_wake, this);
 }
 
 void TbfQdisc::drain_wake(void* self, std::uint32_t /*payload*/) {
@@ -51,55 +44,34 @@ void TbfQdisc::try_release() {
   const sim::Time now = loop_.now();
   refill_tokens(now);
 
-  if (slab_ != nullptr) {
-    // Batched: one refill covers the whole release train; the head-of-line
-    // token check reads the slab's size lane, and the packet itself is
-    // only touched (moved out once) when it actually leaves.
-    while (!ref_queue_.empty() &&
-           tokens_bytes_ >=
-               static_cast<double>(slab_->size_bytes(ref_queue_.front()))) {
-      const net::PacketSlab::Ref ref = ref_queue_.front();
-      ref_queue_.pop_front();
-      net::Packet pkt = slab_->take(ref);
-      tokens_bytes_ -= static_cast<double>(pkt.size_bytes);
-      backlog_bytes_ -= pkt.size_bytes;
-      forward(std::move(pkt));
-    }
-  } else {
-    while (!queue_.empty() &&
-           tokens_bytes_ >= static_cast<double>(queue_.front().size_bytes)) {
-      net::Packet pkt = std::move(queue_.front());
-      queue_.pop_front();
-      tokens_bytes_ -= static_cast<double>(pkt.size_bytes);
-      backlog_bytes_ -= pkt.size_bytes;
-      forward(std::move(pkt));
-    }
+  // One refill covers the whole release train; the head-of-line token
+  // check reads the slab's size lane, and the packet itself is only
+  // touched (moved out once) when it actually leaves.
+  while (!queue_.empty() &&
+         tokens_bytes_ >=
+             static_cast<double>(slab_.size_bytes(queue_.front()))) {
+    const net::PacketSlab::Ref ref = queue_.front();
+    queue_.pop_front();
+    net::Packet pkt = slab_.take(ref);
+    tokens_bytes_ -= static_cast<double>(pkt.size_bytes);
+    backlog_bytes_ -= pkt.size_bytes;
+    forward(std::move(pkt));
   }
 
-  const bool backlog_empty =
-      slab_ != nullptr ? ref_queue_.empty() : queue_.empty();
-  if (backlog_empty) {
+  if (queue_.empty()) {
     wake_.cancel();
     return;
   }
   // Sleep until the bucket covers the head packet.
-  const double head_bytes =
-      slab_ != nullptr
-          ? static_cast<double>(slab_->size_bytes(ref_queue_.front()))
-          : static_cast<double>(queue_.front().size_bytes);
-  const double deficit = head_bytes - tokens_bytes_;
+  const double deficit =
+      static_cast<double>(slab_.size_bytes(queue_.front())) - tokens_bytes_;
   const double seconds = deficit / config_.rate.bytes_per_second_f();
   const sim::Time due =
       now + sim::Duration::nanos(static_cast<std::int64_t>(seconds * 1e9) + 1);
   if (wake_.pending()) return;  // a wakeup is already scheduled
-  if (slab_ != nullptr) {
-    // Batched: the wake is a payload-less drain record — no std::function
-    // to build per release step, and the record can ride a drain train.
-    wake_ = loop_.schedule_drain_at(due, wake_channel_, 0);
-    return;
-  }
-  wake_ = loop_.schedule_at(due, sim::EventClass::kQueue,
-                            [this] { try_release(); });
+  // The wake is a payload-less drain record: no std::function to build per
+  // release step, and the record can ride a drain train.
+  wake_ = loop_.schedule_drain_at(due, wake_channel_, 0);
 }
 
 }  // namespace quicsteps::kernel

@@ -22,8 +22,7 @@ sim::Duration UdpSocket::sendmsg_gso(std::vector<net::Packet> segments,
   ++syscalls_;
   // Draw a recycled buffer from the slab pool (the NIC returns husks once
   // it has segmented them); only the first bursts of a run allocate.
-  std::shared_ptr<std::vector<net::Packet>> buffer =
-      slab_ != nullptr ? slab_->take_gso_buffer() : nullptr;
+  std::shared_ptr<std::vector<net::Packet>> buffer = slab_.take_gso_buffer();
   if (buffer == nullptr) {
     buffer = std::make_shared<std::vector<net::Packet>>();
   }
@@ -55,22 +54,9 @@ void UdpReceiver::deliver(net::Packet pkt) {
   pkt.delivery_time = loop_.now();
 
   if (gro_window_.is_zero()) {
-    if (slab_ != nullptr) {
-      // Wakeups are never cancelled, so the record can be slotless.
-      loop_.post_drain_at(loop_.now() + os_.draw_wakeup_latency(),
-                          wakeup_channel_, slab_->put(std::move(pkt)));
-      return;
-    }
-    loop_.schedule_after(os_.draw_wakeup_latency(), sim::EventClass::kWakeup,
-                         [this, pkt = std::move(pkt)]() mutable {
-                           ++wakeups_;
-                           buffered_bytes_ -= pkt.size_bytes;
-                           counters_.count_out(pkt.size_bytes);
-                           QUICSTEPS_TRACE_SPAN(
-                               trace_bus_, obs::TraceStage::kDelivery,
-                               trace_component_, loop_.now(), pkt);
-                           if (handler_) handler_(std::move(pkt));
-                         });
+    // Wakeups are never cancelled, so the record can be slotless.
+    loop_.post_drain_at(loop_.now() + os_.draw_wakeup_latency(),
+                        wakeup_channel_, slab_.put(std::move(pkt)));
     return;
   }
 
@@ -84,15 +70,9 @@ void UdpReceiver::deliver(net::Packet pkt) {
   }
 }
 
-void UdpReceiver::enable_batched(net::PacketSlab* slab) {
-  slab_ = slab;
-  wakeup_channel_ = loop_.register_drain(sim::EventClass::kWakeup,
-                                         &UdpReceiver::drain_wakeup, this);
-}
-
 void UdpReceiver::drain_wakeup(void* self, std::uint32_t ref) {
   UdpReceiver* rx = static_cast<UdpReceiver*>(self);
-  net::Packet pkt = rx->slab_->take(ref);
+  net::Packet pkt = rx->slab_.take(ref);
   ++rx->wakeups_;
   rx->buffered_bytes_ -= pkt.size_bytes;
   rx->counters_.count_out(pkt.size_bytes);

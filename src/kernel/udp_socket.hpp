@@ -27,8 +27,11 @@ namespace quicsteps::kernel {
 
 class UdpSocket : public obs::TraceSource {
  public:
-  UdpSocket(sim::EventLoop& loop, OsModel& os, net::PacketSink* egress)
-      : loop_(loop), os_(os), egress_(egress) {}
+  /// GSO segment buffers recycle through `slab`'s pool instead of being
+  /// allocated per sendmsg_gso call.
+  UdpSocket(sim::EventLoop& loop, net::PacketSlab& slab, OsModel& os,
+            net::PacketSink* egress)
+      : loop_(loop), slab_(slab), os_(os), egress_(egress) {}
 
   /// One sendmsg: injects the packet into the egress chain now and returns
   /// the syscall cost the calling thread spent.
@@ -47,10 +50,6 @@ class UdpSocket : public obs::TraceSource {
 
   void set_egress(net::PacketSink* egress) { egress_ = egress; }
 
-  /// Joins the shared slab: GSO segment buffers recycle through its pool
-  /// instead of being allocated per sendmsg_gso call.
-  void enable_batched(net::PacketSlab* slab) { slab_ = slab; }
-
   const net::Counters& counters() const { return counters_; }
   std::uint64_t gso_buffers_sent() const { return next_gso_id_ - 1; }
   std::uint64_t syscalls() const { return syscalls_; }
@@ -59,16 +58,17 @@ class UdpSocket : public obs::TraceSource {
   void inject(net::Packet pkt);
 
   sim::EventLoop& loop_;
+  net::PacketSlab& slab_;
   OsModel& os_;
   net::PacketSink* egress_;
-  net::PacketSlab* slab_ = nullptr;
   net::Counters counters_;
   std::uint64_t next_gso_id_ = 1;
   std::uint64_t syscalls_ = 0;
 };
 
 /// Receive side: delivers datagrams to the owning stack's handler after an
-/// epoll wakeup latency, enforcing the configured receive buffer.
+/// epoll wakeup latency, enforcing the configured receive buffer. Each
+/// per-datagram wakeup is a drain record carrying a ref into `slab`.
 ///
 /// With a non-zero GRO window, packets arriving within the window of the
 /// first unflushed packet are coalesced and handed to user space in one
@@ -79,20 +79,23 @@ class UdpReceiver final : public net::PacketSink, public obs::TraceSource {
  public:
   using Handler = std::function<void(net::Packet)>;
 
-  UdpReceiver(sim::EventLoop& loop, OsModel& os, std::int64_t rcvbuf_bytes,
-              Handler handler, sim::Duration gro_window = sim::Duration::zero())
+  UdpReceiver(sim::EventLoop& loop, net::PacketSlab& slab, OsModel& os,
+              std::int64_t rcvbuf_bytes, Handler handler,
+              sim::Duration gro_window = sim::Duration::zero())
       : loop_(loop),
         os_(os),
+        slab_(slab),
+        wakeup_channel_(loop.register_drain(sim::EventClass::kWakeup,
+                                            &UdpReceiver::drain_wakeup,
+                                            this)),
         rcvbuf_bytes_(rcvbuf_bytes),
         gro_window_(gro_window),
         handler_(std::move(handler)) {}
+  // The wakeup drain channel and the GRO timer hold `this`.
+  UdpReceiver(const UdpReceiver&) = delete;
+  UdpReceiver& operator=(const UdpReceiver&) = delete;
 
   void deliver(net::Packet pkt) override;
-
-  /// Switches per-datagram wakeups to slab-backed drain records (batched
-  /// datapath). Call once during wiring. The GRO path already batches and
-  /// is unaffected.
-  void enable_batched(net::PacketSlab* slab);
 
   const net::Counters& counters() const { return counters_; }
   /// User-space wakeups performed (each models one recvmsg/recvmmsg).
@@ -104,8 +107,8 @@ class UdpReceiver final : public net::PacketSink, public obs::TraceSource {
 
   sim::EventLoop& loop_;
   OsModel& os_;
-  net::PacketSlab* slab_ = nullptr;
-  sim::DrainId wakeup_channel_ = 0;
+  net::PacketSlab& slab_;
+  sim::DrainId wakeup_channel_;
   std::int64_t rcvbuf_bytes_;
   sim::Duration gro_window_;
   std::int64_t buffered_bytes_ = 0;

@@ -1,10 +1,10 @@
-// Flat packet storage for the batched datapath.
+// Flat packet storage for the datapath.
 //
-// The legacy datapath moves a net::Packet into a std::function closure for
-// every scheduled hop (NIC completion, netem delivery, receiver wakeup) —
-// one heap allocation and two moves per packet per hop. The slab replaces
-// that with struct-of-arrays storage addressed by a 32-bit generation-
-// checked ref that rides in the event loop's drain records
+// Moving a net::Packet into a std::function closure for every scheduled
+// hop (NIC completion, netem delivery, receiver wakeup) would cost one
+// heap allocation and two moves per packet per hop. The slab is instead
+// struct-of-arrays storage addressed by a 32-bit generation-checked ref
+// that rides in the event loop's drain records
 // (sim::EventLoop::schedule_drain_at): the packet is written once at put()
 // and moved out once at take(), and slots recycle through a free list so a
 // steady-state run performs no per-packet allocation at all.

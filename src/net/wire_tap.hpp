@@ -37,9 +37,9 @@ class WireTap final : public PacketSink, public obs::TraceSource {
   void clear() { capture_.clear(); }
 
   /// Retention switch. Defaults to on (hand-wired paths read the capture
-  /// directly); run_flows turns it off under the batched datapath
-  /// — its analysis streams through on_packet, so retaining a copy of
-  /// every wire packet was pure per-packet allocation.
+  /// directly); run_flows turns it off — its analysis streams through
+  /// on_packet, so retaining a copy of every wire packet would be pure
+  /// per-packet allocation.
   void set_retain_capture(bool retain) { retain_capture_ = retain; }
 
   /// Optional live callback (used by long-running experiments to stream

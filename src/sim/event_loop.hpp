@@ -17,7 +17,7 @@
 // generation counter is bumped and the stale queue record is skipped when
 // it surfaces.
 //
-// Drain channels are the batched-datapath fast lane: a component registers
+// Drain channels are the datapath's fast lane: a component registers
 // a raw function pointer once and then schedules 32-bit payloads (packet
 // slab refs, see net/packet_slab.hpp) instead of closures. A drain record
 // costs no std::function construction when scheduled and no indirect

@@ -16,15 +16,15 @@ quic::Connection::Config merge_config(quic::Connection::Config base,
 
 }  // namespace
 
-StackServer::StackServer(sim::EventLoop& loop, kernel::OsModel& os,
-                         StackProfile profile,
+StackServer::StackServer(sim::EventLoop& loop, net::PacketSlab& slab,
+                         kernel::OsModel& os, StackProfile profile,
                          quic::Connection::Config conn_config,
                          net::PacketSink* kernel_egress)
     : loop_(loop),
       os_(os),
       profile_(std::move(profile)),
       connection_(merge_config(conn_config, profile_)),
-      socket_(loop, os, kernel_egress),
+      socket_(loop, slab, os, kernel_egress),
       pacer_timers_(loop, os, profile_.pacer_timer) {}
 
 void StackServer::charge_syscall() {

@@ -30,7 +30,9 @@ class StackServer : public net::PacketSink, public obs::TraceSource {
     std::int64_t send_syscalls = 0;
   };
 
-  StackServer(sim::EventLoop& loop, kernel::OsModel& os, StackProfile profile,
+  /// The socket recycles GSO segment buffers through `slab`'s pool.
+  StackServer(sim::EventLoop& loop, net::PacketSlab& slab,
+              kernel::OsModel& os, StackProfile profile,
               quic::Connection::Config conn_config,
               net::PacketSink* kernel_egress);
 
@@ -45,10 +47,6 @@ class StackServer : public net::PacketSink, public obs::TraceSource {
 
   /// External wake-up (new application data became available).
   void poke() { attempt_send(); }
-
-  /// Joins the shared slab: the socket recycles GSO segment buffers
-  /// through its pool (batched datapath).
-  void enable_batched(net::PacketSlab* slab) { socket_.enable_batched(slab); }
 
   quic::Connection& connection() { return connection_; }
   const quic::Connection& connection() const { return connection_; }

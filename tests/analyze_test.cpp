@@ -18,7 +18,6 @@
 
 #include "analyze/analyzer.hpp"
 #include "analyze/baseline.hpp"
-#include "analyze/cache.hpp"
 #include "analyze/callgraph.hpp"
 #include "analyze/cfg.hpp"
 #include "analyze/lexer.hpp"
@@ -754,49 +753,6 @@ TEST(AnalyzeTypestate, GuardedEscapedAndJoinedUsesStaySilent) {
 }
 
 // ---------------------------------------------------------------------------
-// Caches: token replay and whole-analysis result replay
-// ---------------------------------------------------------------------------
-
-TEST(AnalyzeCache, WarmRunReplaysTokensAndFindingsBitForBit) {
-  const std::string dir = ::testing::TempDir() + "/qs-analyze-cache";
-  std::filesystem::remove_all(dir);
-
-  Options opts;
-  opts.root = kTestdata + "/violations";
-  opts.paths = {opts.root};
-  opts.include_base = opts.root;
-  opts.layers_file = kNoLayers;
-  opts.cache_dir = dir;
-
-  AnalysisResult cold = quicsteps::analyze::run_analysis(opts);
-  ASSERT_TRUE(cold.error.empty()) << cold.error;
-  EXPECT_FALSE(cold.findings_from_cache);
-  EXPECT_EQ(cold.files_from_cache, 0u);
-
-  AnalysisResult warm = quicsteps::analyze::run_analysis(opts);
-  ASSERT_TRUE(warm.error.empty()) << warm.error;
-  EXPECT_TRUE(warm.findings_from_cache);
-  EXPECT_EQ(warm.files_from_cache, warm.files_scanned);
-
-  // Replayed findings are byte-identical through both reporters — the
-  // fix-its survive the round trip.
-  EXPECT_EQ(quicsteps::analyze::text_report(cold.findings),
-            quicsteps::analyze::text_report(warm.findings));
-  EXPECT_EQ(quicsteps::analyze::sarif_report(cold.findings),
-            quicsteps::analyze::sarif_report(warm.findings));
-
-  // Narrowing the rule selection changes the key: no stale replay.
-  Options narrowed = opts;
-  narrowed.rule_families = {"units"};
-  AnalysisResult units = quicsteps::analyze::run_analysis(narrowed);
-  ASSERT_TRUE(units.error.empty()) << units.error;
-  EXPECT_FALSE(units.findings_from_cache);
-  EXPECT_EQ(units.findings.size(), 5u);
-
-  std::filesystem::remove_all(dir);
-}
-
-// ---------------------------------------------------------------------------
 // --fix-baseline: stale entries are dropped in place
 // ---------------------------------------------------------------------------
 
@@ -942,8 +898,8 @@ TEST(AnalyzeReport, TextReportEmitsMachineReadableFixits) {
 }
 
 TEST(AnalyzeReport, SummaryLinePinsTheFormat) {
-  EXPECT_EQ(quicsteps::analyze::summary_line(127, 40, 13, 9, 9, 14),
-            "quicsteps-analyze: 127 files (40 cached), 13 rules, 9 finding(s) "
+  EXPECT_EQ(quicsteps::analyze::summary_line(127, 13, 9, 9, 14),
+            "quicsteps-analyze: 127 files, 13 rules, 9 finding(s) "
             "(9 baselined) in 14 ms");
 }
 

@@ -282,36 +282,6 @@ TEST(DeterminismHash, SerialEqualsParallelAcrossStacksAndSeeds) {
   EXPECT_NE(parallel[0][0].wire_hash, parallel[1][0].wire_hash);
 }
 
-TEST(DeterminismHash, BatchedEqualsLegacyAcrossStacksAndSeeds) {
-  // The batched datapath (drain trains + packet slab) must be a pure
-  // mechanical transformation: for every stack and seed, the wire-hash of
-  // a batched run equals the legacy closure-per-packet run bit for bit.
-  // Drain records share the loop's sequence counter and every RNG draw
-  // stays at its original call site, so any divergence here is a bug in
-  // the conversion, not an accepted behavior change.
-  std::vector<ExperimentConfig> grid;
-  for (auto stack : {StackKind::kQuiche, StackKind::kQuicheSf,
-                     StackKind::kPicoquic, StackKind::kNgtcp2,
-                     StackKind::kTcpTls, StackKind::kIdealQuic}) {
-    for (std::uint64_t seed : {1ull, 7ull, 42ull}) {
-      grid.push_back(hash_config(stack, seed));
-    }
-  }
-
-  const auto batched = ParallelRunner(4).run_grid(grid);
-
-  ASSERT_EQ(batched.size(), grid.size());
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    ASSERT_EQ(batched[i].size(), 1u);
-    ExperimentConfig legacy_config = grid[i];
-    legacy_config.topology.batched_datapath = false;
-    const auto legacy = Runner::run_once(legacy_config, legacy_config.seed);
-    SCOPED_TRACE(grid[i].label + " seed " + std::to_string(grid[i].seed));
-    EXPECT_NE(legacy.wire_hash, 0u);
-    EXPECT_EQ(batched[i][0].wire_hash, legacy.wire_hash);
-  }
-}
-
 TEST(DeterminismHash, TracedRunsExportByteIdenticalSerialVsParallel) {
   if (!obs::kTraceEnabled) {
     GTEST_SKIP() << "built with -DQUICSTEPS_TRACE=OFF";

@@ -31,7 +31,7 @@ struct OneSenderPath {
                 sim::Rng& rng)
       : os(config.server_os, rng.fork(1)),
         path(loop, config, rng, os),
-        sender(loop, config, os, path.wire_ingress(), path.slab()) {
+        sender(loop, path.slab(), config, os, path.wire_ingress()) {
     path.register_flow(1, &client, &server);
     path.finish_flow_registration();
   }

@@ -158,12 +158,14 @@ TEST(Gso, CarrierInheritsFirstSegmentTxtime) {
 class NicTest : public ::testing::Test {
  protected:
   EventLoop loop;
+  net::PacketSlab slab;
   OsModel os{quiet_os(), sim::Rng(1)};
   CollectorSink sink;
 };
 
 TEST_F(NicTest, SerializesAtLineRate) {
-  Nic nic(loop, {.line_rate = DataRate::gigabits_per_second(1)}, os, &sink);
+  Nic nic(loop, slab, {.line_rate = DataRate::gigabits_per_second(1)}, os,
+          &sink);
   net::WireTap tap(loop, &sink);
   nic.set_downstream(&tap);
   nic.deliver(make_packet(1));
@@ -175,7 +177,8 @@ TEST_F(NicTest, SerializesAtLineRate) {
 }
 
 TEST_F(NicTest, StockGsoExpandsBackToBack) {
-  Nic nic(loop, {.line_rate = DataRate::gigabits_per_second(1)}, os, &sink);
+  Nic nic(loop, slab, {.line_rate = DataRate::gigabits_per_second(1)}, os,
+          &sink);
   net::WireTap tap(loop, &sink);
   nic.set_downstream(&tap);
   std::vector<Packet> segs;
@@ -183,6 +186,7 @@ TEST_F(NicTest, StockGsoExpandsBackToBack) {
   nic.deliver(make_gso_buffer(share(std::move(segs)), 1, DataRate::zero()));
   loop.run();
   ASSERT_EQ(tap.capture().size(), 8u);
+  EXPECT_EQ(slab.live(), 0u);
   for (std::size_t i = 1; i < 8; ++i) {
     EXPECT_EQ(
         (tap.capture()[i].wire_time - tap.capture()[i - 1].wire_time).us(),
@@ -191,7 +195,8 @@ TEST_F(NicTest, StockGsoExpandsBackToBack) {
 }
 
 TEST_F(NicTest, PacedGsoSpreadsSegments) {
-  Nic nic(loop, {.line_rate = DataRate::gigabits_per_second(1)}, os, &sink);
+  Nic nic(loop, slab, {.line_rate = DataRate::gigabits_per_second(1)}, os,
+          &sink);
   net::WireTap tap(loop, &sink);
   nic.set_downstream(&tap);
   std::vector<Packet> segs;
@@ -201,6 +206,7 @@ TEST_F(NicTest, PacedGsoSpreadsSegments) {
       make_gso_buffer(share(std::move(segs)), 1, DataRate::megabits_per_second(40)));
   loop.run();
   ASSERT_EQ(tap.capture().size(), 8u);
+  EXPECT_EQ(slab.live(), 0u);
   for (std::size_t i = 1; i < 8; ++i) {
     const auto gap = tap.capture()[i].wire_time - tap.capture()[i - 1].wire_time;
     EXPECT_NEAR(gap.to_micros(), 300.0, 1.0);
@@ -208,7 +214,7 @@ TEST_F(NicTest, PacedGsoSpreadsSegments) {
 }
 
 TEST_F(NicTest, LaunchTimeHoldsEarlyPackets) {
-  Nic nic(loop,
+  Nic nic(loop, slab,
           {.line_rate = DataRate::gigabits_per_second(1),
            .launch_time = true,
            .launch_jitter_max = Duration::zero()},
@@ -224,8 +230,28 @@ TEST_F(NicTest, LaunchTimeHoldsEarlyPackets) {
   EXPECT_EQ(tap.capture()[0].wire_time, Time::zero() + 5_ms + 12_us);
 }
 
+TEST_F(NicTest, StrictLaunchTimeDropsAMissedSlot) {
+  Nic nic(loop, slab,
+          {.line_rate = DataRate::gigabits_per_second(1),
+           .launch_time = true,
+           .drop_missed_launch = true},
+          os, &sink);
+  net::WireTap tap(loop, &sink);
+  nic.set_downstream(&tap);
+  loop.run_until(Time::zero() + 1_ms);
+  Packet p = make_packet(1);
+  p.has_txtime = true;
+  p.txtime = Time::zero() + 500_us;  // the slot passed before the NIC saw it
+  nic.deliver(p);
+  loop.run();
+  EXPECT_EQ(nic.missed_launch_drops(), 1);
+  EXPECT_EQ(nic.packets_sent(), 0);
+  EXPECT_TRUE(tap.capture().empty());
+  EXPECT_EQ(slab.live(), 0u);
+}
+
 TEST_F(NicTest, LaunchTimeDisabledSendsImmediately) {
-  Nic nic(loop, {.launch_time = false}, os, &sink);
+  Nic nic(loop, slab, {.launch_time = false}, os, &sink);
   net::WireTap tap(loop, &sink);
   nic.set_downstream(&tap);
   Packet p = make_packet(1);
@@ -240,7 +266,8 @@ TEST(UdpSocket, SendmsgStampsKernelEntryAndCharges) {
   EventLoop loop;
   OsModel os(quiet_os(), sim::Rng(1));
   CollectorSink sink;
-  UdpSocket socket(loop, os, &sink);
+  net::PacketSlab slab;
+  UdpSocket socket(loop, slab, os, &sink);
   loop.run_until(Time::zero() + 1_ms);
   const Duration cost = socket.sendmsg(make_packet(1));
   EXPECT_EQ(cost, os.config().syscall_base);
@@ -253,7 +280,8 @@ TEST(UdpSocket, GsoSendIsOneSyscall) {
   EventLoop loop;
   OsModel os(quiet_os(), sim::Rng(1));
   CollectorSink sink;
-  UdpSocket socket(loop, os, &sink);
+  net::PacketSlab slab;
+  UdpSocket socket(loop, slab, os, &sink);
   std::vector<Packet> segs;
   for (int i = 0; i < 16; ++i) segs.push_back(make_packet(i));
   socket.sendmsg_gso(std::move(segs), DataRate::zero());
@@ -266,7 +294,8 @@ TEST(UdpSocket, SendmmsgKeepsPacketsSeparate) {
   EventLoop loop;
   OsModel os(quiet_os(), sim::Rng(1));
   CollectorSink sink;
-  UdpSocket socket(loop, os, &sink);
+  net::PacketSlab slab;
+  UdpSocket socket(loop, slab, os, &sink);
   std::vector<Packet> pkts;
   for (int i = 0; i < 5; ++i) pkts.push_back(make_packet(i));
   socket.sendmmsg(std::move(pkts));
@@ -278,8 +307,9 @@ TEST(UdpSocket, SendmmsgKeepsPacketsSeparate) {
 TEST(UdpReceiver, EnforcesReceiveBuffer) {
   EventLoop loop;
   OsModel os(quiet_os(), sim::Rng(1));
+  net::PacketSlab slab;
   int received = 0;
-  UdpReceiver receiver(loop, os, 3000, [&](Packet) { ++received; });
+  UdpReceiver receiver(loop, slab, os, 3000, [&](Packet) { ++received; });
   // Quiet OS = zero wakeup latency, but delivery is still via an event, so
   // three back-to-back datagrams exceed the 2-packet buffer.
   receiver.deliver(make_packet(1));
@@ -288,6 +318,7 @@ TEST(UdpReceiver, EnforcesReceiveBuffer) {
   loop.run();
   EXPECT_EQ(received, 2);
   EXPECT_EQ(receiver.counters().packets_dropped, 1);
+  EXPECT_EQ(slab.live(), 0u);
 }
 
 }  // namespace

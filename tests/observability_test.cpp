@@ -129,8 +129,10 @@ TEST(Qlog, RunnerWritesPerRepetitionFiles) {
 
 TEST(NetemImpairments, RandomLossDropsTheConfiguredShare) {
   EventLoop loop;
+  net::PacketSlab slab;
   net::CollectorSink sink;
-  kernel::NetemQdisc netem(loop, {.delay = 1_ms, .loss_probability = 0.2},
+  kernel::NetemQdisc netem(loop, slab,
+                           {.delay = 1_ms, .loss_probability = 0.2},
                            sim::Rng(5), &sink);
   for (int i = 0; i < 5000; ++i) {
     Packet pkt;
@@ -139,6 +141,7 @@ TEST(NetemImpairments, RandomLossDropsTheConfiguredShare) {
     netem.deliver(pkt);
   }
   loop.run();
+  EXPECT_EQ(slab.live(), 0u);
   EXPECT_NEAR(static_cast<double>(netem.random_losses()) / 5000.0, 0.2,
               0.02);
   EXPECT_EQ(sink.packets().size() + static_cast<std::size_t>(netem.random_losses()),
@@ -147,8 +150,9 @@ TEST(NetemImpairments, RandomLossDropsTheConfiguredShare) {
 
 TEST(NetemImpairments, ReorderJumpsTheQueue) {
   EventLoop loop;
+  net::PacketSlab slab;
   net::CollectorSink sink;
-  kernel::NetemQdisc netem(loop,
+  kernel::NetemQdisc netem(loop, slab,
                            {.delay = 5_ms,
                             .reorder_probability = 0.3,
                             .reorder_gap = 2_ms},
@@ -162,6 +166,7 @@ TEST(NetemImpairments, ReorderJumpsTheQueue) {
     });
   }
   loop.run();
+  EXPECT_EQ(slab.live(), 0u);
   ASSERT_EQ(sink.packets().size(), 1000u);
   EXPECT_GT(netem.reordered(), 200);
   // Some packets must actually arrive out of id order.
@@ -178,8 +183,9 @@ TEST(Gro, CoalescesArrivalsIntoOneWakeup) {
   quiet.wakeup_latency_mean = Duration::zero();
   quiet.wakeup_latency_stddev = Duration::zero();
   kernel::OsModel os(quiet, sim::Rng(2));
+  net::PacketSlab slab;
   int delivered = 0;
-  kernel::UdpReceiver receiver(loop, os, 1 << 20,
+  kernel::UdpReceiver receiver(loop, slab, os, 1 << 20,
                                [&](Packet) { ++delivered; }, 500_us);
   for (int i = 0; i < 8; ++i) {
     Packet pkt;
@@ -197,8 +203,9 @@ TEST(Gro, SeparatedArrivalsAreSeparateWakeups) {
   quiet.wakeup_latency_mean = Duration::zero();
   quiet.wakeup_latency_stddev = Duration::zero();
   kernel::OsModel os(quiet, sim::Rng(2));
+  net::PacketSlab slab;
   int delivered = 0;
-  kernel::UdpReceiver receiver(loop, os, 1 << 20,
+  kernel::UdpReceiver receiver(loop, slab, os, 1 << 20,
                                [&](Packet) { ++delivered; }, 500_us);
   for (int i = 0; i < 4; ++i) {
     loop.schedule_at(Time::zero() + Duration::millis(i * 10), [&receiver] {

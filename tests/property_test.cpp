@@ -86,6 +86,7 @@ TEST_P(QdiscInvariants, ConservationAndOrder) {
   sim::Rng rng(param.seed);
   kernel::OsModel os({}, rng.fork(1));
   net::CollectorSink sink;
+  net::PacketSlab slab;
 
   std::unique_ptr<kernel::Qdisc> qdisc;
   bool timestamps = false;
@@ -106,7 +107,7 @@ TEST_P(QdiscInvariants, ConservationAndOrder) {
       break;
     case QdiscUnderTest::kTbf:
       qdisc = std::make_unique<kernel::TbfQdisc>(
-          loop,
+          loop, slab,
           kernel::TbfQdisc::Config{
               .rate = DataRate::megabits_per_second(30),
               .burst_bytes = 4 * 1500,
@@ -115,7 +116,7 @@ TEST_P(QdiscInvariants, ConservationAndOrder) {
       break;
     case QdiscUnderTest::kNetem:
       qdisc = std::make_unique<kernel::NetemQdisc>(
-          loop, kernel::NetemQdisc::Config{.delay = 7_ms}, rng.fork(2),
+          loop, slab, kernel::NetemQdisc::Config{.delay = 7_ms}, rng.fork(2),
           &sink);
       break;
     case QdiscUnderTest::kFqCodel:

@@ -73,6 +73,7 @@ OsTimingConfig quiet_os() {
 class QdiscTest : public ::testing::Test {
  protected:
   EventLoop loop;
+  net::PacketSlab slab;
   OsModel os{quiet_os(), sim::Rng(1)};
   CollectorSink sink;
 };
@@ -265,7 +266,7 @@ TEST_F(QdiscTest, TbfShapesToConfiguredRate) {
   // 10 packets of 1500 B at 40 Mbit/s with a 1-packet bucket: packet 0
   // leaves on the full bucket immediately, then one packet per 300 us.
   TimestampSink stamped(loop);
-  TbfQdisc tbf(loop,
+  TbfQdisc tbf(loop, slab,
                {.rate = DataRate::megabits_per_second(40),
                 .burst_bytes = 1500,
                 .limit_bytes = 1'000'000},
@@ -279,13 +280,14 @@ TEST_F(QdiscTest, TbfShapesToConfiguredRate) {
 }
 
 TEST_F(QdiscTest, TbfDropsWhenLimitExceeded) {
-  TbfQdisc tbf(loop,
+  TbfQdisc tbf(loop, slab,
                {.rate = DataRate::megabits_per_second(1),
                 .burst_bytes = 1500,
                 .limit_bytes = 4500},
                &sink);
   for (int i = 0; i < 10; ++i) tbf.deliver(make_packet(i));
   loop.run();
+  EXPECT_EQ(slab.live(), 0u);
   EXPECT_GT(tbf.counters().packets_dropped, 0);
   EXPECT_EQ(tbf.counters().packets_in, 10);
   EXPECT_EQ(tbf.counters().packets_queued(), 0);
@@ -293,7 +295,7 @@ TEST_F(QdiscTest, TbfDropsWhenLimitExceeded) {
 
 TEST_F(QdiscTest, TbfBurstAllowsBackToBack) {
   // A deep bucket releases an idle-accumulated burst at once.
-  TbfQdisc tbf(loop,
+  TbfQdisc tbf(loop, slab,
                {.rate = DataRate::megabits_per_second(40),
                 .burst_bytes = 15000,
                 .limit_bytes = 1'000'000},
@@ -304,7 +306,7 @@ TEST_F(QdiscTest, TbfBurstAllowsBackToBack) {
 }
 
 TEST_F(QdiscTest, NetemDelaysByConfiguredAmount) {
-  NetemQdisc netem(loop, {.delay = 20_ms}, sim::Rng(2), &sink);
+  NetemQdisc netem(loop, slab, {.delay = 20_ms}, sim::Rng(2), &sink);
   netem.deliver(make_packet(1));
   loop.run();
   EXPECT_EQ(loop.now(), Time::zero() + 20_ms);
@@ -312,16 +314,17 @@ TEST_F(QdiscTest, NetemDelaysByConfiguredAmount) {
 }
 
 TEST_F(QdiscTest, NetemDropsAboveLimit) {
-  NetemQdisc netem(loop, {.delay = 20_ms, .limit_packets = 2}, sim::Rng(2),
-                   &sink);
+  NetemQdisc netem(loop, slab, {.delay = 20_ms, .limit_packets = 2},
+                   sim::Rng(2), &sink);
   for (int i = 0; i < 5; ++i) netem.deliver(make_packet(i));
   loop.run();
+  EXPECT_EQ(slab.live(), 0u);
   EXPECT_EQ(sink.packets().size(), 2u);
   EXPECT_EQ(netem.counters().packets_dropped, 3);
 }
 
 TEST_F(QdiscTest, NetemPreservesOrderWithConstantDelay) {
-  NetemQdisc netem(loop, {.delay = 20_ms}, sim::Rng(2), &sink);
+  NetemQdisc netem(loop, slab, {.delay = 20_ms}, sim::Rng(2), &sink);
   for (int i = 0; i < 20; ++i) {
     loop.schedule_at(Time::zero() + Duration::micros(i * 100),
                      [&, i] { netem.deliver(make_packet(i)); });

@@ -123,9 +123,9 @@ void push_payload(void* ctx, std::uint32_t payload) {
 }
 
 TEST(DrainChannel, InterleavesWithClosureEventsInScheduleOrder) {
-  // Drain records and closures share one sequence counter, so converting a
-  // schedule site from closures to drains must not reorder same-instant
-  // events — this is what makes batched == legacy bit-identical.
+  // Drain records and closures share one sequence counter, so a hop that
+  // posts drain records and a timer that schedules a closure at the same
+  // instant run in the order they were scheduled.
   EventLoop loop;
   std::vector<int> order;
   const sim::DrainId ch =
@@ -248,8 +248,7 @@ TEST(SlabTbf, BurstTrainSplitsAcrossTheDropTailBoundary) {
   config.rate = DataRate::megabits_per_second(12);  // 1500 B per ms
   config.burst_bytes = 1500;
   config.limit_bytes = 3000;
-  kernel::TbfQdisc tbf(loop, config, &sink);
-  tbf.enable_batched(&slab);
+  kernel::TbfQdisc tbf(loop, slab, config, &sink);
 
   for (std::uint64_t id = 1; id <= 5; ++id) {
     tbf.deliver(make_packet(id));
@@ -267,30 +266,6 @@ TEST(SlabTbf, BurstTrainSplitsAcrossTheDropTailBoundary) {
   EXPECT_EQ(sink.packets()[2].id, 3u);
   EXPECT_EQ(tbf.backlog_bytes(), 0);
   EXPECT_EQ(slab.live(), 0u);  // no stale refs left behind by the drops
-}
-
-TEST(SlabTbf, BatchedAndLegacyReleaseIdenticalSchedules) {
-  // The same burst through a slab-backed and a legacy TBF must release at
-  // identical instants — the batched queue only changes storage, never
-  // token arithmetic.
-  auto run_schedule = [](bool batched) {
-    EventLoop loop;
-    net::CollectorSink sink;
-    PacketSlab slab;
-    kernel::TbfQdisc::Config config;
-    config.rate = DataRate::megabits_per_second(12);
-    config.burst_bytes = 1500;
-    config.limit_bytes = 100 * 1500;
-    kernel::TbfQdisc tbf(loop, config, &sink);
-    if (batched) tbf.enable_batched(&slab);
-    std::vector<Time> times;
-    for (std::uint64_t id = 1; id <= 8; ++id) {
-      tbf.deliver(make_packet(id, 700 + static_cast<std::int64_t>(id) * 100));
-    }
-    while (loop.run_one()) times.push_back(loop.now());
-    return times;
-  };
-  EXPECT_EQ(run_schedule(true), run_schedule(false));
 }
 
 }  // namespace

@@ -62,13 +62,14 @@ TEST(Profiles, Ngtcp2IsStrictAndFlowControlled) {
 
 struct ServerRig {
   EventLoop loop;
+  net::PacketSlab slab;
   kernel::OsModel os;
   net::CollectorSink sink;
   StackServer server;
 
   ServerRig(StackProfile profile, std::int64_t payload_bytes)
       : os({}, sim::Rng(7)),
-        server(loop, os, std::move(profile),
+        server(loop, slab, os, std::move(profile),
                [&] {
                  quic::Connection::Config cfg;
                  cfg.total_payload_bytes = payload_bytes;

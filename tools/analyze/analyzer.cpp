@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "baseline.hpp"
-#include "cache.hpp"
 #include "callgraph.hpp"
 #include "cfg.hpp"
 #include "dataflow.hpp"
@@ -54,14 +53,11 @@ AnalysisResult run_analysis(const Options& options) {
     }
   }
 
-  TokenCache cache(options.cache_dir);
   Model model;
-  if (!build_model(paths, root, include_base, &model, &result.error,
-                   &cache)) {
+  if (!build_model(paths, root, include_base, &model, &result.error)) {
     return result;
   }
   result.files_scanned = model.files.size();
-  result.files_from_cache = cache.hits();
 
   std::vector<Finding> findings;
   // The manifest feeds three families: layering (the DAG), perf (the
@@ -76,7 +72,6 @@ AnalysisResult run_analysis(const Options& options) {
   const bool want_lifetime = family_enabled(options, "lifetime");
   const bool want_protocol = family_enabled(options, "protocol");
   LayerManifest manifest;
-  std::string manifest_text;
   bool have_manifest = false;
   if (want_layering || want_perf || want_concurrency || want_lifetime ||
       want_protocol) {
@@ -84,6 +79,7 @@ AnalysisResult run_analysis(const Options& options) {
                                   ? root + "/tools/analyze/layers.json"
                                   : options.layers_file;
     if (layers_path != "-") {
+      std::string manifest_text;
       if (!read_file(layers_path, &manifest_text)) {
         result.error = "cannot read layer manifest " + layers_path;
         return result;
@@ -95,86 +91,58 @@ AnalysisResult run_analysis(const Options& options) {
     }
   }
 
-  // Whole-analysis result cache: the key pins everything the raw finding
-  // set depends on — the manifest TEXT (not its path), the rule-family
-  // selection, and every scanned file's (rel_path, content hash) in
-  // report order. The baseline is applied after replay, so it is
-  // deliberately absent from the key.
-  ResultCache result_cache(options.cache_dir);
-  std::uint64_t result_key = 0;
-  if (result_cache.enabled()) {
-    KeyHasher k;
-    k.mix_u64(1);  // result-key schema version
-    k.mix(include_base);
-    k.mix(manifest_text);
-    k.mix_u64(options.rule_families.size());
-    for (const auto& fam : options.rule_families) k.mix(fam);
-    k.mix_u64(model.files.size());
-    for (const SourceFile& f : model.files) {
-      k.mix(f.rel_path);
-      k.mix_u64(f.content_hash);
-    }
-    result_key = k.value();
+  if (want_layering && have_manifest) {
+    run_layering_rules(model, manifest, &findings);
   }
 
-  const bool replayed =
-      result_cache.enabled() && result_cache.load(result_key, &findings);
-  result.findings_from_cache = replayed;
-  if (!replayed) {
-    if (want_layering && have_manifest) {
-      run_layering_rules(model, manifest, &findings);
+  // The semantic families share one model: symbol index, call graph
+  // (hot tags need the manifest), dataflow skeleton.
+  SymbolIndex index;
+  CallGraph graph;
+  Dataflow flow;
+  CfgIndex cfgs;
+  SemanticModel sem;
+  // The flow-sensitive families (lifetime, interval units, typestate)
+  // additionally need per-callable CFGs.
+  const bool want_flow =
+      (want_lifetime && have_manifest) || (want_protocol && have_manifest) ||
+      want_units;
+  const bool want_semantic = (want_perf && have_manifest) ||
+                             (want_concurrency && have_manifest) ||
+                             want_determinism || want_flow;
+  if (want_semantic) {
+    index = build_symbol_index(model);
+    graph =
+        build_call_graph(model, index, have_manifest ? &manifest : nullptr);
+    flow = build_dataflow(model, index);
+    sem = {&index, &graph, &flow};
+    if (want_flow) {
+      cfgs = build_cfg_index(model, index);
+      sem.cfgs = &cfgs;
     }
-
-    // The semantic families share one model: symbol index, call graph
-    // (hot tags need the manifest), dataflow skeleton.
-    SymbolIndex index;
-    CallGraph graph;
-    Dataflow flow;
-    CfgIndex cfgs;
-    SemanticModel sem;
-    // The flow-sensitive families (lifetime, interval units, typestate)
-    // additionally need per-callable CFGs.
-    const bool want_flow =
-        (want_lifetime && have_manifest) || (want_protocol && have_manifest) ||
-        want_units;
-    const bool want_semantic = (want_perf && have_manifest) ||
-                               (want_concurrency && have_manifest) ||
-                               want_determinism || want_flow;
-    if (want_semantic) {
-      index = build_symbol_index(model);
-      graph =
-          build_call_graph(model, index, have_manifest ? &manifest : nullptr);
-      flow = build_dataflow(model, index);
-      sem = {&index, &graph, &flow};
-      if (want_flow) {
-        cfgs = build_cfg_index(model, index);
-        sem.cfgs = &cfgs;
-      }
-    }
-    if (want_perf && have_manifest) {
-      run_perf_rules(model, manifest, sem, &findings);
-    }
-    if (want_concurrency && have_manifest) {
-      run_concurrency_rules(model, manifest, sem, &findings);
-    }
-    if (want_units) {
-      run_units_rules(model, &findings);
-      run_interval_rules(model, sem, &findings);
-    }
-    if (want_lifetime && have_manifest) {
-      run_lifetime_rules(model, manifest, sem, &findings);
-    }
-    if (want_protocol && have_manifest) {
-      run_typestate_rules(model, manifest, sem, &findings);
-    }
-    if (want_determinism) {
-      run_determinism_rules(model, &findings);
-      run_taint_rules(model, sem, &findings);
-    }
-    if (family_enabled(options, "scheduling")) {
-      run_scheduling_rules(model, &findings);
-    }
-    if (result_cache.enabled()) result_cache.store(result_key, findings);
+  }
+  if (want_perf && have_manifest) {
+    run_perf_rules(model, manifest, sem, &findings);
+  }
+  if (want_concurrency && have_manifest) {
+    run_concurrency_rules(model, manifest, sem, &findings);
+  }
+  if (want_units) {
+    run_units_rules(model, &findings);
+    run_interval_rules(model, sem, &findings);
+  }
+  if (want_lifetime && have_manifest) {
+    run_lifetime_rules(model, manifest, sem, &findings);
+  }
+  if (want_protocol && have_manifest) {
+    run_typestate_rules(model, manifest, sem, &findings);
+  }
+  if (want_determinism) {
+    run_determinism_rules(model, &findings);
+    run_taint_rules(model, sem, &findings);
+  }
+  if (family_enabled(options, "scheduling")) {
+    run_scheduling_rules(model, &findings);
   }
   for (const auto& rule : all_rules()) {
     if (family_enabled(options, rule_family(rule.id).c_str())) {

@@ -23,8 +23,6 @@ struct Options {
                                            // root/tools/analyze/baseline.txt
                                            // (if it exists)
   std::vector<std::string> rule_families;  // empty = all families
-  std::string cache_dir;                   // token + result caches; empty =
-                                           // disabled
   bool fix_baseline = false;               // rewrite baselines, dropping
                                            // stale entries
 };
@@ -37,10 +35,6 @@ struct AnalysisResult {
   /// Baseline files rewritten by --fix-baseline (stale entries dropped).
   std::vector<std::string> rewritten_baselines;
   std::size_t files_scanned = 0;
-  std::size_t files_from_cache = 0;  // of files_scanned, token-cache hits
-  /// True when the whole finding set was replayed from the result cache
-  /// (semantic build and all rules skipped).
-  bool findings_from_cache = false;
   std::size_t rules_run = 0;
   std::size_t active_count = 0;     // findings not baselined
   std::size_t baselined_count = 0;

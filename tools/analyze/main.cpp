@@ -3,14 +3,13 @@
 // Usage:
 //   quicsteps-analyze [--root DIR] [--include-base DIR] [--layers FILE|-]
 //                     [--baseline FILE]... [--rules fam1,fam2]
-//                     [--sarif FILE] [--cache-dir DIR] [--fix-baseline]
-//                     [--list-rules] [--no-exit-code] [PATHS...]
+//                     [--sarif FILE] [--fix-baseline] [--list-rules]
+//                     [--no-exit-code] [PATHS...]
 //
 // Defaults: scans <root>/src and <root>/tools/analyze (self-hosting) with
 // <root>/tools/analyze/layers.json and <root>/tools/analyze/baseline.txt.
-// --cache-dir keys lexed tokens by content hash so unchanged files skip
-// re-tokenizing; --fix-baseline rewrites the baseline file(s) in place,
-// dropping stale entries. Exit status: 0 clean (baselined findings do not
+// --fix-baseline rewrites the baseline file(s) in place, dropping stale
+// entries. Exit status: 0 clean (baselined findings do not
 // fail the run), 1 unbaselined findings, 2 bad invocation/configuration.
 // --no-exit-code reports findings but exits 0 anyway — for the CI diff
 // gate, which analyzes the merge base (whose findings must not fail the
@@ -32,8 +31,8 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s [--root DIR] [--include-base DIR] [--layers FILE|-]\n"
       "          [--baseline FILE]... [--rules fam1,fam2] [--sarif FILE]\n"
-      "          [--cache-dir DIR] [--fix-baseline] [--list-rules]\n"
-      "          [--no-exit-code] [PATHS...]\n",
+      "          [--fix-baseline] [--list-rules] [--no-exit-code]\n"
+      "          [PATHS...]\n",
       argv0);
   return 2;
 }
@@ -93,10 +92,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
       sarif_path = v;
-    } else if (arg == "--cache-dir") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      options.cache_dir = v;
     } else if (arg == "--fix-baseline") {
       options.fix_baseline = true;
     } else if (arg == "--list-rules") {
@@ -160,9 +155,8 @@ int main(int argc, char** argv) {
 
   std::fprintf(stderr, "%s\n",
                quicsteps::analyze::summary_line(
-                   result.files_scanned, result.files_from_cache,
-                   result.rules_run, result.active_count,
-                   result.baselined_count, elapsed_ms)
+                   result.files_scanned, result.rules_run,
+                   result.active_count, result.baselined_count, elapsed_ms)
                    .c_str());
   if (no_exit_code) return 0;
   return result.active_count > 0 ? 1 : 0;

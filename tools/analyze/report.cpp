@@ -123,14 +123,14 @@ std::string sarif_report(const std::vector<Finding>& findings) {
   return out;
 }
 
-std::string summary_line(std::size_t files, std::size_t cached,
-                         std::size_t rules, std::size_t findings,
-                         std::size_t baselined, long long elapsed_ms) {
+std::string summary_line(std::size_t files, std::size_t rules,
+                         std::size_t findings, std::size_t baselined,
+                         long long elapsed_ms) {
   char buf[160];
   std::snprintf(buf, sizeof(buf),
-                "quicsteps-analyze: %zu files (%zu cached), %zu rules, "
+                "quicsteps-analyze: %zu files, %zu rules, "
                 "%zu finding(s) (%zu baselined) in %lld ms",
-                files, cached, rules, findings, baselined, elapsed_ms);
+                files, rules, findings, baselined, elapsed_ms);
   return buf;
 }
 

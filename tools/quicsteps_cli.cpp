@@ -33,11 +33,15 @@
 //   --health-exit         exit nonzero when the health report is unhealthy
 //                         (stalls / pacing spikes / drop bursts /
 //                         incomplete flows) — the CI gate switch
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
+#include <type_traits>
 
 #include "core/quicsteps.hpp"
 #include "framework/artifacts.hpp"
@@ -51,6 +55,28 @@ namespace {
                        "tools/quicsteps_cli.cpp for flags)\n",
                message.c_str());
   std::exit(2);
+}
+
+/// Parses `flag`'s value as a T. The whole string must be one finite
+/// number in T's range ("2x", "abc" and "-1" for an unsigned flag are all
+/// rejected); anything else is a usage error naming the flag and value.
+template <typename T>
+T parse_number(const std::string& flag, const std::string& value) {
+  T out{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  bool ok = ec == std::errc() && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(out);
+  if (!ok) {
+    std::string expected = "a finite number";
+    if constexpr (std::is_integral_v<T>) {
+      expected = "an integer in [" +
+                 std::to_string(std::numeric_limits<T>::min()) + ", " +
+                 std::to_string(std::numeric_limits<T>::max()) + "]";
+    }
+    usage_error(flag + " expects " + expected + ", got '" + value + "'");
+  }
+  return out;
 }
 
 framework::StackKind parse_stack(const std::string& value) {
@@ -179,33 +205,36 @@ int main(int argc, char** argv) {
     } else if (flag == "--gso") {
       config.gso = parse_gso(next_value(i));
     } else if (flag == "--gso-segments") {
-      config.gso_segments = std::stoi(next_value(i));
+      config.gso_segments = parse_number<int>(flag, next_value(i));
     } else if (flag == "--sendmmsg") {
       config.use_sendmmsg = true;
     } else if (flag == "--payload-mib") {
-      config.payload_bytes = std::stoll(next_value(i)) * 1024 * 1024;
+      config.payload_bytes =
+          parse_number<std::int64_t>(flag, next_value(i)) * 1024 * 1024;
     } else if (flag == "--reps") {
-      config.repetitions = std::stoi(next_value(i));
+      config.repetitions = parse_number<int>(flag, next_value(i));
     } else if (flag == "--seed") {
-      config.seed = std::stoull(next_value(i));
+      config.seed = parse_number<std::uint64_t>(flag, next_value(i));
     } else if (flag == "--jobs") {
-      jobs = std::stoi(next_value(i));
+      jobs = parse_number<int>(flag, next_value(i));
     } else if (flag == "--rate-mbit") {
-      config.topology.bottleneck_rate =
-          net::DataRate::megabits_per_second(std::stoll(next_value(i)));
+      config.topology.bottleneck_rate = net::DataRate::megabits_per_second(
+          parse_number<std::int64_t>(flag, next_value(i)));
     } else if (flag == "--rtt-ms") {
-      config.topology.path_delay_one_way =
-          sim::Duration::millis(std::stoll(next_value(i)) / 2);
+      config.topology.path_delay_one_way = sim::Duration::millis(
+          parse_number<std::int64_t>(flag, next_value(i)) / 2);
     } else if (flag == "--buffer-kb") {
       config.topology.bottleneck_buffer_bytes =
-          std::stoll(next_value(i)) * 1000;
+          parse_number<std::int64_t>(flag, next_value(i)) * 1000;
     } else if (flag == "--loss") {
-      config.topology.path_loss_probability = std::stod(next_value(i));
+      config.topology.path_loss_probability =
+          parse_number<double>(flag, next_value(i));
     } else if (flag == "--reorder") {
-      config.topology.path_reorder_probability = std::stod(next_value(i));
+      config.topology.path_reorder_probability =
+          parse_number<double>(flag, next_value(i));
     } else if (flag == "--gro-us") {
-      config.topology.client_gro_window =
-          sim::Duration::micros(std::stoll(next_value(i)));
+      config.topology.client_gro_window = sim::Duration::micros(
+          parse_number<std::int64_t>(flag, next_value(i)));
     } else if (flag == "--csv") {
       csv_prefix = next_value(i);
       config.keep_capture = true;
@@ -217,12 +246,12 @@ int main(int argc, char** argv) {
     } else if (flag == "--qlog-dir") {
       qlog_dir = next_value(i);
     } else if (flag == "--flows") {
-      flows = std::stoi(next_value(i));
+      flows = parse_number<int>(flag, next_value(i));
       if (flows < 1) usage_error("--flows needs a positive count");
     } else if (flag == "--trace-sample") {
-      trace_sample = static_cast<std::uint32_t>(std::stoul(next_value(i)));
+      trace_sample = parse_number<std::uint32_t>(flag, next_value(i));
     } else if (flag == "--window-ms") {
-      window_ms = std::stoll(next_value(i));
+      window_ms = parse_number<std::int64_t>(flag, next_value(i));
     } else if (flag == "--timeseries-csv") {
       timeseries_csv = next_value(i);
     } else if (flag == "--health-report") {
