@@ -73,7 +73,8 @@ Measured measure(const framework::ExperimentConfig& config, int trials,
     }
     const auto t1 = std::chrono::steady_clock::now();
     const double s = std::chrono::duration<double>(t1 - t0).count();
-    if (packets / s > m.pkts_per_s) m.pkts_per_s = packets / s;
+    const double pkts_per_s = static_cast<double>(packets) / s;
+    if (pkts_per_s > m.pkts_per_s) m.pkts_per_s = pkts_per_s;
   }
   return m;
 }

@@ -419,9 +419,7 @@ MultiFlowResult run_flows_sharded(const MultiFlowConfig& config,
     reg.add_counter(flow_prefix + "pacer_deferrals",
                     flow_result.pacer_deferrals);
     if (flow_result.trace != nullptr) {
-      // Streaming digest — aggregate-identical to build_timelines +
-      // count_complete + stage_errors, minus the per-packet materialization
-      // (the dominant traced-run overhead before the batched-datapath PR).
+      // Streaming digest: no per-packet timeline is materialized.
       const obs::TraceSummary summary =
           obs::summarize_trace(*flow_result.trace);
       reg.set_gauge(flow_prefix + "complete_chains", summary.complete_chains);

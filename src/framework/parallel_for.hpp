@@ -4,9 +4,9 @@
 // across `jobs` workers pulling indices from one atomic counter. It is the
 // concurrency funnel of the repo: ParallelRunner's grid and flow-set
 // collectors and run_flows_sharded's extraction shards all go through it,
-// so the analyzer's concurrency/parallel-shared-state walk roots here
-// (tools/analyze/layers.json parallel_entries) and audits every lambda
-// that ever runs on a pool thread.
+// so CI's ThreadSanitizer job (a -DQUICSTEPS_SANITIZE=thread build running
+// ctest -L tier1-tsan and test_flows' sharded cases) checks every body
+// that runs on a pool thread.
 //
 // Contract for bodies: writes must land in slots preassigned to exactly
 // one index before the workers start (results[i], shard-owned ranges), so

@@ -7,8 +7,8 @@
 // point of tracing is the sub-millisecond signal a 6-sig-fig double would
 // round away. Output is byte-deterministic: spans are emitted in
 // publication order and every lookup walks a vector, never a hash map
-// (the analyzer's determinism/exporter-unordered rule enforces this
-// family-wide).
+// (the analyzer's determinism/unordered-container rule enforces this
+// tree-wide).
 #pragma once
 
 #include <cstdint>

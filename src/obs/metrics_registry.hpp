@@ -9,7 +9,7 @@
 // in ascending metric-name order, so output is identical across runs and
 // job counts regardless of insertion order. Ordered std::map storage makes
 // the walk itself deterministic — the analyzer's determinism/
-// exporter-unordered rule keeps it that way.
+// unordered-container rule keeps it that way.
 #pragma once
 
 #include <cstdint>

@@ -1,165 +1,17 @@
 #include "obs/path_timeline.hpp"
 
-#include <algorithm>
 #include <cstddef>
 #include <utility>
 
 namespace quicsteps::obs {
 
-bool PacketTimeline::has_stage(TraceStage stage) const {
-  for (const SpanEvent& ev : spans) {
-    if (ev.stage == stage) return true;
-  }
-  return false;
-}
-
-sim::Time PacketTimeline::stage_time(TraceStage stage) const {
-  for (const SpanEvent& ev : spans) {
-    if (ev.stage == stage) return ev.at;
-  }
-  return sim::Time::infinite();
-}
-
-namespace {
-
-std::vector<PacketTimeline> build(const TraceData& data, bool filter,
-                                  std::uint32_t flow) {
-  // Packet ids are unique per sender packet; retransmissions reuse a
-  // packet number under a fresh id, so id is the grouping key and the
-  // number is carried along for display.
-  //
-  // Flat grouping in O(spans): an open-addressed hash table maps (flow,
-  // id) to a group ordinal, a counting pass sizes the groups, and a
-  // scatter lays each group out contiguously in publication order. Group
-  // DISCOVERY order is irrelevant — the final sort below alone fixes the
-  // output order — so no comparison sort over spans is needed (the
-  // stable_sort this replaces dominated traced-run overhead in
-  // BENCH_micro; ids cannot feed a counting sort because ACK ids embed
-  // the flow in their high bits).
-  const std::vector<SpanEvent>& evs = data.events;
-  std::vector<std::uint32_t> order;
-  order.reserve(evs.size());
-  for (std::uint32_t i = 0; i < evs.size(); ++i) {
-    if (filter && evs[i].flow != flow) continue;
-    order.push_back(i);
-  }
-  std::size_t table_size = 16;
-  while (table_size < 2 * order.size()) table_size *= 2;
-  std::vector<std::uint32_t> table(table_size, 0);  // 0 = empty, else g + 1
-  struct GroupKey {
-    std::uint64_t id;
-    std::uint32_t flow;
-  };
-  std::vector<GroupKey> groups;
-  std::vector<std::uint32_t> group_of(order.size());
-  std::vector<std::uint32_t> counts;  // per-group span counts
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    const SpanEvent& ev = evs[order[k]];
-    std::size_t h = (ev.packet_id * 0x9E3779B97F4A7C15ull ^
-                     ev.flow * 0xC2B2AE3D27D4EB4Full) &
-                    (table_size - 1);
-    std::uint32_t g;
-    for (;;) {
-      if (table[h] == 0) {
-        g = static_cast<std::uint32_t>(groups.size());
-        groups.push_back({ev.packet_id, ev.flow});
-        counts.push_back(0);
-        table[h] = g + 1;
-        break;
-      }
-      g = table[h] - 1;
-      if (groups[g].id == ev.packet_id && groups[g].flow == ev.flow) break;
-      h = (h + 1) & (table_size - 1);
-    }
-    group_of[k] = g;
-    ++counts[g];
-  }
-  std::vector<std::uint32_t> offsets(groups.size() + 1, 0);
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    offsets[g + 1] = offsets[g] + counts[g];
-  }
-  std::vector<std::uint32_t> grouped(order.size());
-  {
-    std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (std::size_t k = 0; k < order.size(); ++k) {
-      grouped[cursor[group_of[k]]++] = order[k];
-    }
-  }
-  order = std::move(grouped);
-
-  std::vector<PacketTimeline> out;
-  std::size_t start = 0;
-  while (start < order.size()) {
-    const SpanEvent& first = evs[order[start]];
-    std::size_t end = start + 1;
-    while (end < order.size() && evs[order[end]].flow == first.flow &&
-           evs[order[end]].packet_id == first.packet_id) {
-      ++end;
-    }
-    PacketTimeline tl;
-    tl.flow = first.flow;
-    tl.packet_id = first.packet_id;
-    tl.packet_number = first.packet_number;
-    tl.spans.reserve(end - start);
-    for (std::size_t i = start; i < end; ++i) {
-      const SpanEvent& ev = evs[order[i]];
-      if (tl.intended.ns() == 0 && ev.intended.ns() != 0) {
-        tl.intended = ev.intended;
-      }
-      tl.spans.push_back(ev);
-    }
-    out.push_back(std::move(tl));
-    start = end;
-  }
-
-  std::sort(out.begin(), out.end(),
-            [](const PacketTimeline& a, const PacketTimeline& b) {
-              if (a.flow != b.flow) return a.flow < b.flow;
-              const sim::Time ta = a.spans.front().at;
-              const sim::Time tb = b.spans.front().at;
-              if (ta != tb) return ta < tb;
-              return a.packet_id < b.packet_id;
-            });
-  return out;
-}
-
-}  // namespace
-
-std::vector<PacketTimeline> build_timelines(const TraceData& data) {
-  return build(data, false, 0);
-}
-
-std::vector<PacketTimeline> build_timelines(const TraceData& data,
-                                            std::uint32_t flow) {
-  return build(data, true, flow);
-}
-
-std::vector<StageErrorReport> stage_errors(
-    const std::vector<PacketTimeline>& timelines) {
-  std::vector<StageErrorReport> reports(kTraceStageCount);
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    reports[i].stage = static_cast<TraceStage>(i);
-  }
-  for (const PacketTimeline& tl : timelines) {
-    if (tl.intended.ns() == 0) continue;  // no pacer intent to diff against
-    for (const SpanEvent& ev : tl.spans) {
-      reports[static_cast<std::size_t>(ev.stage)].error_us.observe(
-          (ev.at - tl.intended).us());
-    }
-  }
-  std::vector<StageErrorReport> out;
-  for (StageErrorReport& report : reports) {
-    if (report.error_us.count() > 0) out.push_back(std::move(report));
-  }
-  return out;
-}
-
 TraceSummary summarize_trace(const TraceData& data) {
   // Pass 1: hash spans into (flow, id) groups, recording each group's
   // pacer intent (first non-zero in publication order) and stage mask.
   // Pass 2: fold every span of every intent-carrying group into the
-  // per-stage error histograms. Aggregates are order-independent, so the
-  // result matches stage_errors(build_timelines(data)) exactly.
+  // per-stage error histograms. Packet ids are unique per sender packet;
+  // retransmissions reuse a packet number under a fresh id, so id is the
+  // grouping key.
   const std::vector<SpanEvent>& evs = data.events;
   std::size_t table_size = 16;
   while (table_size < 2 * evs.size()) table_size *= 2;
@@ -196,6 +48,7 @@ TraceSummary summarize_trace(const TraceData& data) {
   }
 
   TraceSummary summary;
+  summary.packets = static_cast<std::int64_t>(groups.size());
   constexpr std::uint16_t kCompleteMask =
       (1u << static_cast<unsigned>(TraceStage::kPacerRelease)) |
       (1u << static_cast<unsigned>(TraceStage::kDelivery));
@@ -222,14 +75,6 @@ TraceSummary summarize_trace(const TraceData& data) {
     }
   }
   return summary;
-}
-
-std::int64_t count_complete(const std::vector<PacketTimeline>& timelines) {
-  std::int64_t n = 0;
-  for (const PacketTimeline& tl : timelines) {
-    if (tl.complete()) ++n;
-  }
-  return n;
 }
 
 }  // namespace quicsteps::obs

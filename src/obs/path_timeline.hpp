@@ -1,11 +1,11 @@
-// Per-packet path reconstruction from a finished trace.
+// Per-run trace digest from a finished trace.
 //
-// Groups a TraceData's spans by (flow, packet id) into one timeline per
-// wire packet, in path order, and derives the study's core quantity: the
-// pacing error at every stage — span time minus the pacer's intended send
-// time — so "where did the schedule slip" is answerable per layer, not
-// just at the tap (metrics::PrecisionReport measures only the wire stage;
-// the wire-stage statistics here must and do agree with it).
+// Groups a TraceData's spans by (flow, packet id), one group per wire
+// packet, and derives the study's core quantity: the pacing error at every
+// stage — span time minus the pacer's intended send time — so "where did
+// the schedule slip" is answerable per layer, not just at the tap
+// (metrics::PrecisionReport measures only the wire stage; the wire-stage
+// statistics here must and do agree with it).
 #pragma once
 
 #include <cstdint>
@@ -15,25 +15,6 @@
 #include "obs/trace.hpp"
 
 namespace quicsteps::obs {
-
-/// One packet's journey, spans in publication (= simulated time) order.
-struct PacketTimeline {
-  std::uint32_t flow = 0;
-  std::uint64_t packet_id = 0;
-  std::uint64_t packet_number = 0;
-  sim::Time intended;  // pacer intent (zero when the packet had none)
-  std::vector<SpanEvent> spans;
-
-  bool has_stage(TraceStage stage) const;
-  /// Time of the first span at `stage`, or Time::infinite() when absent.
-  sim::Time stage_time(TraceStage stage) const;
-  /// A chain that starts at the pacer and ends at delivery.
-  bool complete() const {
-    return has_stage(TraceStage::kPacerRelease) &&
-           has_stage(TraceStage::kDelivery);
-  }
-  bool dropped() const { return has_stage(TraceStage::kQdiscDrop); }
-};
 
 /// Per-stage pacing-error aggregation (microseconds).
 struct StageErrorReport {
@@ -47,29 +28,16 @@ struct StageErrorReport {
   }
 };
 
-/// Timelines for every packet in `data` (all flows; filter with the
-/// overload below), sorted by (flow, first span time, packet id) — a
-/// deterministic order independent of map internals.
-std::vector<PacketTimeline> build_timelines(const TraceData& data);
-std::vector<PacketTimeline> build_timelines(const TraceData& data,
-                                            std::uint32_t flow);
-
-/// Pacing error per stage across all timelines that carry a pacer intent,
-/// stages in path order. Only stages that observed at least one such
-/// packet appear.
-std::vector<StageErrorReport> stage_errors(
-    const std::vector<PacketTimeline>& timelines);
-
-/// Timelines that start at the pacer and end at delivery.
-std::int64_t count_complete(const std::vector<PacketTimeline>& timelines);
-
-/// The per-run trace digest the metrics registry publishes: complete-chain
-/// count plus per-stage pacing errors, computed in two passes straight off
-/// the span stream. Aggregate-identical to running count_complete and
-/// stage_errors over build_timelines(data), without materializing a
-/// timeline per packet — the traced hot path uses this.
+/// The per-run trace digest the metrics registry publishes, computed in
+/// two passes straight off the span stream.
 struct TraceSummary {
+  /// (flow, packet id) groups: one per sender packet (a retransmission is
+  /// a fresh id) and one per ACK.
+  std::int64_t packets = 0;
+  /// Groups that start at the pacer and end at delivery.
   std::int64_t complete_chains = 0;
+  /// Pacing error per stage over every packet that carries a pacer intent,
+  /// stages in path order. Only stages that observed such a packet appear.
   std::vector<StageErrorReport> errors;
 };
 TraceSummary summarize_trace(const TraceData& data);

@@ -1,8 +1,9 @@
 // Observability spine tests (src/obs/): TraceBus mechanics, GSO span
-// expansion, Histogram/MetricsRegistry determinism, timeline
-// reconstruction + per-stage pacing error, byte-pinned exporter goldens,
-// and a traced end-to-end run whose span chains must be complete and must
-// agree with the wire capture and metrics::PrecisionAnalyzer.
+// expansion, Histogram/MetricsRegistry determinism, the per-run trace
+// digest (packet grouping + per-stage pacing error), byte-pinned exporter
+// goldens, and a traced end-to-end run whose span chains must be complete
+// and must agree with the wire capture and metrics::PrecisionAnalyzer.
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -166,7 +167,7 @@ TEST(MetricsRegistry, CountersTableFoldsIntoPerRowGauges) {
   EXPECT_EQ(reg.gauges().at("bottleneck/tbf/queue_peak"), 2);
 }
 
-// ------------------------------------------------ timeline reconstruction
+// ------------------------------------------------------ per-run digest
 
 TraceData two_packet_trace() {
   TraceData data;
@@ -187,31 +188,90 @@ TraceData two_packet_trace() {
   return data;
 }
 
-TEST(PathTimeline, GroupsByFlowAndPacketIdInDeterministicOrder) {
-  const auto timelines = obs::build_timelines(two_packet_trace());
-  ASSERT_EQ(timelines.size(), 2u);
-  EXPECT_EQ(timelines[0].flow, 0u);  // flow-major order
-  EXPECT_EQ(timelines[0].packet_id, 9u);
-  EXPECT_FALSE(timelines[0].complete());
-  EXPECT_EQ(timelines[1].flow, 1u);
-  EXPECT_EQ(timelines[1].packet_id, 42u);
-  EXPECT_EQ(timelines[1].spans.size(), 3u);
-  EXPECT_EQ(timelines[1].intended.ns(), 90'000);
-  EXPECT_TRUE(timelines[1].complete());
-  EXPECT_FALSE(timelines[1].dropped());
-  EXPECT_EQ(timelines[1].stage_time(TraceStage::kWire).ns(), 150'000);
-  EXPECT_EQ(timelines[1].stage_time(TraceStage::kQdiscDrop),
-            sim::Time::infinite());
-  EXPECT_EQ(obs::count_complete(timelines), 1);
+/// Reference for summarize_trace: a plain ordered map from (flow, packet
+/// id) to the packet's stage mask and pacer intent (the first non-zero one
+/// in publication order).
+struct RefPacket {
+  unsigned stages = 0;
+  sim::Time intended;
+  bool has(TraceStage stage) const {
+    return ((stages >> static_cast<unsigned>(stage)) & 1u) != 0;
+  }
+};
+std::map<std::pair<std::uint32_t, std::uint64_t>, RefPacket>
+reference_packets(const TraceData& data) {
+  std::map<std::pair<std::uint32_t, std::uint64_t>, RefPacket> packets;
+  for (const SpanEvent& ev : data.events) {
+    RefPacket& p = packets[{ev.flow, ev.packet_id}];
+    p.stages |= 1u << static_cast<unsigned>(ev.stage);
+    if (p.intended.ns() == 0) p.intended = ev.intended;
+  }
+  return packets;
+}
 
-  const auto flow1 = obs::build_timelines(two_packet_trace(), 1);
-  ASSERT_EQ(flow1.size(), 1u);
-  EXPECT_EQ(flow1[0].packet_id, 42u);
+/// summarize_trace agrees with the reference on every aggregate.
+void expect_summary_matches_reference(const TraceData& data) {
+  const auto packets = reference_packets(data);
+  std::int64_t complete = 0;
+  for (const auto& [key, p] : packets) {
+    if (p.has(TraceStage::kPacerRelease) && p.has(TraceStage::kDelivery)) {
+      ++complete;
+    }
+  }
+  std::vector<obs::Histogram> errors(obs::kTraceStageCount);
+  for (const SpanEvent& ev : data.events) {
+    const RefPacket& p = packets.at({ev.flow, ev.packet_id});
+    if (p.intended.ns() == 0) continue;
+    errors[static_cast<std::size_t>(ev.stage)].observe(
+        (ev.at - p.intended).us());
+  }
+
+  const obs::TraceSummary summary = obs::summarize_trace(data);
+  EXPECT_EQ(summary.packets, static_cast<std::int64_t>(packets.size()));
+  EXPECT_EQ(summary.complete_chains, complete);
+  std::size_t next = 0;
+  for (std::size_t stage = 0; stage < errors.size(); ++stage) {
+    const obs::Histogram& want = errors[stage];
+    if (want.count() == 0) continue;
+    ASSERT_LT(next, summary.errors.size());
+    const obs::StageErrorReport& got = summary.errors[next++];
+    EXPECT_EQ(got.stage, static_cast<TraceStage>(stage));
+    EXPECT_EQ(got.error_us.count(), want.count());
+    EXPECT_EQ(got.error_us.sum(), want.sum());
+    EXPECT_EQ(got.error_us.min(), want.min());
+    EXPECT_EQ(got.error_us.max(), want.max());
+    EXPECT_EQ(got.error_us.bucket_counts(), want.bucket_counts());
+  }
+  EXPECT_EQ(next, summary.errors.size());
+}
+
+TEST(PathTimeline, GroupsByFlowAndPacketIdInDeterministicOrder) {
+  // One group per (flow, packet id): the paced packet's three spans form
+  // one complete chain, and the ACK is a packet of its own.
+  const obs::TraceSummary summary = obs::summarize_trace(two_packet_trace());
+  EXPECT_EQ(summary.packets, 2);
+  EXPECT_EQ(summary.complete_chains, 1);
+
+  // The same id on another flow is another packet, and the digest does
+  // not depend on the order spans were published in.
+  TraceData data = two_packet_trace();
+  data.events.push_back(obs::make_span(TraceStage::kWire, 1,
+                                       sim::Time::from_ns(130'000),
+                                       span_packet(42, 5, 0, 80)));
+  std::reverse(data.events.begin(), data.events.end());
+  const obs::TraceSummary more = obs::summarize_trace(data);
+  EXPECT_EQ(more.packets, 3);
+  EXPECT_EQ(more.complete_chains, 1);
+  ASSERT_EQ(more.errors.size(), summary.errors.size());
+  for (std::size_t i = 0; i < more.errors.size(); ++i) {
+    EXPECT_EQ(more.errors[i].stage, summary.errors[i].stage);
+    EXPECT_EQ(more.errors[i].error_us.sum(), summary.errors[i].error_us.sum());
+  }
 }
 
 TEST(PathTimeline, StageErrorsDiffAgainstIntentInPathOrder) {
-  const auto reports =
-      obs::stage_errors(obs::build_timelines(two_packet_trace()));
+  const obs::TraceSummary summary = obs::summarize_trace(two_packet_trace());
+  const auto& reports = summary.errors;
   // Only the paced packet contributes; its three stages appear in path
   // order with exact microsecond errors (at - intended).
   ASSERT_EQ(reports.size(), 3u);
@@ -228,25 +288,7 @@ TEST(PathTimeline, StageErrorsDiffAgainstIntentInPathOrder) {
 }
 
 TEST(PathTimeline, SummarizeTraceMatchesTimelineDerivation) {
-  // The streaming digest must agree with the materialized derivation on
-  // every aggregate it replaces in the per-run metrics registry.
-  const TraceData data = two_packet_trace();
-  const auto timelines = obs::build_timelines(data);
-  const auto reports = obs::stage_errors(timelines);
-  const obs::TraceSummary summary = obs::summarize_trace(data);
-
-  EXPECT_EQ(summary.complete_chains, obs::count_complete(timelines));
-  ASSERT_EQ(summary.errors.size(), reports.size());
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    EXPECT_EQ(summary.errors[i].stage, reports[i].stage);
-    EXPECT_EQ(summary.errors[i].error_us.count(),
-              reports[i].error_us.count());
-    EXPECT_EQ(summary.errors[i].error_us.sum(), reports[i].error_us.sum());
-    EXPECT_EQ(summary.errors[i].error_us.min(), reports[i].error_us.min());
-    EXPECT_EQ(summary.errors[i].error_us.max(), reports[i].error_us.max());
-    EXPECT_EQ(summary.errors[i].error_us.bucket_counts(),
-              reports[i].error_us.bucket_counts());
-  }
+  expect_summary_matches_reference(two_packet_trace());
 }
 
 // -------------------------------------------------------- exporter goldens
@@ -331,36 +373,28 @@ TEST(TraceEndToEnd, EveryPacedPacketChainsToDeliveryOrDrop) {
   const auto run = Runner::run_once(traced_config(), 1);
   ASSERT_TRUE(run.completed);
   ASSERT_NE(run.trace, nullptr);
-  const auto timelines = obs::build_timelines(*run.trace);
-
   std::int64_t paced = 0;
   std::int64_t dropped = 0;
-  for (const auto& tl : timelines) {
-    if (!tl.has_stage(TraceStage::kPacerRelease)) continue;  // ACK / ctrl
+  for (const auto& [key, p] : reference_packets(*run.trace)) {
+    if (!p.has(TraceStage::kPacerRelease)) continue;  // ACK / ctrl
     ++paced;
-    if (tl.dropped()) ++dropped;
+    const bool complete = p.has(TraceStage::kDelivery);
+    const bool was_dropped = p.has(TraceStage::kQdiscDrop);
+    if (was_dropped) ++dropped;
     // The acceptance bar: a paced packet either reaches delivery with a
     // complete chain or its trace names the qdisc that dropped it.
-    EXPECT_TRUE(tl.complete() || tl.dropped())
-        << "flow " << tl.flow << " packet " << tl.packet_id
+    EXPECT_TRUE(complete || was_dropped)
+        << "flow " << key.first << " packet " << key.second
         << " vanished mid-path";
   }
   EXPECT_GT(paced, 0);
-  EXPECT_EQ(obs::count_complete(timelines), paced - dropped);
+  EXPECT_EQ(obs::summarize_trace(*run.trace).complete_chains,
+            paced - dropped);
   EXPECT_EQ(paced, run.pacer_releases);
 
-  // The streaming digest agrees with the materialized derivation on a
-  // real span stream too (GSO trains, retransmissions, ACK spans).
-  const obs::TraceSummary summary = obs::summarize_trace(*run.trace);
-  EXPECT_EQ(summary.complete_chains, obs::count_complete(timelines));
-  const auto reports = obs::stage_errors(timelines);
-  ASSERT_EQ(summary.errors.size(), reports.size());
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    EXPECT_EQ(summary.errors[i].stage, reports[i].stage);
-    EXPECT_EQ(summary.errors[i].error_us.count(),
-              reports[i].error_us.count());
-    EXPECT_EQ(summary.errors[i].error_us.sum(), reports[i].error_us.sum());
-  }
+  // The streaming digest agrees with the reference on a real span stream
+  // too (GSO trains, retransmissions, ACK spans).
+  expect_summary_matches_reference(*run.trace);
 }
 
 TEST(TraceEndToEnd, WireSpansMatchTheCaptureAndPrecisionAnalyzer) {
@@ -370,16 +404,18 @@ TEST(TraceEndToEnd, WireSpansMatchTheCaptureAndPrecisionAnalyzer) {
   const auto run = Runner::run_once(traced_config(), 1);
   ASSERT_NE(run.trace, nullptr);
   ASSERT_NE(run.capture, nullptr);
-  const auto timelines = obs::build_timelines(*run.trace);
-  std::map<std::pair<std::uint32_t, std::uint64_t>, const obs::PacketTimeline*>
-      by_key;
-  for (const auto& tl : timelines) by_key[{tl.flow, tl.packet_id}] = &tl;
+  std::map<std::pair<std::uint32_t, std::uint64_t>, sim::Time> wire_at;
+  for (const SpanEvent& ev : run.trace->events) {
+    if (ev.stage == TraceStage::kWire) {
+      wire_at.emplace(std::make_pair(ev.flow, ev.packet_id), ev.at);
+    }
+  }
 
   // Every captured wire packet has a kWire span at exactly its tap time.
   for (const net::Packet& pkt : *run.capture) {
-    const auto it = by_key.find({pkt.flow, pkt.id});
-    ASSERT_NE(it, by_key.end()) << "packet " << pkt.id << " untraced";
-    EXPECT_EQ(it->second->stage_time(TraceStage::kWire), pkt.wire_time);
+    const auto it = wire_at.find({pkt.flow, pkt.id});
+    ASSERT_NE(it, wire_at.end()) << "packet " << pkt.id << " untraced";
+    EXPECT_EQ(it->second, pkt.wire_time);
   }
 
   // The wire-stage pacing-error statistics agree with the same offsets
@@ -389,9 +425,9 @@ TEST(TraceEndToEnd, WireSpansMatchTheCaptureAndPrecisionAnalyzer) {
   // the trace layer reads expected_send_time == 0 as "none", while the
   // analyzer folds those initial-window packets in. Span errors truncate
   // to whole microseconds, hence the 1 us mean tolerance.
-  const auto reports = obs::stage_errors(timelines);
+  const obs::TraceSummary summary = obs::summarize_trace(*run.trace);
   const obs::StageErrorReport* wire = nullptr;
-  for (const auto& report : reports) {
+  for (const auto& report : summary.errors) {
     if (report.stage == TraceStage::kWire) wire = &report;
   }
   ASSERT_NE(wire, nullptr);

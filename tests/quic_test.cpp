@@ -508,7 +508,8 @@ TEST(ConnectionTest, PacingRateInfiniteBeforeFirstRttSample) {
   // rate = 1.25 * cwnd / srtt; cwnd doubled to 30000 by the slow-start ack.
   const double expected =
       1.25 * static_cast<double>(conn.cwnd_bytes()) * 8.0 / 0.040;
-  EXPECT_NEAR(conn.pacing_rate().bps(), expected, expected * 0.01);
+  EXPECT_NEAR(static_cast<double>(conn.pacing_rate().bps()), expected,
+              expected * 0.01);
 }
 
 TEST(ConnectionTest, PtoFiresAndProbes) {

@@ -24,7 +24,7 @@ bool read_file(const std::string& path, std::string* out) {
   return true;
 }
 
-bool family_enabled(const Options& options, const char* family) {
+bool family_enabled(const Options& options, const std::string& family) {
   if (options.rule_families.empty()) return true;
   for (const auto& f : options.rule_families) {
     if (f == family) return true;
@@ -32,10 +32,36 @@ bool family_enabled(const Options& options, const char* family) {
   return false;
 }
 
+/// The families of all_rules(), in registry order.
+std::vector<std::string> known_families() {
+  std::vector<std::string> families;
+  for (const auto& rule : all_rules()) {
+    const std::string family = rule_family(rule.id);
+    if (std::find(families.begin(), families.end(), family) ==
+        families.end()) {
+      families.push_back(family);
+    }
+  }
+  return families;
+}
+
 }  // namespace
 
 AnalysisResult run_analysis(const Options& options) {
   AnalysisResult result;
+  // A misspelled family would run zero rules and pass.
+  const std::vector<std::string> families = known_families();
+  for (const auto& family : options.rule_families) {
+    if (std::find(families.begin(), families.end(), family) ==
+        families.end()) {
+      result.error = "unknown rule family '" + family + "' (known: ";
+      for (std::size_t i = 0; i < families.size(); ++i) {
+        result.error += (i == 0 ? "" : ", ") + families[i];
+      }
+      result.error += ")";
+      return result;
+    }
+  }
   const std::string root =
       options.root.empty() ? std::string(".") : options.root;
   const std::string include_base =
@@ -60,21 +86,18 @@ AnalysisResult run_analysis(const Options& options) {
   result.files_scanned = model.files.size();
 
   std::vector<Finding> findings;
-  // The manifest feeds three families: layering (the DAG), perf (the
-  // hot_path tags), and concurrency (the parallel_entries roots). "-"
-  // skips all three — fixture trees without a real layer stack opt out of
-  // manifest-driven rules entirely.
+  // The manifest feeds four families: layering (the DAG), perf (the
+  // hot_path tags), lifetime (the generation-checked containers) and
+  // protocol (the typestate machines). "-" skips all four — fixture trees
+  // without a real layer stack opt out of manifest-driven rules entirely.
   const bool want_layering = family_enabled(options, "layering");
   const bool want_perf = family_enabled(options, "perf");
-  const bool want_concurrency = family_enabled(options, "concurrency");
-  const bool want_determinism = family_enabled(options, "determinism");
   const bool want_units = family_enabled(options, "units");
   const bool want_lifetime = family_enabled(options, "lifetime");
   const bool want_protocol = family_enabled(options, "protocol");
   LayerManifest manifest;
   bool have_manifest = false;
-  if (want_layering || want_perf || want_concurrency || want_lifetime ||
-      want_protocol) {
+  if (want_layering || want_perf || want_lifetime || want_protocol) {
     std::string layers_path = options.layers_file.empty()
                                   ? root + "/tools/analyze/layers.json"
                                   : options.layers_file;
@@ -107,9 +130,7 @@ AnalysisResult run_analysis(const Options& options) {
   const bool want_flow =
       (want_lifetime && have_manifest) || (want_protocol && have_manifest) ||
       want_units;
-  const bool want_semantic = (want_perf && have_manifest) ||
-                             (want_concurrency && have_manifest) ||
-                             want_determinism || want_flow;
+  const bool want_semantic = (want_perf && have_manifest) || want_flow;
   if (want_semantic) {
     index = build_symbol_index(model);
     graph =
@@ -124,9 +145,6 @@ AnalysisResult run_analysis(const Options& options) {
   if (want_perf && have_manifest) {
     run_perf_rules(model, manifest, sem, &findings);
   }
-  if (want_concurrency && have_manifest) {
-    run_concurrency_rules(model, manifest, sem, &findings);
-  }
   if (want_units) {
     run_units_rules(model, &findings);
     run_interval_rules(model, sem, &findings);
@@ -137,15 +155,14 @@ AnalysisResult run_analysis(const Options& options) {
   if (want_protocol && have_manifest) {
     run_typestate_rules(model, manifest, sem, &findings);
   }
-  if (want_determinism) {
+  if (family_enabled(options, "determinism")) {
     run_determinism_rules(model, &findings);
-    run_taint_rules(model, sem, &findings);
   }
   if (family_enabled(options, "scheduling")) {
     run_scheduling_rules(model, &findings);
   }
   for (const auto& rule : all_rules()) {
-    if (family_enabled(options, rule_family(rule.id).c_str())) {
+    if (family_enabled(options, rule_family(rule.id))) {
       ++result.rules_run;
     }
   }
@@ -175,6 +192,7 @@ AnalysisResult run_analysis(const Options& options) {
       ++result.active_count;
     }
   }
+  baseline.judge_only(options.rule_families);
   result.unused_baseline_entries = baseline.unused();
 
   if (options.fix_baseline && !result.unused_baseline_entries.empty()) {

@@ -22,9 +22,11 @@ struct Options {
   std::vector<std::string> baseline_files; // default:
                                            // root/tools/analyze/baseline.txt
                                            // (if it exists)
-  std::vector<std::string> rule_families;  // empty = all families
+  std::vector<std::string> rule_families;  // empty = all families; an
+                                           // unknown family is an error
   bool fix_baseline = false;               // rewrite baselines, dropping
-                                           // stale entries
+                                           // stale entries of the families
+                                           // that ran
 };
 
 struct AnalysisResult {

@@ -1,5 +1,6 @@
 #include "baseline.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 namespace quicsteps::analyze {
@@ -60,6 +61,16 @@ bool Baseline::matches(const Finding& finding) {
     }
   }
   return hit;
+}
+
+void Baseline::judge_only(const std::vector<std::string>& families) {
+  if (families.empty()) return;
+  for (auto& e : entries_) {
+    if (std::find(families.begin(), families.end(),
+                  rule_family(e.rule_id)) == families.end()) {
+      e.used = true;  // not judged: kept as if it had matched
+    }
+  }
 }
 
 std::vector<std::string> Baseline::unused() const {

@@ -28,6 +28,11 @@ class Baseline {
   /// True when `finding` is waived; records the entry as used.
   bool matches(const Finding& finding);
 
+  /// Keeps every entry whose rule family is not in `families` (empty =
+  /// all families ran) out of unused() and rewritten(): a run that skipped
+  /// a family cannot tell whether that family's waivers are stale.
+  void judge_only(const std::vector<std::string>& families);
+
   /// Entries that never matched a finding (stale — candidates to delete).
   std::vector<std::string> unused() const;
 

@@ -146,44 +146,4 @@ CallGraph build_call_graph(const Model& model, const SymbolIndex& index,
   return graph;
 }
 
-std::vector<std::size_t> worker_entries(
-    const SymbolIndex& index, const CallGraph& graph,
-    const std::vector<std::string>& entry_names) {
-  std::vector<std::size_t> entries;
-  const auto named_entry = [&entry_names](const std::string& name) {
-    return std::find(entry_names.begin(), entry_names.end(), name) !=
-           entry_names.end();
-  };
-  // Lambdas handed to an entry call: [..] lexically inside the args.
-  for (const CallSite& site : graph.sites) {
-    if (!named_entry(site.name)) continue;
-    for (std::size_t id = 0; id < index.symbols.size(); ++id) {
-      const Symbol& sym = index.symbols[id];
-      if (sym.kind != Symbol::Kind::kLambda || sym.file != site.file) {
-        continue;
-      }
-      if (sym.cap_begin > site.args_begin && sym.cap_begin < site.args_end) {
-        entries.push_back(id);
-      }
-    }
-  }
-  // Lambdas defined inside the body of the entry function itself (the
-  // pool worker thunk), walking up through nested lambdas.
-  for (std::size_t id = 0; id < index.symbols.size(); ++id) {
-    const Symbol& sym = index.symbols[id];
-    if (sym.kind != Symbol::Kind::kLambda) continue;
-    for (std::size_t up = sym.parent; up != Symbol::npos;
-         up = index.symbols[up].parent) {
-      if (index.symbols[up].kind == Symbol::Kind::kFunction &&
-          named_entry(index.symbols[up].name)) {
-        entries.push_back(id);
-        break;
-      }
-    }
-  }
-  std::sort(entries.begin(), entries.end());
-  entries.erase(std::unique(entries.begin(), entries.end()), entries.end());
-  return entries;
-}
-
 }  // namespace quicsteps::analyze

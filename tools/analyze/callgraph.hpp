@@ -56,13 +56,4 @@ struct CallGraph {
 CallGraph build_call_graph(const Model& model, const SymbolIndex& index,
                            const LayerManifest* manifest);
 
-/// Worker entry points for the concurrency family: lambdas passed as
-/// arguments to calls whose name is in `entry_names` (the layers.json
-/// parallel_entries list), plus lambdas defined inside the body of a
-/// function itself named there (the pool worker in parallel_for). Returns
-/// symbol ids, ascending.
-std::vector<std::size_t> worker_entries(
-    const SymbolIndex& index, const CallGraph& graph,
-    const std::vector<std::string>& entry_names);
-
 }  // namespace quicsteps::analyze

@@ -1,11 +1,10 @@
 // Intraprocedural control-flow graphs for the quicsteps static analyzer.
 //
-// dataflow.hpp models a callable as a flat def/use list — fine for the
-// unordered-taint fixpoint, useless for anything path-dependent: a slab
-// handle that dies on one branch of an `if`, a rate that is only proven
-// nonzero on the guarded path, a loop that schedules on the first
-// iteration and runs on the second. This builder turns a callable's body
-// token range into a statement-level CFG:
+// dataflow.hpp models a callable as a flat def list — useless on its own
+// for anything path-dependent: a slab handle that dies on one branch of
+// an `if`, a rate that is only proven nonzero on the guarded path, a loop
+// that schedules on the first iteration and runs on the second. This
+// builder turns a callable's body token range into a statement-level CFG:
 //
 //   * basic blocks hold consecutive simple statements (token ranges);
 //   * `if` / `while` / `for` / `do` / `switch` lower to condition blocks

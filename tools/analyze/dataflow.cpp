@@ -65,7 +65,7 @@ class BodyScanner {
   void run() {
     collect_params();
     collect_locals();
-    collect_defs_and_uses();
+    collect_defs();
   }
 
  private:
@@ -234,9 +234,6 @@ class BodyScanner {
       local.type_text = join_tokens(toks_, open + 1, name_tok);
       local.is_const =
           local.type_text.find("const") != std::string::npos;
-      local.is_range_for = true;
-      local.range_begin = colon + 1;
-      local.range_end = close;
       out_->locals.push_back(std::move(local));
     } else if (semi != npos) {
       maybe_local_decl(open + 1, semi);
@@ -278,7 +275,7 @@ class BodyScanner {
     }
   }
 
-  void collect_defs_and_uses() {
+  void collect_defs() {
     for (std::size_t i = sym_.body_begin + 1; i < sym_.body_end; ++i) {
       const Token& t = tok(i);
       if (t.in_pp || t.kind != TokKind::kIdentifier) continue;
@@ -338,9 +335,7 @@ class BodyScanner {
         def.rhs_begin = i;
         def.rhs_end = i;
         local.defs.push_back(def);
-        continue;
       }
-      local.uses.push_back(i);
     }
   }
 

@@ -1,13 +1,11 @@
 // Intraprocedural dataflow skeleton for the quicsteps static analyzer.
 //
-// For every callable in the symbol index this builds a flat def/use model
-// of its locals: parameter and local-variable declarations (with their
-// declared type text), every assignment to each local together with the
-// right-hand-side token range, and every read. Range-for bindings keep a
-// pointer to the range expression so taint rules can follow
-// `for (auto& kv : unordered_map)` from the container into the loop
-// variable. No control-flow sensitivity — defs and uses are in token
-// order, which is all the unordered-taint rule needs.
+// For every callable in the symbol index this builds a flat def model of
+// its locals: parameter, local-variable and range-for declarations (with
+// their declared type text), and every assignment to each local together
+// with the right-hand-side token range. No control-flow sensitivity —
+// defs are in token order; the flow-sensitive rules place them on the
+// CFG (cfg.hpp) themselves.
 #pragma once
 
 #include <map>
@@ -33,21 +31,15 @@ struct Local {
   std::string type_text;  // joined declaration tokens before the name
   bool is_const = false;
   bool is_param = false;
-  bool is_range_for = false;  // declared in `for (T x : range)`
-  // is_range_for only: token range of the range expression after ':'.
-  std::size_t range_begin = 0;
-  std::size_t range_end = 0;
-  std::vector<Def> defs;          // assignments after the declaration
-  std::vector<std::size_t> uses;  // token indices of reads
+  std::vector<Def> defs;  // assignments after the declaration
 };
 
-/// Def/use model for one callable's body.
+/// Def model for one callable's body.
 struct CallableDataflow {
   std::size_t symbol = Symbol::npos;  // into SymbolIndex::symbols
   std::vector<Local> locals;          // declaration order, params first
 
-  /// First local with this name, or npos (shadowing collapses — fine for
-  /// heuristic taint).
+  /// First local with this name, or npos (shadowing collapses).
   std::size_t find(const std::string& name) const;
 };
 
@@ -59,7 +51,7 @@ struct Dataflow {
   const CallableDataflow* for_symbol(std::size_t symbol) const;
 };
 
-/// Builds def/use for every callable in the index that has a body.
+/// Builds the def model for every callable in the index that has a body.
 Dataflow build_dataflow(const Model& model, const SymbolIndex& index);
 
 }  // namespace quicsteps::analyze

@@ -27,13 +27,10 @@ const std::vector<RuleInfo>& all_rules() {
       {"determinism/random-device",
        "std::random_device is nondeterministic by definition."},
       {"determinism/unordered-container",
-       "std::unordered_* iteration order is allocator-dependent."},
+       "An unordered_* container is named, with or without std::; its "
+       "iteration order is allocator-dependent."},
       {"determinism/thread-sleep",
        "std::this_thread::sleep_* waits on the wall clock."},
-      {"determinism/exporter-unordered",
-       "Exporter code (obs/, artifacts, report, qlog) names an unordered_* "
-       "container without std:: qualification — aliases and using-imports "
-       "would leak hash order into published artifacts."},
       {"determinism/include-guard", "Header does not open with #pragma once."},
       {"scheduling/ref-capture",
        "Lambda passed to EventLoop::schedule_at/schedule_after captures by "
@@ -44,18 +41,6 @@ const std::vector<RuleInfo>& all_rules() {
        "call graph): operator new / make_unique / make_shared, container "
        "growth, or a std::function closure schedule — use the packet slab "
        "and drain channels, or baseline with the rationale."},
-      {"concurrency/parallel-shared-state",
-       "A worker entry point (lambda handed to a parallel_entries function "
-       "or defined inside one) reaches non-const shared state — a "
-       "by-reference capture it mutates, a non-const global, or a static "
-       "local — that is neither std::atomic nor guarded by a lock in the "
-       "mutating scope. Races break the serial==parallel wire_hash "
-       "invariant."},
-      {"determinism/unordered-taint",
-       "Iteration order of an unordered_* container flows through a local, "
-       "parameter, or return value into an exporter/hash/report sink; the "
-       "order is allocator-dependent and would leak into published "
-       "artifacts. Use an ordered container or sort before the sink."},
       {"lifetime/use-after-recycle",
        "A reference or pointer borrowed from a generation-checked "
        "container (tools/analyze/layers.json generation_checked, e.g. "
@@ -79,11 +64,6 @@ const std::vector<RuleInfo>& all_rules() {
        "CFG path (no `> 0` / `!= 0` / is_zero() guard dominates the "
        "division). A zero rate is a valid 'link down' configuration; guard "
        "the division."},
-      {"units/lossy-narrowing",
-       "A nanosecond-magnitude value (.ns()/.us() unwrap or an int64 whose "
-       "interval exceeds the destination type) is narrowed into "
-       "int/int32_t/uint32_t/float — wraps after ~2.1 s of nanoseconds. "
-       "Keep the int64_t (fix-it attached)."},
       {"protocol/typestate",
        "A declared API protocol (tools/analyze/layers.json typestate) is "
        "violated along some CFG path: e.g. EventLoop::run() on a loop no "

@@ -113,11 +113,6 @@ struct LayerManifest {
   /// datapath: the perf family seeds hot callables there and
   /// perf/hot-path-alloc-interproc propagates the tag along call edges.
   std::vector<std::string> hot_path;
-  /// Function names whose lambda arguments (and internal worker thunks)
-  /// run on pool threads; concurrency/parallel-shared-state roots its
-  /// reachability walk here. Defaults to {"parallel_for"} when the
-  /// manifest omits the key.
-  std::vector<std::string> parallel_entries;
   /// Generation-checked containers for the lifetime/* family.
   std::vector<GenerationChecked> generation_checked;
   /// Typestate protocols for protocol/typestate.
@@ -180,11 +175,6 @@ void run_layering_rules(const Model& model, const LayerManifest& manifest,
                         std::vector<Finding>* out);
 void run_perf_rules(const Model& model, const LayerManifest& manifest,
                     const SemanticModel& sem, std::vector<Finding>* out);
-void run_concurrency_rules(const Model& model, const LayerManifest& manifest,
-                           const SemanticModel& sem,
-                           std::vector<Finding>* out);
-void run_taint_rules(const Model& model, const SemanticModel& sem,
-                     std::vector<Finding>* out);
 void run_lifetime_rules(const Model& model, const LayerManifest& manifest,
                         const SemanticModel& sem, std::vector<Finding>* out);
 void run_interval_rules(const Model& model, const SemanticModel& sem,

@@ -12,18 +12,6 @@ bool is_unordered_container(const std::string& s) {
          s == "unordered_multimap" || s == "unordered_multiset";
 }
 
-/// Exporter-path files: everything under obs/ plus the artifact, report,
-/// and qlog writers. Their iteration order IS the output format, so even
-/// an aliased / using-imported unordered container (which the
-/// std::-qualified rule above cannot see) is a determinism bug there.
-bool is_exporter_file(const std::string& rel) {
-  return rel.find("obs/") != std::string::npos ||
-         rel.find("exporter") != std::string::npos ||
-         rel.find("artifacts") != std::string::npos ||
-         rel.find("report") != std::string::npos ||
-         rel.find("qlog") != std::string::npos;
-}
-
 /// True when tokens[i] is preceded by a member-access operator, i.e.
 /// `x.time(` / `x->clock(` — those are method calls on simulation objects,
 /// not the libc functions.
@@ -75,17 +63,14 @@ void run_determinism_rules(const Model& model, std::vector<Finding>* out) {
       const Token& t = toks[i];
       if (t.kind != TokKind::kIdentifier) continue;
 
-      // Unqualified unordered container in an exporter-path file. The
-      // qualified form is already covered by determinism/unordered-container
-      // below (hence the `::` exclusion — no double report), and `#include
+      // Any unordered container, qualified or not: a using-import or an
+      // alias's own declaration spells the same token. `#include
       // <unordered_map>` tokens are preprocessor text, not uses.
-      if (is_unordered_container(t.text) && !t.in_pp &&
-          !(i > 0 && toks[i - 1].is_punct("::")) &&
-          is_exporter_file(f.rel_path)) {
-        add(out, "determinism/exporter-unordered", f, t,
-            t.text + " reached exporter code unqualified (alias or "
-                     "using-import); exporters may only iterate sorted "
-                     "containers");
+      if (is_unordered_container(t.text) && !t.in_pp) {
+        add(out, "determinism/unordered-container", f, t,
+            t.text +
+                " iteration order is allocator-dependent; use std::map, a "
+                "sorted vector, or net::CountersTable");
         out->back().fixits.push_back(ordered_equivalent_fix(t));
         continue;
       }
@@ -103,12 +88,6 @@ void run_determinism_rules(const Model& model, std::vector<Finding>* out) {
           add(out, "determinism/random-device", f, t,
               "std::random_device is nondeterministic by definition; draw "
               "from the seeded sim::Rng");
-        } else if (is_unordered_container(m)) {
-          add(out, "determinism/unordered-container", f, t,
-              "std::" + m +
-                  " iteration order is allocator-dependent; use std::map, a "
-                  "sorted vector, or net::CountersTable");
-          out->back().fixits.push_back(ordered_equivalent_fix(toks[i + 2]));
         } else if (m == "this_thread" && i + 4 < toks.size() &&
                    toks[i + 3].is_punct("::") &&
                    (toks[i + 4].is_id("sleep_for") ||

@@ -5,17 +5,18 @@
 // bps with zero = "link down". The type wrappers cannot protect the raw
 // int64 math AROUND them: unwrapping with .ns() and multiplying, scaling
 // inside the non-saturating constexpr factories (Duration::millis(ms) is
-// a raw multiply), dividing by a rate nobody proved non-zero, or stuffing
-// a nanosecond magnitude into an int. This pass runs an interval domain
-// through each callable's CFG (absint.hpp) and reports exactly those:
+// a raw multiply), or dividing by a rate nobody proved non-zero. This pass
+// runs an interval domain through each callable's CFG (absint.hpp) and
+// reports exactly those:
 //
 //   units/interval-overflow   known-interval multiply/add can exceed int64
 //                             BEFORE any saturating wrapper sees it
 //   units/div-by-zero-rate    divisor interval contains 0 on some path and
 //                             no dominating `> 0` / `!= 0` / !is_zero()
 //                             guard refines it away
-//   units/lossy-narrowing     known interval (e.g. the full .ns() range)
-//                             does not fit the declared destination type
+//
+// Narrowing an int64 magnitude into a 32-bit or float local is not a rule
+// here: -Wconversion reports every such implicit conversion.
 //
 // Locals are classified by declared type: plain integers carry their
 // evaluated interval, Duration/Time carry their magnitude in ns (always
@@ -64,54 +65,12 @@ bool word_in(const std::string& text, const std::string& w) {
 
 enum class VKind { kNone, kInt, kChrono, kRate };
 
-/// Destination range of a narrow integer (or float-mantissa) type named in
-/// a declaration; returns false for 64-bit-safe types.
-bool narrow_range(const std::string& type_text, std::int64_t* lo,
-                  std::int64_t* hi, std::string* pretty) {
-  if (word_in(type_text, "int64_t") || word_in(type_text, "uint64_t") ||
-      word_in(type_text, "size_t") || word_in(type_text, "long") ||
-      word_in(type_text, "auto")) {
-    return false;
-  }
-  if (word_in(type_text, "int32_t") || word_in(type_text, "int")) {
-    *lo = -2147483648LL;
-    *hi = 2147483647LL;
-    *pretty = "int32";
-    return true;
-  }
-  if (word_in(type_text, "uint32_t") || word_in(type_text, "unsigned")) {
-    *lo = 0;
-    *hi = 4294967295LL;
-    *pretty = "uint32";
-    return true;
-  }
-  if (word_in(type_text, "int16_t") || word_in(type_text, "short")) {
-    *lo = -32768;
-    *hi = 32767;
-    *pretty = "int16";
-    return true;
-  }
-  if (word_in(type_text, "uint16_t")) {
-    *lo = 0;
-    *hi = 65535;
-    *pretty = "uint16";
-    return true;
-  }
-  if (word_in(type_text, "float")) {
-    *lo = -(std::int64_t{1} << 53);
-    *hi = std::int64_t{1} << 53;
-    *pretty = "float mantissa";
-    return true;
-  }
-  return false;
-}
-
 struct EvalResult {
   IntInterval iv;
   bool known = false;
   // Provenance: the value derives from a chrono unwrap/factory (.ns(),
   // Duration::millis, ...) or a rate unwrap/factory (.bps(), DataRate::...).
-  // The overflow/div/narrowing checks only fire for unit-derived values or
+  // The overflow/div checks only fire for unit-derived values or
   // provably-bounded constant math — a widened loop counter has neither.
   bool chrono = false;
   bool rate = false;
@@ -130,7 +89,6 @@ struct DefSite {
   std::size_t local = npos;
   std::size_t rhs_begin = 0;
   std::size_t rhs_end = 0;
-  bool is_decl = false;
 };
 
 /// Chrono/rate factory scale, or 0 when the name is not a factory.
@@ -203,8 +161,7 @@ struct IntervalDomain {
     }
   }
 
-  void report(const char* rule, std::size_t at, std::string msg,
-              std::vector<FixIt> fixits = {}) {
+  void report(const char* rule, std::size_t at, std::string msg) {
     if (!reporting || !reported.insert(at).second) return;
     Finding f;
     f.rule_id = rule;
@@ -212,7 +169,6 @@ struct IntervalDomain {
     f.line = tok(at).line;
     f.col = tok(at).col;
     f.message = std::move(msg);
-    f.fixits = std::move(fixits);
     out->push_back(std::move(f));
   }
 
@@ -237,7 +193,14 @@ struct IntervalDomain {
       if (v == std::numeric_limits<std::int64_t>::min()) return "INT64_MIN";
       return std::to_string(v);
     };
-    return "[" + one(iv.lo) + ", " + one(iv.hi) + "]";
+    // Appended rather than `"[" + ...`: GCC 12 at -O3 false-positives
+    // -Werror=restrict on operator+(const char*, std::string&&) here.
+    std::string out = "[";
+    out += one(iv.lo);
+    out += ", ";
+    out += one(iv.hi);
+    out += "]";
+    return out;
   }
 
   // -- expression evaluation -----------------------------------------------
@@ -508,8 +471,7 @@ struct IntervalDomain {
       return unknown_value();
     }
 
-    // static_cast<T>(expr): evaluate the inner expression; the narrowing
-    // check happens at the definition that receives the value.
+    // static_cast<T>(expr): evaluate the inner expression.
     if (is_ident(tok(b)) && tok(b).text == "static_cast") {
       std::size_t open = b;
       while (open < e && !tok(open).is_punct("(")) ++open;
@@ -615,8 +577,7 @@ struct IntervalDomain {
 
   // -- transfer ------------------------------------------------------------
 
-  void apply_def(const DefSite& d, std::size_t at, State* st) {
-    const Local& local = dfc->locals[d.local];
+  void apply_def(const DefSite& d, State* st) {
     const VKind kind = kinds[d.local];
     if (d.rhs_begin >= d.rhs_end) {  // compound / ++ / -- : unknown
       st->erase(d.local);
@@ -636,22 +597,6 @@ struct IntervalDomain {
       default:
         return;
     }
-    if (kind == VKind::kInt && v.known &&
-        (unit_tainted(v) || bounded(v.iv))) {
-      std::int64_t lo = 0, hi = 0;
-      std::string pretty;
-      if (narrow_range(local.type_text, &lo, &hi, &pretty) &&
-          !v.iv.is_bottom() && (v.iv.lo < lo || v.iv.hi > hi)) {
-        std::vector<FixIt> fixes;
-        if (d.is_decl) fixes = widen_type_fixit(at);
-        report("units/lossy-narrowing", at,
-               "value interval " + show(v.iv) + " does not fit " + pretty +
-                   " '" + local.name +
-                   "' — nanosecond magnitudes wrap a 32-bit int after "
-                   "~2.1 s. Keep the std::int64_t.",
-               std::move(fixes));
-      }
-    }
     if (v.known) {
       (*st)[d.local] = v.iv;
     } else {
@@ -659,31 +604,10 @@ struct IntervalDomain {
     }
   }
 
-  /// Fix-it replacing the narrow type token just before the declared name.
-  std::vector<FixIt> widen_type_fixit(std::size_t name_tok) const {
-    static const std::set<std::string> kNarrow = {
-        "int",      "int32_t",  "uint32_t", "short",
-        "int16_t",  "uint16_t", "unsigned", "float"};
-    const std::size_t lo = name_tok > 6 ? name_tok - 6 : 0;
-    for (std::size_t k = name_tok; k-- > lo;) {
-      if (is_ident(tok(k)) && kNarrow.count(tok(k).text)) {
-        FixIt fix;
-        fix.description = "widen to std::int64_t";
-        fix.line = tok(k).line;
-        fix.col = tok(k).col;
-        fix.end_line = tok(k).line;
-        fix.end_col = tok(k).col + static_cast<int>(tok(k).text.size());
-        fix.replacement = "std::int64_t";
-        return {fix};
-      }
-    }
-    return {};
-  }
-
   void transfer_stmt(const CfgStmt& s, State* st) {
     for (std::size_t i = s.begin; i < s.end; ++i) {
       auto d = def_at.find(i);
-      if (d != def_at.end()) apply_def(d->second, i, st);
+      if (d != def_at.end()) apply_def(d->second, st);
     }
   }
 
@@ -986,7 +910,6 @@ void run_interval_rules(const Model& model, const SemanticModel& sem,
         site.local = l;
         site.rhs_begin = d.rhs_begin;
         site.rhs_end = d.rhs_end;
-        site.is_decl = d.tok == local.decl_tok;
         dom.def_at[d.tok] = site;
       }
     }

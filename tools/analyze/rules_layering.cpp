@@ -68,22 +68,6 @@ bool load_layer_manifest(const std::string& json_text, LayerManifest* out,
     }
   }
 
-  if (const JsonValue* entries = doc->find("parallel_entries")) {
-    if (!entries->is_array()) {
-      *error = "layers.json: \"parallel_entries\" must be an array";
-      return false;
-    }
-    for (const auto& e : entries->array) {
-      if (!e.is_string()) {
-        *error = "layers.json: \"parallel_entries\" has a non-string entry";
-        return false;
-      }
-      out->parallel_entries.push_back(e.str);
-    }
-  } else {
-    out->parallel_entries.push_back("parallel_for");
-  }
-
   if (const JsonValue* gen = doc->find("generation_checked")) {
     if (!gen->is_array()) {
       *error = "layers.json: \"generation_checked\" must be an array";

@@ -400,8 +400,6 @@ void FileParser::maybe_variable_decl(std::size_t begin, std::size_t end) {
   sym.col = tok(name_tok).col;
   sym.is_const = is_const;
   sym.type_text = join_tokens(toks_, begin, name_tok);
-  sym.is_atomic = type_text_is_atomic(sym.type_text);
-  sym.is_mutex = type_text_is_mutex(sym.type_text);
   if (in_callable) {
     if (!is_static) return;
     sym.kind = Symbol::Kind::kStaticLocal;
@@ -412,10 +410,7 @@ void FileParser::maybe_variable_decl(std::size_t begin, std::size_t end) {
     sym.kind = Symbol::Kind::kGlobal;
   }
   sym.qual_name = scope_prefix() + sym.name;
-  const std::size_t id = add_symbol(std::move(sym));
-  if (out_->symbols[id].kind != Symbol::Kind::kField) {
-    out_->variables_by_name.emplace(out_->symbols[id].name, id);
-  }
+  add_symbol(std::move(sym));
 }
 
 void FileParser::run() {
@@ -472,18 +467,6 @@ void FileParser::run() {
 }
 
 }  // namespace
-
-bool type_text_is_atomic(const std::string& type_text) {
-  return type_text.find("atomic") != std::string::npos;
-}
-
-bool type_text_is_mutex(const std::string& type_text) {
-  for (const char* m : {"mutex", "lock_guard", "scoped_lock", "unique_lock",
-                        "shared_lock"}) {
-    if (type_text.find(m) != std::string::npos) return true;
-  }
-  return false;
-}
 
 std::size_t SymbolIndex::enclosing_callable(std::size_t file,
                                             std::size_t tok) const {

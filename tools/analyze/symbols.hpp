@@ -6,10 +6,9 @@
 // functions and methods (with their body token ranges), lambdas (with
 // their capture lists and the local name they are bound to, if any),
 // namespace-scope globals, function-local statics, and class member
-// fields, each with const / atomic / mutex classification from the
-// declaration tokens. The call graph (callgraph.hpp), the dataflow
-// skeleton (dataflow.hpp), and the interprocedural rule families all sit
-// on top of this index.
+// fields, each with const classification from the declaration tokens.
+// The call graph (callgraph.hpp), the dataflow skeleton (dataflow.hpp),
+// and the interprocedural rule families all sit on top of this index.
 //
 // Being token-level, the parser is deliberately conservative: anything it
 // cannot classify becomes an anonymous block, never a wrong symbol. The
@@ -45,10 +44,8 @@ struct Symbol {
 
   // Declaration classification (variables and fields; functions record
   // const-method-ness in is_const).
-  bool is_const = false;   // const / constexpr declaration, or const method
-  bool is_atomic = false;  // declared type names std::atomic
-  bool is_mutex = false;   // declared type names a mutex/lock type
-  std::string type_text;   // joined declaration/return-type tokens
+  bool is_const = false;  // const / constexpr declaration, or const method
+  std::string type_text;  // joined declaration/return-type tokens
 
   // Functions and lambdas: token indices (into the owning file's token
   // vector) of the body's '{' and matching '}'; npos when unterminated.
@@ -81,8 +78,6 @@ struct SymbolIndex {
   /// Callable name -> symbol ids (functions only; lambdas resolve through
   /// bound_name, recorded here under that name).
   std::multimap<std::string, std::size_t> callables_by_name;
-  /// Globals and static locals by unqualified name.
-  std::multimap<std::string, std::size_t> variables_by_name;
 
   /// Innermost function/lambda whose body [body_begin, body_end] contains
   /// token `tok` of file `file`; npos when at namespace/class scope.
@@ -92,10 +87,5 @@ struct SymbolIndex {
 /// Builds the index over every file in the model. Deterministic: symbols
 /// appear in (file, token) order.
 SymbolIndex build_symbol_index(const Model& model);
-
-/// True when the declaration token run names a std::atomic type.
-bool type_text_is_atomic(const std::string& type_text);
-/// True for mutex/lock-owning types (mutex, shared_mutex, lock_guard...).
-bool type_text_is_mutex(const std::string& type_text);
 
 }  // namespace quicsteps::analyze

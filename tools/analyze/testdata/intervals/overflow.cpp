@@ -30,9 +30,4 @@ std::int64_t div_by_possibly_zero(std::int64_t bits, net::DataRate rate) {
   return secs;
 }
 
-int lossy_narrowing(sim::Duration d) {
-  const int ns = d.ns();
-  return ns;
-}
-
 }  // namespace fx

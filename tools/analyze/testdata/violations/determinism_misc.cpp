@@ -1,4 +1,4 @@
-// Fixture: random_device / unordered container / thread sleep.
+// Fixture: random_device / unordered containers / thread sleep.
 #include <random>
 #include <thread>
 #include <unordered_map>
@@ -17,3 +17,6 @@ void nap() {
   std::this_thread::sleep_for(  // line 17: determinism/thread-sleep
       std::chrono::milliseconds(1));  // line 18: determinism/wall-clock
 }
+
+using namespace std;
+unordered_set<int> seen;  // line 22: determinism/unordered-container

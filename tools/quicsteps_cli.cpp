@@ -303,13 +303,13 @@ int main(int argc, char** argv) {
         100.0 * run.trains.fraction_in_trains_up_to(5),
         run.precision.precision_ms);
     if (run.trace != nullptr) {
-      const auto timelines = obs::build_timelines(*run.trace);
-      const auto errors = obs::stage_errors(timelines);
-      std::printf("    trace: %zu spans over %zu packets, %lld complete "
+      const obs::TraceSummary summary = obs::summarize_trace(*run.trace);
+      std::printf("    trace: %zu spans over %lld packets, %lld complete "
                   "pacer->delivery chains\n",
-                  run.trace->events.size(), timelines.size(),
-                  static_cast<long long>(obs::count_complete(timelines)));
-      for (const auto& se : errors) {
+                  run.trace->events.size(),
+                  static_cast<long long>(summary.packets),
+                  static_cast<long long>(summary.complete_chains));
+      for (const auto& se : summary.errors) {
         std::printf("    %-24s mean_error=%9.1f us  n=%lld\n",
                     obs::to_string(se.stage), se.mean_us(),
                     static_cast<long long>(se.error_us.count()));
@@ -318,9 +318,8 @@ int main(int argc, char** argv) {
       registry.add_counter("pacer/releases", run.pacer_releases);
       registry.add_counter("pacer/deferrals", run.pacer_deferrals);
       registry.set_gauge("bottleneck/dropped_packets", run.dropped_packets);
-      registry.set_gauge("trace/complete_chains",
-                         obs::count_complete(timelines));
-      for (const auto& se : errors) {
+      registry.set_gauge("trace/complete_chains", summary.complete_chains);
+      for (const auto& se : summary.errors) {
         registry.histogram(std::string("pacing_error/") +
                            obs::to_string(se.stage)) = se.error_us;
       }
