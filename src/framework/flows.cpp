@@ -77,6 +77,7 @@ Network::Network(sim::EventLoop& loop, const MultiFlowConfig& config,
   path_ = std::make_unique<BottleneckPath>(
       loop, config.flows[0].config.topology, rng, os_[0]);
   path_->reserve_flows(n);
+  loop.reserve_drains(n);  // each sender host's NIC registers one
 
   for (std::size_t i = 0; i < n; ++i) {
     FlowSpec spec = config.flows[i];

@@ -92,6 +92,10 @@ void UdpReceiver::flush() {
                          trace_component_, loop_.now(), pkt);
     if (handler_) handler_(std::move(pkt));
   }
+  // Hand the capacity back for the next window, unless a re-entrant
+  // delivery has already started a new batch.
+  batch.clear();
+  if (gro_batch_.empty()) gro_batch_.swap(batch);
 }
 
 }  // namespace quicsteps::kernel

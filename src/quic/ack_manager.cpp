@@ -1,5 +1,9 @@
 #include "quic/ack_manager.hpp"
 
+#include <algorithm>
+
+#include "check/audit.hpp"
+
 namespace quicsteps::quic {
 
 bool AckManager::on_packet_received(std::uint64_t pn, bool ack_eliciting,
@@ -20,10 +24,23 @@ sim::Time AckManager::ack_deadline() const {
   return first_pending_time_ + config_.max_ack_delay;
 }
 
-std::shared_ptr<const net::TransportAck> AckManager::build_ack(sim::Time now) {
+std::shared_ptr<const net::TransportAck> AckManager::build_ack(
+    sim::Time now, std::int64_t max_data) {
   auto ack = std::make_shared<net::TransportAck>();
-  ack->blocks = received_.to_ack_blocks(config_.max_ack_blocks);
+  std::vector<net::AckBlock>& blocks = ack->blocks;
+  blocks.reserve(
+      std::min(received_.interval_count(), config_.max_ack_blocks));
+  received_.to_ack_blocks(config_.max_ack_blocks, blocks);
+  // RFC 9000 §19.3.1: each range has first <= last, and ranges descend
+  // with at least one unacknowledged number between neighbours.
+  for (std::size_t i = 0; check::kAuditEnabled && i < blocks.size(); ++i) {
+    QUICSTEPS_AUDIT(blocks[i].first <= blocks[i].last &&
+                        (i + 1 == blocks.size() ||
+                         blocks[i].first > blocks[i + 1].last + 1),
+                    "AckManager: ACK ranges must descend, with gaps");
+  }
   ack->ack_delay = now - largest_recv_time_;
+  ack->max_data = max_data;
   pending_ack_eliciting_ = 0;
   first_pending_time_ = sim::Time::infinite();
   return ack;

@@ -35,12 +35,11 @@ class AckManager {
   sim::Time ack_deadline() const;
 
   bool has_pending() const { return pending_ack_eliciting_ > 0; }
-  std::uint64_t largest_received() const { return received_.largest(); }
 
-  /// Builds the ACK payload and clears the pending state.
-  std::shared_ptr<const net::TransportAck> build_ack(sim::Time now);
-
-  const Config& config() const { return config_; }
+  /// Builds the ACK payload, carrying `max_data` as its MAX_DATA grant
+  /// (0 = none), and clears the pending state.
+  std::shared_ptr<const net::TransportAck> build_ack(
+      sim::Time now, std::int64_t max_data = 0);
 
  private:
   Config config_;

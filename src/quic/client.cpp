@@ -43,17 +43,13 @@ void Client::send_ack_now() {
   ack.flow = config_.flow;
   ack.kind = net::PacketKind::kQuicAck;
   ack.size_bytes = kAckPacketSize;
-  auto payload = ack_manager_.build_ack(now);
-  if (config_.flow_control_credit > 0) {
-    // The example clients consume data as it arrives, so the grant is
-    // contiguous-consumed + static credit.
-    auto granted = std::make_shared<net::TransportAck>(*payload);
-    granted->max_data =
-        received_.contiguous_prefix() + config_.flow_control_credit;
-    ack.ack = std::move(granted);
-  } else {
-    ack.ack = std::move(payload);
-  }
+  // The example clients consume data as it arrives, so the grant is
+  // contiguous-consumed + static credit.
+  const std::int64_t max_data =
+      config_.flow_control_credit > 0
+          ? received_.contiguous_prefix() + config_.flow_control_credit
+          : 0;
+  ack.ack = ack_manager_.build_ack(now, max_data);
   ++stats_.acks_sent;
   if (ack_egress_ != nullptr) ack_egress_->deliver(std::move(ack));
 }

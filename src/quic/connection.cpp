@@ -116,13 +116,20 @@ void Connection::on_ack_packet(const net::Packet& pkt, sim::Time now) {
     peer_max_data_ = std::max(peer_max_data_, ack.max_data);
   }
 
-  auto result = sent_.on_ack_blocks(ack.blocks);
-  if (result.newly_acked.empty()) {
-    return;  // pure duplicate
-  }
+  // Beyond its stream range, only the largest newly acked packet matters.
+  SentPacket largest_pkt;
+  bool any_acked = false;
+  const std::int64_t acked_bytes =
+      sent_.take_acked(ack.blocks, [&](const SentPacket& acked) {
+        if (!any_acked || acked.pn > largest_pkt.pn) largest_pkt = acked;
+        any_acked = true;
+        if (acked.stream_offset >= 0) {
+          acked_.add(acked.stream_offset, acked.stream_length);
+        }
+      });
+  if (!any_acked) return;  // pure duplicate
   pto_count_ = 0;
 
-  const SentPacket& largest_pkt = result.newly_acked.back();
   const bool new_largest =
       !has_acked_anything_ || largest_pkt.pn > largest_acked_;
   if (new_largest) {
@@ -136,7 +143,7 @@ void Connection::on_ack_packet(const net::Packet& pkt, sim::Time now) {
 
   // Delivery-rate sample (BBR input): bytes delivered between the largest
   // acked packet's send snapshot and now.
-  delivered_bytes_ += result.acked_bytes;
+  delivered_bytes_ += acked_bytes;
   net::DataRate bw_sample;
   if (delivered_time_ < now &&
       largest_pkt.delivered_time_at_send < now) {
@@ -146,11 +153,6 @@ void Connection::on_ack_packet(const net::Packet& pkt, sim::Time now) {
   }
   delivered_time_ = now;
 
-  for (const auto& acked : result.newly_acked) {
-    if (acked.stream_offset >= 0) {
-      acked_.add(acked.stream_offset, acked.stream_length);
-    }
-  }
   if (transfer_complete() && stats_.completion_time.is_infinite()) {
     stats_.completion_time = now;
   }
@@ -165,7 +167,7 @@ void Connection::on_ack_packet(const net::Packet& pkt, sim::Time now) {
 
   cc::AckSample sample;
   sample.now = now;
-  sample.acked_bytes = result.acked_bytes;
+  sample.acked_bytes = acked_bytes;
   sample.largest_acked_pn = largest_pkt.pn;
   sample.largest_acked_sent_time = largest_pkt.time_sent;
   sample.latest_rtt = rtt_.has_samples() ? rtt_.latest() : sim::Duration::zero();
@@ -177,7 +179,7 @@ void Connection::on_ack_packet(const net::Packet& pkt, sim::Time now) {
   sample.delivered_bytes = delivered_bytes_;
   cc_->on_ack(sample);
   if (observer_ != nullptr) {
-    observer_->on_ack_processed(now, largest_pkt.pn, result.acked_bytes);
+    observer_->on_ack_processed(now, largest_pkt.pn, acked_bytes);
   }
   trace(now);
 }

@@ -4,104 +4,81 @@
 
 namespace quicsteps::quic {
 
-bool PacketNumberSet::insert(std::uint64_t pn) {
-  if (contains(pn)) return false;
-
-  // Find potential neighbors to merge with.
-  auto right = intervals_.lower_bound(pn);  // first interval starting > pn-?
-  bool merge_left = false, merge_right = false;
-  auto left = intervals_.end();
-  if (right != intervals_.begin()) {
-    left = std::prev(right);
-    if (left->second + 1 == pn) merge_left = true;
-  }
-  if (right != intervals_.end() && pn + 1 == right->first) merge_right = true;
-
-  if (merge_left && merge_right) {
-    left->second = right->second;
-    intervals_.erase(right);
-  } else if (merge_left) {
-    left->second = pn;
-  } else if (merge_right) {
-    const std::uint64_t end = right->second;
-    intervals_.erase(right);
-    intervals_.emplace(pn, end);
-  } else {
-    intervals_.emplace(pn, pn);
-  }
-  return true;
-}
-
-bool PacketNumberSet::contains(std::uint64_t pn) const {
-  auto it = intervals_.upper_bound(pn);
-  if (it == intervals_.begin()) return false;
-  --it;
-  return pn >= it->first && pn <= it->second;
-}
-
-std::uint64_t PacketNumberSet::largest() const {
-  if (intervals_.empty()) return 0;
-  return std::prev(intervals_.end())->second;
-}
-
-std::vector<net::AckBlock> PacketNumberSet::to_ack_blocks(
-    std::size_t max_blocks) const {
-  std::vector<net::AckBlock> blocks;
-  if (intervals_.empty() || max_blocks == 0) return blocks;
-  // Newest ranges first; the OLDEST interval always rides along (it is the
-  // cumulative ACK for the TCP model and cheap insurance for QUIC).
-  const auto oldest = intervals_.begin();
-  for (auto it = intervals_.rbegin();
-       it != intervals_.rend() && blocks.size() + 1 < max_blocks; ++it) {
-    if (it->first == oldest->first) break;
-    blocks.push_back(net::AckBlock{it->first, it->second});
-  }
-  blocks.push_back(net::AckBlock{oldest->first, oldest->second});
-  return blocks;
-}
-
 std::int64_t ByteIntervalSet::add(std::int64_t offset, std::int64_t length) {
   if (length <= 0) return 0;
   std::int64_t start = offset;
   std::int64_t end = offset + length;
 
-  // In-order fast path: back-to-back stream delivery appends at (or
-  // inside) the interval with the greatest start. Extending it in place
-  // skips the erase + re-insert tree rebalances of the general path. The
-  // last interval has no successor, so no absorption check is needed.
-  if (!intervals_.empty()) {
-    auto last = std::prev(intervals_.end());
-    if (start >= last->first && start <= last->second) {
-      if (end <= last->second) return 0;  // fully covered already
-      const std::int64_t new_bytes = end - last->second;
-      last->second = end;
-      covered_ += new_bytes;
-      return new_bytes;
-    }
+  // In order: data past the last range opens a new one; data starting in
+  // it extends it (it has no successor, so nothing else is absorbed).
+  if (intervals_.empty() || start > intervals_.back().end) {
+    intervals_.push_back(Range{start, end});
+    covered_ += length;
+    return length;
+  }
+  Range& last = intervals_.back();
+  if (start >= last.start) {
+    if (end <= last.end) return 0;  // fully covered already
+    const std::int64_t new_bytes = end - last.end;
+    last.end = end;
+    covered_ += new_bytes;
+    return new_bytes;
   }
 
-  // Absorb every interval overlapping or touching [start, end).
-  auto it = intervals_.upper_bound(start);
-  if (it != intervals_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second >= start) it = prev;
-  }
+  // Replace every range overlapping or touching [start, end) with their
+  // union: they run from the first one ending at or after `start`.
+  const auto lo = std::ranges::lower_bound(intervals_, start, {}, &Range::end);
+  auto hi = lo;
   std::int64_t absorbed = 0;
-  while (it != intervals_.end() && it->first <= end) {
-    start = std::min(start, it->first);
-    end = std::max(end, it->second);
-    absorbed += it->second - it->first;
-    it = intervals_.erase(it);
+  for (; hi != intervals_.end() && hi->start <= end; ++hi) {
+    start = std::min(start, hi->start);
+    end = std::max(end, hi->end);
+    absorbed += hi->end - hi->start;
   }
-  intervals_.emplace(start, end);
+  intervals_.insert(intervals_.erase(lo, hi), Range{start, end});
   const std::int64_t new_bytes = (end - start) - absorbed;
   covered_ += new_bytes;
   return new_bytes;
 }
 
 std::int64_t ByteIntervalSet::contiguous_prefix() const {
-  if (intervals_.empty() || intervals_.begin()->first != 0) return 0;
-  return intervals_.begin()->second;
+  if (intervals_.empty() || intervals_.front().start != 0) return 0;
+  return intervals_.front().end;
+}
+
+bool PacketNumberSet::insert(std::uint64_t pn) {
+  return numbers_.add(static_cast<std::int64_t>(pn), 1) == 1;
+}
+
+bool PacketNumberSet::contains(std::uint64_t pn) const {
+  const auto n = static_cast<std::int64_t>(pn);
+  const auto& ranges = numbers_.intervals_;
+  // The first range ending above pn is the only one that can hold it.
+  const auto it =
+      std::ranges::upper_bound(ranges, n, {}, &ByteIntervalSet::Range::end);
+  return it != ranges.end() && it->start <= n;
+}
+
+std::uint64_t PacketNumberSet::largest() const {
+  const auto& ranges = numbers_.intervals_;
+  return ranges.empty() ? 0 : static_cast<std::uint64_t>(ranges.back().end - 1);
+}
+
+void PacketNumberSet::to_ack_blocks(std::size_t max_blocks,
+                                    std::vector<net::AckBlock>& out) const {
+  const auto& ranges = numbers_.intervals_;
+  if (ranges.empty() || max_blocks == 0) return;
+  const auto block = [](const ByteIntervalSet::Range& r) {
+    return net::AckBlock{static_cast<std::uint64_t>(r.start),
+                         static_cast<std::uint64_t>(r.end - 1)};
+  };
+  // Newest ranges first; the OLDEST interval always rides along (it is the
+  // cumulative ACK for the TCP model and cheap insurance for QUIC).
+  const std::size_t count = std::min(ranges.size(), max_blocks);
+  for (std::size_t i = 1; i < count; ++i) {
+    out.push_back(block(ranges[ranges.size() - i]));
+  }
+  out.push_back(block(ranges.front()));
 }
 
 }  // namespace quicsteps::quic

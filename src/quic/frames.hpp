@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -23,30 +22,10 @@ inline constexpr std::int64_t kPayloadPerDatagram = 1402;
 /// Wire size of a pure ACK datagram.
 inline constexpr std::int64_t kAckPacketSize = 60;
 
-/// Ordered set of received packet numbers, kept as disjoint inclusive
-/// intervals (the receiver state behind QUIC ACK ranges).
-class PacketNumberSet {
- public:
-  /// Inserts pn; returns false if it was already present (duplicate).
-  bool insert(std::uint64_t pn);
-  bool contains(std::uint64_t pn) const;
-
-  /// Highest received packet number (0 if empty — check empty() first).
-  std::uint64_t largest() const;
-  bool empty() const { return intervals_.empty(); }
-  std::size_t interval_count() const { return intervals_.size(); }
-
-  /// Renders the newest-first ACK blocks, at most `max_blocks`.
-  std::vector<net::AckBlock> to_ack_blocks(std::size_t max_blocks) const;
-
- private:
-  // key = interval start, value = interval end (inclusive); disjoint and
-  // non-adjacent.
-  std::map<std::uint64_t, std::uint64_t> intervals_;
-};
-
 /// Ordered set of received byte ranges (stream reassembly bookkeeping on
-/// the client; completion = one interval covering [0, total)).
+/// the client; completion = one interval covering [0, total)), kept as
+/// disjoint, non-touching ranges in one sorted vector. In-order data
+/// extends or follows the last range; anything else costs a search.
 class ByteIntervalSet {
  public:
   /// Adds [offset, offset + length); returns the number of NEW bytes.
@@ -57,8 +36,35 @@ class ByteIntervalSet {
   std::size_t interval_count() const { return intervals_.size(); }
 
  private:
-  std::map<std::int64_t, std::int64_t> intervals_;  // start -> end (excl.)
+  friend class PacketNumberSet;
+  struct Range {
+    std::int64_t start;
+    std::int64_t end;  // exclusive
+  };
+  std::vector<Range> intervals_;  // ascending
   std::int64_t covered_ = 0;
+};
+
+/// Ordered set of received packet numbers (the receiver state behind QUIC
+/// ACK ranges): number pn is the unit range [pn, pn + 1) of a
+/// ByteIntervalSet, which RFC 9000's 62-bit packet numbers fit.
+class PacketNumberSet {
+ public:
+  /// Inserts pn; returns false if it was already present (duplicate).
+  bool insert(std::uint64_t pn);
+  bool contains(std::uint64_t pn) const;
+
+  /// Highest received packet number (0 if empty).
+  std::uint64_t largest() const;
+  std::size_t interval_count() const { return numbers_.interval_count(); }
+
+  /// Appends the newest-first ACK blocks, at most `max_blocks`
+  /// (min(interval_count(), max_blocks) of them), to `out`.
+  void to_ack_blocks(std::size_t max_blocks,
+                     std::vector<net::AckBlock>& out) const;
+
+ private:
+  ByteIntervalSet numbers_;
 };
 
 }  // namespace quicsteps::quic

@@ -1,6 +1,5 @@
 #include "quic/sent_packet_map.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "check/audit.hpp"
@@ -33,30 +32,11 @@ void SentPacketMap::grow(std::uint64_t span) {
 
 void SentPacketMap::erase(SentPacket& p) {
   if (p.in_flight) bytes_in_flight_ -= p.bytes;
+  QUICSTEPS_AUDIT(bytes_in_flight_ >= 0,
+                  "SentPacketMap: bytes in flight went negative");
   p.pn = kNoPacket;
   --size_;
   while (base_ < end_ && slot(base_).pn != base_) ++base_;
-}
-
-SentPacketMap::AckResult SentPacketMap::on_ack_blocks(
-    const std::vector<net::AckBlock>& blocks) {
-  AckResult result;
-  for (const auto& block : blocks) {
-    // Numbers below base_ or at/after end_ are acked already or unsent.
-    const std::uint64_t last = block.last < end_ ? block.last + 1 : end_;
-    for (std::uint64_t pn = std::max(block.first, base_); pn < last; ++pn) {
-      SentPacket& p = slot(pn);
-      if (p.pn != pn) continue;
-      result.acked_bytes += p.bytes;
-      result.newly_acked.push_back(p);
-      erase(p);
-    }
-  }
-  // Blocks arrive newest-first; report ascending for deterministic
-  // processing.
-  std::sort(result.newly_acked.begin(), result.newly_acked.end(),
-            [](const SentPacket& a, const SentPacket& b) { return a.pn < b.pn; });
-  return result;
 }
 
 bool SentPacketMap::take(std::uint64_t pn, SentPacket* out) {

@@ -3,6 +3,7 @@
 // rate-sample algorithm from draft-cheng-iccrg-delivery-rate-estimation).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -40,13 +41,26 @@ class SentPacketMap {
   /// (audited).
   void add(SentPacket pkt);
 
-  /// Removes and returns all tracked packets covered by `blocks`
-  /// (ascending pn order).
-  struct AckResult {
-    std::vector<SentPacket> newly_acked;
+  /// Removes every tracked packet covered by `blocks`; returns their bytes.
+  /// `visit(const SentPacket&)` sees each once, just before it goes: block
+  /// by block in the order given, ascending within a block.
+  template <typename Visit>
+  std::int64_t take_acked(const std::vector<net::AckBlock>& blocks,
+                          Visit&& visit) {
     std::int64_t acked_bytes = 0;
-  };
-  AckResult on_ack_blocks(const std::vector<net::AckBlock>& blocks);
+    for (const auto& block : blocks) {
+      // Numbers below base_ or at/after end_ are acked already or unsent.
+      const std::uint64_t last = block.last < end_ ? block.last + 1 : end_;
+      for (std::uint64_t pn = std::max(block.first, base_); pn < last; ++pn) {
+        SentPacket& p = slot(pn);
+        if (p.pn != pn) continue;
+        acked_bytes += p.bytes;
+        visit(static_cast<const SentPacket&>(p));
+        erase(p);
+      }
+    }
+    return acked_bytes;
+  }
 
   /// Removes and returns the packet with number `pn` if still tracked.
   bool take(std::uint64_t pn, SentPacket* out);

@@ -157,6 +157,10 @@ class EventLoop {
   /// kMaxDrainChannels channels throws std::length_error, in every build.
   DrainId register_drain(EventClass cls, DrainFn fn, void* ctx);
   static constexpr std::size_t kMaxDrainChannels = 0x4000;
+  /// Capacity hint: room for `more` channels beyond those registered.
+  void reserve_drains(std::size_t more) {
+    drains_.reserve(drains_.size() + more);
+  }
 
   /// Schedules `payload` to be handed to channel `ch` at absolute time
   /// `at` (clamped to now() like schedule_at). Fully interleaves with

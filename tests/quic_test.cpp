@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -49,7 +50,8 @@ TEST(PacketNumberSet, MergesAdjacentAndDetectsDuplicates) {
 TEST(PacketNumberSet, AckBlocksNewestFirst) {
   PacketNumberSet set;
   for (std::uint64_t pn : {1, 2, 3, 7, 8, 10}) set.insert(pn);
-  auto blocks = set.to_ack_blocks(8);
+  std::vector<AckBlock> blocks;
+  set.to_ack_blocks(8, blocks);
   ASSERT_EQ(blocks.size(), 3u);
   EXPECT_EQ(blocks[0].first, 10u);
   EXPECT_EQ(blocks[0].last, 10u);
@@ -62,7 +64,8 @@ TEST(PacketNumberSet, AckBlocksNewestFirst) {
 TEST(PacketNumberSet, BlockLimitKeepsNewest) {
   PacketNumberSet set;
   for (std::uint64_t pn = 0; pn < 20; pn += 2) set.insert(pn);
-  auto blocks = set.to_ack_blocks(3);
+  std::vector<AckBlock> blocks;
+  set.to_ack_blocks(3, blocks);
   ASSERT_EQ(blocks.size(), 3u);
   EXPECT_EQ(blocks[0].last, 18u);
 }
@@ -277,23 +280,22 @@ class MapOracle {
     if (pkt.in_flight) bytes_in_flight_ += pkt.bytes;
     packets_.emplace(pkt.pn, pkt);
   }
-  SentPacketMap::AckResult on_ack_blocks(
-      const std::vector<AckBlock>& blocks) {
-    SentPacketMap::AckResult result;
+  /// Removes the packets `blocks` cover; returns them ascending.
+  std::vector<SentPacket> take_acked(const std::vector<AckBlock>& blocks) {
+    std::vector<SentPacket> acked;
     for (const auto& block : blocks) {
       auto it = packets_.lower_bound(block.first);
       while (it != packets_.end() && it->first <= block.last) {
         if (it->second.in_flight) bytes_in_flight_ -= it->second.bytes;
-        result.acked_bytes += it->second.bytes;
-        result.newly_acked.push_back(it->second);
+        acked.push_back(it->second);
         it = packets_.erase(it);
       }
     }
-    std::sort(result.newly_acked.begin(), result.newly_acked.end(),
+    std::sort(acked.begin(), acked.end(),
               [](const SentPacket& a, const SentPacket& b) {
                 return a.pn < b.pn;
               });
-    return result;
+    return acked;
   }
   bool take(std::uint64_t pn, SentPacket* out) {
     auto it = packets_.find(pn);
@@ -389,12 +391,22 @@ TEST(SentPacketMapDifferential, RingMatchesOrderedMapOracle) {
           last = first - gap + (rng.chance(0.2) ? 5 : 0);
         }
         if (rng.chance(0.1)) blocks.push_back({0, 1u << 30});  // everything
-        const auto got = ring.on_ack_blocks(blocks);
-        const auto want = oracle.on_ack_blocks(blocks);
-        ASSERT_EQ(got.acked_bytes, want.acked_bytes);
-        ASSERT_EQ(got.newly_acked.size(), want.newly_acked.size());
-        for (std::size_t k = 0; k < got.newly_acked.size(); ++k) {
-          ASSERT_TRUE(same_packet(got.newly_acked[k], want.newly_acked[k]));
+        // The ring visits in block order; sorted by number, the visited
+        // packets must be the oracle's list.
+        std::vector<SentPacket> got;
+        const std::int64_t got_bytes = ring.take_acked(
+            blocks, [&got](const SentPacket& p) { got.push_back(p); });
+        std::sort(got.begin(), got.end(),
+                  [](const SentPacket& a, const SentPacket& b) {
+                    return a.pn < b.pn;
+                  });
+        const auto want = oracle.take_acked(blocks);
+        std::int64_t want_bytes = 0;
+        for (const auto& p : want) want_bytes += p.bytes;
+        ASSERT_EQ(got_bytes, want_bytes);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t k = 0; k < got.size(); ++k) {
+          ASSERT_TRUE(same_packet(got[k], want[k]));
         }
       } else if (op < 90) {
         const auto pn = static_cast<std::uint64_t>(
@@ -435,6 +447,146 @@ TEST(SentPacketMapTest, DecreasingPacketNumberTripsTheAudit) {
   check::set_audit_handler({});
   ASSERT_EQ(failures.size(), 1u);
   EXPECT_NE(failures[0].find("must increase"), std::string::npos);
+}
+
+// ------------------------------ differential: flat interval sets
+//
+// PacketNumberSet against a std::set of the numbers it holds, and
+// ByteIntervalSet against a byte bitmap. Random inserts from a sliding
+// window (in order, skipped ahead, late, duplicated, or never: a
+// permanent gap) and random adds (touching, overlapping, contained, out
+// of order) must agree on every return value and on the sets' shape
+// after every step. The ACK blocks are re-rendered from the oracle, so
+// the content of every ACK the receiver sends is pinned.
+
+/// What to_ack_blocks(max_blocks) must render from `pns`: its maximal
+/// runs newest first, at most max_blocks, the oldest run always last.
+std::vector<AckBlock> oracle_ack_blocks(const std::set<std::uint64_t>& pns,
+                                        std::size_t max_blocks) {
+  std::vector<AckBlock> blocks;
+  if (pns.empty() || max_blocks == 0) return blocks;
+  const std::uint64_t lowest = *pns.begin();
+  for (auto it = pns.rbegin(); blocks.size() + 1 < max_blocks;) {
+    AckBlock run{*it, *it};
+    for (++it; it != pns.rend() && *it + 1 == run.first; ++it) {
+      run.first = *it;
+    }
+    if (run.first == lowest) break;
+    blocks.push_back(run);
+  }
+  AckBlock oldest{lowest, lowest};
+  for (auto it = std::next(pns.begin());
+       it != pns.end() && *it == oldest.last + 1; ++it) {
+    oldest.last = *it;
+  }
+  blocks.push_back(oldest);
+  return blocks;
+}
+
+TEST(PacketNumberSetDifferential, FlatIntervalsMatchSetOracle) {
+  constexpr std::size_t kMaxBlocks[] = {0, 1, 2, 3, 32};
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    sim::Rng rng(seed);
+    PacketNumberSet set;
+    std::set<std::uint64_t> oracle;
+    std::size_t runs = 0;  // maximal runs in the oracle
+    std::uint64_t next = rng.uniform(0, 3);
+    const std::int64_t window = rng.uniform(2, 64);
+    for (int step = 0; step < 2000; ++step) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << " step "
+                                        << step);
+      const std::int64_t op = rng.uniform(0, 99);
+      std::uint64_t pn = next;
+      if (op < 55) {
+        ++next;  // in order
+      } else if (op < 65) {
+        // Ahead: the numbers skipped arrive late or never.
+        pn = next + static_cast<std::uint64_t>(rng.uniform(1, 6));
+        next = pn + 1;
+      } else {
+        // Late or duplicate, from the window below `next`.
+        pn = next - std::min(next, 1 + static_cast<std::uint64_t>(
+                                           rng.uniform(0, window)));
+      }
+      const bool fresh = oracle.insert(pn).second;
+      if (fresh) {
+        const bool below = pn > 0 && oracle.count(pn - 1) != 0;
+        const bool above = oracle.count(pn + 1) != 0;
+        runs = runs + 1 - (below ? 1 : 0) - (above ? 1 : 0);
+      }
+      ASSERT_EQ(set.insert(pn), fresh);
+      ASSERT_TRUE(set.contains(pn));
+      const std::uint64_t probe =
+          next + 8 -
+          std::min(next + 8, static_cast<std::uint64_t>(
+                                 rng.uniform(0, 2 * window + 16)));
+      ASSERT_EQ(set.contains(probe), oracle.count(probe) != 0);
+      ASSERT_EQ(set.largest(), *oracle.rbegin());
+      ASSERT_EQ(set.interval_count(), runs);
+      for (const std::size_t k : kMaxBlocks) {
+        std::vector<AckBlock> got;
+        set.to_ack_blocks(k, got);
+        const auto want = oracle_ack_blocks(oracle, k);
+        ASSERT_EQ(got.size(), want.size()) << "k=" << k;
+        for (std::size_t b = 0; b < got.size(); ++b) {
+          ASSERT_EQ(got[b].first, want[b].first) << "k=" << k << " b=" << b;
+          ASSERT_EQ(got[b].last, want[b].last) << "k=" << k << " b=" << b;
+        }
+      }
+    }
+  }
+}
+
+TEST(ByteIntervalSetDifferential, FlatIntervalsMatchByteBitmap) {
+  constexpr std::int64_t kSpace = 8192;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    sim::Rng rng(seed);
+    ByteIntervalSet set;
+    std::vector<char> bitmap(kSpace, 0);
+    std::int64_t covered = 0;
+    std::int64_t cursor = 0;  // in-order delivery point
+    for (int step = 0; step < 400; ++step) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << " step "
+                                        << step);
+      const std::int64_t op = rng.uniform(0, 99);
+      std::int64_t offset = 0;
+      std::int64_t length = 0;
+      if (op < 40 && cursor < kSpace) {
+        // In order: touches the end of what came before.
+        offset = cursor;
+        length = rng.uniform(1, 48);
+      } else if (op < 60) {
+        // Overlaps the in-order edge from below.
+        offset = std::max<std::int64_t>(0, cursor - rng.uniform(0, 32));
+        length = rng.uniform(0, 64);
+      } else {
+        // Anywhere: out of order, contained, or spanning several ranges.
+        offset = rng.uniform(0, kSpace - 1);
+        length = rng.uniform(0, 120);
+      }
+      length = std::min(length, kSpace - offset);
+      cursor = std::max(cursor, offset + length);
+
+      std::int64_t want = 0;
+      for (std::int64_t b = offset; b < offset + length; ++b) {
+        if (bitmap[static_cast<std::size_t>(b)] == 0) ++want;
+        bitmap[static_cast<std::size_t>(b)] = 1;
+      }
+      covered += want;
+      ASSERT_EQ(set.add(offset, length), want);
+      ASSERT_EQ(set.covered_bytes(), covered);
+      std::int64_t prefix = 0;
+      while (prefix < kSpace && bitmap[static_cast<std::size_t>(prefix)]) {
+        ++prefix;
+      }
+      ASSERT_EQ(set.contiguous_prefix(), prefix);
+      std::size_t runs = 0;
+      for (std::size_t b = 0; b < bitmap.size(); ++b) {
+        if (bitmap[b] && (b == 0 || !bitmap[b - 1])) ++runs;
+      }
+      ASSERT_EQ(set.interval_count(), runs);
+    }
+  }
 }
 
 TEST(ConnectionTest, BuildsSequentialChunks) {

@@ -79,6 +79,17 @@ T parse_number(const std::string& flag, const std::string& value) {
   return out;
 }
 
+/// parse_number for an integer flag that must be at least `min`.
+template <typename T>
+T parse_at_least(const std::string& flag, const std::string& value, T min) {
+  const T out = parse_number<T>(flag, value);
+  if (out < min) {
+    usage_error(flag + " expects an integer >= " + std::to_string(min) +
+                ", got '" + value + "'");
+  }
+  return out;
+}
+
 framework::StackKind parse_stack(const std::string& value) {
   if (value == "quiche") return framework::StackKind::kQuiche;
   if (value == "quiche-sf") return framework::StackKind::kQuicheSf;
@@ -205,7 +216,7 @@ int main(int argc, char** argv) {
     } else if (flag == "--gso") {
       config.gso = parse_gso(next_value(i));
     } else if (flag == "--gso-segments") {
-      config.gso_segments = parse_number<int>(flag, next_value(i));
+      config.gso_segments = parse_at_least(flag, next_value(i), 1);
     } else if (flag == "--sendmmsg") {
       config.use_sendmmsg = true;
     } else if (flag == "--payload-mib") {
@@ -234,7 +245,7 @@ int main(int argc, char** argv) {
           parse_number<double>(flag, next_value(i));
     } else if (flag == "--gro-us") {
       config.topology.client_gro_window = sim::Duration::micros(
-          parse_number<std::int64_t>(flag, next_value(i)));
+          parse_at_least<std::int64_t>(flag, next_value(i), 0));
     } else if (flag == "--csv") {
       csv_prefix = next_value(i);
       config.keep_capture = true;
@@ -246,8 +257,7 @@ int main(int argc, char** argv) {
     } else if (flag == "--qlog-dir") {
       qlog_dir = next_value(i);
     } else if (flag == "--flows") {
-      flows = parse_number<int>(flag, next_value(i));
-      if (flows < 1) usage_error("--flows needs a positive count");
+      flows = parse_at_least(flag, next_value(i), 1);
     } else if (flag == "--trace-sample") {
       trace_sample = parse_number<std::uint32_t>(flag, next_value(i));
     } else if (flag == "--window-ms") {
