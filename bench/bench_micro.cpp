@@ -27,11 +27,16 @@ using namespace quicsteps;
 using namespace quicsteps::sim::literals;
 
 void BM_EventLoopScheduleRun(benchmark::State& state) {
+  // The timer path: every event takes a slab slot (function pointer,
+  // context, payload) and a handle. CI's normalized comparison is
+  // anchored on this benchmark.
   for (auto _ : state) {
     sim::EventLoop loop;
     long sum = 0;
     for (int i = 0; i < state.range(0); ++i) {
-      loop.schedule_after(sim::Duration::micros(i % 997), [&sum] { ++sum; });
+      loop.schedule_after(
+          sim::Duration::micros(i % 997), sim::EventClass::kTimer,
+          [](void* ctx, std::uint32_t) { ++*static_cast<long*>(ctx); }, &sum);
     }
     loop.run();
     benchmark::DoNotOptimize(sum);
@@ -39,30 +44,6 @@ void BM_EventLoopScheduleRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_EventLoopScheduleRun)->Arg(1000)->Arg(10000);
-
-void BM_DrainScheduleRun(benchmark::State& state) {
-  // The drain-channel counterpart of BM_EventLoopScheduleRun: the same
-  // schedule pattern, but each event is a 32-bit payload on a registered
-  // channel instead of a std::function closure. The ratio between the two
-  // is the per-event saving the datapath's drain channels bank on, and
-  // feeds the `throughput` section of BENCH_micro.json.
-  for (auto _ : state) {
-    sim::EventLoop loop;
-    long sum = 0;
-    const sim::DrainId ch = loop.register_drain(
-        sim::EventClass::kTransmit,
-        [](void* ctx, std::uint32_t) { ++*static_cast<long*>(ctx); }, &sum);
-    for (int i = 0; i < state.range(0); ++i) {
-      loop.schedule_drain_at(
-          loop.now() + sim::Duration::micros(i % 997), ch,
-          static_cast<std::uint32_t>(i));
-    }
-    loop.run();
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_DrainScheduleRun)->Arg(1000)->Arg(10000);
 
 net::Packet hop_packet(std::uint64_t id) {
   net::Packet pkt;
@@ -75,34 +56,6 @@ net::Packet hop_packet(std::uint64_t id) {
   return pkt;
 }
 
-void BM_LoopHopPacketClosure(benchmark::State& state) {
-  // The pre-PR datapath idiom for one packet hop: a heap-allocated
-  // std::function closure capturing the Packet by move, scheduled at the
-  // packet's wire time. One wave = one pacer burst worth of 1514-byte
-  // packets at 10 Gbit/s spacing. Baseline for BM_LoopHopPacketBatched;
-  // the pair's items_per_second ratio is the "batched loop vs pre-PR
-  // event loop" number in BENCH_micro.json's `throughput` section.
-  const int packets = static_cast<int>(state.range(0));
-  constexpr std::int64_t kSpacingNs = 1211;  // 1514 bytes at 10 Gbit/s
-  sim::EventLoop loop;
-  long long bytes = 0;
-  for (auto _ : state) {
-    const std::int64_t base = loop.now().ns();
-    for (int i = 0; i < packets; ++i) {
-      net::Packet pkt = hop_packet(static_cast<std::uint64_t>(i));
-      loop.schedule_at(sim::Time::from_ns(base + i * kSpacingNs),
-                       sim::EventClass::kTransmit,
-                       [&bytes, pkt = std::move(pkt)]() mutable {
-                         bytes += pkt.size_bytes;
-                       });
-    }
-    loop.run();
-    benchmark::DoNotOptimize(bytes);
-  }
-  state.SetItemsProcessed(state.iterations() * packets);
-}
-BENCHMARK(BM_LoopHopPacketClosure)->Arg(10000);
-
 struct HopConsumer {
   long long bytes = 0;
   net::PacketSlab* slab = nullptr;
@@ -113,12 +66,12 @@ struct HopConsumer {
 };
 
 void BM_LoopHopPacketBatched(benchmark::State& state) {
-  // The datapath's idiom for the same hop: the Packet parks in the slab,
-  // a slotless 24-byte drain record rides the wheel, and the wave drains
-  // as a train without leaving run()'s cursor. Same work as the closure
-  // arm — compare items_per_second.
+  // The datapath's idiom for one packet hop: the Packet parks in the slab,
+  // a posted 24-byte drain record rides the wheel, and the wave drains as
+  // a train without leaving run()'s cursor. One wave = one pacer burst
+  // worth of 1514-byte packets at 10 Gbit/s spacing.
   const int packets = static_cast<int>(state.range(0));
-  constexpr std::int64_t kSpacingNs = 1211;
+  constexpr std::int64_t kSpacingNs = 1211;  // 1514 bytes at 10 Gbit/s
   sim::EventLoop loop;
   net::PacketSlab slab;
   HopConsumer consumer;
@@ -144,7 +97,8 @@ void BM_EventLoopCancel(benchmark::State& state) {
     std::vector<sim::EventHandle> handles;
     handles.reserve(static_cast<std::size_t>(state.range(0)));
     for (int i = 0; i < state.range(0); ++i) {
-      handles.push_back(loop.schedule_after(1_ms, [] {}));
+      handles.push_back(loop.schedule_after(
+          1_ms, sim::EventClass::kTimer, [](void*, std::uint32_t) {}, nullptr));
     }
     for (auto& handle : handles) handle.cancel();
     loop.run();

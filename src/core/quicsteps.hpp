@@ -55,7 +55,6 @@
 #include "metrics/train_analyzer.hpp"
 #include "net/data_rate.hpp"
 #include "net/flow_table.hpp"
-#include "net/link.hpp"
 #include "net/packet.hpp"
 #include "net/wire_tap.hpp"
 #include "obs/exporters.hpp"

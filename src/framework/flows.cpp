@@ -102,12 +102,9 @@ void Network::start() {
       flow_host.start();
       continue;
     }
-    // Pointer capture: the host outlives the run loop, but a scheduled
-    // callback must not hold a reference to a local by the analyzer's
-    // dangling-callback rule (scheduling/ref-capture).
-    SenderHost* delayed = &flow_host;
-    loop_.schedule_after(flow_host.start_delay(),
-                         [delayed] { delayed->start(); });
+    loop_.schedule_at<&SenderHost::start>(
+        loop_.now() + flow_host.start_delay(), sim::EventClass::kGeneral,
+        &flow_host);
   }
 }
 

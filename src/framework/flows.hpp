@@ -136,6 +136,12 @@ class SenderHost {
 /// N sender hosts on one shared bottleneck path.
 class Network {
  public:
+  /// The most flows one network holds. Each sender host's NIC registers a
+  /// drain channel, and the shared path registers five: the two
+  /// receivers, the two netems and the TBF.
+  static constexpr std::size_t kMaxFlows =
+      sim::EventLoop::kMaxDrainChannels - 5;
+
   /// `live_results[i]` receives flow i's streaming fields (cwnd trace)
   /// during the run; it must be sized to the flow count and outlive the
   /// network. Flow ids follow from the flow count (see FlowSpec).

@@ -35,7 +35,7 @@ SenderPath::SenderPath(sim::EventLoop& loop, net::PacketSlab& slab,
       break;
     case QdiscKind::kEtf:
     case QdiscKind::kEtfOffload:
-      qdisc_ = std::make_unique<kernel::EtfQdisc>(loop, config.etf, os,
+      qdisc_ = std::make_unique<kernel::EtfQdisc>(loop, slab, config.etf, os,
                                                   nic_.get());
       break;
   }

@@ -36,8 +36,8 @@ void EtfQdisc::arm_watchdog() {
   watchdog_at_ = head;
   // Dequeue `delta` ahead of the head's txtime (never in the past).
   const sim::Time dequeue = sim::max(loop_.now(), head - config_.delta);
-  watchdog_ = loop_.schedule_at(dequeue, sim::EventClass::kQueue,
-                                [this] { on_watchdog(); });
+  watchdog_ = loop_.schedule_at<&EtfQdisc::on_watchdog>(
+      dequeue, sim::EventClass::kQueue, this);
 }
 
 void EtfQdisc::on_watchdog() {
@@ -55,10 +55,8 @@ void EtfQdisc::on_watchdog() {
         sim::Duration::micros(5));
     const sim::Time release = sim::max(now + path, last_release_);
     last_release_ = release;
-    loop_.schedule_at(release, sim::EventClass::kQueue,
-                      [this, pkt = std::move(pkt)]() mutable {
-                        forward(std::move(pkt));
-                      });
+    loop_.schedule_at<&EtfQdisc::on_release>(
+        release, sim::EventClass::kQueue, this, slab_.put(std::move(pkt)));
   }
   watchdog_at_ = sim::Time::infinite();
   arm_watchdog();

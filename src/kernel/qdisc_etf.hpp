@@ -8,6 +8,9 @@
 //  * with hardware offload (LaunchTime) the NIC holds the early packet
 //    until its txtime (see nic.hpp), clipping the early-send error but not
 //    the late tail — which is why the paper measures no precision gain.
+//
+// A packet on its way through the driver path parks in the shared
+// net::PacketSlab; its release is a slotted record carrying the ref.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +18,7 @@
 
 #include "kernel/os_model.hpp"
 #include "kernel/qdisc.hpp"
+#include "net/packet_slab.hpp"
 
 namespace quicsteps::kernel {
 
@@ -33,9 +37,9 @@ class EtfQdisc final : public Qdisc {
     sim::Duration driver_path_stddev = sim::Duration::micros(250);
   };
 
-  EtfQdisc(sim::EventLoop& loop, Config config, OsModel& os,
-           net::PacketSink* downstream)
-      : Qdisc(loop, "etf", downstream), config_(config), os_(os) {}
+  EtfQdisc(sim::EventLoop& loop, net::PacketSlab& slab, Config config,
+           OsModel& os, net::PacketSink* downstream)
+      : Qdisc(loop, "etf", downstream), config_(config), os_(os), slab_(slab) {}
 
   void deliver(net::Packet pkt) override;
 
@@ -45,9 +49,11 @@ class EtfQdisc final : public Qdisc {
  private:
   void arm_watchdog();
   void on_watchdog();
+  void on_release(std::uint32_t ref) { forward(slab_.take(ref)); }
 
   Config config_;
   OsModel& os_;
+  net::PacketSlab& slab_;
   std::multimap<sim::Time, net::Packet> timed_;
   sim::EventHandle watchdog_;
   sim::Time watchdog_at_ = sim::Time::infinite();

@@ -129,8 +129,8 @@ void FqQdisc::arm_watchdog() {
   // packets due by then leave in one softirq.
   watchdog_at_ = head;
   const sim::Time fire = head + os_.draw_kernel_release_delay();
-  watchdog_ = loop_.schedule_at(fire, sim::EventClass::kQueue,
-                                [this] { on_watchdog(); });
+  watchdog_ = loop_.schedule_at<&FqQdisc::on_watchdog>(
+      fire, sim::EventClass::kQueue, this);
 }
 
 void FqQdisc::on_watchdog() {

@@ -22,11 +22,14 @@ void FqCodelQdisc::schedule_drain() {
   const sim::Duration tx =
       config_.drain_rate.transmit_time(queue_.front().pkt.size_bytes);
   drain_free_ = start + tx;
-  loop_.schedule_at(drain_free_, sim::EventClass::kQueue, [this] {
-    drain_scheduled_ = false;
-    drain_one();
-    schedule_drain();
-  });
+  loop_.schedule_at<&FqCodelQdisc::on_drain>(drain_free_,
+                                             sim::EventClass::kQueue, this);
+}
+
+void FqCodelQdisc::on_drain() {
+  drain_scheduled_ = false;
+  drain_one();
+  schedule_drain();
 }
 
 void FqCodelQdisc::drain_one() {

@@ -44,6 +44,7 @@ class FqCodelQdisc final : public Qdisc {
   };
 
   void schedule_drain();
+  void on_drain();
   void drain_one();
   // CoDel control law: returns true if the packet at the head should drop.
   bool codel_should_drop(sim::Time sojourn_ref, sim::Duration sojourn);

@@ -8,8 +8,7 @@
 // picoquic bursts vs. its fine-grained BBR path).
 #pragma once
 
-#include <functional>
-#include <utility>
+#include <cstdint>
 
 #include "kernel/os_model.hpp"
 #include "sim/event_loop.hpp"
@@ -30,11 +29,12 @@ class TimerService {
   TimerService(sim::EventLoop& loop, OsModel& os, Config config)
       : loop_(loop), os_(os), config_(config) {}
 
-  /// Arms a one-shot timer for `at`; fires at the OS-adjusted instant with
-  /// the actual time passed to the callback. Returns a cancellable handle.
-  sim::EventHandle arm(sim::Time at, std::function<void()> fn) {
+  /// Arms a one-shot timer for `at`: `fn(ctx, 0)` runs at the OS-adjusted
+  /// instant (loop().now() tells the callback when). Returns a cancellable
+  /// handle.
+  sim::EventHandle arm(sim::Time at, sim::DrainFn fn, void* ctx) {
     return loop_.schedule_at(adjusted_fire_time(at), sim::EventClass::kTimer,
-                             std::move(fn));
+                             fn, ctx);
   }
 
   /// The instant a wakeup requested for `at` would actually fire.

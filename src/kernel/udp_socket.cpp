@@ -64,9 +64,9 @@ void UdpReceiver::deliver(net::Packet pkt) {
   // unflushed packet; one wakeup delivers the whole batch.
   gro_batch_.push_back(std::move(pkt));
   if (!gro_timer_.pending()) {
-    gro_timer_ =
-        loop_.schedule_after(gro_window_ + os_.draw_wakeup_latency(),
-                             sim::EventClass::kWakeup, [this] { flush(); });
+    gro_timer_ = loop_.schedule_at<&UdpReceiver::flush>(
+        loop_.now() + gro_window_ + os_.draw_wakeup_latency(),
+        sim::EventClass::kWakeup, this);
   }
 }
 

@@ -4,8 +4,8 @@
 // hop (NIC completion, netem delivery, receiver wakeup) would cost one
 // heap allocation and two moves per packet per hop. The slab is instead
 // struct-of-arrays storage addressed by a 32-bit generation-checked ref
-// that rides in the event loop's drain records
-// (sim::EventLoop::schedule_drain_at): the packet is written once at put()
+// that rides as an event's payload (sim::EventLoop::post_drain_at,
+// schedule_at): the packet is written once at put()
 // and moved out once at take(), and slots recycle through a free list so a
 // steady-state run performs no per-packet allocation at all.
 //

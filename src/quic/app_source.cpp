@@ -53,8 +53,8 @@ void AppSource::release_next() {
   connection_.set_available_bytes(released_);
   if (on_new_data_) on_new_data_();
   if (released_ < total) {
-    loop_.schedule_after(next, sim::EventClass::kApp,
-                         [this] { release_next(); });
+    loop_.schedule_at<&AppSource::release_next>(loop_.now() + next,
+                                                sim::EventClass::kApp, this);
   }
 }
 

@@ -21,9 +21,9 @@ void ReferenceServer::attempt_send() {
         planned_release_ = intended;
         send_timer_ =
             timers_ != nullptr
-                ? timers_->arm(intended, [this] { attempt_send(); })
-                : loop_.schedule_at(intended, sim::EventClass::kTransport,
-                                    [this] { attempt_send(); });
+                ? timers_->arm(intended, &ReferenceServer::on_pacer_timer, this)
+                : loop_.schedule_at<&ReferenceServer::attempt_send>(
+                      intended, sim::EventClass::kTransport, this);
       }
       return;
     }
@@ -47,8 +47,8 @@ void ReferenceServer::rearm_loss_timer() {
   }
   if (deadline.is_infinite()) return;
   armed_loss_deadline_ = deadline;
-  loss_timer_ = loop_.schedule_at(deadline, sim::EventClass::kTimer,
-                                  [this] { on_loss_timer(); });
+  loss_timer_ = loop_.schedule_at<&ReferenceServer::on_loss_timer>(
+      deadline, sim::EventClass::kTimer, this);
 }
 
 void ReferenceServer::on_loss_timer() {
@@ -56,8 +56,8 @@ void ReferenceServer::on_loss_timer() {
   if (deadline.is_infinite()) return;
   if (loop_.now() < deadline) {
     armed_loss_deadline_ = deadline;
-    loss_timer_ = loop_.schedule_at(deadline, sim::EventClass::kTimer,
-                                    [this] { on_loss_timer(); });
+    loss_timer_ = loop_.schedule_at<&ReferenceServer::on_loss_timer>(
+        deadline, sim::EventClass::kTimer, this);
     return;
   }
   connection_.on_timer(loop_.now());

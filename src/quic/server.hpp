@@ -49,6 +49,9 @@ class ReferenceServer : public net::PacketSink, public obs::TraceSource {
   void attempt_send();
   void rearm_loss_timer();
   void on_loss_timer();
+  static void on_pacer_timer(void* self, std::uint32_t /*payload*/) {
+    static_cast<ReferenceServer*>(self)->attempt_send();
+  }
 
   sim::EventLoop& loop_;
   Connection connection_;

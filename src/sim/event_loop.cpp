@@ -4,7 +4,6 @@
 #include <bit>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 #include "check/audit.hpp"
 
@@ -71,13 +70,15 @@ void EventLoop::enqueue(const Rec& rec) {
   }
 }
 
-EventHandle EventLoop::schedule_at(Time at, EventClass cls,
-                                   std::function<void()> fn) {
+EventHandle EventLoop::schedule_at(Time at, EventClass cls, DrainFn fn,
+                                   void* ctx, std::uint32_t payload) {
   if (at < now_) at = now_;
 
   const std::uint32_t slot = acquire_slot();
   Slot& s = slots_[slot];
-  s.fn = std::move(fn);
+  s.fn = fn;
+  s.ctx = ctx;
+  s.payload = payload;
   s.live = true;
 
   note_scheduled(cls);
@@ -85,16 +86,10 @@ EventHandle EventLoop::schedule_at(Time at, EventClass cls,
   return EventHandle(this, slot, s.gen);
 }
 
-EventHandle EventLoop::schedule_after(Duration delay, EventClass cls,
-                                      std::function<void()> fn) {
-  if (delay < Duration::zero()) delay = Duration::zero();
-  return schedule_at(now_ + delay, cls, std::move(fn));
-}
-
 DrainId EventLoop::register_drain(EventClass cls, DrainFn fn, void* ctx) {
-  // One id more would alias the record flag bits: channel 0x4000 reads as
-  // a slotless record on channel 0. That misroutes silently, so the limit
-  // is checked in every build, not only under QUICSTEPS_AUDIT.
+  // One id more would alias the record's flag bit: channel 0x4000 reads as
+  // a posted record on channel 0. That misroutes silently, so the limit is
+  // checked in every build, not only under QUICSTEPS_AUDIT.
   if (drains_.size() >= kMaxDrainChannels) {
     throw std::length_error("EventLoop: more than " +
                             std::to_string(kMaxDrainChannels) +
@@ -106,20 +101,9 @@ DrainId EventLoop::register_drain(EventClass cls, DrainFn fn, void* ctx) {
 
 EventHandle EventLoop::schedule_drain_at(Time at, DrainId ch,
                                          std::uint32_t payload) {
-  if (at < now_) at = now_;
   QUICSTEPS_AUDIT(ch < drains_.size(), "drain channel not registered");
-
-  const std::uint32_t slot = acquire_slot();
-  // Recycled slots come back with fn already null (run_one moves it out,
-  // cancel_slot clears it), so a drain record touches no std::function.
-  Slot& s = slots_[slot];
-  s.payload = payload;
-  s.live = true;
-
-  note_scheduled(drains_[ch].cls);
-  enqueue(Rec{at.ns(), next_seq_++, slot,
-              static_cast<std::uint16_t>(kTrainClsBit | ch)});
-  return EventHandle(this, slot, s.gen);
+  const DrainChannel& c = drains_[ch];
+  return schedule_at(at, c.cls, c.fn, c.ctx, payload);
 }
 
 void EventLoop::post_drain_at(Time at, DrainId ch, std::uint32_t payload) {
@@ -128,7 +112,7 @@ void EventLoop::post_drain_at(Time at, DrainId ch, std::uint32_t payload) {
 
   note_scheduled(drains_[ch].cls);
   enqueue(Rec{at.ns(), next_seq_++, payload,
-              static_cast<std::uint16_t>(kTrainClsBit | kPostClsBit | ch)});
+              static_cast<std::uint16_t>(kPostClsBit | ch)});
 }
 
 void EventLoop::DelayLine::push(const Rec& rec) {
@@ -156,7 +140,7 @@ void EventLoop::post_line_at(Time at, DrainId ch, std::uint32_t payload) {
   }
   DelayLine& line = lines_[channel.line];
   const Rec rec{at.ns(), next_seq_++, payload,
-                static_cast<std::uint16_t>(kTrainClsBit | kPostClsBit | ch)};
+                static_cast<std::uint16_t>(kPostClsBit | ch)};
   QUICSTEPS_AUDIT(line.count == 0 || line.back().at_ns <= rec.at_ns,
                   "delay line posted out of time order");
   note_scheduled(channel.cls);
@@ -175,7 +159,6 @@ void EventLoop::deactivate_slot(std::uint32_t slot) {
 
 void EventLoop::cancel_slot(std::uint32_t slot, std::uint32_t gen) {
   if (!slot_live(slot, gen)) return;
-  slots_[slot].fn = nullptr;  // release captured state eagerly
   deactivate_slot(slot);
   if constexpr (kLoopProfilingEnabled) ++stats_.cancelled;
   // The queue record became a tombstone; wheel tombstones are pruned when
@@ -381,52 +364,53 @@ bool EventLoop::run_one() {
   QUICSTEPS_AUDIT((rec.cls & kPostClsBit) != 0 ||
                       (rec.slot < slots_.size() && slots_[rec.slot].live),
                   "calendar queue surfaced a record for a dead slab slot");
-  if (rec.cls & kTrainClsBit) {
-    execute_train(rec);
-    return true;
-  }
-  // Move the callback out before running: it may schedule new events into
-  // this very slot (recycled via the free list) or cancel others.
-  std::function<void()> fn = std::move(slots_[rec.slot].fn);
-  deactivate_slot(rec.slot);
-  release_slot(rec.slot);
-  if constexpr (kLoopProfilingEnabled) {
-    ++stats_.executed[rec.cls % kEventClassCount];
-  }
-  advance_now(Time::from_ns(rec.at_ns));
-  fn();
+  execute(rec);
   return true;
 }
 
-void EventLoop::execute_train(const Rec& rec) {
-  // Copy the channel out: drains_ never shrinks, but the callback may
-  // register more channels and reallocate the vector.
-  const DrainChannel ch = drains_[rec.cls & kTrainChannelMask];
+void EventLoop::execute(const Rec& rec) {
+  DrainFn fn;
+  void* ctx;
   std::uint32_t payload;
+  EventClass cls;
+  std::uint32_t line = kNoLine;
   if (rec.cls & kPostClsBit) {
-    payload = rec.slot;  // slotless: the payload rides in the record
+    // Copy the channel out: drains_ never shrinks, but the callback may
+    // register more channels and reallocate the vector.
+    const DrainChannel& ch = drains_[rec.cls & kChannelMask];
+    fn = ch.fn;
+    ctx = ch.ctx;
+    cls = ch.cls;
+    line = ch.line;
+    payload = rec.slot;  // posted: the payload rides in the record
     --live_count_;
   } else {
-    payload = slots_[rec.slot].payload;
+    // Copy the callback out before running: it may schedule new events
+    // into this very slot (recycled via the free list) or cancel others.
+    const Slot& s = slots_[rec.slot];
+    fn = s.fn;
+    ctx = s.ctx;
+    payload = s.payload;
+    cls = static_cast<EventClass>(rec.cls);
     deactivate_slot(rec.slot);
     release_slot(rec.slot);
   }
   if constexpr (kLoopProfilingEnabled) {
-    ++stats_.executed[static_cast<std::size_t>(ch.cls)];
+    ++stats_.executed[static_cast<std::size_t>(cls)];
     ++stats_.drain_executed;
   }
   advance_now(Time::from_ns(rec.at_ns));
-  if (ch.line != kNoLine) {
+  if (line != kNoLine) {
     // The line's front ran: arm the next entry with its posted (at, seq)
     // before the callback, so the queue holds it exactly as if it had been
     // queued at post time.
-    DelayLine& line = lines_[ch.line];
-    if (line.count != 0 && line.front().seq == rec.seq) {
-      line.pop();
-      if (line.count != 0) enqueue(line.front());
+    DelayLine& l = lines_[line];
+    if (l.count != 0 && l.front().seq == rec.seq) {
+      l.pop();
+      if (l.count != 0) enqueue(l.front());
     }
   }
-  ch.fn(ch.ctx, payload);
+  fn(ctx, payload);
 }
 
 std::size_t EventLoop::drain_trains(Time deadline) {
@@ -437,19 +421,18 @@ std::size_t EventLoop::drain_trains(Time deadline) {
     // (an insert into the bucket itself keeps it sorted).
     if (active_idx_ == kNoBucket || hint_idx_ != active_idx_) break;
     const Rec& head = wheel_[active_idx_ & kMask][active_head_];
-    if (!(head.cls & kTrainClsBit)) break;
     if (!rec_live(head)) break;  // cancelled since the sort
     if (head.at_ns > deadline.ns()) break;
     const Rec rec = pop_active();
     ++n;
     if constexpr (kLoopProfilingEnabled) ++stats_.drain_batched;
     const bool bucket_done = active_idx_ == kNoBucket;
-    execute_train(rec);
+    execute(rec);
     if (bucket_done) {
       // The bucket is drained but the train may continue in the next one:
       // re-position the cursor (locate_next prunes and sorts exactly as it
       // would for run_one) and let the loop conditions decide. When the
-      // next record is a closure, past the deadline, or from the overflow
+      // next record is cancelled, past the deadline, or from the overflow
       // heap, the cursor state is left for run_one to consume.
       bool from_overflow = false;
       if (!locate_next(&from_overflow) || from_overflow) break;

@@ -10,35 +10,34 @@
 // in scheduling order (a global sequence number breaks ties), which makes
 // every run of a given seed bit-for-bit reproducible.
 //
-// Callbacks are kept in a slab of reusable slots, recycled through a free
-// list, so steady-state scheduling performs no allocations (callbacks that
-// fit std::function's small-buffer optimisation never touch the heap).
+// Every event is one kind of callback: a C function pointer, a context
+// pointer and a 32-bit payload (by convention a net::PacketSlab ref), so
+// dispatch is one indirect call with no closure storage behind it. A
+// cancellable event keeps the three in a slab of reusable slots, recycled
+// through a free list, so steady-state scheduling performs no allocations.
 // Cancellation through the returned handle is amortized O(1): the slot's
 // generation counter is bumped and the stale queue record is skipped when
 // it surfaces.
 //
-// Drain channels are the datapath's fast lane: a component registers
-// a raw function pointer once and then schedules 32-bit payloads (packet
-// slab refs, see net/packet_slab.hpp) instead of closures. A drain record
-// costs no std::function construction when scheduled and no indirect
-// closure teardown when it runs, and run()/run_until() execute consecutive
-// drain records off the sorted active bucket in a tight train loop without
-// re-entering the cursor search. Drain records share the global sequence
-// counter with closure events, so a datapath that switches a schedule site
-// from closures to drains preserves execution order bit-for-bit.
+// Drain channels are the datapath's fast lane for events that are never
+// cancelled: a component registers its function and context once and then
+// posts 32-bit payloads that ride in the queue record itself, with no slot
+// touched on any path. Posted and slotted records share the global
+// sequence counter, and run()/run_until() execute consecutive records of
+// either kind off the sorted active bucket in a tight train loop without
+// re-entering the cursor search.
 //
 // Delay lines are the fast lane for FIFO hops (a constant-delay netem):
-// post_line_at appends a slotless drain record to its channel's ring, and
-// only the line's front record sits in the wheel or the overflow heap.
-// When the front runs, the next entry is queued with the (time, sequence)
-// it was posted with, so execution order is exactly that of
-// post_drain_at — but a 20 ms propagation delay no longer puts one record
-// per in-flight packet into the O(log n) overflow heap.
+// post_line_at appends a posted record to its channel's ring, and only the
+// line's front record sits in the wheel or the overflow heap. When the
+// front runs, the next entry is queued with the (time, sequence) it was
+// posted with, so execution order is exactly that of post_drain_at — but a
+// 20 ms propagation delay no longer puts one record per in-flight packet
+// into the O(log n) overflow heap.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -53,7 +52,7 @@ class EventLoop;
 /// per-class counters themselves are only maintained when the build defines
 /// QUICSTEPS_TRACE_ENABLED (CMake option QUICSTEPS_TRACE, default ON).
 enum class EventClass : std::uint8_t {
-  kGeneral = 0,  // untagged schedule calls
+  kGeneral = 0,  // work no other class describes
   kTimer,        // timer-service / loss-timer wakeups
   kTransmit,     // NIC serialization completions
   kQueue,        // qdisc watchdogs and timed releases
@@ -85,9 +84,10 @@ struct LoopStats {
   std::uint64_t overflow_scheduled = 0;
   /// High-water mark of live pending events.
   std::uint64_t max_pending = 0;
-  /// Drain-channel records executed (subset of `executed`), and how many
-  /// of those rode the run() train loop instead of a full cursor search.
+  /// Records executed. Every record is a DrainFn callback, so this equals
+  /// the sum of `executed`; it stays because reports read it by name.
   std::uint64_t drain_executed = 0;
+  /// Records the run() train loop executed without a full cursor search.
   std::uint64_t drain_batched = 0;
 };
 
@@ -116,11 +116,29 @@ class EventHandle {
   std::uint32_t gen_ = 0;
 };
 
-/// A drain callback: `payload` is whatever 32-bit value the scheduling
-/// site passed (by convention a net::PacketSlab ref). Plain function
-/// pointer + context, so dispatch is one indirect call with no closure
-/// storage behind it.
+/// The one callback type: `payload` is whatever 32-bit value the
+/// scheduling site passed (by convention a net::PacketSlab ref).
 using DrainFn = void (*)(void* ctx, std::uint32_t payload);
+
+namespace detail {
+template <class Method>
+struct MethodTraits;
+template <class C>
+struct MethodTraits<void (C::*)()> {
+  using Class = C;
+  static constexpr bool kTakesPayload = false;
+};
+template <class C>
+struct MethodTraits<void (C::*)(std::uint32_t)> {
+  using Class = C;
+  static constexpr bool kTakesPayload = true;
+};
+}  // namespace detail
+
+/// The class that declares member function `Method`, which must be a
+/// `void()` or a `void(std::uint32_t payload)`.
+template <auto Method>
+using MethodClass = typename detail::MethodTraits<decltype(Method)>::Class;
 
 /// Identifier handed out by EventLoop::register_drain.
 using DrainId = std::uint16_t;
@@ -133,28 +151,36 @@ class EventLoop {
 
   Time now() const { return now_; }
 
-  /// Schedules `fn` to run at absolute time `at`. Times in the past are
-  /// clamped to `now()` (the event still runs, immediately-next).
-  EventHandle schedule_at(Time at, std::function<void()> fn) {
-    return schedule_at(at, EventClass::kGeneral, std::move(fn));
+  /// Schedules `fn(ctx, payload)` to run at absolute time `at`, profiled
+  /// under `cls`. Times in the past are clamped to `now()` (the event
+  /// still runs, immediately-next).
+  EventHandle schedule_at(Time at, EventClass cls, DrainFn fn, void* ctx,
+                          std::uint32_t payload = 0);
+
+  /// Schedules `fn(ctx, payload)` to run `delay` from now. Negative delays
+  /// clamp to now.
+  EventHandle schedule_after(Duration delay, EventClass cls, DrainFn fn,
+                             void* ctx, std::uint32_t payload = 0) {
+    if (delay < Duration::zero()) delay = Duration::zero();
+    return schedule_at(now_ + delay, cls, fn, ctx, payload);
   }
 
-  /// Schedules `fn` to run `delay` from now. Negative delays clamp to now.
-  EventHandle schedule_after(Duration delay, std::function<void()> fn) {
-    return schedule_after(delay, EventClass::kGeneral, std::move(fn));
+  /// Binds member function `Method` to `obj`:
+  /// `loop.schedule_at<&FqQdisc::on_watchdog>(t, EventClass::kQueue, this)`.
+  /// `obj` converts to the method's own class before it is erased to
+  /// void*, so a pointer to a derived class binds correctly.
+  template <auto Method>
+  EventHandle schedule_at(Time at, EventClass cls, MethodClass<Method>* obj,
+                          std::uint32_t payload = 0) {
+    return schedule_at(at, cls, &call_method<Method>, obj, payload);
   }
-
-  /// Tagged variants: identical semantics, plus the event-class label the
-  /// loop profile aggregates by.
-  EventHandle schedule_at(Time at, EventClass cls, std::function<void()> fn);
-  EventHandle schedule_after(Duration delay, EventClass cls,
-                             std::function<void()> fn);
 
   /// Registers a drain channel. Called once per component during wiring;
   /// `cls` is the event class its records are profiled under. The channel
   /// lives as long as the loop. Ids are 14 bits wide (the queue record's
-  /// class field carries two flag bits beside them): registering more than
-  /// kMaxDrainChannels channels throws std::length_error, in every build.
+  /// class field carries the posted-record flag above them): registering
+  /// more than kMaxDrainChannels channels throws std::length_error, in
+  /// every build.
   DrainId register_drain(EventClass cls, DrainFn fn, void* ctx);
   static constexpr std::size_t kMaxDrainChannels = 0x4000;
   /// Capacity hint: room for `more` channels beyond those registered.
@@ -162,10 +188,7 @@ class EventLoop {
     drains_.reserve(drains_.size() + more);
   }
 
-  /// Schedules `payload` to be handed to channel `ch` at absolute time
-  /// `at` (clamped to now() like schedule_at). Fully interleaves with
-  /// closure events: both draw from one sequence counter, so relative
-  /// execution order matches an equivalent schedule_at call exactly.
+  /// schedule_at with channel `ch`'s class, function and context.
   EventHandle schedule_drain_at(Time at, DrainId ch, std::uint32_t payload);
 
   /// Fire-and-forget variant of schedule_drain_at: the payload rides in
@@ -214,29 +237,27 @@ class EventLoop {
   static constexpr std::uint64_t kMask = kBuckets - 1;
   static constexpr std::uint64_t kNoBucket = ~std::uint64_t{0};
 
-  /// Callback storage, recycled through a free list. `gen` advances every
-  /// time the slot's event runs or is cancelled, invalidating old handles.
-  /// Drain records use a slot too (for the shared liveness/cancellation
-  /// machinery) but leave `fn` null and carry their payload here instead —
-  /// scheduling one never constructs a std::function. The free list is
-  /// intrusive: a released slot's `payload` field (dead while free) links
-  /// to the next free slot, so recycling needs no side vector at all.
+  /// A cancellable event's callback, recycled through a free list. `gen`
+  /// advances every time the slot's event runs or is cancelled,
+  /// invalidating old handles. The free list is intrusive: a released
+  /// slot's `payload` field (dead while free) links to the next free slot,
+  /// so recycling needs no side vector at all.
   struct Slot {
-    std::function<void()> fn;
+    DrainFn fn = nullptr;
+    void* ctx = nullptr;
     std::uint32_t payload = 0;
     std::uint32_t gen = 0;
     bool live = false;
   };
+  static_assert(sizeof(Slot) == 32, "Slot must stay 32 bytes");
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
-  /// 24-byte POD queue record. A record whose slot is no longer live is a
-  /// tombstone and is dropped when it surfaces. The event-class tag lives
-  /// in bytes that were padding before, so profiling does not grow it.
-  /// Records with kTrainClsBit set are drain records: the low cls bits are
-  /// the DrainId and the slot's payload goes to the channel's function.
-  /// Records that also carry kPostClsBit are slotless (post_drain_at,
-  /// post_line_at): the `slot` field IS the payload, the record is always
-  /// live, and no slab slot is consulted on any path. A line record is
+  /// 24-byte POD queue record. A slotted record's `cls` is its EventClass
+  /// and its `slot` indexes the slab; once the slot is no longer live the
+  /// record is a tombstone and is dropped when it surfaces. A posted
+  /// record (post_drain_at, post_line_at) carries kPostClsBit over its
+  /// DrainId: the `slot` field IS the payload, the record is always live,
+  /// and no slab slot is consulted on any path. A line record is
   /// recognised through its channel (the line's front has its `seq`), so
   /// it needs no flag bit of its own.
   struct Rec {
@@ -247,11 +268,10 @@ class EventLoop {
   };
   static_assert(sizeof(Rec) == 24, "Rec must stay a 24-byte POD");
 
-  static constexpr std::uint16_t kTrainClsBit = 0x8000;
   static constexpr std::uint16_t kPostClsBit = 0x4000;
-  static constexpr std::uint16_t kTrainChannelMask = 0x3fff;
-  static_assert(kMaxDrainChannels == kTrainChannelMask + 1u,
-                "channel ids must fit below the record's flag bits");
+  static constexpr std::uint16_t kChannelMask = 0x3fff;
+  static_assert(kMaxDrainChannels == kChannelMask + 1u,
+                "channel ids must fit below the record's flag bit");
   static constexpr std::uint32_t kNoLine = 0xffffffffu;
 
   struct DrainChannel {
@@ -296,9 +316,9 @@ class EventLoop {
     return slot < slots_.size() && slots_[slot].live &&
            slots_[slot].gen == gen;
   }
-  /// Liveness of a queue record: slotless drain records are always live
-  /// (nothing can cancel them); everything else defers to its slot. A dead
-  /// record is therefore always slotted, so pruning may release its slot
+  /// Liveness of a queue record: posted records are always live (nothing
+  /// can cancel them); slotted ones defer to their slot. A dead record is
+  /// therefore always slotted, so pruning may release its slot
   /// unconditionally.
   bool rec_live(const Rec& rec) const {
     return (rec.cls & kPostClsBit) != 0 || slots_[rec.slot].live;
@@ -356,16 +376,25 @@ class EventLoop {
   /// *from_overflow is false) or overflow_.front().
   bool locate_next(bool* from_overflow);
 
-  /// Runs one surfaced drain record: payload out, slot recycled, the next
-  /// entry of its delay line queued, channel function called (the
-  /// drain-path analogue of run_one's tail).
-  void execute_train(const Rec& rec);
-  /// Train loop: executes consecutive drain records (time <= deadline)
-  /// off the head of the sorted active bucket without re-entering
-  /// locate_next, stopping at a closure or cancelled record, at the
-  /// deadline, or when the next record is in the overflow heap. Returns
-  /// the number executed.
+  /// Runs one surfaced record: callback out of its channel (posted) or
+  /// slot (slotted, which is then recycled), the next entry of its delay
+  /// line queued, callback called.
+  void execute(const Rec& rec);
+  /// Train loop: executes consecutive records (time <= deadline) off the
+  /// head of the sorted active bucket without re-entering locate_next,
+  /// stopping at a cancelled record, at the deadline, or when the next
+  /// record is in the overflow heap. Returns the number executed.
   std::size_t drain_trains(Time deadline);
+
+  template <auto Method>
+  static void call_method(void* obj, [[maybe_unused]] std::uint32_t payload) {
+    auto* self = static_cast<MethodClass<Method>*>(obj);
+    if constexpr (detail::MethodTraits<decltype(Method)>::kTakesPayload) {
+      (self->*Method)(payload);
+    } else {
+      (self->*Method)();
+    }
+  }
 
   std::vector<Slot> slots_;
   std::vector<DrainChannel> drains_;

@@ -43,9 +43,10 @@ void StackServer::on_datagram(const net::Packet& pkt) {
     if (phase < profile_.loop_busy_duration.ns()) {
       pending_acks_.push_back(pkt);
       if (!batch_timer_.pending()) {
-        batch_timer_ = loop_.schedule_after(
-            profile_.loop_busy_duration - sim::Duration::nanos(phase),
-            sim::EventClass::kTransport, [this] { process_ack_batch(); });
+        batch_timer_ = loop_.schedule_at<&StackServer::process_ack_batch>(
+            loop_.now() +
+                (profile_.loop_busy_duration - sim::Duration::nanos(phase)),
+            sim::EventClass::kTransport, this);
       }
       return;
     }
@@ -58,8 +59,8 @@ void StackServer::on_datagram(const net::Packet& pkt) {
     if (!batch_timer_.pending()) {
       const sim::Duration window = os_.rng().exponential_duration(
           profile_.recv_batch_window, profile_.recv_batch_window * 8.0);
-      batch_timer_ = loop_.schedule_after(window, sim::EventClass::kTransport,
-                                          [this] { process_ack_batch(); });
+      batch_timer_ = loop_.schedule_at<&StackServer::process_ack_batch>(
+          loop_.now() + window, sim::EventClass::kTransport, this);
     }
     return;
   }
@@ -109,8 +110,8 @@ void StackServer::send_with_txtime() {
           sim::Duration::micros(450) +
           os_.rng().exponential_duration(sim::Duration::micros(200),
                                          sim::Duration::millis(2));
-      yield_timer_ = loop_.schedule_after(pause, sim::EventClass::kTransport,
-                                          [this] { attempt_send(); });
+      yield_timer_ = loop_.schedule_at<&StackServer::attempt_send>(
+          now + pause, sim::EventClass::kTransport, this);
       break;
     }
     ++written;
@@ -178,7 +179,8 @@ void StackServer::send_waiting() {
       // Sleep until the pacer allows the next packet — through the stack's
       // timer discipline (granularity + slack).
       if (!send_timer_.pending()) {
-        send_timer_ = pacer_timers_.arm(release, [this] { attempt_send(); });
+        send_timer_ =
+            pacer_timers_.arm(release, &StackServer::on_pacer_timer, this);
       }
       rearm_loss_timer();
       return;
@@ -209,15 +211,15 @@ void StackServer::rearm_loss_timer() {
     // Lazy re-arm: every sent packet pushes the PTO deadline later, so the
     // common case is "deadline moved out" — leave the armed timer alone
     // and let the fire handler re-check. Only an earlier deadline forces a
-    // reschedule. This turns the per-packet cancel + closure schedule into
-    // a compare.
+    // reschedule. This turns the per-packet cancel + reschedule into a
+    // compare.
     if (deadline >= armed_loss_deadline_) return;
     loss_timer_.cancel();
   }
   if (deadline.is_infinite()) return;
   armed_loss_deadline_ = deadline;
-  loss_timer_ = loop_.schedule_at(deadline, sim::EventClass::kTimer,
-                                  [this] { on_loss_timer(); });
+  loss_timer_ = loop_.schedule_at<&StackServer::on_loss_timer>(
+      deadline, sim::EventClass::kTimer, this);
 }
 
 void StackServer::on_loss_timer() {
@@ -228,8 +230,8 @@ void StackServer::on_loss_timer() {
     // silently — no connection callback, so behavior (and the wire) is
     // exactly what an eagerly re-armed timer would have produced.
     armed_loss_deadline_ = deadline;
-    loss_timer_ = loop_.schedule_at(deadline, sim::EventClass::kTimer,
-                                    [this] { on_loss_timer(); });
+    loss_timer_ = loop_.schedule_at<&StackServer::on_loss_timer>(
+        deadline, sim::EventClass::kTimer, this);
     return;
   }
   connection_.on_timer(loop_.now());

@@ -70,6 +70,9 @@ class StackServer : public net::PacketSink, public obs::TraceSource {
   void flush_gso_batch(std::vector<net::Packet> batch);
   void rearm_loss_timer();
   void on_loss_timer();
+  static void on_pacer_timer(void* self, std::uint32_t /*payload*/) {
+    static_cast<StackServer*>(self)->attempt_send();
+  }
   void charge_syscall();
 
   sim::EventLoop& loop_;

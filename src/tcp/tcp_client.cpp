@@ -57,7 +57,8 @@ void TcpClient::arm_ack_timer() {
   if (ack_timer_.pending()) return;
   const sim::Time deadline = ack_manager_.ack_deadline();
   if (deadline.is_infinite()) return;
-  ack_timer_ = loop_.schedule_at(deadline, [this] { send_ack_now(); });
+  ack_timer_ = loop_.schedule_at<&TcpClient::on_ack_timer>(
+      deadline, sim::EventClass::kGeneral, this);
 }
 
 }  // namespace quicsteps::tcp

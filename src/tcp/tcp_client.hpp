@@ -46,6 +46,7 @@ class TcpClient : public net::PacketSink {
 
  private:
   void send_ack_now(bool force = false);
+  void on_ack_timer() { send_ack_now(); }
   void arm_ack_timer();
 
   sim::EventLoop& loop_;

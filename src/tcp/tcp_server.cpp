@@ -12,7 +12,8 @@ void TcpServer::attempt_send() {
       if (!tsq_timer_.pending()) {
         const sim::Duration drain =
             config_.line_rate.transmit_time(burst * kSegmentSize);
-        tsq_timer_ = loop_.schedule_after(drain, [this] { attempt_send(); });
+        tsq_timer_ = loop_.schedule_at<&TcpServer::attempt_send>(
+            now + drain, sim::EventClass::kGeneral, this);
       }
       break;
     }
@@ -27,11 +28,14 @@ void TcpServer::rearm_loss_timer() {
   loss_timer_.cancel();
   const sim::Time deadline = connection_.next_timer_deadline();
   if (deadline.is_infinite()) return;
-  loss_timer_ = loop_.schedule_at(deadline, [this] {
-    connection_.on_timer(loop_.now());
-    rearm_loss_timer();
-    attempt_send();
-  });
+  loss_timer_ = loop_.schedule_at<&TcpServer::on_loss_timer>(
+      deadline, sim::EventClass::kGeneral, this);
+}
+
+void TcpServer::on_loss_timer() {
+  connection_.on_timer(loop_.now());
+  rearm_loss_timer();
+  attempt_send();
 }
 
 }  // namespace quicsteps::tcp

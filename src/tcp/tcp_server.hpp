@@ -44,6 +44,7 @@ class TcpServer : public net::PacketSink {
  private:
   void attempt_send();
   void rearm_loss_timer();
+  void on_loss_timer();
 
   sim::EventLoop& loop_;
   Config config_;

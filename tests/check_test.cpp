@@ -159,14 +159,19 @@ TEST_F(AuditCaptureTest, EventLoopAuditsStaySilentOnLegalWorkloads) {
   sim::EventLoop loop;
   using namespace sim::literals;
   int ran = 0;
+  const sim::DrainFn count = [](void* ctx, std::uint32_t) {
+    ++*static_cast<int*>(ctx);
+  };
   for (int i = 0; i < 100; ++i) {
-    loop.schedule_after(sim::Duration::micros(i * 37 % 500), [&] { ++ran; });
+    loop.schedule_after(sim::Duration::micros(i * 37 % 500),
+                        sim::EventClass::kGeneral, count, &ran);
   }
-  auto cancelled = loop.schedule_after(1_ms, [&] { ++ran; });
+  auto cancelled =
+      loop.schedule_after(1_ms, sim::EventClass::kGeneral, count, &ran);
   cancelled.cancel();
   // Past-scheduled events clamp to now() — legal, must not trip audits.
   loop.schedule_at(sim::Time::zero() - sim::Duration::millis(1),
-                   [&] { ++ran; });
+                   sim::EventClass::kGeneral, count, &ran);
   loop.run();
   EXPECT_EQ(ran, 101);
   EXPECT_TRUE(failures_.empty());

@@ -63,14 +63,26 @@ TEST(OsModel, QuietConfigIsDeterministic) {
   EXPECT_EQ(os.draw_wakeup_latency(), Duration::zero());
 }
 
+/// Timer callback context: records when (and whether) the timer fired.
+struct Fired {
+  EventLoop& loop;
+  Time at = Time::zero();
+  bool ran = false;
+  static void fire(void* self, std::uint32_t /*payload*/) {
+    auto* f = static_cast<Fired*>(self);
+    f->at = f->loop.now();
+    f->ran = true;
+  }
+};
+
 TEST(TimerService, NoGranularityFiresAtRequestPlusSlackOnly) {
   EventLoop loop;
   OsModel os(quiet_os(), sim::Rng(1));
   TimerService timers(loop, os, {.slack_max = Duration::zero()});
-  Time fired;
-  timers.arm(Time::zero() + 5_ms, [&] { fired = loop.now(); });
+  Fired fired{loop};
+  timers.arm(Time::zero() + 5_ms, &Fired::fire, &fired);
   loop.run();
-  EXPECT_EQ(fired, Time::zero() + 5_ms);
+  EXPECT_EQ(fired.at, Time::zero() + 5_ms);
 }
 
 TEST(TimerService, GranularityRoundsUp) {
@@ -78,11 +90,11 @@ TEST(TimerService, GranularityRoundsUp) {
   OsModel os(quiet_os(), sim::Rng(1));
   TimerService timers(loop, os,
                       {.granularity = 10_ms, .slack_max = Duration::zero()});
-  Time fired;
+  Fired fired{loop};
   // Asking for +3 ms with 10 ms granularity fires at +10 ms.
-  timers.arm(Time::zero() + 3_ms, [&] { fired = loop.now(); });
+  timers.arm(Time::zero() + 3_ms, &Fired::fire, &fired);
   loop.run();
-  EXPECT_EQ(fired, Time::zero() + 10_ms);
+  EXPECT_EQ(fired.at, Time::zero() + 10_ms);
 }
 
 TEST(TimerService, ExactGranuleMultipleDoesNotRoundUpAnExtraGranule) {
@@ -90,10 +102,10 @@ TEST(TimerService, ExactGranuleMultipleDoesNotRoundUpAnExtraGranule) {
   OsModel os(quiet_os(), sim::Rng(1));
   TimerService timers(loop, os,
                       {.granularity = 10_ms, .slack_max = Duration::zero()});
-  Time fired;
-  timers.arm(Time::zero() + 20_ms, [&] { fired = loop.now(); });
+  Fired fired{loop};
+  timers.arm(Time::zero() + 20_ms, &Fired::fire, &fired);
   loop.run();
-  EXPECT_EQ(fired, Time::zero() + 20_ms);
+  EXPECT_EQ(fired.at, Time::zero() + 20_ms);
 }
 
 TEST(TimerService, InfiniteDeadlineIsNeverRoundedOrSlacked) {
@@ -124,11 +136,11 @@ TEST(TimerService, CancelWorks) {
   EventLoop loop;
   OsModel os(quiet_os(), sim::Rng(1));
   TimerService timers(loop, os, {});
-  bool ran = false;
-  auto handle = timers.arm(Time::zero() + 5_ms, [&] { ran = true; });
+  Fired fired{loop};
+  auto handle = timers.arm(Time::zero() + 5_ms, &Fired::fire, &fired);
   handle.cancel();
   loop.run();
-  EXPECT_FALSE(ran);
+  EXPECT_FALSE(fired.ran);
 }
 
 TEST(Gso, BufferAggregatesSizesAndIndexesSegments) {

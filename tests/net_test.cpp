@@ -1,15 +1,15 @@
-// Unit tests for the network fabric: rate math, links, drop-tail buffering,
-// and the wire tap.
+// Unit tests for the network fabric: rate math, the wire tap, counters,
+// flow tables and the flow index.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 #include <string>
 
 #include "check/audit.hpp"
+#include "net/counters.hpp"
 #include "net/data_rate.hpp"
 #include "net/flow_index.hpp"
 #include "net/flow_table.hpp"
-#include "net/link.hpp"
 #include "net/packet.hpp"
 #include "net/wire_tap.hpp"
 #include "sim/event_loop.hpp"
@@ -59,82 +59,16 @@ TEST(DataRate, Formatting) {
   EXPECT_EQ(DataRate::gigabits_per_second(1).to_string(), "1.00Gbit/s");
 }
 
-TEST(Link, PureDelayPreservesSpacingAndOrder) {
-  EventLoop loop;
-  CollectorSink sink;
-  Link link(loop, {.rate = DataRate::infinite(), .delay = 20_ms}, &sink);
-  loop.schedule_at(Time::zero() + 1_ms,
-                   [&] { link.deliver(make_packet(1)); });
-  loop.schedule_at(Time::zero() + 2_ms,
-                   [&] { link.deliver(make_packet(2)); });
-  loop.run();
-  ASSERT_EQ(sink.packets().size(), 2u);
-  EXPECT_EQ(sink.packets()[0].id, 1u);
-  EXPECT_EQ(loop.now(), Time::zero() + 22_ms);
-}
-
-TEST(Link, SerializationSpacesBackToBackPackets) {
-  EventLoop loop;
-  CollectorSink sink;
-  std::vector<Time> arrivals;
-  Link link(loop, {.rate = DataRate::gigabits_per_second(1)}, &sink);
-  // Two 1500 B packets delivered at the same instant must leave 12 us apart.
-  link.deliver(make_packet(1));
-  link.deliver(make_packet(2));
-  std::size_t events = 0;
-  while (loop.run_one()) {
-    if (sink.packets().size() > arrivals.size()) {
-      arrivals.push_back(loop.now());
-    }
-    ++events;
-  }
-  ASSERT_EQ(arrivals.size(), 2u);
-  EXPECT_EQ((arrivals[1] - arrivals[0]).us(), 12);
-}
-
-TEST(Link, DropTailWhenBufferFull) {
-  EventLoop loop;
-  CollectorSink sink;
-  Link link(loop,
-            {.rate = DataRate::megabits_per_second(1),
-             .delay = Duration::zero(),
-             .buffer_bytes = 3000},
-            &sink);
-  link.deliver(make_packet(1));
-  link.deliver(make_packet(2));
-  link.deliver(make_packet(3));  // exceeds the 3000 B buffer -> dropped
-  loop.run();
-  EXPECT_EQ(sink.packets().size(), 2u);
-  EXPECT_EQ(link.counters().packets_dropped, 1);
-  EXPECT_EQ(link.counters().packets_in, 3);
-  EXPECT_EQ(link.counters().packets_queued(), 0);
-}
-
-TEST(Link, BufferSlotFreesAfterSerialization) {
-  EventLoop loop;
-  CollectorSink sink;
-  Link link(loop,
-            {.rate = DataRate::megabits_per_second(12),  // 1 ms per packet
-             .delay = 100_ms,
-             .buffer_bytes = 1500},
-            &sink);
-  link.deliver(make_packet(1));
-  // While packet 1 serializes the buffer is full.
-  link.deliver(make_packet(2));
-  EXPECT_EQ(link.counters().packets_dropped, 1);
-  // After serialization completes (1 ms) the buffer frees even though the
-  // packet is still propagating (100 ms).
-  loop.run_until(Time::zero() + 2_ms);
-  link.deliver(make_packet(3));
-  loop.run();
-  EXPECT_EQ(sink.packets().size(), 2u);
-}
-
 TEST(WireTap, StampsWireTimeAndKeepsCopies) {
   EventLoop loop;
   CollectorSink sink;
   WireTap tap(loop, &sink);
-  loop.schedule_at(Time::zero() + 7_ms, [&] { tap.deliver(make_packet(1)); });
+  loop.schedule_at(
+      Time::zero() + 7_ms, sim::EventClass::kGeneral,
+      [](void* t, std::uint32_t) {
+        static_cast<WireTap*>(t)->deliver(make_packet(1));
+      },
+      &tap);
   loop.run();
   ASSERT_EQ(tap.capture().size(), 1u);
   EXPECT_EQ(tap.capture()[0].wire_time, Time::zero() + 7_ms);

@@ -158,12 +158,15 @@ TEST(NetemImpairments, ReorderJumpsTheQueue) {
                             .reorder_gap = 2_ms},
                            sim::Rng(5), &sink);
   for (int i = 0; i < 1000; ++i) {
-    loop.schedule_at(Time::zero() + Duration::micros(i * 100), [&netem, i] {
-      Packet pkt;
-      pkt.id = static_cast<std::uint64_t>(i);
-      pkt.size_bytes = 1500;
-      netem.deliver(pkt);
-    });
+    loop.schedule_at(
+        Time::zero() + Duration::micros(i * 100), sim::EventClass::kGeneral,
+        [](void* q, std::uint32_t id) {
+          Packet pkt;
+          pkt.id = id;
+          pkt.size_bytes = 1500;
+          static_cast<kernel::NetemQdisc*>(q)->deliver(pkt);
+        },
+        &netem, static_cast<std::uint32_t>(i));
   }
   loop.run();
   EXPECT_EQ(slab.live(), 0u);
@@ -208,11 +211,14 @@ TEST(Gro, SeparatedArrivalsAreSeparateWakeups) {
   kernel::UdpReceiver receiver(loop, slab, os, 1 << 20,
                                [&](Packet) { ++delivered; }, 500_us);
   for (int i = 0; i < 4; ++i) {
-    loop.schedule_at(Time::zero() + Duration::millis(i * 10), [&receiver] {
-      Packet pkt;
-      pkt.size_bytes = 1500;
-      receiver.deliver(pkt);
-    });
+    loop.schedule_at(
+        Time::zero() + Duration::millis(i * 10), sim::EventClass::kGeneral,
+        [](void* rx, std::uint32_t) {
+          Packet pkt;
+          pkt.size_bytes = 1500;
+          static_cast<kernel::UdpReceiver*>(rx)->deliver(pkt);
+        },
+        &receiver);
   }
   loop.run();
   EXPECT_EQ(delivered, 4);

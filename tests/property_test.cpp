@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "cc/cubic.hpp"
 #include "kernel/os_model.hpp"
@@ -50,11 +51,24 @@ struct QdiscProperty {
 
 class QdiscInvariants : public ::testing::TestWithParam<QdiscProperty> {
  protected:
+  /// Packets waiting for their arrival event; the event's payload is the
+  /// packet's index.
+  struct Arrivals {
+    kernel::Qdisc* qdisc;
+    std::vector<Packet> packets;
+    static void arrive(void* self, std::uint32_t i) {
+      auto* a = static_cast<Arrivals*>(self);
+      a->qdisc->deliver(std::move(a->packets[i]));
+    }
+  };
+
   /// Drives `count` randomly timed packets (monotone txtimes for the
   /// timestamp-honoring qdiscs) and returns (delivered, counters).
   void run_random_traffic(kernel::Qdisc& qdisc, net::CollectorSink& sink,
                           EventLoop& loop, sim::Rng& rng, int count,
                           bool timestamps) {
+    Arrivals arrivals{&qdisc, std::vector<Packet>(
+                                  static_cast<std::size_t>(count))};
     Time cursor;
     Time txtime_cursor;
     for (int i = 0; i < count; ++i) {
@@ -63,17 +77,14 @@ class QdiscInvariants : public ::testing::TestWithParam<QdiscProperty> {
       txtime_cursor =
           sim::max(txtime_cursor, cursor) +
           rng.uniform_duration(Duration::zero(), 500_us);
-      const Time at = cursor;
-      const Time txtime = txtime_cursor;
-      loop.schedule_at(at, [&qdisc, i, txtime, timestamps] {
-        Packet pkt;
-        pkt.id = static_cast<std::uint64_t>(i);
-        pkt.flow = 1;
-        pkt.size_bytes = 1500;
-        pkt.has_txtime = timestamps;
-        pkt.txtime = txtime;
-        qdisc.deliver(std::move(pkt));
-      });
+      Packet& pkt = arrivals.packets[static_cast<std::size_t>(i)];
+      pkt.id = static_cast<std::uint64_t>(i);
+      pkt.flow = 1;
+      pkt.size_bytes = 1500;
+      pkt.has_txtime = timestamps;
+      pkt.txtime = txtime_cursor;
+      loop.schedule_at(cursor, sim::EventClass::kGeneral, &Arrivals::arrive,
+                       &arrivals, static_cast<std::uint32_t>(i));
     }
     loop.run();
     (void)sink;
@@ -102,7 +113,7 @@ TEST_P(QdiscInvariants, ConservationAndOrder) {
       break;
     case QdiscUnderTest::kEtf:
       qdisc = std::make_unique<kernel::EtfQdisc>(
-          loop, kernel::EtfQdisc::Config{}, os, &sink);
+          loop, slab, kernel::EtfQdisc::Config{}, os, &sink);
       timestamps = true;
       break;
     case QdiscUnderTest::kTbf:

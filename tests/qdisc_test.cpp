@@ -33,6 +33,12 @@ Packet make_packet(std::uint64_t id, std::int64_t size = 1500) {
   return p;
 }
 
+/// Scheduled arrival: `sink` is a Q, `id` the packet to build for it.
+template <class Q>
+void deliver_id(void* sink, std::uint32_t id) {
+  static_cast<Q*>(sink)->deliver(make_packet(id));
+}
+
 Packet timed_packet(std::uint64_t id, Time txtime, std::int64_t size = 1500) {
   Packet p = make_packet(id, size);
   p.has_txtime = true;
@@ -225,7 +231,7 @@ TEST_F(QdiscTest, FqFlowRateDoesNotDelayOtherFlows) {
 }
 
 TEST_F(QdiscTest, EtfDropsPacketsWithPastTxtime) {
-  EtfQdisc etf(loop, {}, os, &sink);
+  EtfQdisc etf(loop, slab, {}, os, &sink);
   loop.run_until(Time::zero() + 10_ms);
   etf.deliver(timed_packet(1, Time::zero() + 5_ms));
   EXPECT_EQ(etf.counters().packets_dropped, 1);
@@ -234,7 +240,7 @@ TEST_F(QdiscTest, EtfDropsPacketsWithPastTxtime) {
 }
 
 TEST_F(QdiscTest, EtfRejectsUntimedPackets) {
-  EtfQdisc etf(loop, {}, os, &sink);
+  EtfQdisc etf(loop, slab, {}, os, &sink);
   etf.deliver(make_packet(1));
   EXPECT_EQ(etf.counters().packets_dropped, 1);
 }
@@ -244,7 +250,7 @@ TEST_F(QdiscTest, EtfReleasesNearTxtime) {
   cfg.delta = 200_us;
   cfg.driver_path_mean = 200_us;  // exactly consumes the window
   cfg.driver_path_stddev = Duration::zero();
-  EtfQdisc etf(loop, cfg, os, &sink);
+  EtfQdisc etf(loop, slab, cfg, os, &sink);
   etf.deliver(timed_packet(1, Time::zero() + 5_ms));
   loop.run();
   ASSERT_EQ(sink.packets().size(), 1u);
@@ -254,12 +260,13 @@ TEST_F(QdiscTest, EtfReleasesNearTxtime) {
 TEST_F(QdiscTest, EtfOrdersByTxtime) {
   EtfQdisc::Config cfg;
   cfg.driver_path_stddev = Duration::zero();
-  EtfQdisc etf(loop, cfg, os, &sink);
+  EtfQdisc etf(loop, slab, cfg, os, &sink);
   etf.deliver(timed_packet(2, Time::zero() + 4_ms));
   etf.deliver(timed_packet(1, Time::zero() + 2_ms));
   loop.run();
   ASSERT_EQ(sink.packets().size(), 2u);
   EXPECT_EQ(sink.packets()[0].id, 1u);
+  EXPECT_EQ(slab.live(), 0u);  // released packets leave the slab
 }
 
 TEST_F(QdiscTest, TbfShapesToConfiguredRate) {
@@ -327,7 +334,8 @@ TEST_F(QdiscTest, NetemPreservesOrderWithConstantDelay) {
   NetemQdisc netem(loop, slab, {.delay = 20_ms}, sim::Rng(2), &sink);
   for (int i = 0; i < 20; ++i) {
     loop.schedule_at(Time::zero() + Duration::micros(i * 100),
-                     [&, i] { netem.deliver(make_packet(i)); });
+                     sim::EventClass::kGeneral, &deliver_id<NetemQdisc>,
+                     &netem, static_cast<std::uint32_t>(i));
   }
   loop.run();
   ASSERT_EQ(sink.packets().size(), 20u);
@@ -338,7 +346,8 @@ TEST_F(QdiscTest, FqCodelTransparentWhenUncongested) {
   FqCodelQdisc codel(loop, {}, &sink);
   for (int i = 0; i < 100; ++i) {
     loop.schedule_at(Time::zero() + Duration::micros(i * 300),
-                     [&, i] { codel.deliver(make_packet(i)); });
+                     sim::EventClass::kGeneral, &deliver_id<FqCodelQdisc>,
+                     &codel, static_cast<std::uint32_t>(i));
   }
   loop.run();
   EXPECT_EQ(sink.packets().size(), 100u);

@@ -11,7 +11,9 @@
 #include <vector>
 
 #include "check/audit.hpp"
-#include "net/link.hpp"
+#include "kernel/qdisc_netem.hpp"
+#include "kernel/qdisc_tbf.hpp"
+#include "net/packet_slab.hpp"
 #include "quic/ack_manager.hpp"
 #include "quic/client.hpp"
 #include "quic/connection.hpp"
@@ -687,11 +689,14 @@ TEST(ConnectionTest, DuplicateAckIsIgnored) {
 
 struct Harness {
   EventLoop loop;
-  // Server egress -> bottleneck link -> client; client ACKs -> return link
-  // -> server. Links sized like the paper's topology (scaled RTT).
-  net::Link ack_link;
+  net::PacketSlab slab;
+  // The paper's path: server egress -> 40 Mbit/s TBF bottleneck (one
+  // datagram of burst, the test's buffer as its limit) -> 20 ms netem ->
+  // client; client ACKs -> 20 ms netem -> server.
+  kernel::NetemQdisc ack_netem;
   ReferenceServer server;
-  net::Link data_link;
+  kernel::TbfQdisc bottleneck;
+  kernel::NetemQdisc data_netem;
   Client client;
 
   class ToClient final : public net::PacketSink {
@@ -709,10 +714,11 @@ struct Harness {
   ToClient to_client{*this};
   ToServer to_server{*this};
 
-  explicit Harness(std::int64_t payload_bytes, std::int64_t buffer_bytes = -1,
+  /// The default buffer never fills.
+  explicit Harness(std::int64_t payload_bytes,
+                   std::int64_t buffer_bytes = std::int64_t{1} << 40,
                    cc::CcAlgorithm algo = cc::CcAlgorithm::kCubic)
-      : ack_link(loop, {.rate = DataRate::infinite(), .delay = 20_ms},
-                 &to_server),
+      : ack_netem(loop, slab, {.delay = 20_ms}, sim::Rng(1), &to_server),
         server(loop,
                [&] {
                  Connection::Config cfg;
@@ -721,14 +727,15 @@ struct Harness {
                  cfg.cc.bbr_flavor = cc::BbrFlavor::kV2Lite;
                  return cfg;
                }(),
-               &data_link),
-        data_link(loop,
-                  {.rate = DataRate::megabits_per_second(40),
-                   .delay = 20_ms,
-                   .buffer_bytes = buffer_bytes},
-                  &to_client),
+               &bottleneck),
+        bottleneck(loop, slab,
+                   {.rate = DataRate::megabits_per_second(40),
+                    .burst_bytes = kDatagramSize,
+                    .limit_bytes = buffer_bytes},
+                   &data_netem),
+        data_netem(loop, slab, {.delay = 20_ms}, sim::Rng(2), &to_client),
         client(loop, {.ack = {}, .expected_payload_bytes = payload_bytes},
-               &ack_link) {}
+               &ack_netem) {}
 };
 
 TEST(EndToEnd, LosslessTransferCompletes) {

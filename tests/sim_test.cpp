@@ -73,12 +73,22 @@ TEST(Time, FormattingPicksUnits) {
   EXPECT_EQ(Duration::infinite().to_string(), "inf");
 }
 
+// Callbacks for the tests below: `ctx` points at the state they update.
+void push_payload(void* ctx, std::uint32_t payload) {
+  static_cast<std::vector<int>*>(ctx)->push_back(static_cast<int>(payload));
+}
+void count(void* ctx, std::uint32_t /*payload*/) { ++*static_cast<int*>(ctx); }
+void nothing(void* /*ctx*/, std::uint32_t /*payload*/) {}
+
 TEST(EventLoop, RunsInTimeOrder) {
   EventLoop loop;
   std::vector<int> order;
-  loop.schedule_at(Time::zero() + 3_ms, [&] { order.push_back(3); });
-  loop.schedule_at(Time::zero() + 1_ms, [&] { order.push_back(1); });
-  loop.schedule_at(Time::zero() + 2_ms, [&] { order.push_back(2); });
+  loop.schedule_at(Time::zero() + 3_ms, EventClass::kGeneral, push_payload,
+                   &order, 3);
+  loop.schedule_at(Time::zero() + 1_ms, EventClass::kGeneral, push_payload,
+                   &order, 1);
+  loop.schedule_at(Time::zero() + 2_ms, EventClass::kGeneral, push_payload,
+                   &order, 2);
   loop.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(loop.now(), Time::zero() + 3_ms);
@@ -87,41 +97,49 @@ TEST(EventLoop, RunsInTimeOrder) {
 TEST(EventLoop, SameInstantRunsInScheduleOrder) {
   EventLoop loop;
   std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    loop.schedule_at(Time::zero() + 1_ms, [&, i] { order.push_back(i); });
+  for (std::uint32_t i = 0; i < 10; ++i) {
+    loop.schedule_at(Time::zero() + 1_ms, EventClass::kGeneral, push_payload,
+                     &order, i);
   }
   loop.run();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(EventLoop, PastSchedulesClampToNow) {
-  EventLoop loop;
-  bool ran = false;
-  loop.schedule_at(Time::zero() + 5_ms, [&] {
-    loop.schedule_at(Time::zero() + 1_ms, [&] {
+  struct Nested {
+    EventLoop loop;
+    bool ran = false;
+    void outer() {
+      loop.schedule_at<&Nested::inner>(Time::zero() + 1_ms,
+                                       EventClass::kGeneral, this);
+    }
+    void inner() {
       ran = true;
       EXPECT_EQ(loop.now(), Time::zero() + 5_ms);
-    });
-  });
-  loop.run();
-  EXPECT_TRUE(ran);
+    }
+  } nested;
+  nested.loop.schedule_at<&Nested::outer>(Time::zero() + 5_ms,
+                                          EventClass::kGeneral, &nested);
+  nested.loop.run();
+  EXPECT_TRUE(nested.ran);
 }
 
 TEST(EventLoop, CancelPreventsExecution) {
   EventLoop loop;
-  bool ran = false;
-  auto handle = loop.schedule_after(1_ms, [&] { ran = true; });
+  int ran = 0;
+  auto handle = loop.schedule_after(1_ms, EventClass::kGeneral, count, &ran);
   EXPECT_TRUE(handle.pending());
   handle.cancel();
   EXPECT_FALSE(handle.pending());
   loop.run();
-  EXPECT_FALSE(ran);
+  EXPECT_EQ(ran, 0);
   EXPECT_EQ(loop.pending_count(), 0u);
 }
 
 TEST(EventLoop, CancelIsIdempotentAndSafeAfterRun) {
   EventLoop loop;
-  auto handle = loop.schedule_after(1_ms, [] {});
+  auto handle = loop.schedule_after(1_ms, EventClass::kGeneral, nothing,
+                                    nullptr);
   loop.run();
   EXPECT_FALSE(handle.pending());
   handle.cancel();  // must not crash or corrupt counts
@@ -131,31 +149,57 @@ TEST(EventLoop, CancelIsIdempotentAndSafeAfterRun) {
 
 TEST(EventLoop, RunUntilStopsAtDeadline) {
   EventLoop loop;
-  int count = 0;
-  loop.schedule_at(Time::zero() + 1_ms, [&] { ++count; });
-  loop.schedule_at(Time::zero() + 10_ms, [&] { ++count; });
+  int ran = 0;
+  loop.schedule_at(Time::zero() + 1_ms, EventClass::kGeneral, count, &ran);
+  loop.schedule_at(Time::zero() + 10_ms, EventClass::kGeneral, count, &ran);
   loop.run_until(Time::zero() + 5_ms);
-  EXPECT_EQ(count, 1);
+  EXPECT_EQ(ran, 1);
   EXPECT_EQ(loop.now(), Time::zero() + 5_ms);
   EXPECT_EQ(loop.pending_count(), 1u);
 }
 
 TEST(EventLoop, SelfReschedulingEventTerminatesWithRunUntil) {
-  EventLoop loop;
-  int fires = 0;
-  std::function<void()> tick = [&] {
-    ++fires;
-    loop.schedule_after(1_ms, tick);
+  struct Ticker {
+    EventLoop loop;
+    int fires = 0;
+    void tick() {
+      ++fires;
+      loop.schedule_at<&Ticker::tick>(loop.now() + 1_ms, EventClass::kTimer,
+                                      this);
+    }
+  } ticker;
+  ticker.loop.schedule_at<&Ticker::tick>(Time::zero() + 1_ms,
+                                         EventClass::kTimer, &ticker);
+  ticker.loop.run_until(Time::zero() + 10_ms);
+  EXPECT_EQ(ticker.fires, 10);
+}
+
+TEST(EventLoop, MemberCallbackGetsThePayloadAndItsOwnClassPointer) {
+  // The typed helper converts the object pointer to the method's class
+  // before erasing it: a method of a second base class still sees its
+  // own subobject, not the derived object's address.
+  struct First {
+    std::uint64_t pad = 0;
   };
-  loop.schedule_after(1_ms, tick);
-  loop.run_until(Time::zero() + 10_ms);
-  EXPECT_EQ(fires, 10);
+  struct Second {
+    std::vector<std::uint32_t> got;
+    void take(std::uint32_t payload) { got.push_back(payload); }
+  };
+  struct Both : First, Second {};
+  EventLoop loop;
+  Both both;
+  loop.schedule_at<&Second::take>(Time::zero() + 1_us, EventClass::kQueue,
+                                  &both, 7);
+  loop.run();
+  EXPECT_EQ(both.got, std::vector<std::uint32_t>{7});
+  EXPECT_EQ(loop.stats().executed[static_cast<std::size_t>(EventClass::kQueue)],
+            kLoopProfilingEnabled ? 1u : 0u);
 }
 
 TEST(EventLoop, NextEventTimeSkipsCancelled) {
   EventLoop loop;
-  auto a = loop.schedule_after(1_ms, [] {});
-  loop.schedule_after(2_ms, [] {});
+  auto a = loop.schedule_after(1_ms, EventClass::kGeneral, nothing, nullptr);
+  loop.schedule_after(2_ms, EventClass::kGeneral, nothing, nullptr);
   a.cancel();
   EXPECT_EQ(loop.next_event_time(), Time::zero() + 2_ms);
 }
@@ -169,13 +213,14 @@ TEST(EventLoop, SlabStressScheduleCancelReschedule) {
   constexpr int kEvents = 100'000;
   std::vector<EventHandle> handles;
   handles.reserve(kEvents);
-  std::int64_t fired = 0;
+  int fired = 0;
   for (int i = 0; i < kEvents; ++i) {
     // Spread from microseconds to seconds so some land in the calendar
     // horizon and some in the far-future overflow structure.
     auto delay = Duration::micros(1 + (static_cast<std::int64_t>(i) * 37) %
                                           2'000'000);
-    handles.push_back(loop.schedule_after(delay, [&] { ++fired; }));
+    handles.push_back(
+        loop.schedule_after(delay, EventClass::kGeneral, count, &fired));
   }
   int cancelled = 0;
   for (int i = 0; i < kEvents; i += 3) {
@@ -186,7 +231,8 @@ TEST(EventLoop, SlabStressScheduleCancelReschedule) {
             static_cast<std::size_t>(kEvents - cancelled));
   // Refill the freed slots; the old handles must stay inert.
   for (int i = 0; i < cancelled; ++i) {
-    loop.schedule_after(Duration::micros(10 + i), [&] { ++fired; });
+    loop.schedule_after(Duration::micros(10 + i), EventClass::kGeneral, count,
+                        &fired);
   }
   loop.run();
   EXPECT_EQ(fired, kEvents);  // survivors + refills, none double-fired
@@ -198,10 +244,10 @@ TEST(EventLoop, StaleHandlesFromReusedSlotsAreInert) {
   // cancel (or otherwise affect) the new occupant.
   EventLoop loop;
   int first = 0, second = 0;
-  auto a = loop.schedule_after(1_ms, [&] { ++first; });
+  auto a = loop.schedule_after(1_ms, EventClass::kGeneral, count, &first);
   a.cancel();  // frees the slot
   // Likely reuses a's slot with a bumped generation.
-  loop.schedule_after(2_ms, [&] { ++second; });
+  loop.schedule_after(2_ms, EventClass::kGeneral, count, &second);
   EXPECT_FALSE(a.pending());
   a.cancel();  // stale: must be a no-op against the new occupant
   loop.run();
@@ -210,10 +256,10 @@ TEST(EventLoop, StaleHandlesFromReusedSlotsAreInert) {
 
   // Same pattern after the event RAN (not just cancelled).
   int third = 0, fourth = 0;
-  auto b = loop.schedule_after(1_ms, [&] { ++third; });
+  auto b = loop.schedule_after(1_ms, EventClass::kGeneral, count, &third);
   loop.run();
   EXPECT_EQ(third, 1);
-  loop.schedule_after(1_ms, [&] { ++fourth; });
+  loop.schedule_after(1_ms, EventClass::kGeneral, count, &fourth);
   EXPECT_FALSE(b.pending());
   b.cancel();  // stale after run: also a no-op
   loop.run();
@@ -309,8 +355,8 @@ class LoopDifferential {
     switch (rng_.uniform(0, 4)) {
       case 0:
         handles_.push_back(
-            {id, loop_.schedule_at(at, EventClass::kTimer,
-                                   [this, id] { on_run(id); })});
+            {id, loop_.schedule_at<&LoopDifferential::on_run>(
+                     at, EventClass::kTimer, this, id)});
         break;
       case 1:
         handles_.push_back({id, loop_.schedule_drain_at(at, channels_[2], id)});
@@ -413,7 +459,7 @@ TEST(EventLoopDifferential, MatchesReferenceQueueOnRandomInterleavings) {
 }
 
 TEST(EventLoop, RegisteringPastTheChannelIdLimitThrows) {
-  // Channel ids are 14 bits; id 0x4000 would read as a slotless record on
+  // Channel ids are 14 bits; id 0x4000 would read as a posted record on
   // channel 0. The limit holds in every build, not only audit builds.
   EventLoop loop;
   std::vector<std::uint32_t> seen;

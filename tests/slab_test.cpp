@@ -1,13 +1,16 @@
 // Batched-datapath storage and scheduling tests: PacketSlab put/take
 // round-trips and free-list recycling, the recycled-slot aliasing audit,
-// drain-channel execution order against closure events (shared sequence
-// counter), the run() train loop, and a slab-backed TBF splitting a burst
-// train across a drop-tail boundary.
+// drain-channel execution order against slotted events (shared sequence
+// counter), the run() train loop — in isolation and end to end over every
+// record kind — and a slab-backed TBF splitting a burst train across a
+// drop-tail boundary.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "check/audit.hpp"
+#include "framework/flows.hpp"
 #include "kernel/qdisc_tbf.hpp"
 #include "net/packet.hpp"
 #include "net/packet_slab.hpp"
@@ -122,20 +125,20 @@ void push_payload(void* ctx, std::uint32_t payload) {
   static_cast<std::vector<int>*>(ctx)->push_back(static_cast<int>(payload));
 }
 
-TEST(DrainChannel, InterleavesWithClosureEventsInScheduleOrder) {
-  // Drain records and closures share one sequence counter, so a hop that
-  // posts drain records and a timer that schedules a closure at the same
-  // instant run in the order they were scheduled.
+TEST(DrainChannel, InterleavesWithSlottedEventsInScheduleOrder) {
+  // Posted and slotted records share one sequence counter, so a hop that
+  // posts drain records and a timer scheduled at the same instant run in
+  // the order they were scheduled.
   EventLoop loop;
   std::vector<int> order;
   const sim::DrainId ch =
       loop.register_drain(EventClass::kDelay, push_payload, &order);
   const Time t = Time::from_ns(1'000'000);
-  loop.schedule_at(t, [&order] { order.push_back(100); });
-  loop.schedule_drain_at(t, ch, 1);
+  loop.schedule_at(t, EventClass::kTimer, push_payload, &order, 100);
+  loop.post_drain_at(t, ch, 1);
   loop.schedule_drain_at(t, ch, 2);
-  loop.schedule_at(t, [&order] { order.push_back(101); });
-  loop.schedule_drain_at(t + Duration::micros(5), ch, 3);
+  loop.schedule_at(t, EventClass::kTimer, push_payload, &order, 101);
+  loop.post_drain_at(t + Duration::micros(5), ch, 3);
   const std::size_t executed = loop.run();
   EXPECT_EQ(executed, 5u);
   EXPECT_EQ(order, (std::vector<int>{100, 1, 2, 101, 3}));
@@ -150,21 +153,70 @@ TEST(DrainChannel, TrainLoopBatchesConsecutiveDrainRecords) {
   std::vector<int> order;
   const sim::DrainId ch =
       loop.register_drain(EventClass::kTransmit, push_payload, &order);
-  // A pacer-burst shape: one closure (the timer) followed by a train of
-  // drain records at successive NIC completion times.
-  loop.schedule_at(Time::from_ns(1000), [&order] { order.push_back(-1); });
+  // A pacer-burst shape: one timer followed by a train of drain records
+  // at successive NIC completion times.
+  loop.schedule_at(Time::from_ns(1000), EventClass::kTimer, push_payload,
+                   &order, 100);
   for (int i = 0; i < 16; ++i) {
     loop.schedule_drain_at(Time::from_ns(2000 + i * 10), ch,
                            static_cast<std::uint32_t>(i));
   }
   loop.run();
   ASSERT_EQ(order.size(), 17u);
-  EXPECT_EQ(order.front(), -1);
+  EXPECT_EQ(order.front(), 100);
   for (int i = 0; i < 16; ++i) EXPECT_EQ(order[1 + i], i);
-  EXPECT_EQ(loop.stats().drain_executed, 16u);
-  // After the closure surfaces the first drain record, the rest of the
-  // train rides the fast loop without re-entering the cursor search.
-  EXPECT_GE(loop.stats().drain_batched, 15u);
+  EXPECT_EQ(loop.stats().drain_executed, 17u);
+  // After run_one surfaces the timer, the whole train rides the fast loop
+  // without re-entering the cursor search.
+  EXPECT_EQ(loop.stats().drain_batched, 16u);
+}
+
+TEST(DrainChannel, TrainLoopRunsEveryRecordKindEndToEnd) {
+  // Every record kind rides the train loop, so on a whole run nearly every
+  // executed record is batched: FqCodel's per-packet drain, the TCP
+  // timers, ETF's per-packet release and the GRO flush included.
+  if (!sim::kLoopProfilingEnabled) {
+    GTEST_SKIP() << "built with -DQUICSTEPS_TRACE=OFF";
+  }
+  using framework::QdiscKind;
+  using framework::StackKind;
+  struct Case {
+    const char* name;
+    StackKind stack;
+    QdiscKind qdisc;
+    Duration gro_window;
+  };
+  const Case cases[] = {
+      {"quiche over fq_codel", StackKind::kQuiche, QdiscKind::kFqCodel,
+       Duration::zero()},
+      {"tcp", StackKind::kTcpTls, QdiscKind::kFqCodel, Duration::zero()},
+      {"quiche over etf", StackKind::kQuiche, QdiscKind::kEtf,
+       Duration::zero()},
+      {"ideal with gro", StackKind::kIdealQuic, QdiscKind::kFqCodel,
+       Duration::micros(16)},
+  };
+  for (const Case& c : cases) {
+    framework::ExperimentConfig config;
+    config.stack = c.stack;
+    config.topology.server_qdisc = c.qdisc;
+    config.topology.client_gro_window = c.gro_window;
+    config.payload_bytes = 2 * 1024 * 1024;
+    framework::MultiFlowConfig flows;
+    flows.flows.push_back(framework::FlowSpec{.config = config});
+    const framework::MultiFlowResult result = framework::run_flows(flows);
+    const auto& counters = result.metrics.counters();
+
+    std::int64_t executed = 0;
+    for (std::size_t k = 0; k < sim::kEventClassCount; ++k) {
+      executed += counters.at(std::string("loop/executed/") +
+                              sim::to_string(static_cast<EventClass>(k)));
+    }
+    EXPECT_GT(executed, 0) << c.name;
+    EXPECT_EQ(counters.at("loop/drain_executed"), executed) << c.name;
+    EXPECT_GE(static_cast<double>(counters.at("loop/drain_batched")),
+              0.95 * static_cast<double>(executed))
+        << c.name;
+  }
 }
 
 TEST(DrainChannel, CancelledDrainRecordNeverFires) {
@@ -199,7 +251,8 @@ TEST(DrainChannel, RunUntilHonorsTheDeadlineForDrainRecords) {
 
 TEST(DrainChannel, DelayLineRunsInPostOrderBesidePlainPosts) {
   // A line arms one record at a time, yet interleaves with plain posts on
-  // the same channel and with closures exactly by (time, post order).
+  // the same channel and with slotted records exactly by (time, post
+  // order).
   EventLoop loop;
   std::vector<int> order;
   const sim::DrainId ch =
@@ -208,7 +261,8 @@ TEST(DrainChannel, DelayLineRunsInPostOrderBesidePlainPosts) {
   loop.post_line_at(Time::from_ns(1000), ch, 2);
   loop.post_drain_at(Time::from_ns(1000), ch, 3);
   loop.post_line_at(Time::from_ns(30'000'000), ch, 4);  // past the horizon
-  loop.schedule_at(Time::from_ns(500), [&order] { order.push_back(0); });
+  loop.schedule_at(Time::from_ns(500), EventClass::kGeneral, push_payload,
+                   &order, 0);
   loop.post_drain_at(Time::from_ns(2000), ch, 5);
   EXPECT_EQ(loop.pending_count(), 6u);
   EXPECT_EQ(loop.next_event_time(), Time::from_ns(500));

@@ -3,7 +3,9 @@
 // Karn's rule, RTO behavior, and an end-to-end transfer.
 #include <gtest/gtest.h>
 
-#include "net/link.hpp"
+#include "kernel/qdisc_netem.hpp"
+#include "kernel/qdisc_tbf.hpp"
+#include "net/packet_slab.hpp"
 #include "tcp/tcp_client.hpp"
 #include "tcp/tcp_connection.hpp"
 #include "tcp/tcp_server.hpp"
@@ -116,9 +118,13 @@ TEST(TcpConnection, CongestionBlockedAtInitialWindow) {
 
 struct TcpHarness {
   EventLoop loop;
-  net::Link ack_link;
+  net::PacketSlab slab;
+  // The paper's path, as in quic_test's Harness: a 40 Mbit/s TBF
+  // bottleneck with one segment of burst, then 20 ms of netem each way.
+  kernel::NetemQdisc ack_netem;
   TcpServer server;
-  net::Link data_link;
+  kernel::TbfQdisc bottleneck;
+  kernel::NetemQdisc data_netem;
   TcpClient client;
 
   net::CallbackSink to_client{
@@ -126,23 +132,25 @@ struct TcpHarness {
   net::CallbackSink to_server{
       [this](Packet pkt) { server.on_datagram(pkt); }};
 
-  explicit TcpHarness(std::int64_t payload, std::int64_t buffer_bytes = -1)
-      : ack_link(loop, {.rate = DataRate::infinite(), .delay = 20_ms},
-                 &to_server),
+  /// The default buffer never fills.
+  explicit TcpHarness(std::int64_t payload,
+                      std::int64_t buffer_bytes = std::int64_t{1} << 40)
+      : ack_netem(loop, slab, {.delay = 20_ms}, sim::Rng(1), &to_server),
         server(loop,
                [&] {
                  TcpServer::Config cfg;
                  cfg.connection.total_payload_bytes = payload;
                  return cfg;
                }(),
-               &data_link),
-        data_link(loop,
-                  {.rate = DataRate::megabits_per_second(40),
-                   .delay = 20_ms,
-                   .buffer_bytes = buffer_bytes},
-                  &to_client),
+               &bottleneck),
+        bottleneck(loop, slab,
+                   {.rate = DataRate::megabits_per_second(40),
+                    .burst_bytes = kSegmentSize,
+                    .limit_bytes = buffer_bytes},
+                   &data_netem),
+        data_netem(loop, slab, {.delay = 20_ms}, sim::Rng(2), &to_client),
         client(loop, {.expected_payload_bytes = payload, .ack = {}},
-               &ack_link) {}
+               &ack_netem) {}
 };
 
 TEST(TcpEndToEnd, LosslessTransferCompletes) {

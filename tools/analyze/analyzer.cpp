@@ -158,9 +158,6 @@ AnalysisResult run_analysis(const Options& options) {
   if (family_enabled(options, "determinism")) {
     run_determinism_rules(model, &findings);
   }
-  if (family_enabled(options, "scheduling")) {
-    run_scheduling_rules(model, &findings);
-  }
   for (const auto& rule : all_rules()) {
     if (family_enabled(options, rule_family(rule.id))) {
       ++result.rules_run;

@@ -32,15 +32,12 @@ const std::vector<RuleInfo>& all_rules() {
       {"determinism/thread-sleep",
        "std::this_thread::sleep_* waits on the wall clock."},
       {"determinism/include-guard", "Header does not open with #pragma once."},
-      {"scheduling/ref-capture",
-       "Lambda passed to EventLoop::schedule_at/schedule_after captures by "
-       "reference (dangling-callback heuristic)."},
       {"perf/hot-path-alloc-interproc",
        "Allocation in a callable transitively reachable from the hot-path "
        "file set (tagged in tools/analyze/layers.json, propagated over the "
-       "call graph): operator new / make_unique / make_shared, container "
-       "growth, or a std::function closure schedule — use the packet slab "
-       "and drain channels, or baseline with the rationale."},
+       "call graph): operator new / make_unique / make_shared or container "
+       "growth — use the packet slab and drain channels, or baseline with "
+       "the rationale."},
       {"lifetime/use-after-recycle",
        "A reference or pointer borrowed from a generation-checked "
        "container (tools/analyze/layers.json generation_checked, e.g. "

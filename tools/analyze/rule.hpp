@@ -170,7 +170,6 @@ struct SemanticModel {
 // model; filtering (baseline, --rules) happens downstream.
 void run_determinism_rules(const Model& model, std::vector<Finding>* out);
 void run_units_rules(const Model& model, std::vector<Finding>* out);
-void run_scheduling_rules(const Model& model, std::vector<Finding>* out);
 void run_layering_rules(const Model& model, const LayerManifest& manifest,
                         std::vector<Finding>* out);
 void run_perf_rules(const Model& model, const LayerManifest& manifest,

@@ -17,9 +17,7 @@
 //   * operator new / std::make_unique / std::make_shared — a heap
 //     allocation per call;
 //   * push_back / emplace_back — container growth (fine when amortized to
-//     a recycled high-water mark, which is what the baseline records);
-//   * schedule_at / schedule_after — constructs a std::function closure
-//     per event; per-packet hops should use a drain channel.
+//     a recycled high-water mark, which is what the baseline records).
 // Deliberate sites (free-list growth to a recycled high-water mark) are
 // baselined in tools/analyze/baseline.txt with their rationale.
 #include "callgraph.hpp"
@@ -60,8 +58,7 @@ void run_perf_rules(const Model& model, const LayerManifest& manifest,
       }
       // A call to the enclosing callable's own name is overload delegation
       // (or recursion) — the definition-site family, not a use of the
-      // pattern. The untagged schedule_at/schedule_after wrappers
-      // delegating to their tagged overloads are the motivating case.
+      // pattern.
       if (t.text == sym.name) continue;
       const bool is_call =
           i + 1 < toks.size() &&
@@ -81,12 +78,6 @@ void run_perf_rules(const Model& model, const LayerManifest& manifest,
         message = "'" + t.text + "' in " + where +
                   " grows a container; growth must amortize to a recycled "
                   "high-water mark (baseline with the rationale if it does)";
-      } else if ((t.text == "schedule_at" || t.text == "schedule_after") &&
-                 is_call) {
-        message = "'" + t.text + "' in " + where +
-                  " constructs a std::function per event; per-packet hops "
-                  "should ride a drain channel "
-                  "(register_drain/schedule_drain_at)";
       } else {
         continue;
       }

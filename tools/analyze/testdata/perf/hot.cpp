@@ -8,7 +8,5 @@ void hot() {
   auto s = std::make_shared<Packet>();
   queue.push_back(p);
   queue.emplace_back();
-  loop.schedule_at(t, cb);
-  loop.schedule_after(d, cb);
   alloc_helper();
 }

@@ -6,7 +6,7 @@ Usage (local, same machine as the baseline):
 
     python3 tools/bench_compare.py \
         --baseline BENCH_micro.json --current /tmp/bench_out.json \
-        --families BM_LoopHopPacket BM_DrainScheduleRun --threshold 0.15
+        --families BM_LoopHopPacket BM_PacketSlabPutTake --threshold 0.15
 
 Usage (CI, different machine than the baseline): normalize both runs by an
 anchor benchmark first, so only the *relative* structure is compared —
@@ -17,11 +17,11 @@ though absolute nanoseconds do not:
         --baseline BENCH_micro.json --current /tmp/bench_out.json \
         --families BM_LoopHopPacket --anchor BM_EventLoopScheduleRun/10000
 
-In-run gates need no baseline at all (use for invariants like "the batched
-arm beats the closure arm"):
+In-run gates need no baseline at all (use for invariants like "FQ's per-op
+cost at 10k flows stays within 2x of 100 flows"):
 
     python3 tools/bench_compare.py --current /tmp/bench_out.json \
-        --require-ratio BM_LoopHopPacketBatched/10000:BM_LoopHopPacketClosure/10000:1.5
+        --require-ratio BM_FqEnqueueDequeue/10000/10000:BM_FqEnqueueDequeue/10000/100:0.5
 
 Inputs may be raw `--benchmark_format=json` output or the repo's
 BENCH_micro.json (whose `benchmarks` array uses the same schema). Only the

@@ -23,7 +23,8 @@
 //
 // Fleet mode (--flows N with N >= 2) runs one N-flow fabric over a shared
 // bottleneck instead of repetitions of a single flow:
-//   --flows N             number of competing senders (ids 10..)
+//   --flows N             number of competing senders (ids 10..), at
+//                         most framework::Network::kMaxFlows
 //   --trace-sample N      with --trace: record spans for 1 in N flows,
 //                         chosen deterministically from (seed, flow id)
 //   --window-ms N         fleet telemetry window width (default 10 when
@@ -86,6 +87,18 @@ T parse_at_least(const std::string& flag, const std::string& value, T min) {
   if (out < min) {
     usage_error(flag + " expects an integer >= " + std::to_string(min) +
                 ", got '" + value + "'");
+  }
+  return out;
+}
+
+/// parse_number for an integer flag that must lie in [min, max].
+template <typename T>
+T parse_in_range(const std::string& flag, const std::string& value, T min,
+                 T max) {
+  const T out = parse_number<T>(flag, value);
+  if (out < min || out > max) {
+    usage_error(flag + " expects an integer in [" + std::to_string(min) +
+                ", " + std::to_string(max) + "], got '" + value + "'");
   }
   return out;
 }
@@ -257,7 +270,9 @@ int main(int argc, char** argv) {
     } else if (flag == "--qlog-dir") {
       qlog_dir = next_value(i);
     } else if (flag == "--flows") {
-      flows = parse_at_least(flag, next_value(i), 1);
+      flows = parse_in_range(
+          flag, next_value(i), 1,
+          static_cast<int>(framework::Network::kMaxFlows));
     } else if (flag == "--trace-sample") {
       trace_sample = parse_number<std::uint32_t>(flag, next_value(i));
     } else if (flag == "--window-ms") {
