@@ -1,12 +1,10 @@
 #include "framework/flows.hpp"
 
-#include <algorithm>
 #include <string>
 #include <utility>
 
 #include "check/audit.hpp"
 #include "check/determinism_hasher.hpp"
-#include "framework/parallel_for.hpp"
 #include "framework/runner.hpp"
 #include "metrics/capture_analysis.hpp"
 #include "obs/path_timeline.hpp"
@@ -186,17 +184,6 @@ sim::Duration flows_deadline(const MultiFlowConfig& config) {
 }
 
 MultiFlowResult run_flows(const MultiFlowConfig& config) {
-  // One shard, inline: the historical serial path. run_flows_sharded is
-  // bit-identical at any plan, so this is a convenience, not a semantics
-  // fork (flows_test asserts the equivalence at N=1000).
-  ShardPlan serial;
-  serial.shard_size = 0;
-  serial.jobs = 1;
-  return run_flows_sharded(config, serial);
-}
-
-MultiFlowResult run_flows_sharded(const MultiFlowConfig& config,
-                                  const ShardPlan& shards) {
   MultiFlowResult result;
   if (config.flows.empty()) return result;
 
@@ -229,9 +216,8 @@ MultiFlowResult run_flows_sharded(const MultiFlowConfig& config,
     trace_bus.reserve(hint / sampler.every() + 1024);
   }
 
-  // Fleet telemetry: the windowed time series rides the serial event core
-  // (fed from the tap callback below), so serial and sharded runs produce
-  // byte-identical series. Counter snapshots land at window rolls.
+  // Fleet telemetry: the windowed time series is fed from the tap callback
+  // below; counter snapshots land at window rolls.
   const bool telemetry = !config.telemetry_window.is_zero();
   std::unique_ptr<obs::TimeSeries> timeseries;
   obs::TimeSeries* ts = nullptr;
@@ -315,22 +301,14 @@ MultiFlowResult run_flows_sharded(const MultiFlowConfig& config,
   if (tracing) all_spans = trace_bus.take();
   if (telemetry && tracing) timeseries->fold_spans(all_spans.events);
 
-  // Per-flow extraction. The event core above is inherently serial (one
-  // shared bottleneck, one clock); what shards is this phase — demux
-  // finish, hash digest, fill_result, trace filtering — which touches only
-  // flow-indexed slots. Shard-merge determinism rules (DESIGN.md §14):
-  // every write lands in a slot preassigned to exactly one flow index
-  // (result.flows[i], goodputs[i], demux slot i), shards own disjoint
-  // index ranges, and everything cross-flow (fairness, registry fold)
-  // happens after the join, iterating flows[] in index order. Output is
-  // therefore bit-identical at any shard size and job count.
+  // Per-flow extraction, in flows[] order: demux finish, hash digest,
+  // fill_result, trace filtering and the fleet's wire-stage pacing error.
   std::vector<double> goodputs(n);
-  // Per-flow pacing-error sketch slots: each shard writes only its own
-  // flows' slots; the fleet merge below reads them back in flows[] index
-  // order, so the merged sketch is bit-identical at any shard plan (and
-  // order-independent anyway — integer bucket adds commute).
-  std::vector<obs::QuantileSketch> flow_sketches(telemetry && tracing ? n : 0);
-  auto extract_flow = [&](std::size_t i) {
+  obs::QuantileSketch* wire_errors =
+      telemetry && tracing
+          ? &result.metrics.sketch("fleet/pacing_error_us/wire")
+          : nullptr;
+  for (std::size_t i = 0; i < n; ++i) {
     RunResult& flow_result = result.flows[i];
     net.host(i).endpoint().fill_result(flow_result);
     metrics::CaptureAnalysis analysis = demux.finish(i);
@@ -359,28 +337,17 @@ MultiFlowResult run_flows_sharded(const MultiFlowConfig& config,
           if (ev.flow == id) flow_trace->events.push_back(ev);
         }
       }
-      if (!flow_sketches.empty()) {
-        // Wire-stage pacing error into this flow's preassigned sketch
-        // slot (merged fleet-wide after the join).
-        obs::QuantileSketch& sketch = flow_sketches[i];
+      if (wire_errors != nullptr) {
         for (const obs::SpanEvent& ev : flow_trace->events) {
           if (ev.stage == obs::TraceStage::kWire && ev.intended.ns() != 0) {
-            sketch.observe((ev.at - ev.intended).us());
+            wire_errors->observe((ev.at - ev.intended).us());
           }
         }
       }
       flow_result.trace = std::move(flow_trace);
     }
     goodputs[i] = flow_result.goodput.goodput.mbps();
-  };
-  const std::size_t shard_size =
-      shards.shard_size == 0 ? n : std::min(shards.shard_size, n);
-  const std::size_t shard_count = (n + shard_size - 1) / shard_size;
-  parallel_for(shard_count, shards.jobs, [&](std::size_t s) {
-    const std::size_t begin = s * shard_size;
-    const std::size_t end = std::min(n, begin + shard_size);
-    for (std::size_t i = begin; i < end; ++i) extract_flow(i);
-  });
+  }
   result.fairness = jain_index(goodputs);
   result.bottleneck_drops = net.path().bottleneck_drops();
 
@@ -428,15 +395,8 @@ MultiFlowResult run_flows_sharded(const MultiFlowConfig& config,
     }
   }
   if (telemetry) {
-    // Fleet tails. Merging the preassigned per-flow slots in flows[]
-    // index order keeps the registry output byte-identical at any shard
-    // plan (bucket adds commute, but min/max/count do too only because
-    // merge is elementwise — the fixed order costs nothing and removes
-    // the question).
-    if (tracing) {
-      obs::QuantileSketch& pacing = reg.sketch("fleet/pacing_error_us/wire");
-      for (const obs::QuantileSketch& sk : flow_sketches) pacing.merge(sk);
-    }
+    // Fleet tails: flow completion times (the wire-stage pacing error was
+    // observed during extraction).
     obs::QuantileSketch& fct = reg.sketch("fleet/fct_us");
     for (const RunResult& flow_result : result.flows) {
       if (flow_result.completed) {

@@ -55,8 +55,8 @@ struct MultiFlowConfig {
   bool lite_metrics = false;
   /// Deterministic 1-in-N flow sampling for the trace spine (<=1 = trace
   /// every flow whose config opted in). Whether a flow is sampled is a
-  /// pure function of (seed, flow id) — obs::FlowSampler — so serial and
-  /// sharded runs trace identical subsets. Unsampled flows keep a null
+  /// pure function of (seed, flow id) — obs::FlowSampler — so repeated
+  /// runs trace identical subsets. Unsampled flows keep a null
   /// bus on their sender components and are filtered at the shared-path
   /// publish, bounding span memory at fabric scale.
   std::uint32_t trace_sample = 0;
@@ -90,8 +90,7 @@ struct MultiFlowResult {
   /// "fleet/pacing_error_us/wire" and "fleet/fct_us".
   obs::MetricsRegistry metrics;
   /// Windowed fleet telemetry when MultiFlowConfig::telemetry_window is
-  /// set; null otherwise. Byte-identical between run_flows and
-  /// run_flows_sharded (the feeding tap runs in the serial event core).
+  /// set; null otherwise.
   std::shared_ptr<const obs::TimeSeries> timeseries;
 };
 
@@ -200,30 +199,8 @@ double jain_index(const std::vector<double>& xs);
 sim::Duration flows_deadline(const MultiFlowConfig& config);
 
 /// Runs N competing flows to completion (or deadline) and extracts every
-/// per-flow metric from the shared tap in one pass.
+/// per-flow metric from the shared tap in one pass, on the calling thread.
 MultiFlowResult run_flows(const MultiFlowConfig& config);
-
-/// Shard plan for the per-flow phases of a multi-flow run. The event-loop
-/// core is one serial discrete-event simulation either way (the flows
-/// share a bottleneck — their packets interleave in one timeline); what
-/// shards is the embarrassingly parallel per-flow work around it: the
-/// post-run extraction of each flow's reports, hash, capture, and trace
-/// from the shared tap state. Every shard writes preassigned per-flow
-/// slots and the merge reads them back in flows[] order, so a sharded run
-/// is bit-identical to the serial one at any shard size and job count
-/// (tests/flows_test.cpp pins this at N=1000).
-struct ShardPlan {
-  /// Flows per shard (0 = everything in one shard).
-  std::size_t shard_size = 256;
-  /// Worker threads for the sharded phases (<=1 = serial).
-  int jobs = 1;
-};
-
-/// run_flows with the per-flow extraction phase split into deterministic,
-/// merge-stable shards. ParallelRunner::run_flow_shards is the pooled
-/// entry point.
-MultiFlowResult run_flows_sharded(const MultiFlowConfig& config,
-                                  const ShardPlan& shards);
 
 /// Builds the deterministic run health report (obs::HealthReport) from a
 /// finished fleet run: stall/spike/drop-burst detection over the

@@ -1,7 +1,5 @@
 #include "framework/network.hpp"
 
-#include <utility>
-
 #include "kernel/qdisc_etf.hpp"
 #include "kernel/qdisc_fifo.hpp"
 #include "kernel/qdisc_fq.hpp"
@@ -53,8 +51,7 @@ BottleneckPath::BottleneckPath(sim::EventLoop& loop,
     : client_os_(config.client_os, rng.fork(2)),
       client_receiver_(std::make_unique<kernel::UdpReceiver>(
           loop, slab_, client_os_, config.client_rcvbuf_bytes,
-          [this](net::Packet pkt) { data_dispatch_.deliver(std::move(pkt)); },
-          config.client_gro_window)),
+          &data_dispatch_, config.client_gro_window)),
       data_netem_(loop, slab_,
                   {.delay = config.path_delay_one_way,
                    .jitter = config.path_jitter,
@@ -70,7 +67,7 @@ BottleneckPath::BottleneckPath(sim::EventLoop& loop,
       tap_(std::make_unique<net::WireTap>(loop, &bottleneck_)),
       server_receiver_(std::make_unique<kernel::UdpReceiver>(
           loop, slab_, server_recv_os, config.client_rcvbuf_bytes,
-          [this](net::Packet pkt) { ack_dispatch_.deliver(std::move(pkt)); })),
+          &ack_dispatch_)),
       ack_netem_(loop, slab_,
                  {.delay = config.path_delay_one_way,
                   .limit_packets = config.netem_limit_packets},

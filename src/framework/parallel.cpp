@@ -65,12 +65,4 @@ std::vector<MultiFlowResult> ParallelRunner::run_flow_sets(
   return results;
 }
 
-MultiFlowResult ParallelRunner::run_flow_shards(const MultiFlowConfig& config,
-                                                std::size_t shard_size) const {
-  ShardPlan plan;
-  if (shard_size > 0) plan.shard_size = shard_size;
-  plan.jobs = jobs_;
-  return run_flows_sharded(config, plan);
-}
-
 }  // namespace quicsteps::framework

@@ -3,14 +3,14 @@
 // parallel_for(n, jobs, body) runs body(0..n-1), each index exactly once,
 // across `jobs` workers pulling indices from one atomic counter. It is the
 // concurrency funnel of the repo: ParallelRunner's grid and flow-set
-// collectors and run_flows_sharded's extraction shards all go through it,
-// so CI's ThreadSanitizer job (a -DQUICSTEPS_SANITIZE=thread build running
-// ctest -L tier1-tsan and test_flows' sharded cases) checks every body
-// that runs on a pool thread.
+// collectors both go through it, so CI's ThreadSanitizer job (a
+// -DQUICSTEPS_SANITIZE=thread build running ctest -L tier1-tsan and
+// test_flows' ParallelFlows cases) checks every body that runs on a pool
+// thread.
 //
 // Contract for bodies: writes must land in slots preassigned to exactly
-// one index before the workers start (results[i], shard-owned ranges), so
-// they are disjoint by construction; the join publishes them.
+// one index before the workers start (results[i]), so they are disjoint
+// by construction; the join publishes them.
 #pragma once
 
 #include <cstddef>

@@ -78,7 +78,7 @@ void UdpReceiver::drain_wakeup(void* self, std::uint32_t ref) {
   rx->counters_.count_out(pkt.size_bytes);
   QUICSTEPS_TRACE_SPAN(rx->trace_bus_, obs::TraceStage::kDelivery,
                        rx->trace_component_, rx->loop_.now(), pkt);
-  if (rx->handler_) rx->handler_(std::move(pkt));
+  if (rx->sink_ != nullptr) rx->sink_->deliver(std::move(pkt));
 }
 
 void UdpReceiver::flush() {
@@ -90,7 +90,7 @@ void UdpReceiver::flush() {
     counters_.count_out(pkt.size_bytes);
     QUICSTEPS_TRACE_SPAN(trace_bus_, obs::TraceStage::kDelivery,
                          trace_component_, loop_.now(), pkt);
-    if (handler_) handler_(std::move(pkt));
+    if (sink_ != nullptr) sink_->deliver(std::move(pkt));
   }
   // Hand the capacity back for the next window, unless a re-entrant
   // delivery has already started a new batch.

@@ -4,14 +4,13 @@
 // Sending charges the calling thread a syscall cost (returned to the caller,
 // which models the stack's event loop occupancy) and injects the packet (or
 // GSO buffer) into the egress chain. SO_TXTIME is modelled by the
-// `has_txtime` field packets already carry. Receive hands datagrams to a
-// callback after an epoll wakeup latency; the receive buffer is sized per
+// `has_txtime` field packets already carry. Receive hands datagrams to the
+// stack's sink after an epoll wakeup latency; the receive buffer is sized per
 // the paper (50 MiB — large enough to never drop in these experiments, but
 // enforced).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -66,7 +65,7 @@ class UdpSocket : public obs::TraceSource {
   std::uint64_t syscalls_ = 0;
 };
 
-/// Receive side: delivers datagrams to the owning stack's handler after an
+/// Receive side: delivers datagrams to the owning stack's sink after an
 /// epoll wakeup latency, enforcing the configured receive buffer. Each
 /// per-datagram wakeup is a drain record carrying a ref into `slab`.
 ///
@@ -77,10 +76,8 @@ class UdpSocket : public obs::TraceSource {
 /// paces against.
 class UdpReceiver final : public net::PacketSink, public obs::TraceSource {
  public:
-  using Handler = std::function<void(net::Packet)>;
-
   UdpReceiver(sim::EventLoop& loop, net::PacketSlab& slab, OsModel& os,
-              std::int64_t rcvbuf_bytes, Handler handler,
+              std::int64_t rcvbuf_bytes, net::PacketSink* sink,
               sim::Duration gro_window = sim::Duration::zero())
       : loop_(loop),
         os_(os),
@@ -90,7 +87,7 @@ class UdpReceiver final : public net::PacketSink, public obs::TraceSource {
                                             this)),
         rcvbuf_bytes_(rcvbuf_bytes),
         gro_window_(gro_window),
-        handler_(std::move(handler)) {}
+        sink_(sink) {}
   // The wakeup drain channel and the GRO timer hold `this`.
   UdpReceiver(const UdpReceiver&) = delete;
   UdpReceiver& operator=(const UdpReceiver&) = delete;
@@ -112,7 +109,7 @@ class UdpReceiver final : public net::PacketSink, public obs::TraceSource {
   std::int64_t rcvbuf_bytes_;
   sim::Duration gro_window_;
   std::int64_t buffered_bytes_ = 0;
-  Handler handler_;
+  net::PacketSink* sink_;
   net::Counters counters_;
   std::vector<net::Packet> gro_batch_;
   sim::EventHandle gro_timer_;

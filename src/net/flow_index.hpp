@@ -1,6 +1,6 @@
 // Dense flow-id index: the one flow -> slot map behind every per-packet
-// flow lookup (FlowTableSink dispatch, FlowCaptureDemux routing,
-// BottleneckPath drop attribution, FqQdisc classification).
+// flow lookup (FlowTableSink dispatch, FlowCaptureDemux routing and
+// BottleneckPath drop attribution).
 //
 // Slot i is the i-th id added. The ids live in a flat table indexed by
 // `flow - min_id`, so a lookup is one subtraction, one bounds check and

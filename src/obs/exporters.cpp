@@ -24,8 +24,10 @@ void write_event(std::ostream& out, const TraceData& data,
   out << "}}\n";
 }
 
-void write_header(std::ostream& out, const TraceData& data,
-                  const std::string& title) {
+}  // namespace
+
+void write_path_qlog(std::ostream& out, const TraceData& data,
+                     const std::string& title) {
   out << "{\"qlog_format\":\"JSON-SEQ\",\"qlog_version\":\"0.4\","
          "\"title\":\""
       << title << "\",\"generator\":\"quicsteps\",\"trace\":{"
@@ -35,23 +37,8 @@ void write_header(std::ostream& out, const TraceData& data,
     out << '"' << data.components[i] << '"';
   }
   out << "]}}\n";
-}
-
-}  // namespace
-
-void write_path_qlog(std::ostream& out, const TraceData& data,
-                     const std::string& title) {
-  write_header(out, data, title);
   for (const SpanEvent& ev : data.events) {
     write_event(out, data, ev);
-  }
-}
-
-void write_path_qlog(std::ostream& out, const TraceData& data,
-                     const std::string& title, std::uint32_t flow) {
-  write_header(out, data, title);
-  for (const SpanEvent& ev : data.events) {
-    if (ev.flow == flow) write_event(out, data, ev);
   }
 }
 

@@ -11,7 +11,6 @@
 // tree-wide).
 #pragma once
 
-#include <cstdint>
 #include <ostream>
 #include <string>
 
@@ -22,10 +21,6 @@ namespace quicsteps::obs {
 /// Writes the path-qlog header plus every span in `data`, all flows.
 void write_path_qlog(std::ostream& out, const TraceData& data,
                      const std::string& title);
-
-/// Single-flow variant (per-flow artifact files in multi-flow runs).
-void write_path_qlog(std::ostream& out, const TraceData& data,
-                     const std::string& title, std::uint32_t flow);
 
 /// CSV: flow,packet_number,packet_id,stage,component,time_us,intended_us,
 /// size_bytes — one row per span, publication order.

@@ -5,7 +5,7 @@
 // points at the windows where it went wrong. The report is derived
 // entirely from already-deterministic inputs (the TimeSeries ring, the
 // fleet quantile sketches, the counters table), so its JSON is
-// byte-identical between serial and sharded runs of one config — a
+// byte-identical across runs of one config — a
 // golden-testable artifact, not a log.
 //
 // Detectors:

@@ -12,7 +12,7 @@
 //
 // Determinism and merging: buckets hold integer counts, so merging is an
 // elementwise add — commutative and associative — and a sketch merged
-// from per-flow shards is bit-identical to one built serially, in any
+// from per-flow sketches is bit-identical to one built serially, in any
 // merge order. quantile() walks buckets from the most negative magnitude
 // upward and returns the bucket's inclusive upper edge, a pure function
 // of the counts. No floats touch the state; doubles appear only in the

@@ -4,8 +4,8 @@
 // items need the time axis back: per-window throughput, qdisc backlog,
 // drop rate, and per-stage pacing error, so a rate collapse or a
 // mid-run stall is visible as *when*, not just a skewed total. The
-// engine is fed from the wire-tap packet callback (the serial event
-// core, so serial and sharded runs see byte-identical series) plus a
+// engine is fed from the wire-tap packet callback (in the serial event
+// core, so repeated runs of one config see byte-identical series) plus a
 // counter snapshot taken every time a window closes; per-stage pacing
 // errors are folded in post-run from the trace spine's span stream.
 //

@@ -42,7 +42,8 @@ class Client : public net::PacketSink {
       : loop_(loop), config_(config), ack_manager_(config.ack),
         ack_egress_(ack_egress) {}
 
-  /// Feed one received datagram (wired to the client UdpReceiver handler).
+  /// Feed one received datagram (the client UdpReceiver's flow table
+  /// routes here).
   void on_datagram(const net::Packet& pkt);
 
   /// PacketSink ingress (flow-table routing targets the client directly).

@@ -154,7 +154,7 @@ TEST(AnalyzeLexer, BackslashNewlineSplicesKeepDirectiveState) {
 // Rule registry
 // ---------------------------------------------------------------------------
 
-TEST(AnalyzeRules, RegistryListsAllNineteenRules) {
+TEST(AnalyzeRules, RegistryListsAllEighteenRules) {
   const auto& rules = quicsteps::analyze::all_rules();
   EXPECT_EQ(rules.size(), 18u);
   // The flow-sensitive v3 families ride on the CFG + abstract interpreter.

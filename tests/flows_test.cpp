@@ -242,44 +242,14 @@ TEST(ParallelFlows, FlowSetsAreBitIdenticalToSerial) {
   }
 }
 
-TEST(ParallelFlows, ShardedExtractionIsBitIdenticalAtScale) {
-  // The fabric-scale determinism gate: sharding only parallelizes the
-  // per-flow extraction (demux finish, hash digest, result fill) after
-  // the serial event core has run, so every shard plan must reproduce
-  // the unsharded run bit for bit — at N=1000, not just at toy sizes.
-  MultiFlowConfig config;
-  config.seed = 9;
-  config.lite_metrics = true;
-  for (int i = 0; i < 1000; ++i) {
-    config.flows.push_back(
-        FlowSpec{.config = small_config(StackKind::kIdealQuic, 4096)});
-  }
-
-  const MultiFlowResult serial = framework::run_flows(config);
-  const MultiFlowResult sharded =
-      ParallelRunner(4).run_flow_shards(config, /*shard_size=*/64);
-
-  ASSERT_EQ(serial.flows.size(), sharded.flows.size());
-  EXPECT_DOUBLE_EQ(serial.fairness, sharded.fairness);
-  EXPECT_EQ(serial.bottleneck_drops, sharded.bottleneck_drops);
-  for (std::size_t f = 0; f < serial.flows.size(); ++f) {
-    EXPECT_EQ(serial.flows[f].wire_hash, sharded.flows[f].wire_hash);
-    EXPECT_EQ(serial.flows[f].dropped_packets,
-              sharded.flows[f].dropped_packets);
-    EXPECT_DOUBLE_EQ(serial.flows[f].goodput.goodput.mbps(),
-                     sharded.flows[f].goodput.goodput.mbps());
-  }
-}
-
 // --------------------------------------------- fleet telemetry gates
 
-TEST(TelemetryFleet, ArtifactsAreBitIdenticalSerialVsSharded) {
-  // The telemetry spine feeds from the serial event core (wire tap +
-  // bottleneck counters) and merges per-flow sketch slots in flows[]
-  // order, so every derived artifact — windowed CSV, registry emission
-  // (fleet sketches included), health JSON — must be byte-identical
-  // between run_flows and any shard plan. N=1000 with 1-in-100 sampled
-  // tracing: the fabric-scale configuration, not a toy.
+TEST(TelemetryFleet, FleetSketchesArePinnedAtScale) {
+  // The fleet tails of an N=1000 fabric with 1-in-100 sampled tracing:
+  // flow-completion times fold over every completed flow, and the
+  // wire-stage pacing error over the sampled flows' spans, in flows[]
+  // order. The literals pin both sketches, so a change to the extraction
+  // or the fold must reproduce them exactly.
   MultiFlowConfig config;
   config.seed = 9;
   config.lite_metrics = true;
@@ -291,27 +261,22 @@ TEST(TelemetryFleet, ArtifactsAreBitIdenticalSerialVsSharded) {
     config.flows.push_back(spec);
   }
 
-  const MultiFlowResult serial = framework::run_flows(config);
-  const MultiFlowResult sharded =
-      ParallelRunner(4).run_flow_shards(config, /*shard_size=*/64);
+  const MultiFlowResult result = framework::run_flows(config);
 
-  ASSERT_NE(serial.timeseries, nullptr);
-  ASSERT_NE(sharded.timeseries, nullptr);
-  EXPECT_GT(serial.timeseries->size(), 0u);
-  EXPECT_EQ(serial.timeseries->to_csv(), sharded.timeseries->to_csv());
-  EXPECT_EQ(serial.metrics.to_string(), sharded.metrics.to_string());
-  EXPECT_EQ(framework::fleet_health(config, serial).to_json(),
-            framework::fleet_health(config, sharded).to_json());
-
+  ASSERT_NE(result.timeseries, nullptr);
+  EXPECT_GT(result.timeseries->size(), 0u);
+  const auto& sketches = result.metrics.sketches();
+  const auto fct = sketches.find("fleet/fct_us");
+  ASSERT_NE(fct, sketches.end());
+  EXPECT_EQ(fct->second.to_string(),
+            "count=652 sum=137489603 min=74620 max=466880 p50=176127 "
+            "p90=352255 p99=450559 p999=466943");
   if (obs::kTraceEnabled) {
-    // The fleet sketches materialized and carry the sampled population.
-    const auto& sketches = serial.metrics.sketches();
     const auto pacing = sketches.find("fleet/pacing_error_us/wire");
     ASSERT_NE(pacing, sketches.end());
-    EXPECT_GT(pacing->second.count(), 0);
-    const auto fct = sketches.find("fleet/fct_us");
-    ASSERT_NE(fct, sketches.end());
-    EXPECT_GT(fct->second.count(), 0);
+    EXPECT_EQ(pacing->second.to_string(),
+              "count=49 sum=1166 min=22 max=24 p50=24 p90=24 p99=24 "
+              "p999=24");
   }
 }
 

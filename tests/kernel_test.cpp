@@ -320,15 +320,15 @@ TEST(UdpReceiver, EnforcesReceiveBuffer) {
   EventLoop loop;
   OsModel os(quiet_os(), sim::Rng(1));
   net::PacketSlab slab;
-  int received = 0;
-  UdpReceiver receiver(loop, slab, os, 3000, [&](Packet) { ++received; });
+  CollectorSink received;
+  UdpReceiver receiver(loop, slab, os, 3000, &received);
   // Quiet OS = zero wakeup latency, but delivery is still via an event, so
   // three back-to-back datagrams exceed the 2-packet buffer.
   receiver.deliver(make_packet(1));
   receiver.deliver(make_packet(2));
   receiver.deliver(make_packet(3));
   loop.run();
-  EXPECT_EQ(received, 2);
+  EXPECT_EQ(received.packets().size(), 2u);
   EXPECT_EQ(receiver.counters().packets_dropped, 1);
   EXPECT_EQ(slab.live(), 0u);
 }

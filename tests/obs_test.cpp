@@ -334,13 +334,6 @@ TEST(Exporters, PathQlogJsonlIsBytePinned) {
                            kGoldenSpan2 + kGoldenSpan3);
 }
 
-TEST(Exporters, PathQlogFlowFilterKeepsHeaderDropsOtherFlows) {
-  std::ostringstream out;
-  obs::write_path_qlog(out, golden_trace(), "golden", 1);
-  EXPECT_EQ(out.str(),
-            std::string(kGoldenHeader) + kGoldenSpan1 + kGoldenSpan2);
-}
-
 TEST(Exporters, TraceCsvIsBytePinned) {
   std::ostringstream out;
   obs::write_trace_csv(out, golden_trace());

@@ -187,16 +187,15 @@ TEST(Gro, CoalescesArrivalsIntoOneWakeup) {
   quiet.wakeup_latency_stddev = Duration::zero();
   kernel::OsModel os(quiet, sim::Rng(2));
   net::PacketSlab slab;
-  int delivered = 0;
-  kernel::UdpReceiver receiver(loop, slab, os, 1 << 20,
-                               [&](Packet) { ++delivered; }, 500_us);
+  net::CollectorSink delivered;
+  kernel::UdpReceiver receiver(loop, slab, os, 1 << 20, &delivered, 500_us);
   for (int i = 0; i < 8; ++i) {
     Packet pkt;
     pkt.size_bytes = 1500;
     receiver.deliver(pkt);
   }
   loop.run();
-  EXPECT_EQ(delivered, 8);
+  EXPECT_EQ(delivered.packets().size(), 8u);
   EXPECT_EQ(receiver.wakeups(), 1);  // one batch, one recvmsg
 }
 
@@ -207,9 +206,8 @@ TEST(Gro, SeparatedArrivalsAreSeparateWakeups) {
   quiet.wakeup_latency_stddev = Duration::zero();
   kernel::OsModel os(quiet, sim::Rng(2));
   net::PacketSlab slab;
-  int delivered = 0;
-  kernel::UdpReceiver receiver(loop, slab, os, 1 << 20,
-                               [&](Packet) { ++delivered; }, 500_us);
+  net::CollectorSink delivered;
+  kernel::UdpReceiver receiver(loop, slab, os, 1 << 20, &delivered, 500_us);
   for (int i = 0; i < 4; ++i) {
     loop.schedule_at(
         Time::zero() + Duration::millis(i * 10), sim::EventClass::kGeneral,
@@ -221,7 +219,7 @@ TEST(Gro, SeparatedArrivalsAreSeparateWakeups) {
         &receiver);
   }
   loop.run();
-  EXPECT_EQ(delivered, 4);
+  EXPECT_EQ(delivered.packets().size(), 4u);
   EXPECT_EQ(receiver.wakeups(), 4);
 }
 

@@ -144,90 +144,22 @@ TEST_F(QdiscTest, FqRearmsForEarlierArrival) {
   EXPECT_EQ(at[1], Time::zero() + 10_ms);
 }
 
-Packet flow_packet(std::uint64_t id, std::uint32_t flow, Time txtime,
-                   std::int64_t size = 1500) {
-  Packet p = timed_packet(id, txtime, size);
-  p.flow = flow;
-  return p;
-}
-
-TEST_F(QdiscTest, FqCountsQueuedPacketsAcrossFlows) {
+TEST_F(QdiscTest, FqReportsItsBacklog) {
+  // Held packets count until their release; two sharing a timestamp leave
+  // in arrival order.
   FqQdisc fq(loop, {}, os, &sink);
-  fq.deliver(flow_packet(1, 1, Time::zero() + 5_ms));
-  fq.deliver(flow_packet(2, 1, Time::zero() + 6_ms));
-  fq.deliver(flow_packet(3, 2, Time::zero() + 5_ms));
+  fq.deliver(timed_packet(1, Time::zero() + 5_ms));
+  fq.deliver(timed_packet(2, Time::zero() + 6_ms));
+  fq.deliver(timed_packet(3, Time::zero() + 5_ms));
   EXPECT_EQ(fq.queued_packets(), 3u);
-  EXPECT_EQ(fq.queued_packets(1), 2u);
-  EXPECT_EQ(fq.queued_packets(2), 1u);
-  EXPECT_EQ(fq.queued_packets(99), 0u);
-  EXPECT_EQ(fq.flow_count(), 2u);
   EXPECT_EQ(fq.backlog_packets(), 3);
   loop.run();
   EXPECT_EQ(fq.queued_packets(), 0u);
   EXPECT_EQ(fq.backlog_packets(), 0);
-  EXPECT_EQ(sink.packets().size(), 3u);
-}
-
-TEST_F(QdiscTest, FqReleasesAcrossFlowsInTimestampOrder) {
-  // Distinct release times across flows leave strictly by timestamp —
-  // DRR only arbitrates packets due in the same softirq.
-  FqQdisc fq(loop, {}, os, &sink);
-  fq.deliver(flow_packet(1, 1, Time::zero() + 3_ms));
-  fq.deliver(flow_packet(2, 2, Time::zero() + 1_ms));
-  fq.deliver(flow_packet(3, 3, Time::zero() + 2_ms));
-  loop.run();
   ASSERT_EQ(sink.packets().size(), 3u);
-  EXPECT_EQ(sink.packets()[0].id, 2u);
+  EXPECT_EQ(sink.packets()[0].id, 1u);
   EXPECT_EQ(sink.packets()[1].id, 3u);
-  EXPECT_EQ(sink.packets()[2].id, 1u);
-}
-
-TEST_F(QdiscTest, FqServesSimultaneouslyDueFlowsRoundRobin) {
-  // Two flows, four full-size packets each, all due at the same instant:
-  // the softirq serves them DRR-style — quantum (2 frames) per flow per
-  // round — instead of draining one flow before the other.
-  FqQdisc fq(loop, {}, os, &sink);
-  const Time due = Time::zero() + 1_ms;
-  for (std::uint64_t i = 1; i <= 4; ++i) fq.deliver(flow_packet(i, 1, due));
-  for (std::uint64_t i = 11; i <= 14; ++i) fq.deliver(flow_packet(i, 2, due));
-  loop.run();
-  ASSERT_EQ(sink.packets().size(), 8u);
-  const std::vector<std::uint64_t> expected = {1, 2, 11, 12, 3, 4, 13, 14};
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(sink.packets()[i].id, expected[i]) << "position " << i;
-  }
-}
-
-TEST_F(QdiscTest, FqFlowRatePacesUntimedPackets) {
-  // sch_fq maxrate: 12 Mbit/s spreads 1500-byte packets 1 ms apart even
-  // without SO_TXTIME stamps. The first packet passes straight through.
-  TimestampSink timestamps(loop);
-  FqQdisc fq(loop, {}, os, &timestamps);
-  fq.set_flow_rate(1, DataRate::megabits_per_second(12));
-  for (std::uint64_t i = 1; i <= 3; ++i) {
-    Packet p = make_packet(i);
-    p.flow = 1;
-    fq.deliver(p);
-  }
-  loop.run();
-  ASSERT_EQ(timestamps.times().size(), 3u);
-  EXPECT_EQ(timestamps.times()[0], Time::zero());
-  EXPECT_EQ(timestamps.times()[1], Time::zero() + 1_ms);
-  EXPECT_EQ(timestamps.times()[2], Time::zero() + 2_ms);
-}
-
-TEST_F(QdiscTest, FqFlowRateDoesNotDelayOtherFlows) {
-  TimestampSink timestamps(loop);
-  FqQdisc fq(loop, {}, os, &timestamps);
-  fq.set_flow_rate(1, DataRate::kilobits_per_second(8));  // crawl
-  Packet slow = make_packet(1);
-  slow.flow = 1;
-  Packet fast = make_packet(2);
-  fast.flow = 2;
-  fq.deliver(slow);  // passes (first packet), pushes flow 1's rate_next out
-  fq.deliver(fast);  // unpaced flow: immediate, not behind flow 1
-  EXPECT_EQ(timestamps.packets().size(), 2u);
-  EXPECT_EQ(timestamps.times()[1], Time::zero());
+  EXPECT_EQ(sink.packets()[2].id, 2u);
 }
 
 TEST_F(QdiscTest, EtfDropsPacketsWithPastTxtime) {

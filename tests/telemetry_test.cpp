@@ -1,8 +1,8 @@
 // Fleet telemetry unit tests: FlowSampler determinism, QuantileSketch
 // accuracy/merge contracts, TimeSeries windowing semantics, and the
 // HealthReport detectors + JSON shape. The end-to-end determinism gates
-// (serial vs sharded byte identity at N=1000, sampled-trace wire-hash
-// identity) live in tests/flows_test.cpp — this file owns the component
+// (the pinned N=1000 fleet sketches, sampled-trace wire-hash identity)
+// live in tests/flows_test.cpp — this file owns the component
 // contracts those gates compose.
 #include <gtest/gtest.h>
 

@@ -17,12 +17,6 @@ though absolute nanoseconds do not:
         --baseline BENCH_micro.json --current /tmp/bench_out.json \
         --families BM_LoopHopPacket --anchor BM_EventLoopScheduleRun/10000
 
-In-run gates need no baseline at all (use for invariants like "FQ's per-op
-cost at 10k flows stays within 2x of 100 flows"):
-
-    python3 tools/bench_compare.py --current /tmp/bench_out.json \
-        --require-ratio BM_FqEnqueueDequeue/10000/10000:BM_FqEnqueueDequeue/10000/100:0.5
-
 Inputs may be raw `--benchmark_format=json` output or the repo's
 BENCH_micro.json (whose `benchmarks` array uses the same schema). Only the
 Python standard library is used.
@@ -83,63 +77,36 @@ def compare(baseline, current, families, threshold, anchor):
         yield name, change, higher_better
 
 
-def check_ratios(current, specs):
-    """Each spec is 'numerator:denominator:min_ratio' on items_per_second."""
-    failures = []
-    for spec in specs:
-        try:
-            num_name, den_name, min_ratio = spec.rsplit(":", 2)
-            min_ratio = float(min_ratio)
-        except ValueError:
-            sys.exit(f"bench_compare: bad --require-ratio spec '{spec}'")
-        for name in (num_name, den_name):
-            if name not in current:
-                sys.exit(f"bench_compare: benchmark '{name}' not in current run")
-        num, _ = metric(current[num_name])
-        den, _ = metric(current[den_name])
-        ratio = num / den if den else float("inf")
-        ok = ratio >= min_ratio
-        print(f"{'PASS' if ok else 'FAIL'}  {num_name} / {den_name} = "
-              f"{ratio:.2f} (required >= {min_ratio:.2f})")
-        if not ok:
-            failures.append(spec)
-    return failures
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--baseline", help="baseline JSON (e.g. BENCH_micro.json)")
+    parser.add_argument("--baseline", required=True,
+                        help="baseline JSON (e.g. BENCH_micro.json)")
     parser.add_argument("--current", required=True,
                         help="fresh --benchmark_format=json output")
-    parser.add_argument("--families", nargs="*", default=[],
+    parser.add_argument("--families", nargs="+", required=True,
                         help="benchmark-name prefixes to compare")
     parser.add_argument("--threshold", type=float, default=0.15,
                         help="max tolerated regression fraction (default 0.15)")
     parser.add_argument("--anchor", default=None,
                         help="normalize both runs by this benchmark first "
                              "(for cross-machine comparison)")
-    parser.add_argument("--require-ratio", action="append", default=[],
-                        metavar="NUM:DEN:MIN",
-                        help="in-run gate: items_per_second(NUM)/(DEN) >= MIN")
     args = parser.parse_args()
 
+    baseline = load_benchmarks(args.baseline)
     current = load_benchmarks(args.current)
-    failures = check_ratios(current, args.require_ratio)
-
-    if args.baseline and args.families:
-        baseline = load_benchmarks(args.baseline)
-        compared = 0
-        for name, change, higher_better in compare(
-                baseline, current, args.families, args.threshold, args.anchor):
-            compared += 1
-            status = "FAIL" if change > args.threshold else "ok"
-            kind = "items/s" if higher_better else "time"
-            print(f"{status:>4}  {name}: {kind} changed {change:+.1%} "
-                  f"(threshold {args.threshold:.0%})")
-            if change > args.threshold:
-                failures.append(name)
-        if compared == 0:
-            sys.exit("bench_compare: no benchmarks matched the named families")
+    failures = []
+    compared = 0
+    for name, change, higher_better in compare(
+            baseline, current, args.families, args.threshold, args.anchor):
+        compared += 1
+        status = "FAIL" if change > args.threshold else "ok"
+        kind = "items/s" if higher_better else "time"
+        print(f"{status:>4}  {name}: {kind} changed {change:+.1%} "
+              f"(threshold {args.threshold:.0%})")
+        if change > args.threshold:
+            failures.append(name)
+    if compared == 0:
+        sys.exit("bench_compare: no benchmarks matched the named families")
 
     if failures:
         print(f"bench_compare: {len(failures)} regression(s): "

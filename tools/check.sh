@@ -9,7 +9,7 @@
 #   2. ASan + UBSan build             -> ctest -L tier1-asan
 #   3. TSan build                     -> ctest -L tier1-tsan (tier-1 plus
 #                                        the worker-pool framework tests)
-#                                        + test_flows' sharded cases
+#                                        + test_flows' ParallelFlows cases
 #   4. static analysis                -> quicsteps-analyze over src/ AND
 #                                        its own sources (self-hosting):
 #                                        layering / units / determinism /
@@ -55,13 +55,12 @@ step "2/5 ASan + UBSan tier-1"
 configure_and_build build-asan "-DQUICSTEPS_SANITIZE=address;undefined"
 ctest --test-dir "$ROOT/build-asan" -L tier1-asan --output-on-failure --no-tests=error -j "$JOBS"
 
-step "3/5 TSan tier-1 + ParallelRunner framework and sharded-flow tests"
+step "3/5 TSan tier-1 + ParallelRunner framework and flow-set tests"
 configure_and_build build-tsan "-DQUICSTEPS_SANITIZE=thread"
 ctest --test-dir "$ROOT/build-tsan" -L tier1-tsan --output-on-failure --no-tests=error -j "$JOBS"
-# test_flows has no label; its sharded-extraction cases run the other
-# ParallelRunner user (run_flows_sharded).
-"$ROOT/build-tsan/tests/test_flows" \
-    --gtest_filter='ParallelFlows.*:TelemetryFleet.ArtifactsAreBitIdenticalSerialVsSharded'
+# test_flows has no label; its ParallelFlows cases run the pool through
+# ParallelRunner::run_flow_sets.
+"$ROOT/build-tsan/tests/test_flows" --gtest_filter='ParallelFlows.*'
 
 step "4/5 static analysis (quicsteps-analyze)"
 cmake --build "$ROOT/build-check" --target analyze

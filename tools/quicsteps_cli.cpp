@@ -10,7 +10,9 @@
 //   --qdisc     fifo | fq_codel | fq | etf | etf-lt
 //   --gso       off | on | paced          --gso-segments N
 //   --sendmmsg                            (batch sends, GSO off)
-//   --payload-mib N   --reps N   --seed N   --jobs N
+//   --payload-mib N   --reps N   --seed N
+//   --jobs N          worker threads for the repetitions (fleet mode runs
+//                     on one thread)
 //   --rate-mbit N     --rtt-ms N --buffer-kb N
 //   --loss P          --reorder P          --gro-us N
 //   --csv PREFIX      (PREFIX_summary.csv, PREFIX_gaps.<rep>.csv,
@@ -138,7 +140,7 @@ kernel::GsoMode parse_gso(const std::string& value) {
 
 /// Fleet mode: one N-flow fabric, telemetry, health report. Returns the
 /// process exit code.
-int run_fleet(const framework::ExperimentConfig& base, int flows, int jobs,
+int run_fleet(const framework::ExperimentConfig& base, int flows,
               std::uint32_t trace_sample, std::int64_t window_ms,
               const std::string& timeseries_csv,
               const std::string& health_path, bool health_exit) {
@@ -156,8 +158,7 @@ int run_fleet(const framework::ExperimentConfig& base, int flows, int jobs,
                                                                  : 10);
   }
 
-  framework::MultiFlowResult result =
-      framework::ParallelRunner(jobs).run_flow_shards(fleet);
+  framework::MultiFlowResult result = framework::run_flows(fleet);
 
   std::int64_t completed = 0;
   for (const auto& flow : result.flows) completed += flow.completed ? 1 : 0;
@@ -236,7 +237,7 @@ int main(int argc, char** argv) {
       config.payload_bytes =
           parse_number<std::int64_t>(flag, next_value(i)) * 1024 * 1024;
     } else if (flag == "--reps") {
-      config.repetitions = parse_number<int>(flag, next_value(i));
+      config.repetitions = parse_at_least(flag, next_value(i), 1);
     } else if (flag == "--seed") {
       config.seed = parse_number<std::uint64_t>(flag, next_value(i));
     } else if (flag == "--jobs") {
@@ -302,8 +303,8 @@ int main(int argc, char** argv) {
   if (!qlog_dir.empty()) config.trace = true;  // --qlog-dir implies --trace
 
   if (flows > 1) {
-    return run_fleet(config, flows, jobs, trace_sample, window_ms,
-                     timeseries_csv, health_path, health_exit);
+    return run_fleet(config, flows, trace_sample, window_ms, timeseries_csv,
+                     health_path, health_exit);
   }
 
   std::ofstream summary;
