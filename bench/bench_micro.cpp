@@ -121,8 +121,10 @@ void BM_FqEnqueueDequeue(benchmark::State& state) {
   for (auto _ : state) {
     sim::EventLoop loop;
     kernel::OsModel os({}, sim::Rng(1));
+    net::PacketSlab slab;
     net::CollectorSink sink;
-    kernel::FqQdisc fq(loop, {.limit_packets = packets + 1}, os, &sink);
+    kernel::FqQdisc fq(loop, slab, {.limit_packets = packets + 1}, os,
+                       &sink);
     for (int i = 0; i < packets; ++i) {
       net::Packet pkt = bench_packet(static_cast<std::uint64_t>(i));
       pkt.has_txtime = true;

@@ -63,8 +63,9 @@ class QuicEndpoint final : public FlowEndpoint {
       });
     }
     if (!config.qlog_path.empty()) {
-      qlog_stream_.open(config.qlog_path + "." + std::to_string(seed));
-      qlog_ = std::make_unique<quic::QlogWriter>(qlog_stream_);
+      qlog_stream_ = std::make_unique<std::ofstream>(config.qlog_path + "." +
+                                                     std::to_string(seed));
+      qlog_ = std::make_unique<quic::QlogWriter>(*qlog_stream_);
       qlog_->write_header(config.label.empty() ? "quicsteps run"
                                                : config.label);
       conn.set_observer(qlog_.get());
@@ -140,7 +141,8 @@ class QuicEndpoint final : public FlowEndpoint {
   std::unique_ptr<stacks::StackServer> stack_;
   std::unique_ptr<quic::ReferenceServer> ideal_;
   std::unique_ptr<quic::Client> client_;
-  std::ofstream qlog_stream_;
+  // Only a run that asked for a qlog pays for the stream.
+  std::unique_ptr<std::ofstream> qlog_stream_;
   std::unique_ptr<quic::QlogWriter> qlog_;
   std::unique_ptr<quic::AppSource> source_;
 };

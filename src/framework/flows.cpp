@@ -42,13 +42,12 @@ SenderHost::SenderHost(sim::EventLoop& loop, const FlowSpec& spec,
                        kernel::OsModel& os, BottleneckPath& path,
                        RunResult& live_result)
     : flow_id_(flow_id),
-      spec_(spec),
-      os_(os),
-      path_(loop, path.slab(), spec_.config.topology, os_,
+      start_delay_(spec.start_delay),
+      path_(loop, path.slab(), spec.config.topology, os,
             path.wire_ingress()) {
-  endpoint_ = make_flow_endpoint(loop, path.slab(), os_, spec_.config,
-                                 flow_id_, seed, path_.egress(),
-                                 path.ack_ingress(), live_result);
+  endpoint_ = make_flow_endpoint(loop, path.slab(), os, spec.config, flow_id_,
+                                 seed, path_.egress(), path.ack_ingress(),
+                                 live_result);
   // Duplicate flow ids trip the flow table's registration audit.
   path.register_flow(flow_id_, &endpoint_->data_ingress(),
                      &endpoint_->ack_ingress());

@@ -96,7 +96,9 @@ struct MultiFlowResult {
 
 /// One sender host: kernel egress chain + endpoint, attached to the shared
 /// path under `flow_id`. The host's OsModel lives in Network's OS array
-/// (same index), not inside the host — `os` must outlive it.
+/// (same index), not inside the host — `os` must outlive it. `spec` is
+/// read during construction only: the host keeps its start delay, and
+/// its components keep what they need of the config.
 class SenderHost {
  public:
   SenderHost(sim::EventLoop& loop, const FlowSpec& spec,
@@ -107,9 +109,7 @@ class SenderHost {
   void start() { endpoint_->start(); }
 
   std::uint32_t flow_id() const { return flow_id_; }
-  sim::Duration start_delay() const { return spec_.start_delay; }
-  const ExperimentConfig& config() const { return spec_.config; }
-  kernel::OsModel& os() { return os_; }
+  sim::Duration start_delay() const { return start_delay_; }
   const kernel::Qdisc& qdisc() const { return path_.qdisc(); }
   FlowEndpoint& endpoint() { return *endpoint_; }
   const FlowEndpoint& endpoint() const { return *endpoint_; }
@@ -123,8 +123,7 @@ class SenderHost {
 
  private:
   std::uint32_t flow_id_;
-  FlowSpec spec_;
-  kernel::OsModel& os_;
+  sim::Duration start_delay_;
   SenderPath path_;
   // The endpoint stays behind one pointer: it is the polymorphic seam
   // (QUIC stack / ideal server / TCP baseline share no layout). Everything
@@ -136,10 +135,10 @@ class SenderHost {
 class Network {
  public:
   /// The most flows one network holds. Each sender host's NIC registers a
-  /// drain channel, and the shared path registers five: the two
-  /// receivers, the two netems and the TBF.
+  /// drain channel, and the shared path registers four: the two receivers
+  /// and the two netems.
   static constexpr std::size_t kMaxFlows =
-      sim::EventLoop::kMaxDrainChannels - 5;
+      sim::EventLoop::kMaxDrainChannels - 4;
 
   /// `live_results[i]` receives flow i's streaming fields (cwnd trace)
   /// during the run; it must be sized to the flow count and outlive the

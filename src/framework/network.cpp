@@ -24,12 +24,13 @@ SenderPath::SenderPath(sim::EventLoop& loop, net::PacketSlab& slab,
     case QdiscKind::kFqCodel: {
       kernel::FqCodelQdisc::Config cfg;
       cfg.drain_rate = config.server_nic_rate;
-      qdisc_ = std::make_unique<kernel::FqCodelQdisc>(loop, cfg, nic_.get());
+      qdisc_ = std::make_unique<kernel::FqCodelQdisc>(loop, slab, cfg,
+                                                      nic_.get());
       break;
     }
     case QdiscKind::kFq:
       qdisc_ = std::make_unique<kernel::FqQdisc>(
-          loop, kernel::FqQdisc::Config{}, os, nic_.get());
+          loop, slab, kernel::FqQdisc::Config{}, os, nic_.get());
       break;
     case QdiscKind::kEtf:
     case QdiscKind::kEtfOffload:

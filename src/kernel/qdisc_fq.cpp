@@ -24,7 +24,10 @@ void FqQdisc::deliver(net::Packet pkt) {
     return;
   }
 
-  heap_.push_back({pkt.txtime, next_seq_++, std::move(pkt)});
+  // Limit and horizon drops happen before the slab: a dropped packet
+  // never takes a slot.
+  const sim::Time at = pkt.txtime;
+  heap_.push_back({at, next_seq_++, slab_.put(std::move(pkt))});
   std::push_heap(heap_.begin(), heap_.end(), &FqQdisc::releases_later);
   arm_watchdog();
 }
@@ -46,9 +49,9 @@ void FqQdisc::on_watchdog() {
   const sim::Time now = loop_.now();
   while (!heap_.empty() && heap_.front().at <= now) {
     std::pop_heap(heap_.begin(), heap_.end(), &FqQdisc::releases_later);
-    net::Packet pkt = std::move(heap_.back().pkt);
+    const net::PacketSlab::Ref ref = heap_.back().ref;
     heap_.pop_back();
-    forward(std::move(pkt));
+    forward(slab_.take(ref));
   }
   watchdog_at_ = sim::Time::infinite();
   arm_watchdog();

@@ -12,7 +12,9 @@
 // (framework/network.hpp), so sch_fq's per-flow classification, DRR
 // round-robin among flows and per-flow maxrate never see a second flow.
 // The model is therefore one min-heap on (release time, arrival order):
-// same-timestamp packets leave in the order they arrived.
+// same-timestamp packets leave in the order they arrived. Held packets
+// live flat in the shared net::PacketSlab; the heap sifts 24-byte
+// (time, order, ref) entries, not packets.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +22,7 @@
 
 #include "kernel/os_model.hpp"
 #include "kernel/qdisc.hpp"
+#include "net/packet_slab.hpp"
 
 namespace quicsteps::kernel {
 
@@ -31,9 +34,9 @@ class FqQdisc final : public Qdisc {
     bool horizon_drop = true;
   };
 
-  FqQdisc(sim::EventLoop& loop, Config config, OsModel& os,
-          net::PacketSink* downstream)
-      : Qdisc(loop, "fq", downstream), config_(config), os_(os) {}
+  FqQdisc(sim::EventLoop& loop, net::PacketSlab& slab, Config config,
+          OsModel& os, net::PacketSink* downstream)
+      : Qdisc(loop, "fq", downstream), config_(config), slab_(slab), os_(os) {}
 
   void deliver(net::Packet pkt) override;
 
@@ -50,7 +53,7 @@ class FqQdisc final : public Qdisc {
   struct Entry {
     sim::Time at;
     std::uint64_t seq = 0;
-    net::Packet pkt;
+    net::PacketSlab::Ref ref = 0;
   };
   /// Heap order: std::push_heap builds a max-heap, so ordering by
   /// "releases later" puts the earliest (at, seq) at the front.
@@ -62,6 +65,7 @@ class FqQdisc final : public Qdisc {
   void on_watchdog();
 
   Config config_;
+  net::PacketSlab& slab_;
   OsModel& os_;
   std::vector<Entry> heap_;
   std::uint64_t next_seq_ = 0;

@@ -8,10 +8,11 @@ namespace quicsteps::kernel {
 void FqCodelQdisc::deliver(net::Packet pkt) {
   note_arrival(pkt);
   if (static_cast<std::int64_t>(queue_.size()) >= config_.limit_packets) {
+    // Tail drop before the slab: a dropped packet never takes a slot.
     drop(pkt);
     return;
   }
-  queue_.push_back(Entry{std::move(pkt), loop_.now()});
+  queue_.push_back(Entry{slab_.put(std::move(pkt)), loop_.now()});
   schedule_drain();
 }
 
@@ -20,7 +21,7 @@ void FqCodelQdisc::schedule_drain() {
   drain_scheduled_ = true;
   const sim::Time start = sim::max(loop_.now(), drain_free_);
   const sim::Duration tx =
-      config_.drain_rate.transmit_time(queue_.front().pkt.size_bytes);
+      config_.drain_rate.transmit_time(slab_.size_bytes(queue_.front().ref));
   drain_free_ = start + tx;
   loop_.schedule_at<&FqCodelQdisc::on_drain>(drain_free_,
                                              sim::EventClass::kQueue, this);
@@ -34,15 +35,16 @@ void FqCodelQdisc::on_drain() {
 
 void FqCodelQdisc::drain_one() {
   while (!queue_.empty()) {
-    Entry entry = std::move(queue_.front());
+    const Entry entry = queue_.front();
     queue_.pop_front();
+    net::Packet pkt = slab_.take(entry.ref);
     const sim::Duration sojourn = loop_.now() - entry.enqueue_time;
     if (codel_should_drop(loop_.now(), sojourn)) {
       ++codel_drops_;
-      drop(entry.pkt);
+      drop(pkt);
       continue;  // CoDel drops and dequeues the next packet
     }
-    forward(std::move(entry.pkt));
+    forward(std::move(pkt));
     return;
   }
 }

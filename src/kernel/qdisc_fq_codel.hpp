@@ -7,12 +7,17 @@
 // time never crosses the target, so — as in the paper's baseline — the
 // qdisc is effectively transparent; the control law is still fully
 // implemented and exercised by tests at lower drain rates.
+//
+// Queued packets live flat in the shared net::PacketSlab; the FIFO holds
+// their refs and enqueue times in a sim::FifoRing, which allocates on the
+// first packet, so a fleet's idle per-host qdiscs cost no heap.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
 #include "kernel/qdisc.hpp"
+#include "net/packet_slab.hpp"
+#include "sim/fifo_ring.hpp"
 
 namespace quicsteps::kernel {
 
@@ -26,9 +31,9 @@ class FqCodelQdisc final : public Qdisc {
     net::DataRate drain_rate = net::DataRate::gigabits_per_second(1);
   };
 
-  FqCodelQdisc(sim::EventLoop& loop, Config config,
+  FqCodelQdisc(sim::EventLoop& loop, net::PacketSlab& slab, Config config,
                net::PacketSink* downstream)
-      : Qdisc(loop, "fq_codel", downstream), config_(config) {}
+      : Qdisc(loop, "fq_codel", downstream), config_(config), slab_(slab) {}
 
   void deliver(net::Packet pkt) override;
 
@@ -39,7 +44,7 @@ class FqCodelQdisc final : public Qdisc {
 
  private:
   struct Entry {
-    net::Packet pkt;
+    net::PacketSlab::Ref ref = 0;
     sim::Time enqueue_time;
   };
 
@@ -50,7 +55,8 @@ class FqCodelQdisc final : public Qdisc {
   bool codel_should_drop(sim::Time sojourn_ref, sim::Duration sojourn);
 
   Config config_;
-  std::deque<Entry> queue_;
+  net::PacketSlab& slab_;
+  sim::FifoRing<Entry> queue_;
   sim::Time drain_free_;  // when the virtual serializer is free
   bool drain_scheduled_ = false;
 

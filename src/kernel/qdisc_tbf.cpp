@@ -10,8 +10,6 @@ TbfQdisc::TbfQdisc(sim::EventLoop& loop, net::PacketSlab& slab, Config config,
     : Qdisc(loop, "tbf", downstream),
       config_(config),
       slab_(slab),
-      wake_channel_(loop.register_drain(sim::EventClass::kQueue,
-                                        &TbfQdisc::drain_wake, this)),
       tokens_bytes_(static_cast<double>(config.burst_bytes)),
       last_refill_(loop.now()) {}
 
@@ -26,10 +24,6 @@ void TbfQdisc::deliver(net::Packet pkt) {
   backlog_bytes_ += pkt.size_bytes;
   queue_.push_back(slab_.put(std::move(pkt)));
   try_release();
-}
-
-void TbfQdisc::drain_wake(void* self, std::uint32_t /*payload*/) {
-  static_cast<TbfQdisc*>(self)->try_release();
 }
 
 void TbfQdisc::refill_tokens(sim::Time now) {
@@ -69,9 +63,8 @@ void TbfQdisc::try_release() {
   const sim::Time due =
       now + sim::Duration::nanos(static_cast<std::int64_t>(seconds * 1e9) + 1);
   if (wake_.pending()) return;  // a wakeup is already scheduled
-  // The wake is a payload-less drain record: no std::function to build per
-  // release step, and the record can ride a drain train.
-  wake_ = loop_.schedule_drain_at(due, wake_channel_, 0);
+  wake_ = loop_.schedule_at<&TbfQdisc::try_release>(
+      due, sim::EventClass::kQueue, this);
 }
 
 }  // namespace quicsteps::kernel

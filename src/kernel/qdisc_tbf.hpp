@@ -39,15 +39,12 @@ class TbfQdisc final : public Qdisc {
   }
 
  private:
-  static void drain_wake(void* self, std::uint32_t payload);
-
   void refill_tokens(sim::Time now);
   void try_release();
 
   Config config_;
   net::PacketSlab& slab_;
   std::deque<net::PacketSlab::Ref> queue_;
-  sim::DrainId wake_channel_;
   std::int64_t backlog_bytes_ = 0;
   double tokens_bytes_;
   sim::Time last_refill_;

@@ -10,9 +10,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "cc/cc_factory.hpp"
 #include "net/packet.hpp"
@@ -22,6 +22,7 @@
 #include "quic/loss_detection.hpp"
 #include "quic/rtt_estimator.hpp"
 #include "quic/sent_packet_map.hpp"
+#include "sim/fifo_ring.hpp"
 
 namespace quicsteps::quic {
 
@@ -174,7 +175,9 @@ class Connection {
   std::int64_t next_offset_ = 0;
   std::int64_t available_bytes_ = 0;  // app-limited availability watermark
   std::int64_t peer_max_data_ = 0;  // highest MAX_DATA seen
-  std::deque<Chunk> retransmit_queue_;
+  // Lost chunks awaiting retransmission (unallocated until the first loss
+  // or probe).
+  sim::FifoRing<Chunk> retransmit_queue_;
   ByteIntervalSet acked_;
   std::uint64_t largest_acked_ = 0;
   bool has_acked_anything_ = false;

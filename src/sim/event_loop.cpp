@@ -99,13 +99,6 @@ DrainId EventLoop::register_drain(EventClass cls, DrainFn fn, void* ctx) {
   return static_cast<DrainId>(drains_.size() - 1);
 }
 
-EventHandle EventLoop::schedule_drain_at(Time at, DrainId ch,
-                                         std::uint32_t payload) {
-  QUICSTEPS_AUDIT(ch < drains_.size(), "drain channel not registered");
-  const DrainChannel& c = drains_[ch];
-  return schedule_at(at, c.cls, c.fn, c.ctx, payload);
-}
-
 void EventLoop::post_drain_at(Time at, DrainId ch, std::uint32_t payload) {
   if (at < now_) at = now_;
   QUICSTEPS_AUDIT(ch < drains_.size(), "drain channel not registered");
@@ -113,20 +106,6 @@ void EventLoop::post_drain_at(Time at, DrainId ch, std::uint32_t payload) {
   note_scheduled(drains_[ch].cls);
   enqueue(Rec{at.ns(), next_seq_++, payload,
               static_cast<std::uint16_t>(kPostClsBit | ch)});
-}
-
-void EventLoop::DelayLine::push(const Rec& rec) {
-  if (count == ring.size()) {
-    // Grow to the next power of two, unrolling the ring to start at 0.
-    std::vector<Rec> grown(ring.empty() ? 16 : 2 * ring.size());
-    for (std::size_t i = 0; i < count; ++i) {
-      grown[i] = ring[(head + i) & (ring.size() - 1)];
-    }
-    ring.swap(grown);
-    head = 0;
-  }
-  ring[(head + count) & (ring.size() - 1)] = rec;
-  ++count;
 }
 
 void EventLoop::post_line_at(Time at, DrainId ch, std::uint32_t payload) {
@@ -141,12 +120,12 @@ void EventLoop::post_line_at(Time at, DrainId ch, std::uint32_t payload) {
   DelayLine& line = lines_[channel.line];
   const Rec rec{at.ns(), next_seq_++, payload,
                 static_cast<std::uint16_t>(kPostClsBit | ch)};
-  QUICSTEPS_AUDIT(line.count == 0 || line.back().at_ns <= rec.at_ns,
+  QUICSTEPS_AUDIT(line.empty() || line.back().at_ns <= rec.at_ns,
                   "delay line posted out of time order");
   note_scheduled(channel.cls);
-  line.push(rec);
+  line.push_back(rec);
   // An empty line arms its first entry; later entries wait for it to run.
-  if (line.count == 1) enqueue(rec);
+  if (line.size() == 1) enqueue(rec);
 }
 
 void EventLoop::deactivate_slot(std::uint32_t slot) {
@@ -405,9 +384,9 @@ void EventLoop::execute(const Rec& rec) {
     // before the callback, so the queue holds it exactly as if it had been
     // queued at post time.
     DelayLine& l = lines_[line];
-    if (l.count != 0 && l.front().seq == rec.seq) {
-      l.pop();
-      if (l.count != 0) enqueue(l.front());
+    if (!l.empty() && l.front().seq == rec.seq) {
+      l.pop_front();
+      if (!l.empty()) enqueue(l.front());
     }
   }
   fn(ctx, payload);

@@ -40,6 +40,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/fifo_ring.hpp"
 #include "sim/time.hpp"
 
 namespace quicsteps::sim {
@@ -188,12 +189,10 @@ class EventLoop {
     drains_.reserve(drains_.size() + more);
   }
 
-  /// schedule_at with channel `ch`'s class, function and context.
-  EventHandle schedule_drain_at(Time at, DrainId ch, std::uint32_t payload);
-
-  /// Fire-and-forget variant of schedule_drain_at: the payload rides in
-  /// the queue record itself, so no slab slot is touched on schedule or
-  /// execute — but there is no handle and the record cannot be cancelled.
+  /// Schedules channel `ch`'s function with `payload` at `at`, fire and
+  /// forget: the payload rides in the queue record itself, so no slab slot
+  /// is touched on schedule or execute — but there is no handle and the
+  /// record cannot be cancelled (a cancellable event is a schedule_at).
   /// This is the cheapest way through the loop; use it for records that
   /// are never cancelled (NIC completions, propagation-delay deliveries,
   /// receive wakeups). Ordering is identical to the other schedule calls
@@ -281,24 +280,10 @@ class EventLoop {
     std::uint32_t line = kNoLine;  // index into lines_, once posted to
   };
 
-  /// One channel's FIFO of posted records, a ring whose capacity is a
-  /// power of two. front() is the record armed in the wheel or heap; the
-  /// rest wait here, in post order, which is also (time, seq) order.
-  struct DelayLine {
-    std::vector<Rec> ring;
-    std::size_t head = 0;
-    std::size_t count = 0;
-
-    const Rec& front() const { return ring[head]; }
-    const Rec& back() const {
-      return ring[(head + count - 1) & (ring.size() - 1)];
-    }
-    void push(const Rec& rec);
-    void pop() {
-      head = (head + 1) & (ring.size() - 1);
-      --count;
-    }
-  };
+  /// One channel's FIFO of posted records. front() is the record armed in
+  /// the wheel or heap; the rest wait here, in post order, which is also
+  /// (time, seq) order.
+  using DelayLine = FifoRing<Rec>;
 
   static bool rec_before(const Rec& a, const Rec& b) {
     if (a.at_ns != b.at_ns) return a.at_ns < b.at_ns;

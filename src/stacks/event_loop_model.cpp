@@ -74,10 +74,10 @@ void StackServer::on_datagram(const net::Packet& pkt) {
 void StackServer::process_ack_batch() {
   ++stats_.wakeups;
   const sim::Time now = loop_.now();
-  while (!pending_acks_.empty()) {
-    connection_.on_ack_packet(pending_acks_.front(), now);
-    pending_acks_.pop_front();
+  for (const net::Packet& ack : pending_acks_) {
+    connection_.on_ack_packet(ack, now);
   }
+  pending_acks_.clear();
   rearm_loss_timer();
   attempt_send();
 }

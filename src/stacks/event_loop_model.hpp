@@ -8,7 +8,6 @@
 // the paper's per-stack wire signatures purely through these disciplines.
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -82,7 +81,9 @@ class StackServer : public net::PacketSink, public obs::TraceSource {
   kernel::UdpSocket socket_;
   kernel::TimerService pacer_timers_;
 
-  std::deque<net::Packet> pending_acks_;
+  // ACKs held for the next batch, in arrival order (unallocated until a
+  // batching profile holds its first ACK).
+  std::vector<net::Packet> pending_acks_;
   std::vector<net::Packet> mmsg_batch_;
   sim::EventHandle batch_timer_;
   sim::EventHandle send_timer_;

@@ -1,8 +1,13 @@
-// Heap allocations per ACK round trip. A quic::Client with flow-control
-// credit renders every ACK and a quic::Connection consumes it, with
-// enough receiver gaps that each ACK carries max_ack_blocks ranges (the
-// shape of a long lossy run). The two allocations a round may make are
-// the shared TransportAck and its exact-size block vector.
+// Heap allocations on the two paths whose cost scales with the work:
+//
+// - Per ACK round trip. A quic::Client with flow-control credit renders
+//   every ACK and a quic::Connection consumes it, with enough receiver
+//   gaps that each ACK carries max_ack_blocks ranges (the shape of a long
+//   lossy run). The two allocations a round may make are the shared
+//   TransportAck and its exact-size block vector.
+// - Per fleet flow at construction. A 1,000-flow network shaped like
+//   perfbench's fabric_10k (ideal QUIC over FqCodel) is built, and the
+//   allocations and bytes are divided by the flow count.
 //
 // This binary replaces the global operator new/delete with counting
 // versions, so it stands alone instead of joining test_quic.
@@ -14,15 +19,19 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
+#include "framework/flows.hpp"
 #include "net/packet.hpp"
 #include "quic/client.hpp"
 #include "quic/connection.hpp"
 #include "sim/event_loop.hpp"
+#include "sim/random.hpp"
 
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};
 
 }  // namespace
 
@@ -30,6 +39,7 @@ std::atomic<std::uint64_t> g_allocations{0};
 // -Wmismatched-new-delete would see free() release operator new's memory.
 [[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
@@ -125,3 +135,46 @@ TEST(AckAllocations, AtMostTwoPerAckRound) {
 
 }  // namespace
 }  // namespace quicsteps::quic
+
+namespace quicsteps::framework {
+namespace {
+
+TEST(FlowFootprint, FabricFlowBuildsInNineAllocationsAnd2560Bytes) {
+  // What one flow costs before its first packet: its OS model and host
+  // records in Network's arrays, its qdisc and NIC, and its endpoint.
+  // Undrawn generators, idle queues and an unrequested qlog stream must
+  // cost nothing.
+  constexpr std::size_t kFlows = 1000;
+  ExperimentConfig flow;
+  flow.stack = StackKind::kIdealQuic;
+  flow.payload_bytes = 64 * 1024;
+  flow.topology.server_qdisc = QdiscKind::kFqCodel;
+  flow.topology.bottleneck_rate =
+      net::DataRate::bits_per_second(2'000'000 * kFlows);
+  flow.topology.bottleneck_buffer_bytes =
+      flow.topology.bottleneck_rate.bytes_in(sim::Duration::millis(40));
+  MultiFlowConfig config;
+  config.flows.assign(kFlows, FlowSpec{.config = flow});
+
+  sim::EventLoop loop;
+  sim::Rng rng(config.seed);
+  std::vector<RunResult> live(kFlows);
+  const std::uint64_t allocations_before = g_allocations.load();
+  const std::uint64_t bytes_before = g_bytes.load();
+  {
+    const Network net(loop, config, rng, live);
+    ASSERT_EQ(net.flow_count(), kFlows);
+  }
+  const double allocations =
+      static_cast<double>(g_allocations.load() - allocations_before) /
+      kFlows;
+  const double bytes =
+      static_cast<double>(g_bytes.load() - bytes_before) / kFlows;
+  std::printf("per flow at construction: %.2f allocations, %.0f bytes\n",
+              allocations, bytes);
+  EXPECT_LE(allocations, 9.0);
+  EXPECT_LE(bytes, 2560.0);
+}
+
+}  // namespace
+}  // namespace quicsteps::framework

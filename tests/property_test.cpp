@@ -108,7 +108,7 @@ TEST_P(QdiscInvariants, ConservationAndOrder) {
       break;
     case QdiscUnderTest::kFq:
       qdisc = std::make_unique<kernel::FqQdisc>(
-          loop, kernel::FqQdisc::Config{}, os, &sink);
+          loop, slab, kernel::FqQdisc::Config{}, os, &sink);
       timestamps = true;
       break;
     case QdiscUnderTest::kEtf:
@@ -132,7 +132,7 @@ TEST_P(QdiscInvariants, ConservationAndOrder) {
       break;
     case QdiscUnderTest::kFqCodel:
       qdisc = std::make_unique<kernel::FqCodelQdisc>(
-          loop,
+          loop, slab,
           kernel::FqCodelQdisc::Config{
               .drain_rate = DataRate::megabits_per_second(30)},
           &sink);

@@ -91,7 +91,7 @@ TEST_F(QdiscTest, FifoForwardsImmediately) {
 }
 
 TEST_F(QdiscTest, FqHoldsUntilTxtime) {
-  FqQdisc fq(loop, {}, os, &sink);
+  FqQdisc fq(loop, slab, {}, os, &sink);
   fq.deliver(timed_packet(1, Time::zero() + 5_ms));
   EXPECT_TRUE(sink.packets().empty());
   loop.run();
@@ -100,7 +100,7 @@ TEST_F(QdiscTest, FqHoldsUntilTxtime) {
 }
 
 TEST_F(QdiscTest, FqSendsLatePacketsImmediatelyInsteadOfDropping) {
-  FqQdisc fq(loop, {}, os, &sink);
+  FqQdisc fq(loop, slab, {}, os, &sink);
   loop.run_until(Time::zero() + 10_ms);
   fq.deliver(timed_packet(1, Time::zero() + 5_ms));  // already past
   EXPECT_EQ(sink.packets().size(), 1u);
@@ -108,7 +108,7 @@ TEST_F(QdiscTest, FqSendsLatePacketsImmediatelyInsteadOfDropping) {
 }
 
 TEST_F(QdiscTest, FqReleasesInTimestampOrder) {
-  FqQdisc fq(loop, {}, os, &sink);
+  FqQdisc fq(loop, slab, {}, os, &sink);
   fq.deliver(timed_packet(2, Time::zero() + 2_ms));
   fq.deliver(timed_packet(1, Time::zero() + 1_ms));
   loop.run();
@@ -118,21 +118,36 @@ TEST_F(QdiscTest, FqReleasesInTimestampOrder) {
 }
 
 TEST_F(QdiscTest, FqPassesUntimedPacketsThrough) {
-  FqQdisc fq(loop, {}, os, &sink);
+  FqQdisc fq(loop, slab, {}, os, &sink);
   fq.deliver(make_packet(1));
   EXPECT_EQ(sink.packets().size(), 1u);
 }
 
 TEST_F(QdiscTest, FqDropsBeyondHorizon) {
-  FqQdisc fq(loop, {.horizon = 1_s, .horizon_drop = true}, os, &sink);
+  FqQdisc fq(loop, slab, {.horizon = 1_s, .horizon_drop = true}, os,
+             &sink);
   fq.deliver(timed_packet(1, Time::zero() + 2_s));
   EXPECT_EQ(fq.counters().packets_dropped, 1);
+  EXPECT_EQ(slab.live(), 0u);  // a horizon drop never takes a slot
+}
+
+TEST_F(QdiscTest, FqDropsPastItsLimit) {
+  FqQdisc fq(loop, slab, {.limit_packets = 2}, os, &sink);
+  for (int i = 0; i < 3; ++i) {
+    fq.deliver(timed_packet(static_cast<std::uint64_t>(i),
+                            Time::zero() + Duration::millis(1 + i)));
+  }
+  EXPECT_EQ(fq.counters().packets_dropped, 1);
+  EXPECT_EQ(slab.live(), 2u);  // the two held packets
+  loop.run();
+  EXPECT_EQ(sink.packets().size(), 2u);
+  EXPECT_EQ(slab.live(), 0u);
 }
 
 TEST_F(QdiscTest, FqRearmsForEarlierArrival) {
   // A later packet is enqueued first; an earlier txtime arrives afterwards
   // and must still release first, at its own time.
-  FqQdisc fq(loop, {}, os, &sink);
+  FqQdisc fq(loop, slab, {}, os, &sink);
   fq.deliver(timed_packet(2, Time::zero() + 10_ms));
   fq.deliver(timed_packet(1, Time::zero() + 1_ms));
   std::vector<Time> at;
@@ -147,15 +162,17 @@ TEST_F(QdiscTest, FqRearmsForEarlierArrival) {
 TEST_F(QdiscTest, FqReportsItsBacklog) {
   // Held packets count until their release; two sharing a timestamp leave
   // in arrival order.
-  FqQdisc fq(loop, {}, os, &sink);
+  FqQdisc fq(loop, slab, {}, os, &sink);
   fq.deliver(timed_packet(1, Time::zero() + 5_ms));
   fq.deliver(timed_packet(2, Time::zero() + 6_ms));
   fq.deliver(timed_packet(3, Time::zero() + 5_ms));
   EXPECT_EQ(fq.queued_packets(), 3u);
   EXPECT_EQ(fq.backlog_packets(), 3);
+  EXPECT_EQ(slab.live(), 3u);  // held packets park in the slab
   loop.run();
   EXPECT_EQ(fq.queued_packets(), 0u);
   EXPECT_EQ(fq.backlog_packets(), 0);
+  EXPECT_EQ(slab.live(), 0u);
   ASSERT_EQ(sink.packets().size(), 3u);
   EXPECT_EQ(sink.packets()[0].id, 1u);
   EXPECT_EQ(sink.packets()[1].id, 3u);
@@ -275,7 +292,7 @@ TEST_F(QdiscTest, NetemPreservesOrderWithConstantDelay) {
 }
 
 TEST_F(QdiscTest, FqCodelTransparentWhenUncongested) {
-  FqCodelQdisc codel(loop, {}, &sink);
+  FqCodelQdisc codel(loop, slab, {}, &sink);
   for (int i = 0; i < 100; ++i) {
     loop.schedule_at(Time::zero() + Duration::micros(i * 300),
                      sim::EventClass::kGeneral, &deliver_id<FqCodelQdisc>,
@@ -289,13 +306,40 @@ TEST_F(QdiscTest, FqCodelTransparentWhenUncongested) {
 TEST_F(QdiscTest, FqCodelDropsUnderSustainedQueueing) {
   // Drain at 1 Mbit/s while offering 100 packets at once: sojourn stays far
   // above the 5 ms target, so the control law must engage.
-  FqCodelQdisc codel(loop, {.drain_rate = DataRate::megabits_per_second(1)},
-                     &sink);
+  FqCodelQdisc codel(loop, slab,
+                     {.drain_rate = DataRate::megabits_per_second(1)}, &sink);
   for (int i = 0; i < 100; ++i) codel.deliver(make_packet(i));
   loop.run();
   EXPECT_GT(codel.codel_drops(), 0);
   EXPECT_EQ(codel.counters().packets_out + codel.counters().packets_dropped,
             100);
+  EXPECT_EQ(slab.live(), 0u);  // CoDel drops take their packet back
+}
+
+TEST_F(QdiscTest, FqCodelDropsPastItsLimit) {
+  FqCodelQdisc codel(loop, slab, {.limit_packets = 3}, &sink);
+  for (int i = 0; i < 5; ++i) codel.deliver(make_packet(i));
+  EXPECT_EQ(codel.counters().packets_dropped, 2);
+  EXPECT_EQ(codel.backlog_packets(), 3);
+  loop.run();
+  EXPECT_EQ(sink.packets().size(), 3u);
+  EXPECT_EQ(slab.live(), 0u);
+}
+
+TEST_F(QdiscTest, FqCodelKeepsFifoOrderAcrossRingGrowth) {
+  // The first 12 packets sit in the 16-entry ring; once 6 have left, the
+  // next 20 wrap past its end, so it grows with its head mid-array.
+  FqCodelQdisc codel(loop, slab,
+                     {.drain_rate = DataRate::megabits_per_second(12)}, &sink);
+  for (int i = 0; i < 12; ++i) codel.deliver(make_packet(i));
+  while (sink.packets().size() < 6) ASSERT_TRUE(loop.run_one());
+  for (int i = 12; i < 32; ++i) codel.deliver(make_packet(i));
+  EXPECT_EQ(codel.backlog_packets(), 26);
+  loop.run();
+  ASSERT_EQ(sink.packets().size(), 32u);
+  for (int i = 0; i < 32; ++i) EXPECT_EQ(sink.packets()[i].id, (unsigned)i);
+  EXPECT_EQ(codel.codel_drops(), 0);
+  EXPECT_EQ(slab.live(), 0u);
 }
 
 }  // namespace

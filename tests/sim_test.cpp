@@ -4,12 +4,15 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <random>
 #include <set>
 #include <stdexcept>
 #include <tuple>
 #include <vector>
 
 #include "sim/event_loop.hpp"
+#include "sim/fifo_ring.hpp"
 #include "sim/random.hpp"
 #include "sim/time.hpp"
 
@@ -269,13 +272,13 @@ TEST(EventLoop, StaleHandlesFromReusedSlotsAreInert) {
 // -------------------------------------------- differential: EventLoop
 //
 // Drives seeded random interleavings of every way to queue work
-// (schedule_at, schedule_drain_at, post_drain_at, post_line_at, cancel),
-// from the outside and from inside running callbacks, against a reference
-// (at, seq) priority queue. Callbacks schedule zero-delay records into the
-// bucket being drained, records past the 16.8 ms wheel horizon, and line
-// posts; the test alternates run_one() and run_until() deadlines. After
-// every step the executed sequence, now(), pending_count() and
-// next_event_time() must equal the reference's.
+// (schedule_at bound to a member or to a plain function, post_drain_at,
+// post_line_at, cancel), from the outside and from inside running
+// callbacks, against a reference (at, seq) priority queue. Callbacks
+// schedule zero-delay records into the bucket being drained, records past
+// the 16.8 ms wheel horizon, and line posts; the test alternates run_one()
+// and run_until() deadlines. After every step the executed sequence,
+// now(), pending_count() and next_event_time() must equal the reference's.
 
 class LoopDifferential {
  public:
@@ -359,7 +362,8 @@ class LoopDifferential {
                      at, EventClass::kTimer, this, id)});
         break;
       case 1:
-        handles_.push_back({id, loop_.schedule_drain_at(at, channels_[2], id)});
+        handles_.push_back({id, loop_.schedule_at(at, EventClass::kDelay,
+                                                  &drain_fn, this, id)});
         break;
       case 2:
         loop_.post_drain_at(
@@ -537,6 +541,135 @@ TEST(Rng, ChanceEdgeCases) {
   Rng rng(3);
   EXPECT_FALSE(rng.chance(0.0));
   EXPECT_TRUE(rng.chance(1.0));
+}
+
+// The oracle for the tests below: what each Rng method draws, written
+// against an eagerly seeded std::mt19937_64. A generator builds its engine
+// on first use, and every stream must still be exactly this one.
+struct EagerRng {
+  explicit EagerRng(std::uint64_t seed) : engine(seed) {}
+
+  std::int64_t uniform(std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine);
+  }
+  Duration normal_duration(Duration mean, Duration stddev) {
+    std::normal_distribution<double> dist(static_cast<double>(mean.ns()),
+                                          static_cast<double>(stddev.ns()));
+    return max(Duration::nanos(static_cast<std::int64_t>(dist(engine))),
+               Duration::zero());
+  }
+  Duration exponential_duration(Duration mean) {
+    std::exponential_distribution<double> dist(
+        1.0 / static_cast<double>(mean.ns()));
+    return Duration::nanos(static_cast<std::int64_t>(dist(engine)));
+  }
+  /// Rng::fork's child seed: a splitmix64 finalizer over one parent draw.
+  std::uint64_t fork_seed(std::uint64_t salt) {
+    std::uint64_t x = engine() ^ (salt * 0x9E3779B97F4A7C15ULL);
+    x ^= x >> 30;
+    x *= 0xBF58476D1CE4E5B9ULL;
+    x ^= x >> 27;
+    x *= 0x94D049BB133111EBULL;
+    x ^= x >> 31;
+    return x;
+  }
+
+  std::mt19937_64 engine;
+};
+
+/// Draws one of each distribution from both and expects equal values.
+void expect_same_draws(Rng& rng, EagerRng& eager, int rounds) {
+  for (int i = 0; i < rounds; ++i) {
+    ASSERT_EQ(rng.uniform(-1000, 1000), eager.uniform(-1000, 1000));
+    ASSERT_EQ(rng.normal_duration(1_ms, 300_us),
+              eager.normal_duration(1_ms, 300_us));
+    ASSERT_EQ(rng.exponential_duration(250_us),
+              eager.exponential_duration(250_us));
+  }
+}
+
+TEST(Rng, LazyEngineYieldsTheEagerStream) {
+  Rng rng(0x5eed);
+  EagerRng eager(0x5eed);
+  expect_same_draws(rng, eager, 200);
+  // engine() hands out the same engine, mid-stream.
+  EXPECT_EQ(rng.engine()(), eager.engine());
+}
+
+TEST(Rng, ForkedChildYieldsTheEagerStreamWhenFirstDrawnLate) {
+  Rng parent(11);
+  EagerRng eager_parent(11);
+  expect_same_draws(parent, eager_parent, 3);
+
+  // The early child is forked now and first drawn only after its parent
+  // and a later sibling have moved on; the late child is forked from an
+  // undrawn parent whose engine the fork itself builds.
+  Rng early = parent.fork(1);
+  EagerRng eager_early(eager_parent.fork_seed(1));
+  expect_same_draws(parent, eager_parent, 50);
+  Rng sibling = parent.fork(2);
+  EagerRng eager_sibling(eager_parent.fork_seed(2));
+  expect_same_draws(sibling, eager_sibling, 50);
+  expect_same_draws(early, eager_early, 50);
+
+  Rng undrawn(12);
+  EagerRng eager_undrawn(12);
+  Rng late = undrawn.fork(3);
+  EagerRng eager_late(eager_undrawn.fork_seed(3));
+  expect_same_draws(late, eager_late, 50);
+  expect_same_draws(undrawn, eager_undrawn, 50);
+}
+
+TEST(Rng, MovedToContinuesAndMovedFromRestartsAtItsSeed) {
+  // Moved before any draw: the new owner draws the seed's stream.
+  Rng fresh(21);
+  Rng owner(std::move(fresh));
+  EagerRng eager(21);
+  expect_same_draws(owner, eager, 20);
+
+  // Moved mid-stream: the new owner continues it, and the moved-from
+  // generator, drawn again, starts its seed's stream from the top.
+  Rng source(22);
+  EagerRng eager_source(22);
+  expect_same_draws(source, eager_source, 5);
+  Rng target(std::move(source));
+  expect_same_draws(target, eager_source, 20);
+  EagerRng restarted(22);
+  expect_same_draws(source, restarted, 20);
+}
+
+TEST(FifoRing, KeepsOrderAcrossWrapsGrowthAndFrontPushes) {
+  // The ring grows 1, 2, 4, ...: each push below that fills it finds the
+  // head mid-array and the queue wrapped, and the front pushes step the
+  // head back past index 0. The reference is a std::deque.
+  FifoRing<int> ring;
+  std::deque<int> ref;
+  int next = 0;
+  for (int round = 0; round < 200; ++round) {
+    for (int i = 0; i < round % 7; ++i) {
+      ring.push_back(next);
+      ref.push_back(next++);
+    }
+    if (round % 5 == 0) {
+      ring.push_front(next);
+      ref.push_front(next++);
+    }
+    for (int i = 0; i < round % 4 && !ref.empty(); ++i) {
+      ASSERT_EQ(ring.front(), ref.front());
+      ring.pop_front();
+      ref.pop_front();
+    }
+    ASSERT_EQ(ring.size(), ref.size());
+    if (!ref.empty()) {
+      ASSERT_EQ(ring.back(), ref.back());
+    }
+  }
+  while (!ref.empty()) {
+    ASSERT_EQ(ring.front(), ref.front());
+    ring.pop_front();
+    ref.pop_front();
+  }
+  EXPECT_TRUE(ring.empty());
 }
 
 }  // namespace

@@ -136,7 +136,7 @@ TEST(DrainChannel, InterleavesWithSlottedEventsInScheduleOrder) {
   const Time t = Time::from_ns(1'000'000);
   loop.schedule_at(t, EventClass::kTimer, push_payload, &order, 100);
   loop.post_drain_at(t, ch, 1);
-  loop.schedule_drain_at(t, ch, 2);
+  loop.schedule_at(t, EventClass::kDelay, push_payload, &order, 2);
   loop.schedule_at(t, EventClass::kTimer, push_payload, &order, 101);
   loop.post_drain_at(t + Duration::micros(5), ch, 3);
   const std::size_t executed = loop.run();
@@ -158,8 +158,8 @@ TEST(DrainChannel, TrainLoopBatchesConsecutiveDrainRecords) {
   loop.schedule_at(Time::from_ns(1000), EventClass::kTimer, push_payload,
                    &order, 100);
   for (int i = 0; i < 16; ++i) {
-    loop.schedule_drain_at(Time::from_ns(2000 + i * 10), ch,
-                           static_cast<std::uint32_t>(i));
+    loop.post_drain_at(Time::from_ns(2000 + i * 10), ch,
+                       static_cast<std::uint32_t>(i));
   }
   loop.run();
   ASSERT_EQ(order.size(), 17u);
@@ -220,12 +220,14 @@ TEST(DrainChannel, TrainLoopRunsEveryRecordKindEndToEnd) {
 }
 
 TEST(DrainChannel, CancelledDrainRecordNeverFires) {
+  // A cancellable record is a slotted one: the same function, context and
+  // payload as a posted record, plus a handle.
   EventLoop loop;
   std::vector<int> order;
-  const sim::DrainId ch =
-      loop.register_drain(EventClass::kWakeup, push_payload, &order);
-  sim::EventHandle keep = loop.schedule_drain_at(Time::from_ns(500), ch, 1);
-  sim::EventHandle dead = loop.schedule_drain_at(Time::from_ns(500), ch, 2);
+  sim::EventHandle keep = loop.schedule_at(
+      Time::from_ns(500), EventClass::kWakeup, push_payload, &order, 1);
+  sim::EventHandle dead = loop.schedule_at(
+      Time::from_ns(500), EventClass::kWakeup, push_payload, &order, 2);
   dead.cancel();
   EXPECT_TRUE(keep.pending());
   EXPECT_FALSE(dead.pending());
@@ -239,9 +241,9 @@ TEST(DrainChannel, RunUntilHonorsTheDeadlineForDrainRecords) {
   std::vector<int> order;
   const sim::DrainId ch =
       loop.register_drain(EventClass::kDelay, push_payload, &order);
-  loop.schedule_drain_at(Time::from_ns(1000), ch, 1);
-  loop.schedule_drain_at(Time::from_ns(2000), ch, 2);
-  loop.schedule_drain_at(Time::from_ns(3000), ch, 3);
+  loop.post_drain_at(Time::from_ns(1000), ch, 1);
+  loop.post_drain_at(Time::from_ns(2000), ch, 2);
+  loop.post_drain_at(Time::from_ns(3000), ch, 3);
   loop.run_until(Time::from_ns(2000));
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
   EXPECT_EQ(loop.pending_count(), 1u);

@@ -3,7 +3,7 @@
 // The datapath's whole point is that the per-packet path performs no
 // allocation in steady state: packets live in the slab
 // (net/packet_slab.hpp), hops ride drain records
-// (sim::EventLoop::schedule_drain_at), and every container grows only to
+// (sim::EventLoop::post_drain_at), and every container grows only to
 // its high-water mark. Files carrying that guarantee are tagged under
 // "hot_path" in tools/analyze/layers.json.
 //

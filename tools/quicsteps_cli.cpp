@@ -15,6 +15,8 @@
 //                     on one thread)
 //   --rate-mbit N     --rtt-ms N --buffer-kb N
 //   --loss P          --reorder P          --gro-us N
+//                     (P is a probability in [0, 1]; --rate-mbit and
+//                      --payload-mib are at least 1)
 //   --csv PREFIX      (PREFIX_summary.csv, PREFIX_gaps.<rep>.csv,
 //                      PREFIX_capture.<rep>.csv, PREFIX_cwnd.<rep>.csv)
 //   --qlog PATH       (qlog JSON-SEQ per repetition: PATH.<seed>)
@@ -101,6 +103,16 @@ T parse_in_range(const std::string& flag, const std::string& value, T min,
   if (out < min || out > max) {
     usage_error(flag + " expects an integer in [" + std::to_string(min) +
                 ", " + std::to_string(max) + "], got '" + value + "'");
+  }
+  return out;
+}
+
+/// parse_number for a probability flag: a finite number in [0, 1].
+double parse_probability(const std::string& flag, const std::string& value) {
+  const double out = parse_number<double>(flag, value);
+  if (out < 0.0 || out > 1.0) {
+    usage_error(flag + " expects a probability in [0, 1], got '" + value +
+                "'");
   }
   return out;
 }
@@ -235,7 +247,7 @@ int main(int argc, char** argv) {
       config.use_sendmmsg = true;
     } else if (flag == "--payload-mib") {
       config.payload_bytes =
-          parse_number<std::int64_t>(flag, next_value(i)) * 1024 * 1024;
+          parse_at_least<std::int64_t>(flag, next_value(i), 1) * 1024 * 1024;
     } else if (flag == "--reps") {
       config.repetitions = parse_at_least(flag, next_value(i), 1);
     } else if (flag == "--seed") {
@@ -244,7 +256,7 @@ int main(int argc, char** argv) {
       jobs = parse_number<int>(flag, next_value(i));
     } else if (flag == "--rate-mbit") {
       config.topology.bottleneck_rate = net::DataRate::megabits_per_second(
-          parse_number<std::int64_t>(flag, next_value(i)));
+          parse_at_least<std::int64_t>(flag, next_value(i), 1));
     } else if (flag == "--rtt-ms") {
       config.topology.path_delay_one_way = sim::Duration::millis(
           parse_number<std::int64_t>(flag, next_value(i)) / 2);
@@ -253,10 +265,10 @@ int main(int argc, char** argv) {
           parse_number<std::int64_t>(flag, next_value(i)) * 1000;
     } else if (flag == "--loss") {
       config.topology.path_loss_probability =
-          parse_number<double>(flag, next_value(i));
+          parse_probability(flag, next_value(i));
     } else if (flag == "--reorder") {
       config.topology.path_reorder_probability =
-          parse_number<double>(flag, next_value(i));
+          parse_probability(flag, next_value(i));
     } else if (flag == "--gro-us") {
       config.topology.client_gro_window = sim::Duration::micros(
           parse_at_least<std::int64_t>(flag, next_value(i), 0));
@@ -292,13 +304,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("quicsteps %s — %s, %s, qdisc=%s, %s%s, %lld MiB x %d\n",
+  // A fleet runs once with N flows; single-flow mode runs repetitions.
+  std::printf("quicsteps %s — %s, %s, qdisc=%s, %s%s, %lld MiB x %d%s\n",
               kVersion, config.label.c_str(), cc::to_string(config.cca),
               framework::to_string(config.topology.server_qdisc),
               kernel::to_string(config.gso),
               config.use_sendmmsg ? "+sendmmsg" : "",
               static_cast<long long>(config.payload_bytes / (1024 * 1024)),
-              config.repetitions);
+              flows > 1 ? flows : config.repetitions,
+              flows > 1 ? " flows" : "");
 
   if (!qlog_dir.empty()) config.trace = true;  // --qlog-dir implies --trace
 
