@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 namespace quicsteps::cc {
 
@@ -157,11 +156,6 @@ bool Cubic::maybe_rollback(const AckSample& ack) {
                                   kMss));
   }
   bool rolled_back = false;
-  if (std::getenv("QS_DEBUG_ROLLBACK")) {
-    std::fprintf(stderr, "[rb?] lost_since=%lld threshold=%lld cwnd=%lld\n",
-                 (long long)lost_since, (long long)threshold,
-                 (long long)cwnd_);
-  }
   if (lost_since < threshold) {
     cwnd_ = checkpoint_->cwnd;
     ssthresh_ = checkpoint_->ssthresh;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 namespace quicsteps::cc {
 
@@ -13,9 +12,6 @@ void HystartPP::on_round_start() {
     if (css_round_count_ >= config_.css_rounds) {
       // RTT stayed inflated for the full CSS window: the exit was genuine.
       phase_ = Phase::kDone;
-      if (std::getenv("QS_DEBUG_HYSTART")) {
-        std::fprintf(stderr, "[hs] CSS->DONE\n");
-      }
       return;
     }
   }
@@ -56,12 +52,6 @@ void HystartPP::on_rtt_sample(sim::Duration rtt) {
       css_baseline_min_rtt_ = round_metric();
       phase_ = Phase::kCss;
       css_round_count_ = 0;
-      if (std::getenv("QS_DEBUG_HYSTART")) {
-        std::fprintf(stderr, "[hs] ->CSS metric=%s last=%s eta=%s\n",
-                     round_metric().to_string().c_str(),
-                     last_round_min_rtt_.to_string().c_str(),
-                     eta().to_string().c_str());
-      }
     }
     return;
   }
@@ -71,11 +61,6 @@ void HystartPP::on_rtt_sample(sim::Duration rtt) {
   if (round_metric() < css_baseline_min_rtt_) {
     phase_ = Phase::kSlowStart;
     css_round_count_ = 0;
-    if (std::getenv("QS_DEBUG_HYSTART")) {
-      std::fprintf(stderr, "[hs] CSS->SS revert metric=%s base=%s\n",
-                   round_metric().to_string().c_str(),
-                   css_baseline_min_rtt_.to_string().c_str());
-    }
   }
 }
 

@@ -18,8 +18,7 @@ SenderPath::SenderPath(sim::EventLoop& loop, net::PacketSlab& slab,
 
   switch (config.server_qdisc) {
     case QdiscKind::kFifo:
-      qdisc_ = std::make_unique<kernel::FifoQdisc>(
-          loop, kernel::FifoQdisc::Config{}, nic_.get());
+      qdisc_ = std::make_unique<kernel::FifoQdisc>(loop, nic_.get());
       break;
     case QdiscKind::kFqCodel: {
       kernel::FqCodelQdisc::Config cfg;

@@ -1,11 +1,10 @@
-// pfifo_fast stand-in: pass-through FIFO with a packet-count limit.
+// pfifo_fast stand-in: a pass-through FIFO.
 //
 // This is the kernel-default qdisc used in the paper's baseline: it ignores
 // SO_TXTIME entirely, so whatever burst pattern user space produces reaches
-// the wire unchanged.
+// the wire unchanged. It holds no packets, so it never reaches Linux's
+// txqueuelen limit; the downstream NIC serializes and queues.
 #pragma once
-
-#include <cstdint>
 
 #include "kernel/qdisc.hpp"
 
@@ -13,29 +12,13 @@ namespace quicsteps::kernel {
 
 class FifoQdisc final : public Qdisc {
  public:
-  struct Config {
-    std::int64_t limit_packets = 1000;  // Linux default txqueuelen
-  };
-
-  FifoQdisc(sim::EventLoop& loop, Config config, net::PacketSink* downstream)
-      : Qdisc(loop, "pfifo_fast", downstream), config_(config) {}
+  FifoQdisc(sim::EventLoop& loop, net::PacketSink* downstream)
+      : Qdisc(loop, "pfifo_fast", downstream) {}
 
   void deliver(net::Packet pkt) override {
     note_arrival(pkt);
-    // The downstream NIC serializes; the FIFO itself adds no delay. The
-    // packet-count limit only matters when the NIC is slower than the
-    // arrival rate, which the NIC's own queue accounts for; we model the
-    // limit against packets not yet serialized.
-    if (queued_ >= config_.limit_packets) {
-      drop(pkt);
-      return;
-    }
     forward(std::move(pkt));
   }
-
- private:
-  Config config_;
-  std::int64_t queued_ = 0;  // reserved for a rate-limited downstream
 };
 
 }  // namespace quicsteps::kernel

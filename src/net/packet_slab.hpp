@@ -78,16 +78,6 @@ class PacketSlab {
     return pkt;
   }
 
-  /// Read-only view of a stored packet (the ref stays live).
-  const Packet& peek(Ref ref) const {
-    const std::uint32_t slot = ref & kSlotMask;
-    QUICSTEPS_AUDIT(slot < packets_.size() &&
-                        hot_[slot].gen == static_cast<std::uint8_t>(
-                                              ref >> kSlotBits),
-                    "stale PacketSlab ref (recycled-slot aliasing)");
-    return packets_[slot];
-  }
-
   /// Hot-lane size read: no Packet cache line touched.
   std::uint32_t size_bytes(Ref ref) const {
     return hot_[ref & kSlotMask].size_bytes;

@@ -26,7 +26,6 @@ StackProfile ngtcp2_profile(const ProfileOptions& options) {
   p.pacer.kind = pacing::PacerKind::kInterval;
   p.pacing_rate_factor = 1.0;  // no headroom
   p.pass_txtime = false;
-  p.app_waits_for_pacer = true;
   p.pacing_burst_packets = 2;  // example app writes pairs per expiry
 
   // The example server's event loop arms timeouts with millisecond

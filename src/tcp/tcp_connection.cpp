@@ -1,8 +1,6 @@
 #include "tcp/tcp_connection.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 namespace quicsteps::tcp {
@@ -161,12 +159,6 @@ void TcpConnection::run_loss_detection(sim::Time now) {
   }
   std::sort(retransmit_queue_.begin(), retransmit_queue_.end());
   sample.bytes_in_flight = bytes_in_flight_;
-  if (std::getenv("QS_DEBUG_LOSS")) {
-    std::fprintf(stderr, "[loss] now=%.1fms n=%lld first_seq=%llu last_seq=%llu largest_sent=%.1fms highest_sacked=%llu window=%.1fms\n",
-      now.to_millis(), (long long)sample.lost_packets,
-      (unsigned long long)lost.front(), (unsigned long long)lost.back(),
-      sample.largest_lost_sent_time.to_millis(), (unsigned long long)highest_sacked_, window.to_millis());
-  }
   cc_->on_loss(sample);
 }
 

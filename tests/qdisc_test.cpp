@@ -85,7 +85,7 @@ class QdiscTest : public ::testing::Test {
 };
 
 TEST_F(QdiscTest, FifoForwardsImmediately) {
-  FifoQdisc fifo(loop, {}, &sink);
+  FifoQdisc fifo(loop, &sink);
   fifo.deliver(timed_packet(1, Time::zero() + 100_ms));
   EXPECT_EQ(sink.packets().size(), 1u);  // txtime ignored entirely
 }

@@ -14,7 +14,7 @@
 //     void transfer_stmt(const CfgStmt&, State*);   // plain statement
 //     // Condition blocks are edge-sensitive: the same atomic condition
 //     // produces one state for the true edge and one for the false edge,
-//     // which is how `if (bus)` / `if (rate > 0)` guards refine state.
+//     // which is how `if (rate > 0)` guards refine state.
 //     void transfer_cond(const CfgStmt&, bool branch_true, State*);
 //   };
 //
@@ -32,8 +32,8 @@
 namespace quicsteps::analyze {
 
 /// Visits of a loop head before join is replaced by widening. Three trips
-/// lets a two-phase loop (schedule on iteration 1, use on iteration 2)
-/// stabilize precisely before the hammer comes down.
+/// let a loop whose bounds settle on its second iteration stabilize
+/// precisely before the hammer comes down.
 inline constexpr int kWidenAfterVisits = 3;
 
 template <typename Domain>

@@ -71,8 +71,8 @@ AnalysisResult run_analysis(const Options& options) {
     paths.push_back(root + "/src");
     // Self-hosting: the analyzer's own sources are part of the default
     // scan (fixture trees under testdata/ are skipped by build_model),
-    // and so are the bench drivers and examples — they exercise the same
-    // APIs the protocols and lifetime rules guard.
+    // and so are the bench drivers and examples, which the determinism
+    // and units rules cover like src/.
     for (const char* extra : {"/tools/analyze", "/bench", "/examples"}) {
       const std::string dir = root + extra;
       if (std::filesystem::exists(dir)) paths.push_back(dir);
@@ -86,18 +86,15 @@ AnalysisResult run_analysis(const Options& options) {
   result.files_scanned = model.files.size();
 
   std::vector<Finding> findings;
-  // The manifest feeds four families: layering (the DAG), perf (the
-  // hot_path tags), lifetime (the generation-checked containers) and
-  // protocol (the typestate machines). "-" skips all four — fixture trees
-  // without a real layer stack opt out of manifest-driven rules entirely.
+  // The manifest feeds two families: layering (the DAG) and perf (the
+  // hot_path tags). "-" skips both — fixture trees without a real layer
+  // stack opt out of manifest-driven rules entirely.
   const bool want_layering = family_enabled(options, "layering");
   const bool want_perf = family_enabled(options, "perf");
   const bool want_units = family_enabled(options, "units");
-  const bool want_lifetime = family_enabled(options, "lifetime");
-  const bool want_protocol = family_enabled(options, "protocol");
   LayerManifest manifest;
   bool have_manifest = false;
-  if (want_layering || want_perf || want_lifetime || want_protocol) {
+  if (want_layering || want_perf) {
     std::string layers_path = options.layers_file.empty()
                                   ? root + "/tools/analyze/layers.json"
                                   : options.layers_file;
@@ -125,19 +122,15 @@ AnalysisResult run_analysis(const Options& options) {
   Dataflow flow;
   CfgIndex cfgs;
   SemanticModel sem;
-  // The flow-sensitive families (lifetime, interval units, typestate)
-  // additionally need per-callable CFGs.
-  const bool want_flow =
-      (want_lifetime && have_manifest) || (want_protocol && have_manifest) ||
-      want_units;
-  const bool want_semantic = (want_perf && have_manifest) || want_flow;
+  // The interval rules (units) additionally need per-callable CFGs.
+  const bool want_semantic = (want_perf && have_manifest) || want_units;
   if (want_semantic) {
     index = build_symbol_index(model);
     graph =
         build_call_graph(model, index, have_manifest ? &manifest : nullptr);
     flow = build_dataflow(model, index);
     sem = {&index, &graph, &flow};
-    if (want_flow) {
+    if (want_units) {
       cfgs = build_cfg_index(model, index);
       sem.cfgs = &cfgs;
     }
@@ -148,12 +141,6 @@ AnalysisResult run_analysis(const Options& options) {
   if (want_units) {
     run_units_rules(model, &findings);
     run_interval_rules(model, sem, &findings);
-  }
-  if (want_lifetime && have_manifest) {
-    run_lifetime_rules(model, manifest, sem, &findings);
-  }
-  if (want_protocol && have_manifest) {
-    run_typestate_rules(model, manifest, sem, &findings);
   }
   if (family_enabled(options, "determinism")) {
     run_determinism_rules(model, &findings);

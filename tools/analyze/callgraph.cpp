@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <queue>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace quicsteps::analyze {
 
@@ -26,40 +29,35 @@ bool is_call_keyword(const std::string& s) {
   return false;
 }
 
-bool match_paren(const std::vector<Token>& toks, std::size_t open,
-                 std::size_t* close) {
+/// True when the '(' at `open` has a matching ')'.
+bool paren_closes(const std::vector<Token>& toks, std::size_t open) {
   int depth = 0;
   for (std::size_t i = open; i < toks.size(); ++i) {
     if (toks[i].in_pp) continue;
     if (toks[i].is_punct("(")) ++depth;
-    if (toks[i].is_punct(")")) {
-      --depth;
-      if (depth == 0) {
-        *close = i;
-        return true;
-      }
-    }
+    if (toks[i].is_punct(")") && --depth == 0) return true;
   }
   return false;
 }
 
-void resolve_site(const SymbolIndex& index, CallSite* site) {
-  auto [lo, hi] = index.callables_by_name.equal_range(site->name);
+/// Symbol ids a call to `name` from file `file` resolves to (may be empty).
+std::vector<std::size_t> resolve_callees(const SymbolIndex& index,
+                                         const std::string& name,
+                                         std::size_t file) {
+  auto [lo, hi] = index.callables_by_name.equal_range(name);
   std::vector<std::size_t> same_file, elsewhere;
   for (auto it = lo; it != hi; ++it) {
     const Symbol& cand = index.symbols[it->second];
     // A lambda resolves through its bound name only within its own file —
     // the binding is a local variable.
-    if (cand.kind == Symbol::Kind::kLambda && cand.file != site->file) {
-      continue;
-    }
-    (cand.file == site->file ? same_file : elsewhere).push_back(it->second);
+    if (cand.kind == Symbol::Kind::kLambda && cand.file != file) continue;
+    (cand.file == file ? same_file : elsewhere).push_back(it->second);
   }
   std::vector<std::size_t>& picked =
       same_file.empty() ? elsewhere : same_file;
-  if (picked.empty() || picked.size() > kAmbiguityCap) return;
+  if (picked.empty() || picked.size() > kAmbiguityCap) return {};
   std::sort(picked.begin(), picked.end());
-  site->callees = picked;
+  return std::move(picked);
 }
 
 }  // namespace
@@ -86,33 +84,18 @@ CallGraph build_call_graph(const Model& model, const SymbolIndex& index,
           is_call_keyword(t.text) || !toks[i + 1].is_punct("(")) {
         continue;
       }
-      std::size_t close = 0;
-      if (!match_paren(toks, i + 1, &close)) continue;
       const std::size_t caller = index.enclosing_callable(f, i);
-      // Skip the definition header itself: `void f(` is not a call to f.
-      if (caller != Symbol::npos) {
-        const Symbol& enclosing = index.symbols[caller];
-        if (enclosing.params_begin == i + 1) continue;
+      // `Type name(args);` declarations at namespace/class scope look like
+      // calls but have no enclosing callable, and the definition header
+      // `void f(` is not a call to f: neither adds an edge.
+      if (caller == Symbol::npos ||
+          index.symbols[caller].params_begin == i + 1) {
+        continue;
       }
-      // `Type name(args);` declarations at namespace/class scope also look
-      // like calls, but they have no enclosing callable and resolving them
-      // adds edges from npos, which we drop anyway.
-      CallSite site;
-      site.caller = caller;
-      site.name = t.text;
-      site.file = f;
-      site.tok = i;
-      site.line = t.line;
-      site.col = t.col;
-      site.args_begin = i + 1;
-      site.args_end = close;
-      resolve_site(index, &site);
-      if (caller != Symbol::npos) {
-        for (const std::size_t callee : site.callees) {
-          if (callee != caller) graph.edges[caller].push_back(callee);
-        }
+      if (!paren_closes(toks, i + 1)) continue;
+      for (const std::size_t callee : resolve_callees(index, t.text, f)) {
+        if (callee != caller) graph.edges[caller].push_back(callee);
       }
-      graph.sites.push_back(std::move(site));
     }
   }
 

@@ -15,7 +15,6 @@
 // per-packet loop.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "rule.hpp"
@@ -23,22 +22,7 @@
 
 namespace quicsteps::analyze {
 
-/// One `name(...)` occurrence inside a callable body.
-struct CallSite {
-  std::size_t caller = Symbol::npos;  // enclosing callable; npos at
-                                      // namespace scope (global init)
-  std::string name;                   // callee name as spelled
-  std::size_t file = 0;
-  std::size_t tok = 0;   // token index of the name
-  int line = 1;
-  int col = 1;
-  std::size_t args_begin = 0;  // token index of '('
-  std::size_t args_end = 0;    // token index of matching ')'
-  std::vector<std::size_t> callees;  // resolved symbol ids (may be empty)
-};
-
 struct CallGraph {
-  std::vector<CallSite> sites;  // (file, token) order
   /// Per symbol id: resolved callee symbol ids, sorted + deduped.
   /// Includes the implicit containing-callable -> lambda edges.
   std::vector<std::vector<std::size_t>> edges;
@@ -52,7 +36,7 @@ struct CallGraph {
   }
 };
 
-/// Builds sites, edges, and (when `manifest` is non-null) hot tags.
+/// Builds edges and (when `manifest` is non-null) hot tags.
 CallGraph build_call_graph(const Model& model, const SymbolIndex& index,
                            const LayerManifest* manifest);
 

@@ -1,17 +1,16 @@
 // Intraprocedural control-flow graphs for the quicsteps static analyzer.
 //
 // dataflow.hpp models a callable as a flat def list — useless on its own
-// for anything path-dependent: a slab handle that dies on one branch of
-// an `if`, a rate that is only proven nonzero on the guarded path, a loop
-// that schedules on the first iteration and runs on the second. This
-// builder turns a callable's body token range into a statement-level CFG:
+// for anything path-dependent: a rate that is only proven nonzero on the
+// guarded path, a product that only overflows on one branch of an `if`.
+// This builder turns a callable's body token range into a statement-level CFG:
 //
 //   * basic blocks hold consecutive simple statements (token ranges);
 //   * `if` / `while` / `for` / `do` / `switch` lower to condition blocks
 //     with explicit true/false successor edges;
 //   * conditions are split at TOP-LEVEL `&&` / `||` into a chain of atomic
 //     condition blocks, so short-circuit control flow is real edges and a
-//     guard like `if (bus && bus->enabled())` refines state per conjunct;
+//     guard like `if (rate != 0 && bytes > 0)` refines state per conjunct;
 //   * `return` wires straight to the exit block, `break` / `continue` to
 //     the innermost breakable/continuable construct, `case`/`default`
 //     fan out from the switch head;

@@ -38,19 +38,6 @@ const std::vector<RuleInfo>& all_rules() {
        "call graph): operator new / make_unique / make_shared or container "
        "growth — use the packet slab and drain channels, or baseline with "
        "the rationale."},
-      {"lifetime/use-after-recycle",
-       "A reference or pointer borrowed from a generation-checked "
-       "container (tools/analyze/layers.json generation_checked, e.g. "
-       "net::PacketSlab::peek) is used on a CFG path after a call that may "
-       "allocate or recycle slots (put/take) — the static twin of the "
-       "QUICSTEPS_AUDIT stale-ref generation check. Re-borrow after the "
-       "mutation, or copy the packet out first."},
-      {"lifetime/ref-escape",
-       "A reference or pointer borrowed from a generation-checked "
-       "container escapes into a lambda or deferred callback "
-       "(schedule_*/post_drain_at): the callback runs after slots may have "
-       "recycled, so the borrow cannot outlive the statement. Capture the "
-       "slab ref (the ticket) instead and re-borrow inside the callback."},
       {"units/interval-overflow",
        "Interval analysis proves this arithmetic can exceed the int64 "
        "range BEFORE the value reaches sim::Time/Duration's saturating "
@@ -61,12 +48,6 @@ const std::vector<RuleInfo>& all_rules() {
        "CFG path (no `> 0` / `!= 0` / is_zero() guard dominates the "
        "division). A zero rate is a valid 'link down' configuration; guard "
        "the division."},
-      {"protocol/typestate",
-       "A declared API protocol (tools/analyze/layers.json typestate) is "
-       "violated along some CFG path: e.g. EventLoop::run() on a loop no "
-       "path ever scheduled, TraceBus publish without a null/enabled check "
-       "dominating it, or a MultiFlowConfig mutated after run_flows() "
-       "consumed it."},
   };
   return kRules;
 }

@@ -52,56 +52,6 @@ bool known_rule(const std::string& rule_id);
 /// Family prefix of an ID ("determinism/wall-clock" -> "determinism").
 std::string rule_family(const std::string& rule_id);
 
-/// A generation-checked container type (net::PacketSlab and friends):
-/// `borrow` methods hand out references/pointers into its storage that
-/// every `invalidate` method (allocation or slot recycling) may kill.
-/// lifetime/* checks the static twin of the runtime generation audit.
-struct GenerationChecked {
-  std::string type;                    // matched as a type_text substring
-  std::vector<std::string> borrow;     // e.g. {"peek"}
-  std::vector<std::string> invalidate; // e.g. {"put", "take"}
-};
-
-/// One protocol event a typestate machine reacts to:
-///   method:NAME   var.NAME(...) / var->NAME(...)
-///   arg:NAME      var passed in the argument list of a call to NAME
-///   cond-true     a branch condition on var taken true (null/enabled check)
-///   cond-false    the same condition taken false
-///   mutate        member assignment or a mutating member call on var
-/// A whole-object reassignment (`var = ...`) always resets to `start`.
-struct TypestateTransition {
-  std::string event;
-  std::string from;  // empty = any state
-  std::string to;
-};
-
-/// A checked obligation: when `event` fires on a variable, the solved
-/// state set at that point must not (may-mode: contain any / must-mode:
-/// consist only of) the forbidden states.
-struct TypestateRequire {
-  std::string event;
-  std::vector<std::string> forbid;
-  bool must = false;  // false = may (any forbidden state errs)
-  std::string message;
-};
-
-/// A per-type protocol state machine, declared in layers.json and checked
-/// along all CFG paths by protocol/typestate.
-struct TypestateProtocol {
-  std::string name;
-  std::string type;   // matched as a type_text substring
-  std::string start;
-  std::vector<std::string> states;  // start must be listed
-  std::vector<TypestateTransition> transitions;
-  std::vector<TypestateRequire> checks;
-  /// Track only pointer-typed variables (the null-check protocols); when
-  /// false, only value-typed ones (construction fixes the start state).
-  bool pointer_only = false;
-  /// Parameters enter in this state; empty = parameters are not tracked
-  /// (their history belongs to the caller).
-  std::string param_start;
-};
-
 /// The layering manifest: which layer may include which, plus the
 /// hot-path file tags the perf/* rules key off.
 struct LayerManifest {
@@ -113,10 +63,6 @@ struct LayerManifest {
   /// datapath: the perf family seeds hot callables there and
   /// perf/hot-path-alloc-interproc propagates the tag along call edges.
   std::vector<std::string> hot_path;
-  /// Generation-checked containers for the lifetime/* family.
-  std::vector<GenerationChecked> generation_checked;
-  /// Typestate protocols for protocol/typestate.
-  std::vector<TypestateProtocol> typestate;
 
   bool declared(const std::string& layer) const {
     for (const auto& [name, deps] : allow) {
@@ -174,12 +120,7 @@ void run_layering_rules(const Model& model, const LayerManifest& manifest,
                         std::vector<Finding>* out);
 void run_perf_rules(const Model& model, const LayerManifest& manifest,
                     const SemanticModel& sem, std::vector<Finding>* out);
-void run_lifetime_rules(const Model& model, const LayerManifest& manifest,
-                        const SemanticModel& sem, std::vector<Finding>* out);
 void run_interval_rules(const Model& model, const SemanticModel& sem,
                         std::vector<Finding>* out);
-void run_typestate_rules(const Model& model, const LayerManifest& manifest,
-                         const SemanticModel& sem,
-                         std::vector<Finding>* out);
 
 }  // namespace quicsteps::analyze

@@ -68,179 +68,6 @@ bool load_layer_manifest(const std::string& json_text, LayerManifest* out,
     }
   }
 
-  if (const JsonValue* gen = doc->find("generation_checked")) {
-    if (!gen->is_array()) {
-      *error = "layers.json: \"generation_checked\" must be an array";
-      return false;
-    }
-    for (const auto& entry : gen->array) {
-      const JsonValue* type = entry.find("type");
-      if (!entry.is_object() || type == nullptr || !type->is_string()) {
-        *error =
-            "layers.json: generation_checked entries need a \"type\" string";
-        return false;
-      }
-      GenerationChecked gc;
-      gc.type = type->str;
-      auto read_names = [&](const char* key, std::vector<std::string>* dst) {
-        const JsonValue* arr = entry.find(key);
-        if (arr == nullptr) return true;
-        if (!arr->is_array()) return false;
-        for (const auto& n : arr->array) {
-          if (!n.is_string()) return false;
-          dst->push_back(n.str);
-        }
-        return true;
-      };
-      if (!read_names("borrow", &gc.borrow) ||
-          !read_names("invalidate", &gc.invalidate)) {
-        *error = "layers.json: generation_checked \"" + gc.type +
-                 "\" has a malformed borrow/invalidate list";
-        return false;
-      }
-      out->generation_checked.push_back(std::move(gc));
-    }
-  }
-
-  if (const JsonValue* ts = doc->find("typestate")) {
-    if (!ts->is_array()) {
-      *error = "layers.json: \"typestate\" must be an array";
-      return false;
-    }
-    for (const auto& entry : ts->array) {
-      TypestateProtocol proto;
-      const JsonValue* name = entry.find("name");
-      const JsonValue* type = entry.find("type");
-      const JsonValue* start = entry.find("start");
-      if (!entry.is_object() || name == nullptr || !name->is_string() ||
-          type == nullptr || !type->is_string() || start == nullptr ||
-          !start->is_string()) {
-        *error =
-            "layers.json: typestate entries need \"name\", \"type\" and "
-            "\"start\" strings";
-        return false;
-      }
-      proto.name = name->str;
-      proto.type = type->str;
-      proto.start = start->str;
-      if (const JsonValue* states = entry.find("states")) {
-        if (!states->is_array()) {
-          *error = "layers.json: typestate \"" + proto.name +
-                   "\": \"states\" must be an array";
-          return false;
-        }
-        for (const auto& s : states->array) {
-          if (!s.is_string()) {
-            *error = "layers.json: typestate \"" + proto.name +
-                     "\" has a non-string state";
-            return false;
-          }
-          proto.states.push_back(s.str);
-        }
-      }
-      auto known_state = [&](const std::string& s) {
-        for (const auto& st : proto.states) {
-          if (st == s) return true;
-        }
-        return false;
-      };
-      if (!known_state(proto.start)) {
-        *error = "layers.json: typestate \"" + proto.name +
-                 "\": start state \"" + proto.start +
-                 "\" is not in \"states\"";
-        return false;
-      }
-      if (const JsonValue* trans = entry.find("transitions")) {
-        if (!trans->is_array()) {
-          *error = "layers.json: typestate \"" + proto.name +
-                   "\": \"transitions\" must be an array";
-          return false;
-        }
-        for (const auto& t : trans->array) {
-          const JsonValue* on = t.find("on");
-          const JsonValue* to = t.find("to");
-          if (!t.is_object() || on == nullptr || !on->is_string() ||
-              to == nullptr || !to->is_string() || !known_state(to->str)) {
-            *error = "layers.json: typestate \"" + proto.name +
-                     "\" has a malformed transition (need \"on\" and a "
-                     "declared \"to\" state)";
-            return false;
-          }
-          TypestateTransition tt;
-          tt.event = on->str;
-          tt.to = to->str;
-          if (const JsonValue* from = t.find("from")) {
-            if (!from->is_string() || !known_state(from->str)) {
-              *error = "layers.json: typestate \"" + proto.name +
-                       "\" transition \"from\" must be a declared state";
-              return false;
-            }
-            tt.from = from->str;
-          }
-          proto.transitions.push_back(std::move(tt));
-        }
-      }
-      if (const JsonValue* checks = entry.find("requires")) {
-        if (!checks->is_array()) {
-          *error = "layers.json: typestate \"" + proto.name +
-                   "\": \"requires\" must be an array";
-          return false;
-        }
-        for (const auto& c : checks->array) {
-          const JsonValue* on = c.find("on");
-          const JsonValue* forbid = c.find("forbid");
-          const JsonValue* message = c.find("message");
-          if (!c.is_object() || on == nullptr || !on->is_string() ||
-              forbid == nullptr || !forbid->is_array() ||
-              message == nullptr || !message->is_string()) {
-            *error = "layers.json: typestate \"" + proto.name +
-                     "\" has a malformed requires entry (need \"on\", "
-                     "\"forbid\", \"message\")";
-            return false;
-          }
-          TypestateRequire req;
-          req.event = on->str;
-          req.message = message->str;
-          for (const auto& s : forbid->array) {
-            if (!s.is_string() || !known_state(s.str)) {
-              *error = "layers.json: typestate \"" + proto.name +
-                       "\" requires entry forbids an undeclared state";
-              return false;
-            }
-            req.forbid.push_back(s.str);
-          }
-          if (const JsonValue* when = c.find("when")) {
-            if (!when->is_string() ||
-                (when->str != "may" && when->str != "must")) {
-              *error = "layers.json: typestate \"" + proto.name +
-                       "\" requires \"when\" must be \"may\" or \"must\"";
-              return false;
-            }
-            req.must = when->str == "must";
-          }
-          proto.checks.push_back(std::move(req));
-        }
-      }
-      if (const JsonValue* po = entry.find("pointer_only")) {
-        if (po->kind != JsonValue::Kind::kBool) {
-          *error = "layers.json: typestate \"" + proto.name +
-                   "\": \"pointer_only\" must be a boolean";
-          return false;
-        }
-        proto.pointer_only = po->boolean;
-      }
-      if (const JsonValue* ps = entry.find("param_start")) {
-        if (!ps->is_string() || !known_state(ps->str)) {
-          *error = "layers.json: typestate \"" + proto.name +
-                   "\": \"param_start\" must be a declared state";
-          return false;
-        }
-        proto.param_start = ps->str;
-      }
-      out->typestate.push_back(std::move(proto));
-    }
-  }
-
   // Every dep must itself be declared (or the "*" wildcard).
   for (const auto& [name, deps] : out->allow) {
     for (const auto& d : deps) {

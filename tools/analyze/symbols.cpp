@@ -189,8 +189,6 @@ bool FileParser::try_lambda(std::size_t i, std::size_t* resume) {
   sym.file = file_;
   sym.line = tok(i).line;
   sym.col = tok(i).col;
-  sym.cap_begin = i;
-  sym.cap_end = cap_end;
   sym.params_begin = params_begin;
   sym.params_end = params_end;
   sym.parent = enclosing_callable();

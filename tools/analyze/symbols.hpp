@@ -55,9 +55,6 @@ struct Symbol {
   // ')'; npos when the lambda has no parameter list.
   std::size_t params_begin = npos;
   std::size_t params_end = npos;
-  // Lambdas: token indices of the capture-list '[' and ']'.
-  std::size_t cap_begin = npos;
-  std::size_t cap_end = npos;
   // Lambdas: the local variable the lambda initializes, when written as
   // `auto worker = [..]...` — lets `worker()` and `pool.emplace_back(
   // worker)` resolve to the lambda.

@@ -13,7 +13,7 @@
 #   4. static analysis                -> quicsteps-analyze over src/ AND
 #                                        its own sources (self-hosting):
 #                                        layering / units / determinism /
-#                                        perf / lifetime / protocol
+#                                        perf
 #   5. clang-tidy (when installed)    -> `tidy` target, .clang-tidy profile
 #
 # Build trees live in build-check/, build-asan/, build-tsan/ next to the
