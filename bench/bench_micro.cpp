@@ -145,8 +145,9 @@ void BM_FlowTableRegister(benchmark::State& state) {
   // the flows registered so far.)
   const int routes = static_cast<int>(state.range(0));
   net::CollectorSink sink;
+  net::PacketSlab slab;
   for (auto _ : state) {
-    net::FlowTableSink table;
+    net::FlowTableSink table(slab);
     table.reserve(static_cast<std::size_t>(routes));
     for (int i = 0; i < routes; ++i) {
       table.add_route(static_cast<std::uint32_t>(10 + i), &sink);

@@ -18,7 +18,7 @@ SenderPath::SenderPath(sim::EventLoop& loop, net::PacketSlab& slab,
 
   switch (config.server_qdisc) {
     case QdiscKind::kFifo:
-      qdisc_ = std::make_unique<kernel::FifoQdisc>(loop, nic_.get());
+      qdisc_ = std::make_unique<kernel::FifoQdisc>(loop, slab, nic_.get());
       break;
     case QdiscKind::kFqCodel: {
       kernel::FqCodelQdisc::Config cfg;
@@ -49,6 +49,8 @@ BottleneckPath::BottleneckPath(sim::EventLoop& loop,
                                const TopologyConfig& config, sim::Rng& rng,
                                kernel::OsModel& server_recv_os)
     : client_os_(config.client_os, rng.fork(2)),
+      data_dispatch_(slab_),
+      ack_dispatch_(slab_),
       client_receiver_(std::make_unique<kernel::UdpReceiver>(
           loop, slab_, client_os_, config.client_rcvbuf_bytes,
           &data_dispatch_, config.client_gro_window)),
@@ -64,7 +66,7 @@ BottleneckPath::BottleneckPath(sim::EventLoop& loop,
                    .burst_bytes = config.tbf_burst_bytes,
                    .limit_bytes = config.bottleneck_buffer_bytes},
                   &data_netem_),
-      tap_(std::make_unique<net::WireTap>(loop, &bottleneck_)),
+      tap_(std::make_unique<net::WireTap>(loop, slab_, &bottleneck_)),
       server_receiver_(std::make_unique<kernel::UdpReceiver>(
           loop, slab_, server_recv_os, config.client_rcvbuf_bytes,
           &ack_dispatch_)),
@@ -72,8 +74,8 @@ BottleneckPath::BottleneckPath(sim::EventLoop& loop,
                  {.delay = config.path_delay_one_way,
                   .limit_packets = config.netem_limit_packets},
                  rng.fork(4), server_receiver_.get()) {
-  bottleneck_.set_drop_observer([this](const net::Packet& pkt) {
-    const std::uint32_t slot = drop_index_.find(pkt.flow);
+  bottleneck_.set_drop_observer([this](std::uint32_t flow) {
+    const std::uint32_t slot = drop_index_.find(flow);
     if (slot != net::FlowIndex::kNone) ++drop_counts_[slot];
   });
 }

@@ -8,8 +8,10 @@
 //   * serializes everything at the line rate, which produces the ~12 us
 //     minimum inter-packet gap the paper calls out for 1 Gbit/s.
 //
-// TX completions are drain records carrying refs into the shared
-// net::PacketSlab.
+// TX completions are drain records carrying the packet's ref into the
+// shared net::PacketSlab. The NIC borrows a packet in place for its GSO
+// and LaunchTime checks; a GSO carrier is the one packet it takes out, to
+// put each of its segments in.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +24,7 @@
 
 namespace quicsteps::kernel {
 
-class Nic final : public net::PacketSink, public obs::TraceSource {
+class Nic final : public net::PacketHop, public obs::TraceSource {
  public:
   struct Config {
     net::DataRate line_rate = net::DataRate::gigabits_per_second(1);
@@ -39,8 +41,8 @@ class Nic final : public net::PacketSink, public obs::TraceSource {
 
   Nic(sim::EventLoop& loop, net::PacketSlab& slab, Config config, OsModel& os,
       net::PacketSink* downstream)
-      : loop_(loop),
-        slab_(slab),
+      : net::PacketHop(slab),
+        loop_(loop),
         tx_channel_(loop.register_drain(sim::EventClass::kTransmit,
                                         &Nic::drain_tx, this)),
         config_(config),
@@ -50,21 +52,22 @@ class Nic final : public net::PacketSink, public obs::TraceSource {
   Nic(const Nic&) = delete;
   Nic& operator=(const Nic&) = delete;
 
-  void deliver(net::Packet pkt) override;
+  void deliver_ref(net::PacketSlab& slab, net::PacketSlab::Ref ref) override;
 
   void set_downstream(net::PacketSink* sink) { downstream_ = sink; }
   std::int64_t packets_sent() const { return packets_sent_; }
   std::int64_t missed_launch_drops() const { return missed_launch_drops_; }
 
  private:
+  /// Splits a GSO carrier into wire packets at the driver boundary.
+  void segment(net::Packet carrier);
   /// Serializes one wire packet whose transmission may start no earlier
   /// than `earliest`.
-  void transmit(net::Packet pkt, sim::Time earliest);
+  void transmit(net::PacketSlab::Ref ref, sim::Time earliest);
 
   static void drain_tx(void* self, std::uint32_t ref);
 
   sim::EventLoop& loop_;
-  net::PacketSlab& slab_;
   sim::DrainId tx_channel_;
   Config config_;
   OsModel& os_;

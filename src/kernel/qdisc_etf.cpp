@@ -1,36 +1,37 @@
 #include "kernel/qdisc_etf.hpp"
 
-#include <utility>
-
 namespace quicsteps::kernel {
 
-void EtfQdisc::deliver(net::Packet pkt) {
-  note_arrival(pkt);
+void EtfQdisc::deliver_ref(net::PacketSlab& slab, net::PacketSlab::Ref ref) {
+  note_arrival(slab, ref);
 
   const sim::Time now = loop_.now();
+  // The txtime is the one field ETF borrows.
+  const net::Packet& pkt = slab_.at(ref);
   if (!pkt.has_txtime) {
     // ETF refuses packets without a timestamp (EINVAL on the real qdisc);
     // we count them as drops so misconfiguration is visible.
-    drop(pkt);
+    drop(ref);
     return;
   }
-  if (pkt.txtime < now) {
+  const sim::Time txtime = pkt.txtime;
+  if (txtime < now) {
     ++late_drops_;
-    drop(pkt);
+    drop(ref);
     return;
   }
   if (static_cast<std::int64_t>(timed_.size()) >= config_.limit_packets) {
-    drop(pkt);
+    drop(ref);
     return;
   }
 
-  timed_.emplace(pkt.txtime, std::move(pkt));
+  timed_.push(txtime, ref);
   arm_watchdog();
 }
 
 void EtfQdisc::arm_watchdog() {
   if (timed_.empty()) return;
-  const sim::Time head = timed_.begin()->first;
+  const sim::Time head = timed_.head();
   if (watchdog_.pending() && watchdog_at_ <= head) return;
   watchdog_.cancel();
   watchdog_at_ = head;
@@ -43,9 +44,8 @@ void EtfQdisc::arm_watchdog() {
 void EtfQdisc::on_watchdog() {
   const sim::Time now = loop_.now();
   // Everything entering its delta window leaves towards the driver now.
-  while (!timed_.empty() && timed_.begin()->first - config_.delta <= now) {
-    net::Packet pkt = std::move(timed_.begin()->second);
-    timed_.erase(timed_.begin());
+  while (!timed_.empty() && timed_.head() - config_.delta <= now) {
+    const net::PacketSlab::Ref ref = timed_.pop();
     // Kernel + driver path consumes a variable slice of the delta window;
     // the packet reaches the NIC after it. Without LaunchTime the NIC
     // transmits on arrival, so this spread is the ETF precision the paper
@@ -56,7 +56,7 @@ void EtfQdisc::on_watchdog() {
     const sim::Time release = sim::max(now + path, last_release_);
     last_release_ = release;
     loop_.schedule_at<&EtfQdisc::on_release>(
-        release, sim::EventClass::kQueue, this, slab_.put(std::move(pkt)));
+        release, sim::EventClass::kQueue, this, ref);
   }
   watchdog_at_ = sim::Time::infinite();
   arm_watchdog();

@@ -9,12 +9,13 @@
 //    until its txtime (see nic.hpp), clipping the early-send error but not
 //    the late tail — which is why the paper measures no precision gain.
 //
-// A packet on its way through the driver path parks in the shared
-// net::PacketSlab; its release is a slotted record carrying the ref.
+// Held packets stay in the shared net::PacketSlab: the qdisc keeps their
+// refs in a TxtimeHeap (qdisc.hpp), so equal txtimes leave in arrival
+// order, and a packet's release into the driver path is a slotted record
+// carrying its ref.
 #pragma once
 
 #include <cstdint>
-#include <map>
 
 #include "kernel/os_model.hpp"
 #include "kernel/qdisc.hpp"
@@ -39,9 +40,9 @@ class EtfQdisc final : public Qdisc {
 
   EtfQdisc(sim::EventLoop& loop, net::PacketSlab& slab, Config config,
            OsModel& os, net::PacketSink* downstream)
-      : Qdisc(loop, "etf", downstream), config_(config), os_(os), slab_(slab) {}
+      : Qdisc(loop, slab, "etf", downstream), config_(config), os_(os) {}
 
-  void deliver(net::Packet pkt) override;
+  void deliver_ref(net::PacketSlab& slab, net::PacketSlab::Ref ref) override;
 
   std::size_t queued_packets() const { return timed_.size(); }
   std::int64_t late_drops() const { return late_drops_; }
@@ -49,12 +50,11 @@ class EtfQdisc final : public Qdisc {
  private:
   void arm_watchdog();
   void on_watchdog();
-  void on_release(std::uint32_t ref) { forward(slab_.take(ref)); }
+  void on_release(std::uint32_t ref) { forward(ref); }
 
   Config config_;
   OsModel& os_;
-  net::PacketSlab& slab_;
-  std::multimap<sim::Time, net::Packet> timed_;
+  TxtimeHeap timed_;
   sim::EventHandle watchdog_;
   sim::Time watchdog_at_ = sim::Time::infinite();
   /// Releases are monotone: the driver queue preserves order, so a packet

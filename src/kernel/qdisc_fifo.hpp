@@ -12,12 +12,13 @@ namespace quicsteps::kernel {
 
 class FifoQdisc final : public Qdisc {
  public:
-  FifoQdisc(sim::EventLoop& loop, net::PacketSink* downstream)
-      : Qdisc(loop, "pfifo_fast", downstream) {}
+  FifoQdisc(sim::EventLoop& loop, net::PacketSlab& slab,
+            net::PacketSink* downstream)
+      : Qdisc(loop, slab, "pfifo_fast", downstream) {}
 
-  void deliver(net::Packet pkt) override {
-    note_arrival(pkt);
-    forward(std::move(pkt));
+  void deliver_ref(net::PacketSlab& slab, net::PacketSlab::Ref ref) override {
+    note_arrival(slab, ref);
+    forward(ref);
   }
 };
 

@@ -1,40 +1,36 @@
 #include "kernel/qdisc_fq.hpp"
 
-#include <algorithm>
-#include <utility>
-
 namespace quicsteps::kernel {
 
-void FqQdisc::deliver(net::Packet pkt) {
-  note_arrival(pkt);
+void FqQdisc::deliver_ref(net::PacketSlab& slab, net::PacketSlab::Ref ref) {
+  note_arrival(slab, ref);
 
-  if (static_cast<std::int64_t>(heap_.size()) >= config_.limit_packets) {
-    drop(pkt);
+  if (static_cast<std::int64_t>(held_.size()) >= config_.limit_packets) {
+    drop(ref);
     return;
   }
 
   const sim::Time now = loop_.now();
-  if (!pkt.has_txtime || pkt.txtime <= now) {
+  // The txtime is the one field FQ borrows; an untimed packet is due now.
+  const net::Packet& pkt = slab_.at(ref);
+  const sim::Time txtime = pkt.has_txtime ? pkt.txtime : now;
+  if (txtime <= now) {
     // No timestamp, or timestamp already due: fq transmits immediately.
-    forward(std::move(pkt));
+    forward(ref);
     return;
   }
-  if (config_.horizon_drop && pkt.txtime > now + config_.horizon) {
-    drop(pkt);
+  if (config_.horizon_drop && txtime > now + config_.horizon) {
+    drop(ref);
     return;
   }
 
-  // Limit and horizon drops happen before the slab: a dropped packet
-  // never takes a slot.
-  const sim::Time at = pkt.txtime;
-  heap_.push_back({at, next_seq_++, slab_.put(std::move(pkt))});
-  std::push_heap(heap_.begin(), heap_.end(), &FqQdisc::releases_later);
+  held_.push(txtime, ref);
   arm_watchdog();
 }
 
 void FqQdisc::arm_watchdog() {
-  if (heap_.empty()) return;
-  const sim::Time head = heap_.front().at;
+  if (held_.empty()) return;
+  const sim::Time head = held_.head();
   if (watchdog_.pending() && watchdog_at_ <= head) return;
   watchdog_.cancel();
   // hrtimer wakeup: fires at the head timestamp plus kernel slack. All
@@ -47,11 +43,8 @@ void FqQdisc::arm_watchdog() {
 
 void FqQdisc::on_watchdog() {
   const sim::Time now = loop_.now();
-  while (!heap_.empty() && heap_.front().at <= now) {
-    std::pop_heap(heap_.begin(), heap_.end(), &FqQdisc::releases_later);
-    const net::PacketSlab::Ref ref = heap_.back().ref;
-    heap_.pop_back();
-    forward(slab_.take(ref));
+  while (!held_.empty() && held_.head() <= now) {
+    forward(held_.pop());
   }
   watchdog_at_ = sim::Time::infinite();
   arm_watchdog();

@@ -11,14 +11,12 @@
 // One qdisc serves one flow: SenderPath builds a qdisc per sender host
 // (framework/network.hpp), so sch_fq's per-flow classification, DRR
 // round-robin among flows and per-flow maxrate never see a second flow.
-// The model is therefore one min-heap on (release time, arrival order):
-// same-timestamp packets leave in the order they arrived. Held packets
-// live flat in the shared net::PacketSlab; the heap sifts 24-byte
-// (time, order, ref) entries, not packets.
+// The model is therefore one TxtimeHeap (qdisc.hpp): same-timestamp
+// packets leave in the order they arrived. Held packets stay in the shared
+// net::PacketSlab; only the txtime check borrows one in place.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "kernel/os_model.hpp"
 #include "kernel/qdisc.hpp"
@@ -36,39 +34,24 @@ class FqQdisc final : public Qdisc {
 
   FqQdisc(sim::EventLoop& loop, net::PacketSlab& slab, Config config,
           OsModel& os, net::PacketSink* downstream)
-      : Qdisc(loop, "fq", downstream), config_(config), slab_(slab), os_(os) {}
+      : Qdisc(loop, slab, "fq", downstream), config_(config), os_(os) {}
 
-  void deliver(net::Packet pkt) override;
+  void deliver_ref(net::PacketSlab& slab, net::PacketSlab::Ref ref) override;
 
-  std::size_t queued_packets() const { return heap_.size(); }
+  std::size_t queued_packets() const { return held_.size(); }
   /// Conservation hook: the auditor cross-checks this live depth against
   /// the counter-implied backlog.
   std::int64_t backlog_packets() const override {
-    return static_cast<std::int64_t>(heap_.size());
+    return static_cast<std::int64_t>(held_.size());
   }
 
  private:
-  /// One held packet: its release time plus an arrival sequence number,
-  /// so same-timestamp packets keep their arrival order.
-  struct Entry {
-    sim::Time at;
-    std::uint64_t seq = 0;
-    net::PacketSlab::Ref ref = 0;
-  };
-  /// Heap order: std::push_heap builds a max-heap, so ordering by
-  /// "releases later" puts the earliest (at, seq) at the front.
-  static bool releases_later(const Entry& a, const Entry& b) {
-    return a.at > b.at || (a.at == b.at && a.seq > b.seq);
-  }
-
   void arm_watchdog();
   void on_watchdog();
 
   Config config_;
-  net::PacketSlab& slab_;
   OsModel& os_;
-  std::vector<Entry> heap_;
-  std::uint64_t next_seq_ = 0;
+  TxtimeHeap held_;
   sim::EventHandle watchdog_;
   sim::Time watchdog_at_ = sim::Time::infinite();
 };

@@ -1,18 +1,17 @@
 #include "kernel/qdisc_fq_codel.hpp"
 
 #include <cmath>
-#include <utility>
 
 namespace quicsteps::kernel {
 
-void FqCodelQdisc::deliver(net::Packet pkt) {
-  note_arrival(pkt);
+void FqCodelQdisc::deliver_ref(net::PacketSlab& slab,
+                               net::PacketSlab::Ref ref) {
+  note_arrival(slab, ref);
   if (static_cast<std::int64_t>(queue_.size()) >= config_.limit_packets) {
-    // Tail drop before the slab: a dropped packet never takes a slot.
-    drop(pkt);
+    drop(ref);
     return;
   }
-  queue_.push_back(Entry{slab_.put(std::move(pkt)), loop_.now()});
+  queue_.push_back(Entry{ref, loop_.now()});
   schedule_drain();
 }
 
@@ -37,14 +36,13 @@ void FqCodelQdisc::drain_one() {
   while (!queue_.empty()) {
     const Entry entry = queue_.front();
     queue_.pop_front();
-    net::Packet pkt = slab_.take(entry.ref);
     const sim::Duration sojourn = loop_.now() - entry.enqueue_time;
     if (codel_should_drop(loop_.now(), sojourn)) {
       ++codel_drops_;
-      drop(pkt);
+      drop(entry.ref);
       continue;  // CoDel drops and dequeues the next packet
     }
-    forward(std::move(pkt));
+    forward(entry.ref);
     return;
   }
 }

@@ -8,9 +8,9 @@
 // qdisc is effectively transparent; the control law is still fully
 // implemented and exercised by tests at lower drain rates.
 //
-// Queued packets live flat in the shared net::PacketSlab; the FIFO holds
-// their refs and enqueue times in a sim::FifoRing, which allocates on the
-// first packet, so a fleet's idle per-host qdiscs cost no heap.
+// Queued packets stay in the shared net::PacketSlab; the FIFO holds their
+// refs and enqueue times in a sim::FifoRing, which allocates on the first
+// packet, so a fleet's idle per-host qdiscs cost no heap.
 #pragma once
 
 #include <cstdint>
@@ -33,9 +33,9 @@ class FqCodelQdisc final : public Qdisc {
 
   FqCodelQdisc(sim::EventLoop& loop, net::PacketSlab& slab, Config config,
                net::PacketSink* downstream)
-      : Qdisc(loop, "fq_codel", downstream), config_(config), slab_(slab) {}
+      : Qdisc(loop, slab, "fq_codel", downstream), config_(config) {}
 
-  void deliver(net::Packet pkt) override;
+  void deliver_ref(net::PacketSlab& slab, net::PacketSlab::Ref ref) override;
 
   std::int64_t codel_drops() const { return codel_drops_; }
   std::int64_t backlog_packets() const override {
@@ -55,7 +55,6 @@ class FqCodelQdisc final : public Qdisc {
   bool codel_should_drop(sim::Time sojourn_ref, sim::Duration sojourn);
 
   Config config_;
-  net::PacketSlab& slab_;
   sim::FifoRing<Entry> queue_;
   sim::Time drain_free_;  // when the virtual serializer is free
   bool drain_scheduled_ = false;

@@ -5,8 +5,9 @@
 // to two bandwidth-delay products so that it never drops — drops must only
 // happen at the TBF bottleneck.
 //
-// A delivery is a slotless drain record carrying a ref into the shared
-// net::PacketSlab (deliveries are never cancelled).
+// A delivery is a slotless drain record carrying the packet's ref into the
+// shared net::PacketSlab (deliveries are never cancelled); netem forwards
+// that ref without loading the packet.
 #pragma once
 
 #include <cstdint>
@@ -34,23 +35,22 @@ class NetemQdisc final : public Qdisc {
 
   NetemQdisc(sim::EventLoop& loop, net::PacketSlab& slab, Config config,
              sim::Rng rng, net::PacketSink* downstream)
-      : Qdisc(loop, "netem", downstream),
+      : Qdisc(loop, slab, "netem", downstream),
         config_(config),
         rng_(std::move(rng)),
-        slab_(slab),
         delay_channel_(loop.register_drain(sim::EventClass::kDelay,
                                            &NetemQdisc::drain_delivery,
                                            this)) {}
 
-  void deliver(net::Packet pkt) override {
-    note_arrival(pkt);
+  void deliver_ref(net::PacketSlab& slab, net::PacketSlab::Ref ref) override {
+    note_arrival(slab, ref);
     if (in_flight_ >= config_.limit_packets) {
-      drop(pkt);
+      drop(ref);
       return;
     }
     if (rng_.chance(config_.loss_probability)) {
       ++random_losses_;
-      drop(pkt);
+      drop(ref);
       return;
     }
     ++in_flight_;
@@ -67,7 +67,6 @@ class NetemQdisc final : public Qdisc {
     // channel's delay line; jitter and reorder deliveries surface out of
     // arrival order and keep one queued record each (refs are
     // payload-addressed, so that needs no extra bookkeeping).
-    const std::uint32_t ref = slab_.put(std::move(pkt));
     if (in_order()) {
       loop_.post_line_at(loop_.now() + d, delay_channel_, ref);
     } else {
@@ -90,12 +89,11 @@ class NetemQdisc final : public Qdisc {
   static void drain_delivery(void* self, std::uint32_t ref) {
     NetemQdisc* netem = static_cast<NetemQdisc*>(self);
     --netem->in_flight_;
-    netem->forward(netem->slab_.take(ref));
+    netem->forward(ref);
   }
 
   Config config_;
   sim::Rng rng_;
-  net::PacketSlab& slab_;
   sim::DrainId delay_channel_;
   std::int64_t in_flight_ = 0;
   std::int64_t random_losses_ = 0;

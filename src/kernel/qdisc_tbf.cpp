@@ -1,28 +1,25 @@
 #include "kernel/qdisc_tbf.hpp"
 
 #include <algorithm>
-#include <utility>
 
 namespace quicsteps::kernel {
 
 TbfQdisc::TbfQdisc(sim::EventLoop& loop, net::PacketSlab& slab, Config config,
                    net::PacketSink* downstream)
-    : Qdisc(loop, "tbf", downstream),
+    : Qdisc(loop, slab, "tbf", downstream),
       config_(config),
-      slab_(slab),
       tokens_bytes_(static_cast<double>(config.burst_bytes)),
       last_refill_(loop.now()) {}
 
-void TbfQdisc::deliver(net::Packet pkt) {
-  note_arrival(pkt);
-  if (backlog_bytes_ + pkt.size_bytes > config_.limit_bytes) {
-    // Drop-tail happens before the slab: a dropped packet never occupies
-    // a slot, so a partially-dropped train leaves no stale refs behind.
-    drop(pkt);
+void TbfQdisc::deliver_ref(net::PacketSlab& slab, net::PacketSlab::Ref ref) {
+  note_arrival(slab, ref);
+  const std::int64_t bytes = slab_.size_bytes(ref);
+  if (backlog_bytes_ + bytes > config_.limit_bytes) {
+    drop(ref);  // drop-tail retires the ref
     return;
   }
-  backlog_bytes_ += pkt.size_bytes;
-  queue_.push_back(slab_.put(std::move(pkt)));
+  backlog_bytes_ += bytes;
+  queue_.push_back(ref);
   try_release();
 }
 
@@ -39,17 +36,16 @@ void TbfQdisc::try_release() {
   refill_tokens(now);
 
   // One refill covers the whole release train; the head-of-line token
-  // check reads the slab's size lane, and the packet itself is only
-  // touched (moved out once) when it actually leaves.
-  while (!queue_.empty() &&
-         tokens_bytes_ >=
-             static_cast<double>(slab_.size_bytes(queue_.front()))) {
+  // check reads the slab's size lane, and the released ref goes on
+  // downstream without the packet being touched.
+  while (!queue_.empty()) {
     const net::PacketSlab::Ref ref = queue_.front();
+    const std::int64_t bytes = slab_.size_bytes(ref);
+    if (tokens_bytes_ < static_cast<double>(bytes)) break;
     queue_.pop_front();
-    net::Packet pkt = slab_.take(ref);
-    tokens_bytes_ -= static_cast<double>(pkt.size_bytes);
-    backlog_bytes_ -= pkt.size_bytes;
-    forward(std::move(pkt));
+    tokens_bytes_ -= static_cast<double>(bytes);
+    backlog_bytes_ -= bytes;
+    forward(ref);
   }
 
   if (queue_.empty()) {

@@ -7,8 +7,9 @@
 // full. There is no user-space interface to change the rate per packet —
 // the reason the paper rules TBF out for QUIC pacing.
 //
-// Queued packets live flat in the shared net::PacketSlab; the FIFO holds
-// their refs, and the token loop reads byte sizes off the slab's hot lane.
+// Packets arrive, wait and leave as refs into the shared net::PacketSlab:
+// the FIFO holds the refs, and the drop-tail check and the token loop read
+// byte sizes off the slab's hot lane, so the TBF never loads a packet.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +32,7 @@ class TbfQdisc final : public Qdisc {
   TbfQdisc(sim::EventLoop& loop, net::PacketSlab& slab, Config config,
            net::PacketSink* downstream);
 
-  void deliver(net::Packet pkt) override;
+  void deliver_ref(net::PacketSlab& slab, net::PacketSlab::Ref ref) override;
 
   std::int64_t backlog_bytes() const { return backlog_bytes_; }
   std::int64_t backlog_packets() const override {
@@ -43,7 +44,6 @@ class TbfQdisc final : public Qdisc {
   void try_release();
 
   Config config_;
-  net::PacketSlab& slab_;
   std::deque<net::PacketSlab::Ref> queue_;
   std::int64_t backlog_bytes_ = 0;
   double tokens_bytes_;

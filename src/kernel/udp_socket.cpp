@@ -8,7 +8,11 @@ void UdpSocket::inject(net::Packet pkt) {
   counters_.count_out(pkt.size_bytes);
   QUICSTEPS_TRACE_SPAN(trace_bus_, obs::TraceStage::kSocketWrite,
                        trace_component_, pkt.kernel_entry_time, pkt);
-  if (egress_ != nullptr) egress_->deliver(std::move(pkt));
+  // The kernel entry: the packet enters the slab here, and every hop up
+  // to the receiving socket passes its ref.
+  if (egress_ != nullptr) {
+    egress_->deliver_ref(slab_, slab_.put(std::move(pkt)));
+  }
 }
 
 sim::Duration UdpSocket::sendmsg(net::Packet pkt) {
@@ -44,25 +48,28 @@ sim::Duration UdpSocket::sendmmsg(std::vector<net::Packet> packets) {
   return os_.draw_syscall_cost();
 }
 
-void UdpReceiver::deliver(net::Packet pkt) {
-  counters_.count_in(pkt.size_bytes);
-  if (buffered_bytes_ + pkt.size_bytes > rcvbuf_bytes_) {
-    counters_.count_drop(pkt.size_bytes);
+void UdpReceiver::deliver_ref(net::PacketSlab& slab,
+                              net::PacketSlab::Ref ref) {
+  check_slab(slab);
+  const std::int64_t bytes = slab_.size_bytes(ref);
+  counters_.count_in(bytes);
+  if (buffered_bytes_ + bytes > rcvbuf_bytes_) {
+    counters_.count_drop(bytes);
+    (void)slab_.take(ref);
     return;
   }
-  buffered_bytes_ += pkt.size_bytes;
-  pkt.delivery_time = loop_.now();
+  buffered_bytes_ += bytes;
 
   if (gro_window_.is_zero()) {
     // Wakeups are never cancelled, so the record can be slotless.
     loop_.post_drain_at(loop_.now() + os_.draw_wakeup_latency(),
-                        wakeup_channel_, slab_.put(std::move(pkt)));
+                        wakeup_channel_, ref);
     return;
   }
 
   // GRO: coalesce everything arriving within the window of the first
   // unflushed packet; one wakeup delivers the whole batch.
-  gro_batch_.push_back(std::move(pkt));
+  gro_batch_.push_back(ref);
   if (!gro_timer_.pending()) {
     gro_timer_ = loop_.schedule_at<&UdpReceiver::flush>(
         loop_.now() + gro_window_ + os_.draw_wakeup_latency(),
@@ -70,28 +77,26 @@ void UdpReceiver::deliver(net::Packet pkt) {
   }
 }
 
+void UdpReceiver::release(net::PacketSlab::Ref ref) {
+  const std::int64_t bytes = slab_.size_bytes(ref);
+  buffered_bytes_ -= bytes;
+  counters_.count_out(bytes);
+  QUICSTEPS_TRACE_SPAN(trace_bus_, obs::TraceStage::kDelivery,
+                       trace_component_, loop_.now(), slab_, ref);
+  hand_off(sink_, ref);
+}
+
 void UdpReceiver::drain_wakeup(void* self, std::uint32_t ref) {
   UdpReceiver* rx = static_cast<UdpReceiver*>(self);
-  net::Packet pkt = rx->slab_.take(ref);
   ++rx->wakeups_;
-  rx->buffered_bytes_ -= pkt.size_bytes;
-  rx->counters_.count_out(pkt.size_bytes);
-  QUICSTEPS_TRACE_SPAN(rx->trace_bus_, obs::TraceStage::kDelivery,
-                       rx->trace_component_, rx->loop_.now(), pkt);
-  if (rx->sink_ != nullptr) rx->sink_->deliver(std::move(pkt));
+  rx->release(ref);
 }
 
 void UdpReceiver::flush() {
   ++wakeups_;
-  std::vector<net::Packet> batch;
+  std::vector<net::PacketSlab::Ref> batch;
   batch.swap(gro_batch_);
-  for (auto& pkt : batch) {
-    buffered_bytes_ -= pkt.size_bytes;
-    counters_.count_out(pkt.size_bytes);
-    QUICSTEPS_TRACE_SPAN(trace_bus_, obs::TraceStage::kDelivery,
-                         trace_component_, loop_.now(), pkt);
-    if (sink_ != nullptr) sink_->deliver(std::move(pkt));
-  }
+  for (const net::PacketSlab::Ref ref : batch) release(ref);
   // Hand the capacity back for the next window, unless a re-entrant
   // delivery has already started a new batch.
   batch.clear();

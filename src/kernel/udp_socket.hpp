@@ -26,7 +26,8 @@ namespace quicsteps::kernel {
 
 class UdpSocket : public obs::TraceSource {
  public:
-  /// GSO segment buffers recycle through `slab`'s pool instead of being
+  /// Sent packets enter `slab` here and travel the egress chain as refs;
+  /// GSO segment buffers recycle through its pool instead of being
   /// allocated per sendmsg_gso call.
   UdpSocket(sim::EventLoop& loop, net::PacketSlab& slab, OsModel& os,
             net::PacketSink* egress)
@@ -67,21 +68,23 @@ class UdpSocket : public obs::TraceSource {
 
 /// Receive side: delivers datagrams to the owning stack's sink after an
 /// epoll wakeup latency, enforcing the configured receive buffer. Each
-/// per-datagram wakeup is a drain record carrying a ref into `slab`.
+/// per-datagram wakeup is a drain record carrying the datagram's ref into
+/// `slab`; the receiver accounts bytes off the slab's hot lane and hands
+/// the ref on, so the packet leaves the slab only at the endpoint.
 ///
 /// With a non-zero GRO window, packets arriving within the window of the
 /// first unflushed packet are coalesced and handed to user space in one
 /// wakeup (Generic Receive Offload): fewer recvmsg calls, but the receiver
 /// sees — and acknowledges — bursts, which chops the ACK clock the sender
 /// paces against.
-class UdpReceiver final : public net::PacketSink, public obs::TraceSource {
+class UdpReceiver final : public net::PacketHop, public obs::TraceSource {
  public:
   UdpReceiver(sim::EventLoop& loop, net::PacketSlab& slab, OsModel& os,
               std::int64_t rcvbuf_bytes, net::PacketSink* sink,
               sim::Duration gro_window = sim::Duration::zero())
-      : loop_(loop),
+      : net::PacketHop(slab),
+        loop_(loop),
         os_(os),
-        slab_(slab),
         wakeup_channel_(loop.register_drain(sim::EventClass::kWakeup,
                                             &UdpReceiver::drain_wakeup,
                                             this)),
@@ -92,7 +95,7 @@ class UdpReceiver final : public net::PacketSink, public obs::TraceSource {
   UdpReceiver(const UdpReceiver&) = delete;
   UdpReceiver& operator=(const UdpReceiver&) = delete;
 
-  void deliver(net::Packet pkt) override;
+  void deliver_ref(net::PacketSlab& slab, net::PacketSlab::Ref ref) override;
 
   const net::Counters& counters() const { return counters_; }
   /// User-space wakeups performed (each models one recvmsg/recvmmsg).
@@ -101,17 +104,18 @@ class UdpReceiver final : public net::PacketSink, public obs::TraceSource {
  private:
   void flush();
   static void drain_wakeup(void* self, std::uint32_t ref);
+  /// Hands one buffered datagram to the sink (both wakeup paths).
+  void release(net::PacketSlab::Ref ref);
 
   sim::EventLoop& loop_;
   OsModel& os_;
-  net::PacketSlab& slab_;
   sim::DrainId wakeup_channel_;
   std::int64_t rcvbuf_bytes_;
   sim::Duration gro_window_;
   std::int64_t buffered_bytes_ = 0;
   net::PacketSink* sink_;
   net::Counters counters_;
-  std::vector<net::Packet> gro_batch_;
+  std::vector<net::PacketSlab::Ref> gro_batch_;
   sim::EventHandle gro_timer_;
   std::int64_t wakeups_ = 0;
 };

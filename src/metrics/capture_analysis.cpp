@@ -1,5 +1,7 @@
 #include "metrics/capture_analysis.hpp"
 
+#include <algorithm>
+
 namespace quicsteps::metrics {
 
 void CaptureAnalyzer::add(const net::Packet& pkt) {
@@ -33,8 +35,14 @@ void CaptureAnalyzer::add(const net::Packet& pkt) {
       ++current_train_;
     } else {
       if (!config_.lite) train_lengths_.push_back(current_train_);
-      packets_by_length_[current_train_] +=
-          static_cast<std::int64_t>(current_train_);
+      auto it = std::lower_bound(
+          packets_by_length_.begin(), packets_by_length_.end(),
+          current_train_,
+          [](const auto& entry, std::size_t len) { return entry.first < len; });
+      if (it == packets_by_length_.end() || it->first != current_train_) {
+        it = packets_by_length_.insert(it, {current_train_, 0});
+      }
+      it->second += static_cast<std::int64_t>(current_train_);
       current_train_ = 1;
     }
   } else {
@@ -60,7 +68,8 @@ CaptureAnalysis CaptureAnalyzer::finish() const {
   }
 
   out.trains.train_lengths = train_lengths_;  // empty in lite mode
-  out.trains.packets_by_length = packets_by_length_;
+  out.trains.packets_by_length.insert(packets_by_length_.begin(),
+                                      packets_by_length_.end());
   if (data_packets_ > 0) {
     // Close the open train without disturbing the incremental state.
     if (!config_.lite) out.trains.train_lengths.push_back(current_train_);

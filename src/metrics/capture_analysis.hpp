@@ -12,7 +12,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "metrics/gap_analyzer.hpp"
@@ -73,7 +73,10 @@ class CaptureAnalyzer {
   StreamingSummary gap_stream_;
   StreamingSummary offset_stream_;
   std::vector<std::size_t> train_lengths_;   // closed trains only
-  std::map<std::size_t, std::int64_t> packets_by_length_;
+  /// Closed trains' packets by train length: (length, packets) pairs
+  /// sorted by length. A run sees few distinct lengths, so a closed train
+  /// costs a binary search over one short array, not a map node walk.
+  std::vector<std::pair<std::size_t, std::int64_t>> packets_by_length_;
   std::size_t b2b_gaps_ = 0;
   std::size_t below_1500us_gaps_ = 0;
   std::size_t current_train_ = 0;  // open train length (0 = no packet yet)

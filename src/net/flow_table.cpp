@@ -1,7 +1,6 @@
 #include "net/flow_table.hpp"
 
 #include <string>
-#include <utility>
 
 #include "check/audit.hpp"
 
@@ -28,17 +27,21 @@ void FlowTableSink::reserve(std::size_t routes) {
   sinks_.reserve(sinks_.size() + routes);
 }
 
-void FlowTableSink::deliver(Packet pkt) {
+void FlowTableSink::deliver_ref(PacketSlab& slab, PacketSlab::Ref ref) {
+  check_slab(slab);
   QUICSTEPS_AUDIT(finished_,
                   "FlowTableSink lookup before finish_routes()");
-  const std::uint32_t slot = index_.find(pkt.flow);
+  const std::uint32_t flow = slab_.flow(ref);
+  const std::uint32_t slot = index_.find(flow);
   if (slot != FlowIndex::kNone) {
-    sinks_[slot]->deliver(std::move(pkt));
+    sinks_[slot]->deliver_ref(slab_, ref);
     return;
   }
   QUICSTEPS_AUDIT(false, "packet for unregistered flow " +
-                             std::to_string(pkt.flow) + " (" +
-                             to_string(pkt.kind) + std::string(")"));
+                             std::to_string(flow) + " (" +
+                             to_string(slab_.at(ref).kind) +
+                             std::string(")"));
+  (void)slab_.take(ref);
 }
 
 }  // namespace quicsteps::net

@@ -11,7 +11,8 @@
 //
 // At fabric scale the table is on the per-packet hot path twice (data and
 // ACK directions), so the lookup is a net::FlowIndex: one load from a flat
-// table indexed by flow id.
+// table indexed by flow id. The id comes off the slab's hot lane, so the
+// endpoint is found before the packet's own cache lines are loaded.
 #pragma once
 
 #include <cstdint>
@@ -19,11 +20,14 @@
 
 #include "net/flow_index.hpp"
 #include "net/packet.hpp"
+#include "net/packet_slab.hpp"
 
 namespace quicsteps::net {
 
-class FlowTableSink final : public PacketSink {
+class FlowTableSink final : public PacketHop {
  public:
+  explicit FlowTableSink(PacketSlab& slab) : PacketHop(slab) {}
+
   /// Registration is a bulk build: add_route appends a route for packets
   /// tagged with `flow`; finish_routes() ends the build, auditing
   /// duplicate ids (two endpoints would silently split one flow's
@@ -35,9 +39,9 @@ class FlowTableSink final : public PacketSink {
   /// regrowing the table.
   void reserve(std::size_t routes);
 
-  /// Routes by pkt.flow. An id with no route trips QUICSTEPS_AUDIT (and
-  /// drops the packet in audit-off builds).
-  void deliver(Packet pkt) override;
+  /// Routes by the packet's flow id. An id with no route trips
+  /// QUICSTEPS_AUDIT (and drops the packet in audit-off builds).
+  void deliver_ref(PacketSlab& slab, PacketSlab::Ref ref) override;
 
   std::size_t route_count() const { return sinks_.size(); }
 

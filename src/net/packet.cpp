@@ -2,7 +2,13 @@
 
 #include <cstdio>
 
+#include "net/packet_slab.hpp"
+
 namespace quicsteps::net {
+
+void PacketSink::deliver_ref(PacketSlab& slab, std::uint32_t ref) {
+  deliver(slab.take(ref));
+}
 
 const char* to_string(PacketKind kind) {
   switch (kind) {

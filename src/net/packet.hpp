@@ -48,7 +48,12 @@ struct Packet {
   std::uint64_t id = 0;
   /// Flow the packet belongs to (one flow per connection direction).
   std::uint32_t flow = 0;
+  // The three one-byte fields share the word after `flow`.
   PacketKind kind = PacketKind::kQuicData;
+  /// Carries the transfer's last chunk (QUIC STREAM FIN, TCP's last segment).
+  bool fin = false;
+  /// True when the stack attached an SCM_TXTIME release timestamp.
+  bool has_txtime = false;
   /// Size on the wire, including all headers.
   std::int64_t size_bytes = 0;
   /// Transport-level packet number (QUIC PN or TCP segment sequence index).
@@ -58,13 +63,10 @@ struct Packet {
   /// STREAM chunk carried by a data packet (-1 offset = no stream data).
   std::int64_t stream_offset = -1;
   std::int64_t stream_length = 0;
-  bool fin = false;
   /// ACK frame carried by an ACK packet.
   std::shared_ptr<const TransportAck> ack;
 
   // --- user-space pacing metadata -----------------------------------------
-  /// True when the stack attached an SCM_TXTIME release timestamp.
-  bool has_txtime = false;
   /// Requested kernel release time (valid when has_txtime).
   sim::Time txtime;
   /// The pacer's intended send time, logged by the server for the precision
@@ -93,11 +95,15 @@ struct Packet {
   sim::Time kernel_entry_time;
   /// Stamped by the wire tap when the last bit leaves the server NIC.
   sim::Time wire_time;
-  /// Stamped by the receiving host model on delivery.
-  sim::Time delivery_time;
 
   std::string to_string() const;
 };
+
+// The slab moves a Packet in at put() and out at take(), and endpoints
+// pass it by value, so its size is per-packet cost.
+static_assert(sizeof(Packet) == 136, "Packet must stay 136 bytes");
+
+class PacketSlab;
 
 /// Anything that accepts packets. Components form a chain: the caller has
 /// already accounted for all timing; deliver() is invoked at the simulated
@@ -106,6 +112,12 @@ class PacketSink {
  public:
   virtual ~PacketSink() = default;
   virtual void deliver(Packet pkt) = 0;
+  /// The ref entry: the packet already sits in `slab` under `ref` (a
+  /// PacketSlab::Ref), and this sink now owns that ref. Kernel hops
+  /// (PacketHop, packet_slab.hpp) override it and pass the ref on. The
+  /// default is an endpoint's: it takes the packet out of the slab and
+  /// calls deliver(Packet).
+  virtual void deliver_ref(PacketSlab& slab, std::uint32_t ref);
 };
 
 /// Adapter turning any callable into a sink (wiring glue for topologies).

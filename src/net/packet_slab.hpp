@@ -5,17 +5,35 @@
 // heap allocation and two moves per packet per hop. The slab is instead
 // struct-of-arrays storage addressed by a 32-bit generation-checked ref
 // that rides as an event's payload (sim::EventLoop::post_drain_at,
-// schedule_at): the packet is written once at put()
-// and moved out once at take(), and slots recycle through a free list so a
-// steady-state run performs no per-packet allocation at all.
+// schedule_at), and slots recycle through a free list so a steady-state
+// run performs no per-packet allocation at all.
 //
-// Lanes: the Packet values themselves are the cold lane; the generation
-// and size lanes are hot — token-bucket byte accounting and drain-train
-// bookkeeping read them without pulling a whole Packet into cache.
+// The ref rule: a Ref is minted where user space hands the packet to the
+// kernel (UdpSocket::inject, or a hop's by-value deliver(): PacketHop
+// below) and consumed where the receiving socket hands the packet to its
+// endpoint (the default PacketSink::deliver_ref). Every kernel hop in
+// between receives and forwards the 32-bit ref; the packet is written
+// once at put() and moved out once at take(). A hop that drops a packet
+// take()s its ref, so live() balances on every drop path. Only the NIC
+// mints refs mid-path: it takes a GSO carrier out and puts each of its
+// segments in.
+//
+// Lanes: the Packet values themselves are the cold lane; the hot lane
+// holds each slot's generation, byte size and flow id, written at put().
+// Byte accounting (TBF tokens, qdisc counters, the receive buffer), flow
+// routing (FlowTableSink) and the span sampler's per-packet filter read
+// the hot lane, so a hop that needs no other field never loads a packet
+// that sat cold in a queue.
+//
+// Borrows: a hop that must see other fields (the tap's wire_time stamp,
+// the NIC's GSO and LaunchTime checks, FQ's and ETF's txtimes, a sampled
+// flow's span) reads the packet in place through at(). A borrow never
+// outlives the hop's call, and is never held across a put(): put() may
+// grow the cold lane's vector and move every packet in it.
 //
 // Ref layout: low 24 bits slot index, high 8 bits the slot's generation at
-// put() time. take() audits the generation, so a stale ref — a recycled
-// slot reached through a ref that was already consumed — trips
+// put() time. take() and at() audit the generation, so a stale ref — a
+// recycled slot reached through a ref that was already consumed — trips
 // QUICSTEPS_AUDIT instead of silently aliasing another packet
 // (tests/slab_test.cpp pins this).
 //
@@ -26,6 +44,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -58,6 +77,7 @@ class PacketSlab {
     }
     HotLane& hot = hot_[slot];
     hot.size_bytes = static_cast<std::uint32_t>(packets_[slot].size_bytes);
+    hot.flow = packets_[slot].flow;
     ++live_;
     return slot | (static_cast<std::uint32_t>(hot.gen) << kSlotBits);
   }
@@ -66,11 +86,7 @@ class PacketSlab {
   /// afterwards: the slot's generation advances, so a second take()
   /// through the same ref audits (recycled-slot aliasing).
   Packet take(Ref ref) {
-    const std::uint32_t slot = ref & kSlotMask;
-    QUICSTEPS_AUDIT(slot < packets_.size() &&
-                        hot_[slot].gen == static_cast<std::uint8_t>(
-                                              ref >> kSlotBits),
-                    "stale PacketSlab ref (recycled-slot aliasing)");
+    const std::uint32_t slot = checked_slot(ref);
     Packet pkt = std::move(packets_[slot]);
     ++hot_[slot].gen;  // wraps mod 256; outstanding refs go stale
     free_.push_back(slot);
@@ -78,10 +94,15 @@ class PacketSlab {
     return pkt;
   }
 
-  /// Hot-lane size read: no Packet cache line touched.
+  /// Borrows the packet in place, with take()'s generation audit. Valid
+  /// until the hop's call returns or the next put(), whichever is first.
+  Packet& at(Ref ref) { return packets_[checked_slot(ref)]; }
+
+  /// Hot-lane reads: no Packet cache line touched.
   std::uint32_t size_bytes(Ref ref) const {
     return hot_[ref & kSlotMask].size_bytes;
   }
+  std::uint32_t flow(Ref ref) const { return hot_[ref & kSlotMask].flow; }
 
   /// Packets currently stored.
   std::size_t live() const { return live_; }
@@ -109,18 +130,65 @@ class PacketSlab {
   std::size_t gso_buffers_pooled() const { return gso_buffers_.size(); }
 
  private:
-  /// One 8-byte entry per slot: the generation check and the byte size the
-  /// token loop reads share a cache line access.
+  /// One 12-byte entry per slot: the generation check and the fields the
+  /// byte accounting, flow routing and span sampling read share a cache
+  /// line access.
   struct HotLane {
     std::uint32_t size_bytes = 0;
+    std::uint32_t flow = 0;
     std::uint8_t gen = 0;
   };
+
+  std::uint32_t checked_slot(Ref ref) const {
+    const std::uint32_t slot = ref & kSlotMask;
+    QUICSTEPS_AUDIT(slot < packets_.size() &&
+                        hot_[slot].gen == static_cast<std::uint8_t>(
+                                              ref >> kSlotBits),
+                    "stale PacketSlab ref (recycled-slot aliasing)");
+    return slot;
+  }
 
   std::vector<Packet> packets_;  // cold lane
   std::vector<HotLane> hot_;
   std::vector<std::uint32_t> free_;
   std::vector<std::shared_ptr<std::vector<Packet>>> gso_buffers_;
   std::size_t live_ = 0;
+};
+
+// PacketSink::deliver_ref spells the ref as std::uint32_t (packet.hpp
+// cannot include this header).
+static_assert(std::is_same_v<PacketSlab::Ref, std::uint32_t>);
+
+/// A kernel hop: a sink that works on slab refs. The one by-value entry,
+/// deliver(Packet), puts the packet into the hop's slab and continues on
+/// the ref path — that put is where the packet enters the kernel for the
+/// ideal server's and TCP's egress and for a client's ACKs, and what tests
+/// call. Every hop implements deliver_ref() only.
+class PacketHop : public PacketSink {
+ public:
+  explicit PacketHop(PacketSlab& slab) : slab_(slab) {}
+
+  void deliver(Packet pkt) final {
+    deliver_ref(slab_, slab_.put(std::move(pkt)));
+  }
+  void deliver_ref(PacketSlab& slab, PacketSlab::Ref ref) override = 0;
+
+ protected:
+  /// A hop keeps refs of its own slab only: a ref from another slab would
+  /// alias an unrelated packet there.
+  void check_slab([[maybe_unused]] const PacketSlab& slab) const {
+    QUICSTEPS_AUDIT(&slab == &slab_, "ref handed to a hop of another slab");
+  }
+  /// Passes `ref` downstream, or retires the packet when nothing is wired.
+  void hand_off(PacketSink* next, PacketSlab::Ref ref) {
+    if (next != nullptr) {
+      next->deliver_ref(slab_, ref);
+    } else {
+      (void)slab_.take(ref);
+    }
+  }
+
+  PacketSlab& slab_;
 };
 
 }  // namespace quicsteps::net

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "net/packet.hpp"
+#include "net/packet_slab.hpp"
 #include "obs/flow_sampler.hpp"
 #include "sim/time.hpp"
 
@@ -153,20 +154,14 @@ inline SpanEvent make_span(TraceStage stage, std::uint16_t component,
   return ev;
 }
 
-/// Publishes one span per wire packet: a GSO super-packet is expanded into
-/// its segments so every delivered packet's chain stays complete even
-/// through stages that handle the buffer as one unit (socket, qdiscs).
-/// The segment train is buffered on the stack and flushed with one
-/// publish_train call.
-inline void publish_packet_span(TraceBus* bus, TraceStage stage,
-                                std::uint16_t component, sim::Time at,
-                                const net::Packet& pkt) {
-  // Null bus = tracing disabled. The QUICSTEPS_TRACE_SPAN macro checks
-  // before calling, but direct callers reach here unguarded.
-  if (bus == nullptr) return;
-  // Sampled-out flow: drop the span before it costs memory. GSO segments
-  // always share their carrier's flow, so one check covers the train.
-  if (!bus->accepts(pkt.flow)) return;
+/// Publishes one span per wire packet of an accepted flow: a GSO
+/// super-packet is expanded into its segments so every delivered packet's
+/// chain stays complete even through stages that handle the buffer as one
+/// unit (socket, qdiscs). The segment train is buffered on the stack and
+/// flushed with one publish_train call.
+inline void publish_accepted_span(TraceBus* bus, TraceStage stage,
+                                  std::uint16_t component, sim::Time at,
+                                  const net::Packet& pkt) {
   if (pkt.is_gso_buffer()) {
     constexpr std::size_t kTrainBuf = 64;
     SpanEvent train[kTrainBuf];
@@ -182,6 +177,30 @@ inline void publish_packet_span(TraceBus* bus, TraceStage stage,
     return;
   }
   bus->publish(make_span(stage, component, at, pkt));
+}
+
+inline void publish_packet_span(TraceBus* bus, TraceStage stage,
+                                std::uint16_t component, sim::Time at,
+                                const net::Packet& pkt) {
+  // Null bus = tracing disabled. The QUICSTEPS_TRACE_SPAN macro checks
+  // before calling, but direct callers reach here unguarded.
+  if (bus == nullptr) return;
+  // Sampled-out flow: drop the span before it costs memory. GSO segments
+  // always share their carrier's flow, so one check covers the train.
+  if (!bus->accepts(pkt.flow)) return;
+  publish_accepted_span(bus, stage, component, at, pkt);
+}
+
+/// The ref form, for hops that hold a slab ref: the sampler reads the flow
+/// off the slab's hot lane, so a shared-path hop never loads an unsampled
+/// flow's packet. A sampled one is borrowed in place for the span.
+inline void publish_packet_span(TraceBus* bus, TraceStage stage,
+                                std::uint16_t component, sim::Time at,
+                                net::PacketSlab& slab,
+                                net::PacketSlab::Ref ref) {
+  if (bus == nullptr) return;
+  if (!bus->accepts(slab.flow(ref))) return;
+  publish_accepted_span(bus, stage, component, at, slab.at(ref));
 }
 
 /// Mixin giving a component its trace hookup. The default state (null bus)
@@ -200,21 +219,23 @@ class TraceSource {
 };
 
 #ifdef QUICSTEPS_TRACE_ENABLED
-/// Publishes a span for `pkt` at stage `stage`. Compiled to nothing when
+/// Publishes a span at stage `stage` for the packet named by the trailing
+/// arguments: a Packet, or a slab and a ref. Compiled to nothing when
 /// the build disables QUICSTEPS_TRACE. Otherwise the bus pointer is read
 /// once into a local and tested with a single branch predicted not-taken:
 /// a compiled-in-but-disabled site is one load + one never-taken jump,
 /// with the publish call laid out out-of-line off the fast path.
-#define QUICSTEPS_TRACE_SPAN(bus, stage, component, at, pkt)               \
+#define QUICSTEPS_TRACE_SPAN(bus, stage, component, at, ...)               \
   do {                                                                     \
     ::quicsteps::obs::TraceBus* const qs_span_bus_ = (bus);                \
     if (__builtin_expect(qs_span_bus_ != nullptr, 0)) {                    \
       ::quicsteps::obs::publish_packet_span(qs_span_bus_, (stage),         \
-                                            (component), (at), (pkt));     \
+                                            (component), (at),             \
+                                            __VA_ARGS__);                  \
     }                                                                      \
   } while (false)
 #else
-#define QUICSTEPS_TRACE_SPAN(bus, stage, component, at, pkt) \
+#define QUICSTEPS_TRACE_SPAN(bus, stage, component, at, ...) \
   do {                                                       \
   } while (false)
 #endif

@@ -525,13 +525,6 @@ TEST(AnalyzeCfg, BranchyFixtureLowersToCondBlocksAndLoopHead) {
   }
   EXPECT_EQ(conds, 3u);
   EXPECT_EQ(loop_heads, 1u);
-
-  // The RPO seed starts at the entry and never repeats a block.
-  ASSERT_FALSE(cfg->rpo.empty());
-  EXPECT_EQ(cfg->rpo.front(), Cfg::kEntry);
-  std::vector<std::size_t> sorted = cfg->rpo;
-  std::sort(sorted.begin(), sorted.end());
-  EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end());
 }
 
 // ---------------------------------------------------------------------------

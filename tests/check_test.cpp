@@ -65,9 +65,12 @@ TEST_F(AuditCaptureTest, BackwardsEventTripsMonotonicityAudit) {
 /// silently eaten — neither forwarded, nor dropped, nor queued.
 class BlackHoleQdisc final : public kernel::Qdisc {
  public:
-  BlackHoleQdisc(sim::EventLoop& loop, net::PacketSink* downstream)
-      : Qdisc(loop, "blackhole", downstream) {}
-  void deliver(net::Packet pkt) override { note_arrival(pkt); }
+  BlackHoleQdisc(sim::EventLoop& loop, net::PacketSlab& slab,
+                 net::PacketSink* downstream)
+      : Qdisc(loop, slab, "blackhole", downstream) {}
+  void deliver_ref(net::PacketSlab& slab, net::PacketSlab::Ref ref) override {
+    note_arrival(slab, ref);
+  }
 };
 
 net::Packet test_packet(std::int64_t bytes = 1500) {
@@ -79,7 +82,8 @@ net::Packet test_packet(std::int64_t bytes = 1500) {
 
 TEST_F(AuditCaptureTest, NonConservingQdiscTripsConservationAuditor) {
   sim::EventLoop loop;
-  BlackHoleQdisc blackhole(loop, nullptr);
+  net::PacketSlab slab;
+  BlackHoleQdisc blackhole(loop, slab, nullptr);
   check::ConservationAuditor auditor;
   auditor.add_stage("blackhole", blackhole.counters(),
                     [] { return std::int64_t{0}; });  // claims empty queue
@@ -138,16 +142,19 @@ TEST_F(AuditCaptureTest, ForwardingUncountedPacketTripsQdiscAudit) {
   // on the spot, without waiting for a post-run audit.
   class DuplicatingQdisc final : public kernel::Qdisc {
    public:
-    DuplicatingQdisc(sim::EventLoop& loop)
-        : Qdisc(loop, "duper", nullptr) {}
-    void deliver(net::Packet pkt) override {
-      note_arrival(pkt);
-      forward(pkt);
-      forward(std::move(pkt));  // duplicate: one in, two out
+    DuplicatingQdisc(sim::EventLoop& loop, net::PacketSlab& slab)
+        : Qdisc(loop, slab, "duper", nullptr) {}
+    void deliver_ref(net::PacketSlab& slab,
+                     net::PacketSlab::Ref ref) override {
+      note_arrival(slab, ref);
+      net::Packet copy = slab.at(ref);
+      forward(ref);
+      forward(slab.put(std::move(copy)));  // duplicate: one in, two out
     }
   };
   sim::EventLoop loop;
-  DuplicatingQdisc duper(loop);
+  net::PacketSlab slab;
+  DuplicatingQdisc duper(loop, slab);
   duper.deliver(test_packet());
   ASSERT_EQ(failures_.size(), 1u);
   EXPECT_NE(failures_[0].find("never enqueued"), std::string::npos);

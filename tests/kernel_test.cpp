@@ -178,7 +178,7 @@ class NicTest : public ::testing::Test {
 TEST_F(NicTest, SerializesAtLineRate) {
   Nic nic(loop, slab, {.line_rate = DataRate::gigabits_per_second(1)}, os,
           &sink);
-  net::WireTap tap(loop, &sink);
+  net::WireTap tap(loop, slab, &sink);
   nic.set_downstream(&tap);
   nic.deliver(make_packet(1));
   nic.deliver(make_packet(2));
@@ -191,7 +191,7 @@ TEST_F(NicTest, SerializesAtLineRate) {
 TEST_F(NicTest, StockGsoExpandsBackToBack) {
   Nic nic(loop, slab, {.line_rate = DataRate::gigabits_per_second(1)}, os,
           &sink);
-  net::WireTap tap(loop, &sink);
+  net::WireTap tap(loop, slab, &sink);
   nic.set_downstream(&tap);
   std::vector<Packet> segs;
   for (int i = 0; i < 8; ++i) segs.push_back(make_packet(i, 1500));
@@ -209,7 +209,7 @@ TEST_F(NicTest, StockGsoExpandsBackToBack) {
 TEST_F(NicTest, PacedGsoSpreadsSegments) {
   Nic nic(loop, slab, {.line_rate = DataRate::gigabits_per_second(1)}, os,
           &sink);
-  net::WireTap tap(loop, &sink);
+  net::WireTap tap(loop, slab, &sink);
   nic.set_downstream(&tap);
   std::vector<Packet> segs;
   for (int i = 0; i < 8; ++i) segs.push_back(make_packet(i, 1500));
@@ -231,7 +231,7 @@ TEST_F(NicTest, LaunchTimeHoldsEarlyPackets) {
            .launch_time = true,
            .launch_jitter_max = Duration::zero()},
           os, &sink);
-  net::WireTap tap(loop, &sink);
+  net::WireTap tap(loop, slab, &sink);
   nic.set_downstream(&tap);
   Packet p = make_packet(1);
   p.has_txtime = true;
@@ -248,7 +248,7 @@ TEST_F(NicTest, StrictLaunchTimeDropsAMissedSlot) {
            .launch_time = true,
            .drop_missed_launch = true},
           os, &sink);
-  net::WireTap tap(loop, &sink);
+  net::WireTap tap(loop, slab, &sink);
   nic.set_downstream(&tap);
   loop.run_until(Time::zero() + 1_ms);
   Packet p = make_packet(1);
@@ -264,7 +264,7 @@ TEST_F(NicTest, StrictLaunchTimeDropsAMissedSlot) {
 
 TEST_F(NicTest, LaunchTimeDisabledSendsImmediately) {
   Nic nic(loop, slab, {.launch_time = false}, os, &sink);
-  net::WireTap tap(loop, &sink);
+  net::WireTap tap(loop, slab, &sink);
   nic.set_downstream(&tap);
   Packet p = make_packet(1);
   p.has_txtime = true;

@@ -11,6 +11,7 @@
 #include "net/flow_index.hpp"
 #include "net/flow_table.hpp"
 #include "net/packet.hpp"
+#include "net/packet_slab.hpp"
 #include "net/wire_tap.hpp"
 #include "sim/event_loop.hpp"
 
@@ -61,8 +62,9 @@ TEST(DataRate, Formatting) {
 
 TEST(WireTap, StampsWireTimeAndKeepsCopies) {
   EventLoop loop;
+  PacketSlab slab;
   CollectorSink sink;
-  WireTap tap(loop, &sink);
+  WireTap tap(loop, slab, &sink);
   loop.schedule_at(
       Time::zero() + 7_ms, sim::EventClass::kGeneral,
       [](void* t, std::uint32_t) {
@@ -74,16 +76,19 @@ TEST(WireTap, StampsWireTimeAndKeepsCopies) {
   EXPECT_EQ(tap.capture()[0].wire_time, Time::zero() + 7_ms);
   ASSERT_EQ(sink.packets().size(), 1u);
   EXPECT_EQ(sink.packets()[0].wire_time, Time::zero() + 7_ms);
+  EXPECT_EQ(slab.live(), 0u);
 }
 
 TEST(WireTap, LiveCallbackSeesEveryPacket) {
   EventLoop loop;
-  WireTap tap(loop, nullptr);
+  PacketSlab slab;
+  WireTap tap(loop, slab, nullptr);
   int seen = 0;
   tap.set_on_packet([&](const Packet&) { ++seen; });
   tap.deliver(make_packet(1));
   tap.deliver(make_packet(2));
   EXPECT_EQ(seen, 2);
+  EXPECT_EQ(slab.live(), 0u);  // no downstream: the tap retires the ref
 }
 
 TEST(Counters, ConservationArithmetic) {
@@ -103,7 +108,8 @@ Packet make_flow_packet(std::uint32_t flow, std::uint64_t id = 1) {
 }
 
 TEST(FlowTable, RoutesByFlowId) {
-  FlowTableSink table;
+  PacketSlab slab;
+  FlowTableSink table(slab);
   CollectorSink a;
   CollectorSink b;
   // Register out of order: lookup must not depend on insertion order.
@@ -131,7 +137,8 @@ TEST(FlowTable, UnregisteredFlowTripsAuditAndDrops) {
     failures.push_back(failure.to_string());
   });
 
-  FlowTableSink table;
+  PacketSlab slab;
+  FlowTableSink table(slab);
   CollectorSink a;
   table.add_route(7, &a);
   table.finish_routes();
@@ -152,7 +159,8 @@ TEST(FlowTable, DuplicateRegistrationTripsAudit) {
 
   // Re-registering an id that is already routed is caught by the next
   // finish, not just duplicates within one build.
-  FlowTableSink table;
+  PacketSlab slab;
+  FlowTableSink table(slab);
   CollectorSink first;
   CollectorSink second;
   table.add_route(7, &first);
@@ -168,8 +176,9 @@ TEST(FlowTable, DuplicateRegistrationTripsAudit) {
 TEST(FlowTable, BulkRegistrationRoutesLikeIncremental) {
   // The fabric-scale build: append out of order, finish once, then route
   // exactly as a table finished after every add does.
-  FlowTableSink bulk;
-  FlowTableSink incremental;
+  PacketSlab slab;
+  FlowTableSink bulk(slab);
+  FlowTableSink incremental(slab);
   std::vector<CollectorSink> bulk_sinks(64);
   std::vector<CollectorSink> incremental_sinks(64);
   for (std::size_t i = 0; i < bulk_sinks.size(); ++i) {
@@ -206,7 +215,8 @@ TEST(FlowTable, BulkDuplicateIsCaughtAtFinish) {
     failures.push_back(failure.to_string());
   });
 
-  FlowTableSink table;
+  PacketSlab slab;
+  FlowTableSink table(slab);
   CollectorSink first;
   CollectorSink second;
   table.add_route(7, &first);
@@ -226,7 +236,8 @@ TEST(FlowTable, LookupDuringBulkBuildTripsAudit) {
     failures.push_back(failure.to_string());
   });
 
-  FlowTableSink table;
+  PacketSlab slab;
+  FlowTableSink table(slab);
   CollectorSink a;
   table.add_route(7, &a);
   table.deliver(make_flow_packet(7, 1));  // the build is not finished yet

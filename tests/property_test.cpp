@@ -103,7 +103,7 @@ TEST_P(QdiscInvariants, ConservationAndOrder) {
   bool timestamps = false;
   switch (param.qdisc) {
     case QdiscUnderTest::kFifo:
-      qdisc = std::make_unique<kernel::FifoQdisc>(loop, &sink);
+      qdisc = std::make_unique<kernel::FifoQdisc>(loop, slab, &sink);
       break;
     case QdiscUnderTest::kFq:
       qdisc = std::make_unique<kernel::FqQdisc>(

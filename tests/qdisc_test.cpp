@@ -85,7 +85,7 @@ class QdiscTest : public ::testing::Test {
 };
 
 TEST_F(QdiscTest, FifoForwardsImmediately) {
-  FifoQdisc fifo(loop, &sink);
+  FifoQdisc fifo(loop, slab, &sink);
   fifo.deliver(timed_packet(1, Time::zero() + 100_ms));
   EXPECT_EQ(sink.packets().size(), 1u);  // txtime ignored entirely
 }
@@ -128,7 +128,7 @@ TEST_F(QdiscTest, FqDropsBeyondHorizon) {
              &sink);
   fq.deliver(timed_packet(1, Time::zero() + 2_s));
   EXPECT_EQ(fq.counters().packets_dropped, 1);
-  EXPECT_EQ(slab.live(), 0u);  // a horizon drop never takes a slot
+  EXPECT_EQ(slab.live(), 0u);  // a horizon drop retires its ref
 }
 
 TEST_F(QdiscTest, FqDropsPastItsLimit) {
@@ -186,12 +186,28 @@ TEST_F(QdiscTest, EtfDropsPacketsWithPastTxtime) {
   EXPECT_EQ(etf.counters().packets_dropped, 1);
   EXPECT_EQ(etf.late_drops(), 1);
   EXPECT_TRUE(sink.packets().empty());
+  EXPECT_EQ(slab.live(), 0u);  // a late drop retires its ref
 }
 
 TEST_F(QdiscTest, EtfRejectsUntimedPackets) {
   EtfQdisc etf(loop, slab, {}, os, &sink);
   etf.deliver(make_packet(1));
   EXPECT_EQ(etf.counters().packets_dropped, 1);
+  EXPECT_EQ(slab.live(), 0u);
+}
+
+TEST_F(QdiscTest, EtfDropsPastItsLimit) {
+  EtfQdisc::Config cfg;
+  cfg.limit_packets = 1;
+  EtfQdisc etf(loop, slab, cfg, os, &sink);
+  etf.deliver(timed_packet(1, Time::zero() + 2_ms));
+  etf.deliver(timed_packet(2, Time::zero() + 3_ms));  // over the limit
+  EXPECT_EQ(etf.counters().packets_dropped, 1);
+  EXPECT_EQ(slab.live(), 1u);  // only the held packet
+  loop.run();
+  ASSERT_EQ(sink.packets().size(), 1u);
+  EXPECT_EQ(sink.packets()[0].id, 1u);
+  EXPECT_EQ(slab.live(), 0u);
 }
 
 TEST_F(QdiscTest, EtfReleasesNearTxtime) {
@@ -216,6 +232,27 @@ TEST_F(QdiscTest, EtfOrdersByTxtime) {
   ASSERT_EQ(sink.packets().size(), 2u);
   EXPECT_EQ(sink.packets()[0].id, 1u);
   EXPECT_EQ(slab.live(), 0u);  // released packets leave the slab
+}
+
+TEST_F(QdiscTest, EtfReleasesEqualTxtimesInArrivalOrder) {
+  // Held refs form a (txtime, arrival) heap: packets stamped with the same
+  // txtime leave in the order they arrived, as equal keys do in the real
+  // qdisc's rb-tree.
+  EtfQdisc::Config cfg;
+  cfg.driver_path_stddev = Duration::zero();
+  EtfQdisc etf(loop, slab, cfg, os, &sink);
+  for (const std::uint64_t id : {3u, 1u, 4u, 2u}) {
+    etf.deliver(timed_packet(id, Time::zero() + 2_ms));
+  }
+  etf.deliver(timed_packet(5, Time::zero() + 1_ms));  // earlier: goes first
+  EXPECT_EQ(etf.queued_packets(), 5u);
+  loop.run();
+  ASSERT_EQ(sink.packets().size(), 5u);
+  const std::vector<std::uint64_t> expected = {5, 3, 1, 4, 2};
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(sink.packets()[i].id, expected[i]) << "position " << i;
+  }
+  EXPECT_EQ(slab.live(), 0u);
 }
 
 TEST_F(QdiscTest, TbfShapesToConfiguredRate) {

@@ -1,16 +1,21 @@
 // Batched-datapath storage and scheduling tests: PacketSlab put/take
-// round-trips and free-list recycling, the recycled-slot aliasing audit,
-// drain-channel execution order against slotted events (shared sequence
-// counter), the run() train loop — in isolation and end to end over every
-// record kind — and a slab-backed TBF splitting a burst train across a
-// drop-tail boundary.
+// round-trips, in-place borrows and free-list recycling, the recycled-slot
+// aliasing audit, drain-channel execution order against slotted events
+// (shared sequence counter), the run() train loop — in isolation and end
+// to end over every record kind — a slab-backed TBF splitting a burst
+// train across a drop-tail boundary, and the ref datapath: a packet keeps
+// the ref it got at kernel entry all the way to its endpoint.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/audit.hpp"
 #include "framework/flows.hpp"
+#include "framework/network.hpp"
 #include "kernel/qdisc_tbf.hpp"
 #include "net/packet.hpp"
 #include "net/packet_slab.hpp"
@@ -63,6 +68,19 @@ TEST(PacketSlab, PutTakeRoundTripsThePacket) {
   EXPECT_EQ(slab.live(), 0u);
 }
 
+TEST(PacketSlab, AtBorrowsInPlaceAndTheHotLaneCarriesTheFlow) {
+  PacketSlab slab;
+  Packet pkt = make_packet(42, 1234);
+  pkt.flow = 9;
+  const PacketSlab::Ref ref = slab.put(std::move(pkt));
+  EXPECT_EQ(slab.flow(ref), 9u);
+  slab.at(ref).wire_time = Time::zero() + Duration::micros(5);
+  EXPECT_EQ(slab.live(), 1u);  // a borrow leaves the packet in its slot
+  const Packet out = slab.take(ref);
+  EXPECT_EQ(out.id, 42u);
+  EXPECT_EQ(out.wire_time, Time::zero() + Duration::micros(5));
+}
+
 TEST(PacketSlab, FreeListBoundsCapacityToTheHighWaterMark) {
   PacketSlab slab;
   // 1000 packets through the slab, never more than 4 in flight: the slab
@@ -101,6 +119,19 @@ TEST_F(AuditCaptureTest, StaleRefAfterRecyclingTripsTheAliasingAudit) {
   (void)slab.take(stale);
   (void)slab.put(make_packet(2));  // recycles the slot under a new gen
   (void)slab.take(stale);          // the consumed ref must not alias packet 2
+  ASSERT_EQ(failures_.size(), 1u);
+  EXPECT_NE(failures_[0].find("recycled-slot aliasing"), std::string::npos);
+}
+
+TEST_F(AuditCaptureTest, BorrowThroughAStaleRefTripsTheAliasingAudit) {
+  if (!check::kAuditEnabled) {
+    GTEST_SKIP() << "built with -DQUICSTEPS_AUDIT=OFF";
+  }
+  PacketSlab slab;
+  const PacketSlab::Ref stale = slab.put(make_packet(1));
+  (void)slab.take(stale);
+  (void)slab.put(make_packet(2));  // recycles the slot under a new gen
+  (void)slab.at(stale);            // a borrow audits exactly like take()
   ASSERT_EQ(failures_.size(), 1u);
   EXPECT_NE(failures_[0].find("recycled-slot aliasing"), std::string::npos);
 }
@@ -293,8 +324,8 @@ TEST_F(AuditCaptureTest, DelayLinePostedBackInTimeTripsTheAudit) {
 
 TEST(SlabTbf, BurstTrainSplitsAcrossTheDropTailBoundary) {
   // A 5-packet burst against a 2-packet FIFO: the accepted prefix flows
-  // through the slab and out; the dropped tail must never occupy a slot —
-  // after the run drains, every slot is free again.
+  // through the slab and out; the dropped tail retires its refs on the
+  // spot — after the run drains, every slot is free again.
   EventLoop loop;
   net::CollectorSink sink;
   PacketSlab slab;
@@ -308,7 +339,7 @@ TEST(SlabTbf, BurstTrainSplitsAcrossTheDropTailBoundary) {
     tbf.deliver(make_packet(id));
   }
   // Packet 1 left on the initial token burst; 2 and 3 fill the FIFO;
-  // 4 and 5 hit drop-tail before ever touching the slab.
+  // 4 and 5 hit drop-tail, which take()s their refs.
   EXPECT_EQ(tbf.counters().packets_dropped, 2);
   EXPECT_EQ(tbf.backlog_packets(), 2u);
   EXPECT_EQ(slab.live(), 2u);
@@ -321,6 +352,105 @@ TEST(SlabTbf, BurstTrainSplitsAcrossTheDropTailBoundary) {
   EXPECT_EQ(tbf.backlog_bytes(), 0);
   EXPECT_EQ(slab.live(), 0u);  // no stale refs left behind by the drops
 }
+
+// ------------------------------------------------------ the ref datapath
+
+/// An endpoint that records the ref each packet arrives under, then takes
+/// it out of the slab as the default ref entry does. A packet that arrives
+/// by value instead lands in by_value().
+class RefRecorder final : public net::PacketSink {
+ public:
+  void deliver(Packet pkt) override { by_value_.push_back(pkt.id); }
+  void deliver_ref(PacketSlab& slab, PacketSlab::Ref ref) override {
+    arrivals_.emplace_back(slab.at(ref).id, ref);
+    (void)slab.take(ref);
+  }
+
+  const std::vector<std::pair<std::uint64_t, PacketSlab::Ref>>& arrivals()
+      const {
+    return arrivals_;
+  }
+  const std::vector<std::uint64_t>& by_value() const { return by_value_; }
+
+ private:
+  std::vector<std::pair<std::uint64_t, PacketSlab::Ref>> arrivals_;
+  std::vector<std::uint64_t> by_value_;
+};
+
+struct RefPathCase {
+  framework::QdiscKind qdisc;
+  bool gro;
+};
+
+class RefDatapath : public ::testing::TestWithParam<RefPathCase> {};
+
+TEST_P(RefDatapath, EachPacketReachesItsEndpointUnderItsKernelEntryRef) {
+  // The paper's path for one sender, wired by hand: the sender qdisc under
+  // test, the NIC, the tap, the TBF, netem, the client receiver (GRO off
+  // or on) and the flow table, plus the ACK return path. Packets enter the
+  // slab once, as UdpSocket::inject puts them; every hop must pass that
+  // same ref on, so the endpoint sees it unchanged.
+  EventLoop loop;
+  sim::Rng rng(5);
+  framework::TopologyConfig config;
+  config.server_qdisc = GetParam().qdisc;
+  if (GetParam().gro) config.client_gro_window = Duration::millis(1);
+  kernel::OsModel os(config.server_os, rng.fork(1));
+  framework::BottleneckPath path(loop, config, rng, os);
+  framework::SenderPath sender(loop, path.slab(), config, os,
+                               path.wire_ingress());
+  RefRecorder client;
+  RefRecorder server;
+  path.register_flow(1, &client, &server);
+  path.finish_flow_registration();
+
+  PacketSlab& slab = path.slab();
+  std::map<std::uint64_t, PacketSlab::Ref> minted;
+  for (std::uint64_t id = 1; id <= 20; ++id) {
+    Packet pkt = make_packet(id, 1200);
+    // FQ and ETF hold a packet until its txtime; the others ignore it.
+    pkt.has_txtime = true;
+    pkt.txtime = Time::zero() +
+                 Duration::micros(500 + 300 * static_cast<std::int64_t>(id));
+    const PacketSlab::Ref ref = slab.put(std::move(pkt));
+    minted[id] = ref;
+    sender.egress()->deliver_ref(slab, ref);
+  }
+  for (std::uint64_t id = 101; id <= 105; ++id) {
+    Packet ack = make_packet(id, 60);
+    ack.kind = net::PacketKind::kQuicAck;
+    const PacketSlab::Ref ref = slab.put(std::move(ack));
+    minted[id] = ref;
+    path.ack_ingress()->deliver_ref(slab, ref);
+  }
+  loop.run();
+
+  ASSERT_EQ(client.arrivals().size(), 20u);
+  ASSERT_EQ(server.arrivals().size(), 5u);
+  for (const RefRecorder* endpoint : {&client, &server}) {
+    EXPECT_TRUE(endpoint->by_value().empty());
+    for (const auto& [id, ref] : endpoint->arrivals()) {
+      EXPECT_EQ(ref, minted.at(id)) << "packet " << id << " changed ref";
+    }
+  }
+  EXPECT_EQ(path.tap().capture().size(), 20u);
+  EXPECT_EQ(slab.live(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SenderQdiscs, RefDatapath,
+    ::testing::Values(RefPathCase{framework::QdiscKind::kFifo, false},
+                      RefPathCase{framework::QdiscKind::kFifo, true},
+                      RefPathCase{framework::QdiscKind::kFqCodel, false},
+                      RefPathCase{framework::QdiscKind::kFqCodel, true},
+                      RefPathCase{framework::QdiscKind::kFq, false},
+                      RefPathCase{framework::QdiscKind::kFq, true},
+                      RefPathCase{framework::QdiscKind::kEtf, false},
+                      RefPathCase{framework::QdiscKind::kEtf, true}),
+    [](const ::testing::TestParamInfo<RefPathCase>& info) {
+      return std::string(framework::to_string(info.param.qdisc)) +
+             (info.param.gro ? "_gro" : "");
+    });
 
 }  // namespace
 }  // namespace quicsteps

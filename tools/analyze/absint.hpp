@@ -1,9 +1,11 @@
 // Worklist abstract interpretation over the analyzer's CFGs (cfg.hpp).
 //
 // The framework is a classic monotone-dataflow solver: per-block input
-// states, reverse post-order seeded worklist, join at merge points, and
-// widening at loop heads after a bounded number of visits so infinite-
-// ascending-chain domains (intervals) terminate. Rules instantiate it
+// states, a FIFO worklist seeded with the entry block alone (successors
+// join it as their input changes), join at merge points, and widening at
+// loop heads after a bounded number of visits so infinite-ascending-chain
+// domains (intervals) terminate. The visit order is part of the result:
+// under widening a different order can settle on a different fixpoint. Rules instantiate it
 // with a small domain type:
 //
 //   struct Domain {

@@ -111,7 +111,6 @@ CallGraph build_call_graph(const Model& model, const SymbolIndex& index,
       if (!sym.is_callable()) continue;
       if (manifest->is_hot_path(model.files[sym.file].include_key)) {
         graph.hot[id] = true;
-        graph.hot_seeds.push_back(id);
         frontier.push(id);
       }
     }

@@ -29,7 +29,6 @@ struct CallGraph {
   /// Per symbol id: transitively reachable from a hot-path file's
   /// callables (seeds included).
   std::vector<bool> hot;
-  std::vector<std::size_t> hot_seeds;  // symbol ids, ascending
 
   bool is_hot(std::size_t symbol) const {
     return symbol < hot.size() && hot[symbol];

@@ -49,7 +49,6 @@ class CfgBuilder {
     std::size_t current = Cfg::kEntry;
     parse_region(sym_.body_begin + 1, sym_.body_end, &current);
     link(current, Cfg::kExit);
-    compute_rpo();
     return std::move(cfg_);
   }
 
@@ -479,29 +478,6 @@ class CfgBuilder {
     return body_close + 1;
   }
 
-  void compute_rpo() {
-    std::vector<int> state(cfg_.blocks.size(), 0);
-    std::vector<std::size_t> post;
-    // Iterative DFS from the entry.
-    std::vector<std::pair<std::size_t, std::size_t>> stack;
-    stack.emplace_back(Cfg::kEntry, 0);
-    state[Cfg::kEntry] = 1;
-    while (!stack.empty()) {
-      auto& [b, next] = stack.back();
-      if (next < cfg_.blocks[b].succs.size()) {
-        const std::size_t s = cfg_.blocks[b].succs[next++];
-        if (state[s] == 0) {
-          state[s] = 1;
-          stack.emplace_back(s, 0);
-        }
-      } else {
-        post.push_back(b);
-        stack.pop_back();
-      }
-    }
-    cfg_.rpo.assign(post.rbegin(), post.rend());
-  }
-
   const std::vector<Token>& toks_;
   const Symbol& sym_;
   Cfg cfg_;
@@ -524,7 +500,6 @@ CfgIndex build_cfg_index(const Model& model, const SymbolIndex& index) {
         sym.body_end == Symbol::npos) {
       continue;
     }
-    out.by_symbol[id] = out.cfgs.size();
     out.cfgs.push_back(
         build_cfg(model.files[sym.file].lex.tokens, sym, id));
   }

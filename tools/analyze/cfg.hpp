@@ -24,7 +24,6 @@
 // state along explicit edges.
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -66,10 +65,6 @@ struct Cfg {
 
   std::size_t symbol = Symbol::npos;  // into SymbolIndex::symbols
   std::vector<CfgBlock> blocks;
-
-  /// Blocks in reverse post-order from the entry — the iteration order
-  /// the worklist seeds with so loops converge fast.
-  std::vector<std::size_t> rpo;
 };
 
 /// Builds the CFG for one callable; requires sym.body_begin/end valid.
@@ -79,12 +74,6 @@ Cfg build_cfg(const std::vector<Token>& toks, const Symbol& sym,
 /// CFGs for every callable in the index that has a body.
 struct CfgIndex {
   std::vector<Cfg> cfgs;
-  std::map<std::size_t, std::size_t> by_symbol;  // symbol id -> cfgs index
-
-  const Cfg* for_symbol(std::size_t symbol) const {
-    auto it = by_symbol.find(symbol);
-    return it == by_symbol.end() ? nullptr : &cfgs[it->second];
-  }
 };
 
 CfgIndex build_cfg_index(const Model& model, const SymbolIndex& index);
