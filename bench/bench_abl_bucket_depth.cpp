@@ -41,7 +41,8 @@ int main() {
     server.start();
     loop.run_until(sim::Time::zero() + sim::Duration::seconds(600));
 
-    auto trains = metrics::TrainAnalyzer().analyze(path.tap().capture());
+    const metrics::TrainReport trains =
+        metrics::CaptureAnalyzer().analyze(path.tap().capture()).trains;
     std::size_t modal_len = 1;
     std::int64_t modal_packets = 0;
     for (const auto& [len, packets] : trains.packets_by_length) {

@@ -48,9 +48,9 @@ AckFreqResult run_ack_threshold(framework::QdiscKind qdisc, int threshold,
   loop.run_until(sim::Time::zero() + 600_s);
 
   AckFreqResult result;
-  result.trains_up_to_5 = metrics::TrainAnalyzer()
+  result.trains_up_to_5 = metrics::CaptureAnalyzer()
                               .analyze(path.tap().capture())
-                              .fraction_in_trains_up_to(5);
+                              .trains.fraction_in_trains_up_to(5);
   result.acks_per_data_packet =
       static_cast<double>(client.stats().acks_sent) /
       std::max<double>(1.0, static_cast<double>(

@@ -10,9 +10,6 @@
 #include "kernel/qdisc_tbf.hpp"
 #include "metrics/capture_analysis.hpp"
 #include "net/packet_slab.hpp"
-#include "metrics/gap_analyzer.hpp"
-#include "metrics/precision.hpp"
-#include "metrics/train_analyzer.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/quantile_sketch.hpp"
 #include "obs/time_series.hpp"
@@ -241,58 +238,8 @@ std::vector<net::Packet> synthetic_capture(int n) {
   return capture;
 }
 
-void BM_GapAnalysis(benchmark::State& state) {
-  auto capture = synthetic_capture(static_cast<int>(state.range(0)));
-  metrics::GapAnalyzer analyzer;
-  for (auto _ : state) {
-    auto report = analyzer.analyze(capture);
-    benchmark::DoNotOptimize(report.back_to_back_fraction);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_GapAnalysis)->Arg(100000);
-
-void BM_TrainAnalysis(benchmark::State& state) {
-  auto capture = synthetic_capture(static_cast<int>(state.range(0)));
-  metrics::TrainAnalyzer analyzer;
-  for (auto _ : state) {
-    auto report = analyzer.analyze(capture);
-    benchmark::DoNotOptimize(report.total_packets);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_TrainAnalysis)->Arg(100000);
-
-void BM_CaptureAnalysisFourPass(benchmark::State& state) {
-  // What Runner::run_once used to do: four separate walks over the capture
-  // (gaps, trains, precision, data-packet count). Comparison baseline for
-  // the single-pass facade below.
-  auto capture = synthetic_capture(static_cast<int>(state.range(0)));
-  metrics::GapAnalyzer gaps;
-  metrics::TrainAnalyzer trains;
-  metrics::PrecisionAnalyzer precision;
-  for (auto _ : state) {
-    auto gap_report = gaps.analyze(capture);
-    auto train_report = trains.analyze(capture);
-    auto precision_report = precision.analyze(capture);
-    std::int64_t data_packets = 0;
-    for (const auto& pkt : capture) {
-      if (pkt.flow == 1 && (pkt.kind == net::PacketKind::kQuicData ||
-                            pkt.kind == net::PacketKind::kTcpData)) {
-        ++data_packets;
-      }
-    }
-    benchmark::DoNotOptimize(gap_report.back_to_back_fraction);
-    benchmark::DoNotOptimize(train_report.total_packets);
-    benchmark::DoNotOptimize(precision_report.precision_ms);
-    benchmark::DoNotOptimize(data_packets);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_CaptureAnalysisFourPass)->Arg(100000);
-
 void BM_CaptureAnalysisSinglePass(benchmark::State& state) {
-  // The CaptureAnalyzer facade: all four per-run reports from one walk.
+  // CaptureAnalyzer: all four per-run reports from one walk.
   auto capture = synthetic_capture(static_cast<int>(state.range(0)));
   metrics::CaptureAnalyzer analyzer;
   for (auto _ : state) {

@@ -52,12 +52,11 @@ LabResult run_ideal(std::int64_t payload, kernel::OsTimingConfig os_timing) {
   server.start();
   loop.run_until(sim::Time::zero() + 600_s);
 
+  const metrics::CaptureAnalysis capture =
+      metrics::CaptureAnalyzer().analyze(path.tap().capture());
   LabResult result;
-  result.precision_ms =
-      metrics::PrecisionAnalyzer().analyze(path.tap().capture()).precision_ms;
-  result.trains_up_to_3 = metrics::TrainAnalyzer()
-                              .analyze(path.tap().capture())
-                              .fraction_in_trains_up_to(3);
+  result.precision_ms = capture.precision.precision_ms;
+  result.trains_up_to_3 = capture.trains.fraction_in_trains_up_to(3);
   result.goodput_mbps =
       metrics::compute_goodput(client.stats().payload_bytes_received,
                                client.stats().first_packet_time,

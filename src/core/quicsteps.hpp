@@ -48,11 +48,8 @@
 #include "kernel/qdisc_tbf.hpp"
 #include "kernel/udp_socket.hpp"
 #include "metrics/capture_analysis.hpp"
-#include "metrics/gap_analyzer.hpp"
 #include "metrics/goodput.hpp"
-#include "metrics/precision.hpp"
 #include "metrics/stats.hpp"
-#include "metrics/train_analyzer.hpp"
 #include "net/data_rate.hpp"
 #include "net/flow_table.hpp"
 #include "net/packet.hpp"

@@ -10,10 +10,8 @@
 #include "framework/topology.hpp"
 #include "obs/trace.hpp"
 #include "quic/app_source.hpp"
-#include "metrics/gap_analyzer.hpp"
+#include "metrics/capture_analysis.hpp"
 #include "metrics/goodput.hpp"
-#include "metrics/precision.hpp"
-#include "metrics/train_analyzer.hpp"
 #include "stacks/stack_profile.hpp"
 
 namespace quicsteps::framework {

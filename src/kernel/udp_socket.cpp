@@ -1,5 +1,8 @@
 #include "kernel/udp_socket.hpp"
 
+#include <iterator>
+#include <memory>
+
 namespace quicsteps::kernel {
 
 void UdpSocket::inject(net::Packet pkt) {
@@ -21,16 +24,20 @@ sim::Duration UdpSocket::sendmsg(net::Packet pkt) {
   return os_.draw_syscall_cost();
 }
 
-sim::Duration UdpSocket::sendmsg_gso(std::vector<net::Packet> segments,
+sim::Duration UdpSocket::sendmsg_gso(std::vector<net::Packet>& segments,
                                      net::DataRate gso_pacing_rate) {
   ++syscalls_;
   // Draw a recycled buffer from the slab pool (the NIC returns husks once
-  // it has segmented them); only the first bursts of a run allocate.
+  // it has segmented them); only the first bursts of a run allocate. The
+  // segments are moved element by element, so both the husk's capacity
+  // and the caller's survive for the next burst.
   std::shared_ptr<std::vector<net::Packet>> buffer = slab_.take_gso_buffer();
   if (buffer == nullptr) {
     buffer = std::make_shared<std::vector<net::Packet>>();
   }
-  *buffer = std::move(segments);
+  buffer->assign(std::make_move_iterator(segments.begin()),
+                 std::make_move_iterator(segments.end()));
+  segments.clear();
   net::Packet carrier =
       make_gso_buffer(std::move(buffer), next_gso_id_++, gso_pacing_rate);
   inject(std::move(carrier));
@@ -38,11 +45,12 @@ sim::Duration UdpSocket::sendmsg_gso(std::vector<net::Packet> segments,
   return os_.draw_syscall_cost();
 }
 
-sim::Duration UdpSocket::sendmmsg(std::vector<net::Packet> packets) {
+sim::Duration UdpSocket::sendmmsg(std::vector<net::Packet>& packets) {
   ++syscalls_;
   for (auto& pkt : packets) {
     inject(std::move(pkt));
   }
+  packets.clear();
   // One kernel entry regardless of message count — the kernel loops over
   // the messages inside the syscall.
   return os_.draw_syscall_cost();

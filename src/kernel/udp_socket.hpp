@@ -39,14 +39,15 @@ class UdpSocket : public obs::TraceSource {
 
   /// One sendmsg with UDP_SEGMENT: all segments travel as a single GSO
   /// buffer. `gso_pacing_rate` is the paced-GSO patch extension (zero for
-  /// stock GSO).
-  sim::Duration sendmsg_gso(std::vector<net::Packet> segments,
+  /// stock GSO). The segments are moved out and `segments` is left empty
+  /// with its capacity, so the caller's batch is reused, not regrown.
+  sim::Duration sendmsg_gso(std::vector<net::Packet>& segments,
                             net::DataRate gso_pacing_rate);
 
   /// sendmmsg batching: one syscall, but each packet is a separate skb, so
   /// qdiscs can still pace them individually (paper Section 4.3 contrasts
-  /// this with GSO).
-  sim::Duration sendmmsg(std::vector<net::Packet> packets);
+  /// this with GSO). Leaves `packets` empty with its capacity.
+  sim::Duration sendmmsg(std::vector<net::Packet>& packets);
 
   void set_egress(net::PacketSink* egress) { egress_ = egress; }
 

@@ -4,6 +4,38 @@
 
 namespace quicsteps::metrics {
 
+double TrainReport::fraction_in_trains_up_to(std::size_t n) const {
+  if (total_packets == 0) return 0.0;
+  std::int64_t covered = 0;
+  for (const auto& [len, packets] : packets_by_length) {
+    if (len <= n) covered += packets;
+  }
+  return static_cast<double>(covered) / static_cast<double>(total_packets);
+}
+
+std::size_t TrainReport::max_train_length() const {
+  return packets_by_length.empty() ? 0 : packets_by_length.rbegin()->first;
+}
+
+double TrainReport::mean_train_length() const {
+  if (train_lengths.empty()) return 0.0;
+  std::int64_t sum = 0;
+  for (auto len : train_lengths) sum += static_cast<std::int64_t>(len);
+  return static_cast<double>(sum) /
+         static_cast<double>(train_lengths.size());
+}
+
+Cdf TrainReport::packet_train_cdf() const {
+  std::vector<double> per_packet;
+  per_packet.reserve(static_cast<std::size_t>(total_packets));
+  for (const auto& [len, packets] : packets_by_length) {
+    for (std::int64_t i = 0; i < packets; ++i) {
+      per_packet.push_back(static_cast<double>(len));
+    }
+  }
+  return Cdf(std::move(per_packet));
+}
+
 void CaptureAnalyzer::add(const net::Packet& pkt) {
   if (pkt.flow != config_.flow) return;
   if (pkt.kind != net::PacketKind::kQuicData &&
@@ -11,8 +43,8 @@ void CaptureAnalyzer::add(const net::Packet& pkt) {
     return;
   }
 
-  // Precision offset (PrecisionAnalyzer semantics: GSO segments beyond the
-  // first carry no per-packet expectation and are skipped).
+  // Precision offset: GSO segments beyond the first carry no per-packet
+  // expectation and are skipped.
   if (!(pkt.gso_buffer_id != 0 && pkt.gso_segment_index != 0)) {
     const sim::Duration offset = pkt.wire_time - pkt.expected_send_time;
     if (config_.lite) {

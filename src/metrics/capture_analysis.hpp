@@ -1,28 +1,83 @@
-// Single-pass capture analysis.
+// Single-pass capture analysis: the paper's per-run capture metrics.
 //
-// Runner::run_once needs four reports from the same tap capture: inter-
-// packet gaps, packet trains, pacing precision, and the wire data-packet
-// count. The standalone analyzers each re-walk the capture (and two of
-// them re-extract the data timestamps), so a large transfer was scanned
-// four times. CaptureAnalyzer folds all four into one incremental pass:
-// feed packets with add() — directly from WireTap::set_on_packet, or via
-// analyze() over a stored capture — and collect every report at the end
-// with finish(). Each report is bit-identical to its standalone analyzer's
-// output for the same configuration.
+// Every run needs four reports from the same tap capture: inter-packet
+// gaps, packet trains, pacing precision, and the wire data-packet count.
+// CaptureAnalyzer computes all four in one incremental pass: feed packets
+// with add() — directly from WireTap::set_on_packet, or via analyze() over
+// a stored capture — and collect every report at the end with finish().
+//
+// Only the server's DATA packets of the configured flow count (ACKs flow
+// the other way and handshake packets are not part of the steady
+// transfer).
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <utility>
 #include <vector>
 
-#include "metrics/gap_analyzer.hpp"
-#include "metrics/precision.hpp"
 #include "metrics/stats.hpp"
-#include "metrics/train_analyzer.hpp"
 #include "net/flow_index.hpp"
 #include "net/packet.hpp"
 
 namespace quicsteps::metrics {
+
+/// Inter-packet gaps (paper Figures 2, 4, 5, 6, left panels).
+struct GapReport {
+  /// All inter-packet gaps in milliseconds, capture order.
+  std::vector<double> gaps_ms;
+  /// Fraction of gaps at or below the back-to-back bound (serialization
+  /// delay plus measurement slack).
+  double back_to_back_fraction = 0.0;
+  /// Fraction of gaps below 1.5 ms (the paper's "majority" observation).
+  double below_1500us_fraction = 0.0;
+  Summary summary_ms;
+
+  Cdf cdf() const { return Cdf(gaps_ms); }
+};
+
+/// Packet trains (paper Figures 3, 4, 5, 6, right panels).
+///
+/// Definition from the paper: all consecutive packets with an inter-packet
+/// gap below 0.1 ms each form one packet train; a single isolated packet
+/// is a train of length one. The headline metric is the distribution of
+/// PACKETS across train lengths (not the distribution of trains), which is
+/// how the paper weights its percentages ("packet trains consisting of
+/// five packets or less contain 99.9 % of the packets").
+struct TrainReport {
+  /// packets_by_length[L] = number of PACKETS that sit in trains of
+  /// length L.
+  std::map<std::size_t, std::int64_t> packets_by_length;
+  std::vector<std::size_t> train_lengths;  // one entry per train
+  std::int64_t total_packets = 0;
+
+  /// Fraction of packets in trains of length <= n.
+  double fraction_in_trains_up_to(std::size_t n) const;
+  std::size_t max_train_length() const;
+  /// Mean train length (packet-weighted = paper's view when false).
+  double mean_train_length() const;
+  /// CDF over per-packet train lengths.
+  Cdf packet_train_cdf() const;
+};
+
+/// Pacing precision (paper Section 4.4).
+///
+/// The paper compares the sender's intended per-packet send timestamp
+/// (logged by the quiche server) with the actual wire timestamp from the
+/// sniffer, and reports the STANDARD DEVIATION of the differences — the
+/// mean is meaningless because server and sniffer clocks are
+/// unsynchronized there. Our simulated clocks ARE synchronized, but we
+/// keep the same metric for comparability. GSO hides per-packet
+/// expectations (one timestamp per buffer), so segments beyond a buffer's
+/// first are skipped.
+struct PrecisionReport {
+  /// wire_time - expected_send_time per packet, in milliseconds.
+  std::vector<double> offsets_ms;
+  Summary summary_ms;
+  /// The paper's headline number: stddev of the offsets.
+  double precision_ms = 0.0;
+  std::size_t samples = 0;
+};
 
 /// All per-run capture reports, computed together.
 struct CaptureAnalysis {
@@ -37,9 +92,11 @@ class CaptureAnalyzer {
   struct Config {
     /// Only packets of this flow (and data kind) are analyzed.
     std::uint32_t flow = 1;
-    /// Gaps at/below this bound count as back-to-back (GapAnalyzer).
+    /// Gaps at/below this bound count as back-to-back. The theoretical
+    /// minimum at 1 Gbit/s is ~12 us; 30 us absorbs timestamp jitter.
     sim::Duration back_to_back_bound = sim::Duration::micros(30);
-    /// Gaps below this threshold chain packets into a train (TrainAnalyzer).
+    /// Gaps below this threshold chain packets into a train (the paper's
+    /// rule: < 0.1 ms).
     sim::Duration train_threshold = sim::Duration::micros(100);
     /// Lite mode: stream gap/offset samples through Welford accumulators
     /// instead of retaining them — O(1) memory per flow, for fabric-scale

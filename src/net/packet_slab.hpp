@@ -5,8 +5,11 @@
 // heap allocation and two moves per packet per hop. The slab is instead
 // struct-of-arrays storage addressed by a 32-bit generation-checked ref
 // that rides as an event's payload (sim::EventLoop::post_drain_at,
-// schedule_at), and slots recycle through a free list so a steady-state
-// run performs no per-packet allocation at all.
+// schedule_at), and slots recycle through a free list, so the slab
+// allocates nothing per packet once its lanes reach the in-flight
+// high-water mark. What a whole run allocates per wire data packet (about
+// one, almost all of it the transport's two per ACK) is counted on every
+// benchmark traffic shape by tests/ack_alloc_test.cpp's SteadyState case.
 //
 // The ref rule: a Ref is minted where user space hands the packet to the
 // kernel (UdpSocket::inject, or a hop's by-value deliver(): PacketHop
@@ -114,8 +117,12 @@ class PacketSlab {
   /// returns the husk after moving the segments out at the driver
   /// boundary. Nothing holds a pool reference while a buffer is in
   /// flight, so the NIC's unique-ownership fast path (use_count() == 1)
-  /// still fires; control block and vector capacity both amortize to the
-  /// in-flight high-water mark of GSO bursts.
+  /// still fires. The socket moves segments into a husk element by
+  /// element, and the stack's batch keeps its capacity too, so control
+  /// block and vector capacity both amortize to the in-flight high-water
+  /// mark of GSO bursts. (When the husk's vector was replaced by a batch
+  /// regrown from empty for every burst, stock and paced GSO read 1.55
+  /// allocations per wire data packet; 1.08 since.)
   std::shared_ptr<std::vector<Packet>> take_gso_buffer() {
     if (gso_buffers_.empty()) return nullptr;
     std::shared_ptr<std::vector<Packet>> buf =

@@ -96,7 +96,6 @@ void StackServer::send_with_txtime() {
   // happens is the qdisc's problem (the paper's central quiche finding).
   if (yield_timer_.pending()) return;  // iteration budget cooldown
   const sim::Time now = loop_.now();
-  std::vector<net::Packet> gso_batch;
   int written = 0;
 
   while (connection_.has_data_to_send()) {
@@ -124,44 +123,33 @@ void StackServer::send_with_txtime() {
     QUICSTEPS_TRACE_SPAN(trace_bus_, obs::TraceStage::kPacerRelease,
                          trace_component_, now, pkt);
 
-    if (profile_.gso == kernel::GsoMode::kOff) {
-      if (profile_.use_sendmmsg) {
-        mmsg_batch_.push_back(std::move(pkt));
-        if (static_cast<int>(mmsg_batch_.size()) >= profile_.gso_segments) {
-          charge_syscall();
-          socket_.sendmmsg(std::move(mmsg_batch_));
-          mmsg_batch_.clear();
-        }
-      } else {
-        charge_syscall();
-        socket_.sendmsg(std::move(pkt));
-      }
+    if (profile_.gso == kernel::GsoMode::kOff && !profile_.use_sendmmsg) {
+      charge_syscall();
+      socket_.sendmsg(std::move(pkt));
     } else {
-      gso_batch.push_back(std::move(pkt));
-      if (static_cast<int>(gso_batch.size()) >= profile_.gso_segments) {
-        flush_gso_batch(std::move(gso_batch));
-        gso_batch.clear();
+      send_batch_.push_back(std::move(pkt));
+      if (static_cast<int>(send_batch_.size()) >= profile_.gso_segments) {
+        flush_send_batch();
       }
     }
   }
-  if (!gso_batch.empty()) flush_gso_batch(std::move(gso_batch));
-  if (!mmsg_batch_.empty()) {
-    charge_syscall();
-    socket_.sendmmsg(std::move(mmsg_batch_));
-    mmsg_batch_.clear();
-  }
+  if (!send_batch_.empty()) flush_send_batch();
   if (!connection_.has_data_to_send()) connection_.set_app_limited();
   rearm_loss_timer();
 }
 
-void StackServer::flush_gso_batch(std::vector<net::Packet> batch) {
+void StackServer::flush_send_batch() {
   charge_syscall();
+  if (profile_.gso == kernel::GsoMode::kOff) {
+    socket_.sendmmsg(send_batch_);
+    return;
+  }
   net::DataRate gso_rate;  // zero = stock (unpaced) GSO
   if (profile_.gso == kernel::GsoMode::kPaced) {
     const net::DataRate pacing = connection_.pacing_rate();
     if (!pacing.is_infinite() && !pacing.is_zero()) gso_rate = pacing;
   }
-  socket_.sendmsg_gso(std::move(batch), gso_rate);
+  socket_.sendmsg_gso(send_batch_, gso_rate);
 }
 
 void StackServer::send_waiting() {

@@ -66,7 +66,8 @@ class StackServer : public net::PacketSink, public obs::TraceSource {
   void attempt_send();
   void send_with_txtime();  // quiche discipline
   void send_waiting();      // ngtcp2 / picoquic discipline
-  void flush_gso_batch(std::vector<net::Packet> batch);
+  /// One syscall for the batch: a GSO buffer, or sendmmsg with GSO off.
+  void flush_send_batch();
   void rearm_loss_timer();
   void on_loss_timer();
   static void on_pacer_timer(void* self, std::uint32_t /*payload*/) {
@@ -84,7 +85,10 @@ class StackServer : public net::PacketSink, public obs::TraceSource {
   // ACKs held for the next batch, in arrival order (unallocated until a
   // batching profile holds its first ACK).
   std::vector<net::Packet> pending_acks_;
-  std::vector<net::Packet> mmsg_batch_;
+  // Packets for the next GSO buffer, or the next sendmmsg call when GSO is
+  // off. Each syscall empties it but keeps its capacity (unallocated until
+  // a batching profile sends its first).
+  std::vector<net::Packet> send_batch_;
   sim::EventHandle batch_timer_;
   sim::EventHandle send_timer_;
   sim::EventHandle yield_timer_;

@@ -1,4 +1,4 @@
-// Heap allocations on the two paths whose cost scales with the work:
+// Heap allocations on the paths whose cost scales with the work:
 //
 // - Per ACK round trip. A quic::Client with flow-control credit renders
 //   every ACK and a quic::Connection consumes it, with enough receiver
@@ -8,6 +8,10 @@
 // - Per fleet flow at construction. A 1,000-flow network shaped like
 //   perfbench's fabric_10k (ideal QUIC over FqCodel) is built, and the
 //   allocations and bytes are divided by the flow count.
+// - Per wire data packet in steady state, on every traffic shape perfbench
+//   runs. Each shape runs through run_flows at two transfer sizes, and the
+//   difference in allocations is divided by the difference in wire data
+//   packets, which cancels set-up and the logarithmic growth of buffers.
 //
 // This binary replaces the global operator new/delete with counting
 // versions, so it stands alone instead of joining test_quic.
@@ -19,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "framework/flows.hpp"
@@ -174,6 +179,153 @@ TEST(FlowFootprint, FabricFlowBuildsInNineAllocationsAnd2560Bytes) {
               allocations, bytes);
   EXPECT_LE(allocations, 9.0);
   EXPECT_LE(bytes, 2560.0);
+}
+
+constexpr std::int64_t kMiB = 1024 * 1024;
+
+// One traffic shape perfbench runs, at two payloads per flow; the larger
+// is twice the smaller.
+struct SteadyShape {
+  std::string label;
+  MultiFlowConfig small;
+  MultiFlowConfig large;
+  double bound;  // allocations per wire data packet
+};
+
+MultiFlowConfig single_flow(ExperimentConfig config, std::int64_t payload) {
+  config.payload_bytes = payload;
+  MultiFlowConfig run;
+  run.flows.push_back(FlowSpec{.config = config});
+  return run;
+}
+
+// perfbench's paper_grid: the 11 configurations the paper's artifacts are
+// computed from, one flow each.
+void add_paper_grid(std::vector<SteadyShape>& shapes) {
+  using cc::CcAlgorithm;
+  using kernel::GsoMode;
+  struct Grid {
+    const char* label;
+    StackKind stack;
+    CcAlgorithm cca;
+    QdiscKind qdisc;
+    GsoMode gso;
+  };
+  constexpr Grid kGrid[] = {
+      {"quiche", StackKind::kQuiche, CcAlgorithm::kCubic,
+       QdiscKind::kFqCodel, GsoMode::kOff},
+      {"picoquic", StackKind::kPicoquic, CcAlgorithm::kCubic,
+       QdiscKind::kFqCodel, GsoMode::kOff},
+      {"ngtcp2", StackKind::kNgtcp2, CcAlgorithm::kCubic,
+       QdiscKind::kFqCodel, GsoMode::kOff},
+      {"tcp", StackKind::kTcpTls, CcAlgorithm::kCubic, QdiscKind::kFqCodel,
+       GsoMode::kOff},
+      {"picoquic+bbr", StackKind::kPicoquic, CcAlgorithm::kBbr,
+       QdiscKind::kFqCodel, GsoMode::kOff},
+      {"quiche+fq", StackKind::kQuiche, CcAlgorithm::kCubic, QdiscKind::kFq,
+       GsoMode::kOff},
+      {"quiche-sf+fq", StackKind::kQuicheSf, CcAlgorithm::kCubic,
+       QdiscKind::kFq, GsoMode::kOff},
+      {"quiche-sf+fq+gso", StackKind::kQuicheSf, CcAlgorithm::kCubic,
+       QdiscKind::kFq, GsoMode::kOn},
+      {"quiche-sf+fq+paced-gso", StackKind::kQuicheSf, CcAlgorithm::kCubic,
+       QdiscKind::kFq, GsoMode::kPaced},
+      {"quiche-sf+etf", StackKind::kQuicheSf, CcAlgorithm::kCubic,
+       QdiscKind::kEtf, GsoMode::kOff},
+      {"quiche-sf+etf-lt", StackKind::kQuicheSf, CcAlgorithm::kCubic,
+       QdiscKind::kEtfOffload, GsoMode::kOff},
+  };
+  for (const Grid& grid : kGrid) {
+    ExperimentConfig config;
+    config.label = grid.label;
+    config.stack = grid.stack;
+    config.cca = grid.cca;
+    config.topology.server_qdisc = grid.qdisc;
+    config.gso = grid.gso;
+    // TCP keeps one std::map node per segment in flight
+    // (TcpConnection::outstanding_), on top of QUIC's per-ACK pair.
+    const double bound = grid.stack == StackKind::kTcpTls ? 2.10 : 1.15;
+    shapes.push_back({grid.label, single_flow(config, 8 * kMiB),
+                      single_flow(config, 16 * kMiB), bound});
+  }
+}
+
+// perfbench's hotpath_10g: one ideal-pacing flow at 10 Gbit/s.
+void add_hotpath_10g(std::vector<SteadyShape>& shapes) {
+  const auto rate = net::DataRate::gigabits_per_second(10);
+  ExperimentConfig config;
+  config.label = "ideal-10g";
+  config.stack = StackKind::kIdealQuic;
+  config.topology.bottleneck_rate = rate;
+  config.topology.server_nic_rate = net::DataRate::gigabits_per_second(40);
+  config.topology.path_delay_one_way = sim::Duration::millis(1);
+  config.topology.bottleneck_buffer_bytes =
+      rate.bytes_in(sim::Duration::millis(2));
+  config.topology.tbf_burst_bytes = 16 * 1514;
+  config.topology.client_gro_window = sim::Duration::micros(16);
+  shapes.push_back({"hotpath_10g", single_flow(config, 32 * kMiB),
+                    single_flow(config, 64 * kMiB), 1.05});
+}
+
+// perfbench's fabric_10k at 1,000 flows: a 2 Mbit/s fair share per flow,
+// 2:1 oversubscribed, with lite metrics, 1-in-100 tracing and telemetry.
+MultiFlowConfig fleet(std::int64_t payload) {
+  constexpr std::int64_t kFlows = 1000;
+  ExperimentConfig flow;
+  flow.label = "ideal-fleet";
+  flow.stack = StackKind::kIdealQuic;
+  flow.payload_bytes = payload;
+  flow.topology.bottleneck_rate =
+      net::DataRate::bits_per_second(2'000'000 * kFlows);
+  flow.topology.bottleneck_buffer_bytes =
+      flow.topology.bottleneck_rate.bytes_in(sim::Duration::millis(40));
+  flow.trace = true;
+  MultiFlowConfig run;
+  run.lite_metrics = true;
+  run.trace_sample = 100;
+  run.telemetry_window = sim::Duration::millis(10);
+  run.flows.assign(kFlows, FlowSpec{.config = flow});
+  return run;
+}
+
+struct RunCost {
+  double allocations = 0.0;
+  double wire_data_packets = 0.0;
+  std::size_t completed = 0;  // flows
+};
+
+RunCost counted_run(const MultiFlowConfig& config) {
+  RunCost cost;
+  const std::uint64_t before = g_allocations.load();
+  const MultiFlowResult result = run_flows(config);
+  cost.allocations = static_cast<double>(g_allocations.load() - before);
+  for (const RunResult& flow : result.flows) {
+    cost.wire_data_packets += static_cast<double>(flow.wire_data_packets);
+    if (flow.completed) ++cost.completed;
+  }
+  return cost;
+}
+
+TEST(SteadyState, AllocationsPerWireDataPacket) {
+  std::vector<SteadyShape> shapes;
+  add_paper_grid(shapes);
+  add_hotpath_10g(shapes);
+  shapes.push_back({"fabric_1k", fleet(64 * 1024), fleet(128 * 1024), 1.05});
+
+  for (const SteadyShape& shape : shapes) {
+    const RunCost small = counted_run(shape.small);
+    const RunCost large = counted_run(shape.large);
+    EXPECT_EQ(small.completed, shape.small.flows.size()) << shape.label;
+    EXPECT_EQ(large.completed, shape.large.flows.size()) << shape.label;
+    ASSERT_GT(large.wire_data_packets, small.wire_data_packets)
+        << shape.label;
+    const double per_packet =
+        (large.allocations - small.allocations) /
+        (large.wire_data_packets - small.wire_data_packets);
+    std::printf("%-24s %.3f allocations per wire data packet\n",
+                shape.label.c_str(), per_packet);
+    EXPECT_LE(per_packet, shape.bound) << shape.label;
+  }
 }
 
 }  // namespace

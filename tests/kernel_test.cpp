@@ -296,7 +296,8 @@ TEST(UdpSocket, GsoSendIsOneSyscall) {
   UdpSocket socket(loop, slab, os, &sink);
   std::vector<Packet> segs;
   for (int i = 0; i < 16; ++i) segs.push_back(make_packet(i));
-  socket.sendmsg_gso(std::move(segs), DataRate::zero());
+  socket.sendmsg_gso(segs, DataRate::zero());
+  EXPECT_TRUE(segs.empty());
   EXPECT_EQ(socket.syscalls(), 1u);
   ASSERT_EQ(sink.packets().size(), 1u);
   EXPECT_TRUE(sink.packets()[0].is_gso_buffer());
@@ -310,7 +311,8 @@ TEST(UdpSocket, SendmmsgKeepsPacketsSeparate) {
   UdpSocket socket(loop, slab, os, &sink);
   std::vector<Packet> pkts;
   for (int i = 0; i < 5; ++i) pkts.push_back(make_packet(i));
-  socket.sendmmsg(std::move(pkts));
+  socket.sendmmsg(pkts);
+  EXPECT_TRUE(pkts.empty());
   EXPECT_EQ(socket.syscalls(), 1u);
   EXPECT_EQ(sink.packets().size(), 5u);  // separate skbs, paceable by qdisc
   EXPECT_FALSE(sink.packets()[0].is_gso_buffer());

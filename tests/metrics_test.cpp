@@ -3,11 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "metrics/capture_analysis.hpp"
-#include "metrics/gap_analyzer.hpp"
 #include "metrics/goodput.hpp"
-#include "metrics/precision.hpp"
 #include "metrics/stats.hpp"
-#include "metrics/train_analyzer.hpp"
 
 namespace quicsteps::metrics {
 namespace {
@@ -73,11 +70,17 @@ TEST(Cdf, AsciiRenderingContainsLegend) {
   EXPECT_NE(out.find("ms"), std::string::npos);
 }
 
+// The gap, train and precision suites pin CaptureAnalyzer's three rules,
+// one report each.
+CaptureAnalysis analyze(const std::vector<Packet>& capture) {
+  return CaptureAnalyzer().analyze(capture);
+}
+
 TEST(GapAnalyzerTest, ComputesGapsAndFractions) {
   // Gaps: 0.012 ms (b2b), 0.5 ms, 2.0 ms.
   std::vector<Packet> capture = {wire_packet(0.0), wire_packet(0.012),
                                  wire_packet(0.512), wire_packet(2.512)};
-  auto report = GapAnalyzer().analyze(capture);
+  auto report = analyze(capture).gaps;
   ASSERT_EQ(report.gaps_ms.size(), 3u);
   EXPECT_NEAR(report.back_to_back_fraction, 1.0 / 3.0, 1e-9);
   EXPECT_NEAR(report.below_1500us_fraction, 2.0 / 3.0, 1e-9);
@@ -88,13 +91,12 @@ TEST(GapAnalyzerTest, FiltersByFlowAndKind) {
       wire_packet(0.0), wire_packet(1.0, 2),  // other flow
       wire_packet(2.0, 1, net::PacketKind::kQuicAck),  // ack, ignored
       wire_packet(3.0)};
-  auto times = GapAnalyzer().data_times(capture);
-  EXPECT_EQ(times.size(), 2u);
+  EXPECT_EQ(analyze(capture).wire_data_packets, 2);
 }
 
 TEST(GapAnalyzerTest, EmptyAndSingletonCaptures) {
-  EXPECT_TRUE(GapAnalyzer().analyze({}).gaps_ms.empty());
-  EXPECT_TRUE(GapAnalyzer().analyze({wire_packet(0.0)}).gaps_ms.empty());
+  EXPECT_TRUE(analyze({}).gaps.gaps_ms.empty());
+  EXPECT_TRUE(analyze({wire_packet(0.0)}).gaps.gaps_ms.empty());
 }
 
 TEST(TrainAnalyzerTest, PaperRuleSplitsAtPointOneMs) {
@@ -102,7 +104,7 @@ TEST(TrainAnalyzerTest, PaperRuleSplitsAtPointOneMs) {
   std::vector<Packet> capture = {wire_packet(0.00), wire_packet(0.05),
                                  wire_packet(0.10), wire_packet(0.40),
                                  wire_packet(0.45)};
-  auto report = TrainAnalyzer().analyze(capture);
+  auto report = analyze(capture).trains;
   EXPECT_EQ(report.total_packets, 5);
   ASSERT_EQ(report.train_lengths.size(), 2u);
   EXPECT_EQ(report.train_lengths[0], 3u);
@@ -115,7 +117,7 @@ TEST(TrainAnalyzerTest, PaperRuleSplitsAtPointOneMs) {
 }
 
 TEST(TrainAnalyzerTest, SinglePacketIsTrainOfOne) {
-  auto report = TrainAnalyzer().analyze({wire_packet(0.0)});
+  auto report = analyze({wire_packet(0.0)}).trains;
   EXPECT_EQ(report.total_packets, 1);
   EXPECT_EQ(report.max_train_length(), 1u);
 }
@@ -123,7 +125,7 @@ TEST(TrainAnalyzerTest, SinglePacketIsTrainOfOne) {
 TEST(TrainAnalyzerTest, ExactThresholdBreaksTrain) {
   // Gap of exactly 0.1 ms: the paper's rule is "< 0.1 ms", so it breaks.
   std::vector<Packet> capture = {wire_packet(0.0), wire_packet(0.1)};
-  auto report = TrainAnalyzer().analyze(capture);
+  auto report = analyze(capture).trains;
   EXPECT_EQ(report.train_lengths.size(), 2u);
 }
 
@@ -139,7 +141,7 @@ TEST(TrainAnalyzerTest, PacketWeightedCdf) {
     t += 1.0;
     capture.push_back(wire_packet(t));
   }
-  auto cdf = TrainAnalyzer().analyze(capture).packet_train_cdf();
+  auto cdf = analyze(capture).trains.packet_train_cdf();
   EXPECT_DOUBLE_EQ(cdf.fraction_below(1.0), 0.5);
   EXPECT_DOUBLE_EQ(cdf.fraction_below(4.0), 1.0);
 }
@@ -153,7 +155,7 @@ TEST(PrecisionTest, StddevOfOffsets) {
         pkt.wire_time - Duration::micros(i % 2 == 0 ? 100 : -100);
     capture.push_back(pkt);
   }
-  auto report = PrecisionAnalyzer().analyze(capture);
+  auto report = analyze(capture).precision;
   EXPECT_EQ(report.samples, 4u);
   EXPECT_NEAR(report.summary_ms.mean, 0.0, 1e-9);
   EXPECT_NEAR(report.precision_ms, 0.11547, 1e-4);
@@ -166,7 +168,7 @@ TEST(PrecisionTest, SkipsNonLeadGsoSegments) {
   Packet tail = wire_packet(0.012);
   tail.gso_buffer_id = 1;
   tail.gso_segment_index = 1;
-  auto report = PrecisionAnalyzer().analyze({lead, tail});
+  auto report = analyze({lead, tail}).precision;
   EXPECT_EQ(report.samples, 1u);
 }
 

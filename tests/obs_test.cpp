@@ -2,7 +2,7 @@
 // expansion, Histogram/MetricsRegistry determinism, the per-run trace
 // digest (packet grouping + per-stage pacing error), byte-pinned exporter
 // goldens, and a traced end-to-end run whose span chains must be complete
-// and must agree with the wire capture and metrics::PrecisionAnalyzer.
+// and must agree with the wire capture and its precision metric.
 #include <algorithm>
 #include <map>
 #include <memory>
@@ -413,7 +413,7 @@ TEST(TraceEndToEnd, WireSpansMatchTheCaptureAndPrecisionAnalyzer) {
 
   // The wire-stage pacing-error statistics agree with the same offsets
   // computed independently from the capture, the way the paper's precision
-  // metric does (metrics::PrecisionAnalyzer). The reference below keeps
+  // metric does (metrics::CaptureAnalyzer). The reference below keeps
   // the analyzer's selection but skips packets without a pacer intent —
   // the trace layer reads expected_send_time == 0 as "none", while the
   // analyzer folds those initial-window packets in. Span errors truncate
@@ -436,9 +436,8 @@ TEST(TraceEndToEnd, WireSpansMatchTheCaptureAndPrecisionAnalyzer) {
   EXPECT_EQ(wire->error_us.count(), intents);
   EXPECT_NEAR(wire->mean_us(),
               offset_sum_ms / static_cast<double>(intents) * 1000.0, 1.0);
-  // And the analyzer itself sees exactly the extra no-intent packets.
-  const auto precision = metrics::PrecisionAnalyzer().analyze(*run.capture);
-  EXPECT_GE(precision.samples, static_cast<std::size_t>(intents));
+  // And the run's precision metric folds in the extra no-intent packets.
+  EXPECT_GE(run.precision.samples, static_cast<std::size_t>(intents));
 }
 
 TEST(TraceEndToEnd, RepeatedRunsExportIdenticalBytes) {

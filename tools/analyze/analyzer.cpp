@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "baseline.hpp"
-#include "callgraph.hpp"
 #include "cfg.hpp"
 #include "dataflow.hpp"
 #include "symbols.hpp"
@@ -86,15 +85,13 @@ AnalysisResult run_analysis(const Options& options) {
   result.files_scanned = model.files.size();
 
   std::vector<Finding> findings;
-  // The manifest feeds two families: layering (the DAG) and perf (the
-  // hot_path tags). "-" skips both — fixture trees without a real layer
-  // stack opt out of manifest-driven rules entirely.
+  // The manifest feeds the layering family. "-" skips it — fixture trees
+  // without a real layer stack opt out of the manifest-driven rules.
   const bool want_layering = family_enabled(options, "layering");
-  const bool want_perf = family_enabled(options, "perf");
   const bool want_units = family_enabled(options, "units");
   LayerManifest manifest;
   bool have_manifest = false;
-  if (want_layering || want_perf) {
+  if (want_layering) {
     std::string layers_path = options.layers_file.empty()
                                   ? root + "/tools/analyze/layers.json"
                                   : options.layers_file;
@@ -115,32 +112,14 @@ AnalysisResult run_analysis(const Options& options) {
     run_layering_rules(model, manifest, &findings);
   }
 
-  // The semantic families share one model: symbol index, call graph
-  // (hot tags need the manifest), dataflow skeleton.
-  SymbolIndex index;
-  CallGraph graph;
-  Dataflow flow;
-  CfgIndex cfgs;
-  SemanticModel sem;
-  // The interval rules (units) additionally need per-callable CFGs.
-  const bool want_semantic = (want_perf && have_manifest) || want_units;
-  if (want_semantic) {
-    index = build_symbol_index(model);
-    graph =
-        build_call_graph(model, index, have_manifest ? &manifest : nullptr);
-    flow = build_dataflow(model, index);
-    sem = {&index, &graph, &flow};
-    if (want_units) {
-      cfgs = build_cfg_index(model, index);
-      sem.cfgs = &cfgs;
-    }
-  }
-  if (want_perf && have_manifest) {
-    run_perf_rules(model, manifest, sem, &findings);
-  }
   if (want_units) {
+    // The interval rules run over the semantic model: symbol index,
+    // dataflow skeleton and per-callable CFGs.
+    const SymbolIndex index = build_symbol_index(model);
+    const Dataflow flow = build_dataflow(model, index);
+    const CfgIndex cfgs = build_cfg_index(model, index);
     run_units_rules(model, &findings);
-    run_interval_rules(model, sem, &findings);
+    run_interval_rules(model, {&index, &flow, &cfgs}, &findings);
   }
   if (family_enabled(options, "determinism")) {
     run_determinism_rules(model, &findings);

@@ -496,8 +496,7 @@ CfgIndex build_cfg_index(const Model& model, const SymbolIndex& index) {
   CfgIndex out;
   for (std::size_t id = 0; id < index.symbols.size(); ++id) {
     const Symbol& sym = index.symbols[id];
-    if (!sym.is_callable() || sym.body_begin == Symbol::npos ||
-        sym.body_end == Symbol::npos) {
+    if (sym.body_begin == Symbol::npos || sym.body_end == Symbol::npos) {
       continue;
     }
     out.cfgs.push_back(

@@ -101,11 +101,8 @@ class BodyScanner {
     Local local;
     local.name = tok(name_tok).text;
     local.decl_tok = name_tok;
-    local.line = tok(name_tok).line;
-    local.col = tok(name_tok).col;
     local.type_text = join_tokens(toks_, begin, name_tok);
     local.is_param = true;
-    local.is_const = local.type_text.find("const") != std::string::npos;
     out_->locals.push_back(std::move(local));
   }
 
@@ -134,7 +131,6 @@ class BodyScanner {
   /// Declaration heuristic over one statement: `Type name = ...`,
   /// `Type name(...)`, `Type name{...}`, `Type name;`.
   void maybe_local_decl(std::size_t begin, std::size_t end) {
-    bool is_const = false;
     std::size_t name_tok = npos;
     int paren = 0, bracket = 0;
     for (std::size_t k = begin; k < end; ++k) {
@@ -148,9 +144,6 @@ class BodyScanner {
       if (is_decl_stopper(t.text) || t.text == "operator" ||
           t.text == "template" || t.text == "namespace") {
         return;
-      }
-      if ((t.text == "const" || t.text == "constexpr") && name_tok == npos) {
-        is_const = true;
       }
       if (paren > 0 || bracket > 0 || name_tok != npos) continue;
       if (is_type_keyword(t.text) && t.text != "auto") continue;
@@ -177,10 +170,7 @@ class BodyScanner {
     Local local;
     local.name = tok(name_tok).text;
     local.decl_tok = name_tok;
-    local.line = tok(name_tok).line;
-    local.col = tok(name_tok).col;
     local.type_text = join_tokens(toks_, begin, name_tok);
-    local.is_const = is_const;
     // Initializer counts as the first def: `auto x = f();`.
     if (name_tok + 1 < end && (tok(name_tok + 1).is_punct("=") ||
                                tok(name_tok + 1).is_punct("(") ||
@@ -229,11 +219,7 @@ class BodyScanner {
       Local local;
       local.name = tok(name_tok).text;
       local.decl_tok = name_tok;
-      local.line = tok(name_tok).line;
-      local.col = tok(name_tok).col;
       local.type_text = join_tokens(toks_, open + 1, name_tok);
-      local.is_const =
-          local.type_text.find("const") != std::string::npos;
       out_->locals.push_back(std::move(local));
     } else if (semi != npos) {
       maybe_local_decl(open + 1, semi);
@@ -362,8 +348,7 @@ Dataflow build_dataflow(const Model& model, const SymbolIndex& index) {
   Dataflow flow;
   for (std::size_t id = 0; id < index.symbols.size(); ++id) {
     const Symbol& sym = index.symbols[id];
-    if (!sym.is_callable() || sym.body_begin == Symbol::npos ||
-        sym.body_end == Symbol::npos) {
+    if (sym.body_begin == Symbol::npos || sym.body_end == Symbol::npos) {
       continue;
     }
     CallableDataflow df;

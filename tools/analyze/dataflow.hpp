@@ -26,10 +26,7 @@ struct Def {
 struct Local {
   std::string name;
   std::size_t decl_tok = 0;  // token index of the name at the declaration
-  int line = 1;
-  int col = 1;
   std::string type_text;  // joined declaration tokens before the name
-  bool is_const = false;
   bool is_param = false;
   std::vector<Def> defs;  // assignments after the declaration
 };

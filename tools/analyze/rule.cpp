@@ -32,12 +32,6 @@ const std::vector<RuleInfo>& all_rules() {
       {"determinism/thread-sleep",
        "std::this_thread::sleep_* waits on the wall clock."},
       {"determinism/include-guard", "Header does not open with #pragma once."},
-      {"perf/hot-path-alloc-interproc",
-       "Allocation in a callable transitively reachable from the hot-path "
-       "file set (tagged in tools/analyze/layers.json, propagated over the "
-       "call graph): operator new / make_unique / make_shared or container "
-       "growth — use the packet slab and drain channels, or baseline with "
-       "the rationale."},
       {"units/interval-overflow",
        "Interval analysis proves this arithmetic can exceed the int64 "
        "range BEFORE the value reaches sim::Time/Duration's saturating "

@@ -52,17 +52,12 @@ bool known_rule(const std::string& rule_id);
 /// Family prefix of an ID ("determinism/wall-clock" -> "determinism").
 std::string rule_family(const std::string& rule_id);
 
-/// The layering manifest: which layer may include which, plus the
-/// hot-path file tags the perf/* rules key off.
+/// The layering manifest: which layer may include which.
 struct LayerManifest {
   /// layer -> allowed dependency layers ("*" = everything).
   std::vector<std::pair<std::string, std::vector<std::string>>> allow;
   /// Layers includable from anywhere (the audit spine and the umbrella).
   std::vector<std::string> universal;
-  /// Files (by include key, e.g. "kernel/nic.cpp") on the per-packet
-  /// datapath: the perf family seeds hot callables there and
-  /// perf/hot-path-alloc-interproc propagates the tag along call edges.
-  std::vector<std::string> hot_path;
 
   bool declared(const std::string& layer) const {
     for (const auto& [name, deps] : allow) {
@@ -73,12 +68,6 @@ struct LayerManifest {
   bool is_universal(const std::string& layer) const {
     for (const auto& u : universal) {
       if (u == layer) return true;
-    }
-    return false;
-  }
-  bool is_hot_path(const std::string& include_key) const {
-    for (const auto& h : hot_path) {
-      if (h == include_key) return true;
     }
     return false;
   }
@@ -98,16 +87,14 @@ bool load_layer_manifest(const std::string& json_text, LayerManifest* out,
                          std::string* error);
 
 struct SymbolIndex;
-struct CallGraph;
 struct Dataflow;
 struct CfgIndex;
 
-/// The semantic model the interprocedural families share; built once per
-/// run by the analyzer when any of them is enabled (symbols.hpp,
-/// callgraph.hpp, dataflow.hpp, cfg.hpp).
+/// The semantic model the interval rules read; built once per run by the
+/// analyzer when the units family is enabled (symbols.hpp, dataflow.hpp,
+/// cfg.hpp).
 struct SemanticModel {
   const SymbolIndex* index = nullptr;
-  const CallGraph* graph = nullptr;
   const Dataflow* flow = nullptr;
   const CfgIndex* cfgs = nullptr;
 };
@@ -118,8 +105,6 @@ void run_determinism_rules(const Model& model, std::vector<Finding>* out);
 void run_units_rules(const Model& model, std::vector<Finding>* out);
 void run_layering_rules(const Model& model, const LayerManifest& manifest,
                         std::vector<Finding>* out);
-void run_perf_rules(const Model& model, const LayerManifest& manifest,
-                    const SemanticModel& sem, std::vector<Finding>* out);
 void run_interval_rules(const Model& model, const SemanticModel& sem,
                         std::vector<Finding>* out);
 

@@ -54,20 +54,6 @@ bool load_layer_manifest(const std::string& json_text, LayerManifest* out,
     }
   }
 
-  if (const JsonValue* hot = doc->find("hot_path")) {
-    if (!hot->is_array()) {
-      *error = "layers.json: \"hot_path\" must be an array";
-      return false;
-    }
-    for (const auto& h : hot->array) {
-      if (!h.is_string()) {
-        *error = "layers.json: \"hot_path\" has a non-string entry";
-        return false;
-      }
-      out->hot_path.push_back(h.str);
-    }
-  }
-
   // Every dep must itself be declared (or the "*" wildcard).
   for (const auto& [name, deps] : out->allow) {
     for (const auto& d : deps) {

@@ -1,14 +1,10 @@
-// Symbol-index / call-graph golden fixture. The self-test pins symbol
-// kinds, classification, nesting, and edges; keep the shape stable.
-#include <atomic>
-#include <mutex>
-
+// Symbol-index golden fixture. The self-test pins which declarations
+// become symbols (callables with a body, nothing else) and their token
+// ranges; keep the shape stable.
 namespace demo {
 
 int global_counter = 0;
 const int kLimit = 8;
-std::atomic<int> atomic_hits;
-std::mutex gate;
 
 struct Widget {
   int size() const { return n_; }

@@ -12,8 +12,7 @@
 #                                        + test_flows' ParallelFlows cases
 #   4. static analysis                -> quicsteps-analyze over src/ AND
 #                                        its own sources (self-hosting):
-#                                        layering / units / determinism /
-#                                        perf
+#                                        layering / units / determinism
 #   5. clang-tidy (when installed)    -> `tidy` target, .clang-tidy profile
 #
 # Build trees live in build-check/, build-asan/, build-tsan/ next to the
