@@ -326,10 +326,8 @@ BENCHMARK(BM_FlowDemuxSinglePass)
 
 void BM_TraceSpanSite(benchmark::State& state) {
   // One instrumented per-packet site with no bus installed: the runtime
-  // "tracing off" state (a pointer null check) in a QUICSTEPS_TRACE build,
-  // or the compiled-out macro in a -DQUICSTEPS_TRACE=OFF build.
-  // BENCH_micro.json's trace_overhead section records both builds next to
-  // the enabled state below.
+  // "tracing off" state, a pointer null check. BENCH_micro.json's
+  // trace_overhead section records it next to the enabled state below.
   obs::TraceBus* bus = nullptr;
   const net::Packet pkt = bench_packet(1);
   const sim::Time now;
@@ -348,7 +346,7 @@ void BM_TraceSpanPublish(benchmark::State& state) {
   [[maybe_unused]] const std::uint16_t id = bus.register_component("bench");
   const net::Packet pkt = bench_packet(1);
   const sim::Time now;
-  obs::TraceBus* installed = obs::kTraceEnabled ? &bus : nullptr;
+  obs::TraceBus* installed = &bus;
   for (auto _ : state) {
     benchmark::DoNotOptimize(installed);
     QUICSTEPS_TRACE_SPAN(installed, obs::TraceStage::kNicTx, id, now, pkt);

@@ -9,6 +9,16 @@ namespace {
 // BBRv1 PROBE_BW gain cycle.
 constexpr double kProbeBwGains[] = {1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0};
 constexpr int kGainCycleLength = 8;
+constexpr double kStartupGain = 2.885;  // 2/ln(2)
+constexpr double kDrainGain = 1.0 / kStartupGain;
+constexpr double kCwndGain = 2.0;
+/// Rounds the windowed-max bandwidth filter remembers.
+constexpr int kBwWindowRounds = 10;
+constexpr sim::Duration kProbeRttDuration = sim::Duration::millis(200);
+/// BBR's cwnd floor (and its PROBE_RTT window): 4 packets.
+constexpr std::int64_t kBbrMinimumWindow = 4 * kMaxDatagramSize;
+/// Loss response strength for kLossCapped / kV2Lite.
+constexpr double kLossCwndFactor = 0.85;
 }  // namespace
 
 const char* to_string(BbrFlavor flavor) {
@@ -25,16 +35,15 @@ const char* to_string(BbrFlavor flavor) {
 
 Bbr::Bbr(Config config)
     : config_(config),
-      pacing_gain_(config.startup_gain),
-      cwnd_gain_(config.startup_gain),
-      cwnd_(config.initial_window) {}
+      pacing_gain_(kStartupGain),
+      cwnd_gain_(kStartupGain),
+      cwnd_(kInitialWindow) {}
 
 net::DataRate Bbr::bottleneck_bandwidth() const {
   if (bw_samples_.empty()) {
     // Before the first sample, assume the initial window crosses a nominal
     // RTT (RFC 9002's suggestion for an initial pacing rate).
-    return net::DataRate::bytes_per(config_.initial_window,
-                                    sim::Duration::millis(100));
+    return net::DataRate::bytes_per(kInitialWindow, sim::Duration::millis(100));
   }
   return bw_samples_.front().second;
 }
@@ -44,7 +53,7 @@ net::DataRate Bbr::pacing_rate() const {
 }
 
 std::int64_t Bbr::bdp_bytes(double gain) const {
-  if (min_rtt_.is_infinite()) return config_.initial_window;
+  if (min_rtt_.is_infinite()) return kInitialWindow;
   const double bdp = bottleneck_bandwidth().bytes_per_second_f() *
                      min_rtt_.to_seconds() * gain;
   return static_cast<std::int64_t>(bdp);
@@ -52,9 +61,9 @@ std::int64_t Bbr::bdp_bytes(double gain) const {
 
 std::int64_t Bbr::cwnd_bytes() const {
   if (state_ == State::kProbeRtt) {
-    return config_.minimum_window;
+    return kBbrMinimumWindow;
   }
-  return std::max(cwnd_, config_.minimum_window);
+  return std::max(cwnd_, kBbrMinimumWindow);
 }
 
 void Bbr::on_packet_sent(sim::Time, std::uint64_t pn, std::int64_t bytes,
@@ -80,7 +89,7 @@ void Bbr::update_bandwidth_filter(const AckSample& ack) {
   }
   // Evict samples older than the window.
   while (!bw_samples_.empty() &&
-         bw_samples_.front().first <= round_count_ - config_.bw_window_rounds) {
+         bw_samples_.front().first <= round_count_ - kBwWindowRounds) {
     bw_samples_.pop_front();
   }
   // Monotonic deque insert.
@@ -125,15 +134,15 @@ void Bbr::advance_state_machine(const AckSample& ack) {
       check_full_bandwidth();
       if (full_bw_reached_) {
         state_ = State::kDrain;
-        pacing_gain_ = config_.drain_gain;
-        cwnd_gain_ = config_.startup_gain;
+        pacing_gain_ = kDrainGain;
+        cwnd_gain_ = kStartupGain;
       }
       break;
     case State::kDrain:
       if (ack.bytes_in_flight <= bdp_bytes(1.0)) {
         state_ = State::kProbeBw;
         pacing_gain_ = kProbeBwGains[cycle_index_ = 0];
-        cwnd_gain_ = config_.cwnd_gain;
+        cwnd_gain_ = kCwndGain;
         cycle_stamp_ = ack.now;
       }
       break;
@@ -153,9 +162,8 @@ void Bbr::advance_state_machine(const AckSample& ack) {
         min_rtt_stamp_ = ack.now;
         state_ = full_bw_reached_ ? State::kProbeBw : State::kStartup;
         pacing_gain_ = full_bw_reached_ ? kProbeBwGains[cycle_index_ = 0]
-                                        : config_.startup_gain;
-        cwnd_gain_ =
-            full_bw_reached_ ? config_.cwnd_gain : config_.startup_gain;
+                                        : kStartupGain;
+        cwnd_gain_ = full_bw_reached_ ? kCwndGain : kStartupGain;
         cycle_stamp_ = ack.now;
         cwnd_ = std::max(cwnd_, prior_cwnd_);
       }
@@ -168,7 +176,7 @@ void Bbr::advance_state_machine(const AckSample& ack) {
     state_ = State::kProbeRtt;
     prior_cwnd_ = cwnd_;
     pacing_gain_ = 1.0;
-    probe_rtt_done_stamp_ = ack.now + config_.probe_rtt_duration;
+    probe_rtt_done_stamp_ = ack.now + kProbeRttDuration;
     probe_rtt_round_done_ = false;
     round_end_pn_ = largest_sent_pn_ + 1;
   }
@@ -193,7 +201,7 @@ void Bbr::on_ack(const AckSample& ack) {
   } else {
     cwnd_ += ack.acked_bytes;  // startup: grow as fast as delivery confirms
   }
-  cwnd_ = std::max(cwnd_, config_.minimum_window);
+  cwnd_ = std::max(cwnd_, kBbrMinimumWindow);
 }
 
 void Bbr::on_loss(const LossSample& loss) {
@@ -205,10 +213,9 @@ void Bbr::on_loss(const LossSample& loss) {
     case BbrFlavor::kLossCapped: {
       if (loss.largest_lost_sent_time <= recovery_start_) return;
       recovery_start_ = loss.now;
-      cwnd_ = std::max(
-          static_cast<std::int64_t>(static_cast<double>(cwnd_) *
-                                    config_.loss_cwnd_factor),
-          config_.minimum_window);
+      cwnd_ = std::max(static_cast<std::int64_t>(static_cast<double>(cwnd_) *
+                                                 kLossCwndFactor),
+                       kBbrMinimumWindow);
       return;
     }
     case BbrFlavor::kV2Lite: {
@@ -223,10 +230,9 @@ void Bbr::on_loss(const LossSample& loss) {
         pacing_gain_ = kProbeBwGains[cycle_index_];
         cycle_stamp_ = loss.now;
       }
-      cwnd_ = std::max(
-          static_cast<std::int64_t>(static_cast<double>(cwnd_) *
-                                    config_.loss_cwnd_factor),
-          config_.minimum_window);
+      cwnd_ = std::max(static_cast<std::int64_t>(static_cast<double>(cwnd_) *
+                                                 kLossCwndFactor),
+                       kBbrMinimumWindow);
       return;
     }
   }

@@ -31,16 +31,7 @@ class Bbr final : public CongestionController {
  public:
   struct Config {
     BbrFlavor flavor = BbrFlavor::kV1;
-    std::int64_t initial_window = kInitialWindow;
-    std::int64_t minimum_window = 4 * kMaxDatagramSize;
-    double startup_gain = 2.885;  // 2/ln(2)
-    double drain_gain = 1.0 / 2.885;
-    double cwnd_gain = 2.0;
-    int bw_window_rounds = 10;
     sim::Duration min_rtt_window = sim::Duration::seconds(10);
-    sim::Duration probe_rtt_duration = sim::Duration::millis(200);
-    /// Loss response strength for kLossCapped / kV2Lite.
-    double loss_cwnd_factor = 0.85;
   };
 
   Bbr() : Bbr(Config{}) {}

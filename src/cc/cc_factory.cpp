@@ -1,30 +1,18 @@
 #include "cc/cc_factory.hpp"
 
+#include "cc/cubic.hpp"
+#include "cc/new_reno.hpp"
+
 namespace quicsteps::cc {
 
 std::unique_ptr<CongestionController> make_controller(const CcConfig& config) {
   switch (config.algorithm) {
-    case CcAlgorithm::kNewReno: {
-      NewReno::Config reno;
-      return std::make_unique<NewReno>(reno);
-    }
-    case CcAlgorithm::kCubic: {
-      Cubic::Config cubic;
-      cubic.hystart = config.hystart;
-      cubic.hystart_config = config.hystart_config;
-      cubic.slow_start_ack_divisor = config.slow_start_ack_divisor;
-      cubic.spurious_loss_rollback = config.spurious_loss_rollback;
-      cubic.rollback_threshold_packets = config.rollback_threshold_packets;
-      cubic.rollback_threshold_cwnd_fraction =
-          config.rollback_threshold_cwnd_fraction;
-      cubic.require_cwnd_limited_growth = config.require_cwnd_limited_growth;
-      return std::make_unique<Cubic>(cubic);
-    }
-    case CcAlgorithm::kBbr: {
-      Bbr::Config bbr;
-      bbr.flavor = config.bbr_flavor;
-      return std::make_unique<Bbr>(bbr);
-    }
+    case CcAlgorithm::kNewReno:
+      return std::make_unique<NewReno>();
+    case CcAlgorithm::kCubic:
+      return std::make_unique<Cubic>(config);
+    case CcAlgorithm::kBbr:
+      return std::make_unique<Bbr>(Bbr::Config{.flavor = config.bbr_flavor});
   }
   return nullptr;
 }

@@ -8,12 +8,12 @@ namespace quicsteps::cc {
 
 namespace {
 constexpr double kMss = static_cast<double>(kMaxDatagramSize);
-}
+constexpr double kBeta = 0.7;  // RFC 9438 beta_cubic
+constexpr double kC = 0.4;     // RFC 9438 C
+}  // namespace
 
-Cubic::Cubic(Config config)
-    : config_(config),
-      cwnd_(config.initial_window),
-      hystart_(config.hystart_config) {}
+Cubic::Cubic(const CcConfig& config)
+    : config_(config), cwnd_(kInitialWindow), hystart_(config.hystart_config) {}
 
 void Cubic::on_packet_sent(sim::Time, std::uint64_t pn, std::int64_t,
                            std::int64_t) {
@@ -22,7 +22,7 @@ void Cubic::on_packet_sent(sim::Time, std::uint64_t pn, std::int64_t,
 
 double Cubic::cubic_window_mss(sim::Duration t) const {
   const double dt = t.to_seconds() - k_seconds_;
-  return config_.c * dt * dt * dt + w_max_mss_;
+  return kC * dt * dt * dt + w_max_mss_;
 }
 
 void Cubic::start_epoch(sim::Time now) {
@@ -31,7 +31,7 @@ void Cubic::start_epoch(sim::Time now) {
   const double cwnd_mss = static_cast<double>(cwnd_) / kMss;
   if (cwnd_mss < w_max_mss_) {
     // K = cbrt((W_max - cwnd) / C)
-    k_seconds_ = std::cbrt((w_max_mss_ - cwnd_mss) / config_.c);
+    k_seconds_ = std::cbrt((w_max_mss_ - cwnd_mss) / kC);
   } else {
     k_seconds_ = 0.0;
     w_max_mss_ = cwnd_mss;
@@ -84,8 +84,7 @@ void Cubic::on_ack(const AckSample& ack) {
                                                : sim::Duration::millis(100);
 
   // Reno-friendly estimate: alpha = 3 * (1 - beta) / (1 + beta).
-  const double alpha =
-      3.0 * (1.0 - config_.beta) / (1.0 + config_.beta);
+  const double alpha = 3.0 * (1.0 - kBeta) / (1.0 + kBeta);
   w_est_mss_ +=
       alpha * static_cast<double>(ack.acked_bytes) / kMss / cwnd_mss;
 
@@ -125,14 +124,16 @@ void Cubic::on_congestion_event(sim::Time now, sim::Time sent_time) {
   hystart_.on_congestion_event();
   hystart_exited_ = true;
 
+  // Fast convergence (RFC 9438 §4.7): a window that peaked below the last
+  // W_max releases bandwidth to newer flows.
   double cwnd_mss = static_cast<double>(cwnd_) / kMss;
-  if (config_.fast_convergence && cwnd_mss < w_max_mss_) {
-    w_max_mss_ = cwnd_mss * (1.0 + config_.beta) / 2.0;
+  if (cwnd_mss < w_max_mss_) {
+    w_max_mss_ = cwnd_mss * (1.0 + kBeta) / 2.0;
   } else {
     w_max_mss_ = cwnd_mss;
   }
-  cwnd_ = static_cast<std::int64_t>(static_cast<double>(cwnd_) * config_.beta);
-  cwnd_ = std::max(cwnd_, config_.minimum_window);
+  cwnd_ = static_cast<std::int64_t>(static_cast<double>(cwnd_) * kBeta);
+  cwnd_ = std::max(cwnd_, kMinimumWindow);
   ssthresh_ = cwnd_;
   epoch_started_ = false;
 }
@@ -176,7 +177,7 @@ void Cubic::on_loss(const LossSample& loss) {
   on_congestion_event(loss.now, loss.largest_lost_sent_time);
   total_lost_packets_ += loss.lost_packets;
   if (loss.persistent_congestion) {
-    cwnd_ = config_.minimum_window;
+    cwnd_ = kMinimumWindow;
     epoch_started_ = false;
   }
 }

@@ -16,6 +16,7 @@
 
 #include <optional>
 
+#include "cc/cc_factory.hpp"
 #include "cc/congestion_controller.hpp"
 #include "cc/hystart_pp.hpp"
 
@@ -23,33 +24,10 @@ namespace quicsteps::cc {
 
 class Cubic final : public CongestionController {
  public:
-  struct Config {
-    std::int64_t initial_window = kInitialWindow;
-    std::int64_t minimum_window = kMinimumWindow;
-    double beta = 0.7;  // RFC 9438 beta_cubic
-    double c = 0.4;     // RFC 9438 C
-    bool fast_convergence = true;
-    bool hystart = true;
-    HystartPP::Config hystart_config = {};
-    /// quiche's spurious-loss detection: restore the pre-congestion state
-    /// when a loss episode involves fewer packets than the threshold.
-    bool spurious_loss_rollback = false;
-    std::int64_t rollback_threshold_packets = 5;
-    double rollback_threshold_cwnd_fraction = 0.0;
-    /// Slow-start growth divisor: cwnd += acked_bytes / divisor. 1 is
-    /// RFC 9002 byte counting (2x per RTT); 2 models Linux TCP's
-    /// packet-counting with delayed ACKs (1.5x per RTT), which is part of
-    /// why kernel TCP's slow start barely overshoots.
-    int slow_start_ack_divisor = 1;
-    /// ngtcp2-style congestion-window validation: the window only grows
-    /// when the sender is actually cwnd-limited. Combined with strict
-    /// pacing this freezes the window (the mechanistic cause of ngtcp2's
-    /// low baseline goodput in Table 1).
-    bool require_cwnd_limited_growth = false;
-  };
-
-  Cubic() : Cubic(Config{}) {}
-  explicit Cubic(Config config);
+  Cubic() : Cubic(CcConfig{}) {}
+  /// Takes its settings (HyStart++, rollback, slow-start divisor, cwnd
+  /// validation) from `config` and ignores `algorithm` and `bbr_flavor`.
+  explicit Cubic(const CcConfig& config);
 
   void on_packet_sent(sim::Time now, std::uint64_t pn, std::int64_t bytes,
                       std::int64_t bytes_in_flight) override;
@@ -84,7 +62,7 @@ class Cubic final : public CongestionController {
   /// window growth for this ACK).
   bool maybe_rollback(const AckSample& ack);
 
-  Config config_;
+  CcConfig config_;
   std::int64_t cwnd_;
   std::int64_t ssthresh_ = std::int64_t{1} << 60;
   sim::Time recovery_start_ = sim::Time::zero() - sim::Duration::nanos(1);

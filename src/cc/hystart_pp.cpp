@@ -17,28 +17,22 @@ void HystartPP::on_round_start() {
   }
   last_round_min_rtt_ = round_metric();
   current_round_min_rtt_ = sim::Duration::infinite();
-  current_round_sum_ = sim::Duration::zero();
   rtt_sample_count_ = 0;
 }
 
 sim::Duration HystartPP::eta() const {
   // RTT_THRESH = clamp(MIN_RTT_THRESH, lastRoundMinRTT / 8, MAX_RTT_THRESH)
-  return std::clamp(last_round_min_rtt_ / 8, config_.min_rtt_thresh,
-                    config_.max_rtt_thresh);
+  return std::clamp(last_round_min_rtt_ / 8, kMinRttThresh, kMaxRttThresh);
 }
 
 sim::Duration HystartPP::round_metric() const {
   if (rtt_sample_count_ == 0) return sim::Duration::infinite();
-  if (!config_.use_round_mean) return current_round_min_rtt_;
-  // Running mean over the whole round: burst TAILS contribute, so bursty
-  // traffic inflates the metric long before a standing queue exists.
-  return current_round_sum_ / rtt_sample_count_;
+  return current_round_min_rtt_;
 }
 
 void HystartPP::on_rtt_sample(sim::Duration rtt) {
   if (phase_ == Phase::kDone) return;
   current_round_min_rtt_ = sim::min(current_round_min_rtt_, rtt);
-  current_round_sum_ += rtt;
   ++rtt_sample_count_;
   if (rtt_sample_count_ < config_.n_rtt_sample) return;
   if (last_round_min_rtt_.is_infinite()) return;

@@ -17,19 +17,10 @@ namespace quicsteps::cc {
 
 class HystartPP {
  public:
+  /// The two settings TCP tunes (RFC 9406 defaults here).
   struct Config {
-    // RFC 9406 recommended constants.
-    sim::Duration min_rtt_thresh = sim::Duration::millis(4);   // MIN_RTT_THRESH
-    sim::Duration max_rtt_thresh = sim::Duration::millis(16);  // MAX_RTT_THRESH
-    int n_rtt_sample = 8;                    // samples per round before check
-    int css_growth_divisor = 4;              // CSS grows cwnd at 1/4 rate
-    int css_rounds = 5;                      // rounds before confirming exit
-    /// Delay metric per round. RFC 9406 uses the round MIN (default).
-    /// Classic HyStart averages samples instead — a mean is sensitive to
-    /// burst-induced queueing (the hypothesis behind the paper's Table 2
-    /// GSO/HyStart++ interaction); kept as an option for ablation, see
-    /// EXPERIMENTS.md.
-    bool use_round_mean = false;
+    int n_rtt_sample = 8;  // samples per round before check
+    int css_rounds = 5;    // rounds before confirming exit
   };
 
   enum class Phase : std::uint8_t { kSlowStart, kCss, kDone };
@@ -53,24 +44,29 @@ class HystartPP {
   Phase phase() const { return phase_; }
   bool done() const { return phase_ == Phase::kDone; }
   /// Divisor to apply to slow-start cwnd growth (1 in slow start proper,
-  /// css_growth_divisor during CSS).
+  /// kCssGrowthDivisor during CSS).
   int growth_divisor() const {
-    return phase_ == Phase::kCss ? config_.css_growth_divisor : 1;
+    return phase_ == Phase::kCss ? kCssGrowthDivisor : 1;
   }
 
   std::string debug_state() const;
 
  private:
+  // RFC 9406 recommended constants (MIN_RTT_THRESH, MAX_RTT_THRESH,
+  // CSS_GROWTH_DIVISOR).
+  static constexpr sim::Duration kMinRttThresh = sim::Duration::millis(4);
+  static constexpr sim::Duration kMaxRttThresh = sim::Duration::millis(16);
+  static constexpr int kCssGrowthDivisor = 4;  // CSS grows cwnd at 1/4 rate
+
   sim::Duration eta() const;
 
   Config config_;
   Phase phase_ = Phase::kSlowStart;
-  /// Round metric under evaluation (min or mean of first N samples).
+  /// Round metric under evaluation (the min of the round's samples).
   sim::Duration round_metric() const;
 
   sim::Duration last_round_min_rtt_ = sim::Duration::infinite();
   sim::Duration current_round_min_rtt_ = sim::Duration::infinite();
-  sim::Duration current_round_sum_;  // of the first n_rtt_sample samples
   sim::Duration css_baseline_min_rtt_ = sim::Duration::infinite();
   int rtt_sample_count_ = 0;
   int css_round_count_ = 0;

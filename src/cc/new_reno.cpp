@@ -5,6 +5,10 @@
 
 namespace quicsteps::cc {
 
+namespace {
+constexpr double kLossReductionFactor = 0.5;  // RFC 9002 kLossReductionFactor
+}  // namespace
+
 void NewReno::on_packet_sent(sim::Time, std::uint64_t, std::int64_t,
                              std::int64_t) {}
 
@@ -23,15 +27,15 @@ void NewReno::on_congestion_event(sim::Time now, sim::Time sent_time) {
   if (in_recovery(sent_time)) return;  // once per recovery period
   recovery_start_ = now;
   cwnd_ = static_cast<std::int64_t>(static_cast<double>(cwnd_) *
-                                    config_.loss_reduction_factor);
-  cwnd_ = std::max(cwnd_, config_.minimum_window);
+                                    kLossReductionFactor);
+  cwnd_ = std::max(cwnd_, kMinimumWindow);
   ssthresh_ = cwnd_;
 }
 
 void NewReno::on_loss(const LossSample& loss) {
   on_congestion_event(loss.now, loss.largest_lost_sent_time);
   if (loss.persistent_congestion) {
-    cwnd_ = config_.minimum_window;
+    cwnd_ = kMinimumWindow;
   }
 }
 

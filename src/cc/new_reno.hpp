@@ -7,16 +7,6 @@ namespace quicsteps::cc {
 
 class NewReno final : public CongestionController {
  public:
-  struct Config {
-    std::int64_t initial_window = kInitialWindow;
-    std::int64_t minimum_window = kMinimumWindow;
-    double loss_reduction_factor = 0.5;  // kLossReductionFactor
-  };
-
-  NewReno() : NewReno(Config{}) {}
-  explicit NewReno(Config config)
-      : config_(config), cwnd_(config.initial_window) {}
-
   void on_packet_sent(sim::Time now, std::uint64_t pn, std::int64_t bytes,
                       std::int64_t bytes_in_flight) override;
   void on_ack(const AckSample& ack) override;
@@ -35,8 +25,7 @@ class NewReno final : public CongestionController {
  private:
   void on_congestion_event(sim::Time now, sim::Time sent_time);
 
-  Config config_;
-  std::int64_t cwnd_;
+  std::int64_t cwnd_ = kInitialWindow;
   std::int64_t ssthresh_ = std::int64_t{1} << 60;
   sim::Time recovery_start_ = sim::Time::zero() - sim::Duration::nanos(1);
 };

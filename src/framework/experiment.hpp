@@ -53,8 +53,7 @@ struct ExperimentConfig {
   /// (empty = no trace). One file per repetition: "<path>.<rep>".
   std::string qlog_path;
   /// Record per-packet path spans (pacer release through delivery) on the
-  /// run's TraceBus; the finished trace lands in RunResult::trace. Requires
-  /// a QUICSTEPS_TRACE build (silently off otherwise).
+  /// run's TraceBus; the finished trace lands in RunResult::trace.
   bool trace = false;
 
   ExperimentConfig& with(StackKind s, cc::CcAlgorithm a) {

@@ -201,7 +201,7 @@ MultiFlowResult run_flows(const MultiFlowConfig& config) {
     if (spec.config.trace) tracing = true;
   }
   const obs::FlowSampler sampler(config.seed, config.trace_sample);
-  if (tracing && obs::kTraceEnabled) {
+  if (tracing) {
     net.set_trace(trace_bus, sampler);
     // Pre-size the span store: ~payload/MSS wire packets per flow, ~9
     // stages each plus ACK-path spans, scaled down by the sampling period

@@ -7,6 +7,12 @@
 
 namespace quicsteps::framework {
 
+namespace {
+/// Receive buffer of both receiving sockets (the client's and the server's
+/// ACK socket): large enough that neither ever drops.
+constexpr std::int64_t kRcvbufBytes = 50 * 1024 * 1024;
+}  // namespace
+
 SenderPath::SenderPath(sim::EventLoop& loop, net::PacketSlab& slab,
                        const TopologyConfig& config, kernel::OsModel& os,
                        net::PacketSink* wire) {
@@ -48,16 +54,16 @@ void SenderPath::set_trace(obs::TraceBus& bus, const std::string& prefix) {
 BottleneckPath::BottleneckPath(sim::EventLoop& loop,
                                const TopologyConfig& config, sim::Rng& rng,
                                kernel::OsModel& server_recv_os)
-    : client_os_(config.client_os, rng.fork(2)),
+    : client_os_(kernel::OsTimingConfig{}, rng.fork(2)),
       data_dispatch_(slab_),
       ack_dispatch_(slab_),
       client_receiver_(std::make_unique<kernel::UdpReceiver>(
-          loop, slab_, client_os_, config.client_rcvbuf_bytes,
-          &data_dispatch_, config.client_gro_window)),
+          loop, slab_, client_os_, kRcvbufBytes, &data_dispatch_,
+          config.client_gro_window)),
+      // Both netems keep NetemQdisc's default limit, which the path never
+      // fills: drops happen only at the TBF (paper Section 3.2).
       data_netem_(loop, slab_,
                   {.delay = config.path_delay_one_way,
-                   .jitter = config.path_jitter,
-                   .limit_packets = config.netem_limit_packets,
                    .loss_probability = config.path_loss_probability,
                    .reorder_probability = config.path_reorder_probability},
                   rng.fork(3), client_receiver_.get()),
@@ -68,11 +74,8 @@ BottleneckPath::BottleneckPath(sim::EventLoop& loop,
                   &data_netem_),
       tap_(std::make_unique<net::WireTap>(loop, slab_, &bottleneck_)),
       server_receiver_(std::make_unique<kernel::UdpReceiver>(
-          loop, slab_, server_recv_os, config.client_rcvbuf_bytes,
-          &ack_dispatch_)),
-      ack_netem_(loop, slab_,
-                 {.delay = config.path_delay_one_way,
-                  .limit_packets = config.netem_limit_packets},
+          loop, slab_, server_recv_os, kRcvbufBytes, &ack_dispatch_)),
+      ack_netem_(loop, slab_, {.delay = config.path_delay_one_way},
                  rng.fork(4), server_receiver_.get()) {
   bottleneck_.set_drop_observer([this](std::uint32_t flow) {
     const std::uint32_t slot = drop_index_.find(flow);

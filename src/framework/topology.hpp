@@ -47,20 +47,15 @@ struct TopologyConfig {
   std::int64_t tbf_burst_bytes = 2 * 1514;
 
   sim::Duration path_delay_one_way = sim::Duration::millis(20);
-  /// netem queue sized to two BDPs so it never drops (paper Section 3.2).
-  std::int64_t netem_limit_packets = 100000;
   /// Path impairments on the DATA direction (tc netem loss/reorder) — zero
   /// in the paper's controlled setup; exposed for robustness experiments.
   double path_loss_probability = 0.0;
   double path_reorder_probability = 0.0;
-  sim::Duration path_jitter = sim::Duration::zero();
 
-  std::int64_t client_rcvbuf_bytes = 50 * 1024 * 1024;
   /// Client-side GRO coalescing window (zero = GRO off, the paper setup).
   sim::Duration client_gro_window = sim::Duration::zero();
 
   kernel::OsTimingConfig server_os;
-  kernel::OsTimingConfig client_os;
 
   /// Not a setting: every run takes the slab-backed datapath. The constant
   /// exists only because perfbench/src/traced_run.cpp still reads it.

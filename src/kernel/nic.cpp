@@ -4,6 +4,8 @@
 #include <utility>
 #include <vector>
 
+#include "check/audit.hpp"
+
 namespace quicsteps::kernel {
 
 void Nic::deliver_ref(net::PacketSlab& slab, net::PacketSlab::Ref ref) {
@@ -39,40 +41,28 @@ void Nic::segment(net::Packet carrier) {
   const sim::Time now = loop_.now();
   const bool paced = !carrier.gso_pacing_rate.is_zero();
   sim::Time release = now;
-  if (carrier.gso_segments.use_count() == 1) {
-    // The buffer is uniquely ours at the driver boundary, so the segment
-    // train moves straight into the slab — no per-segment Packet copy.
-    auto& segments =
-        const_cast<std::vector<net::Packet>&>(*carrier.gso_segments);
-    for (auto& seg : segments) {
-      const std::int64_t seg_bytes = seg.size_bytes;
-      net::Packet wire = std::move(seg);
-      wire.kernel_entry_time = carrier.kernel_entry_time;
-      QUICSTEPS_TRACE_SPAN(trace_bus_, obs::TraceStage::kGsoSegment,
-                           trace_component_, now, wire);
-      transmit(slab_.put(std::move(wire)), release);
-      if (paced) {
-        release += carrier.gso_pacing_rate.transmit_time(seg_bytes);
-      }
-    }
-    // The buffer is spent; hand the husk (and its capacity) back to the
-    // slab pool so the next sendmsg_gso reuses it instead of allocating.
-    segments.clear();
-    slab_.put_gso_buffer(std::const_pointer_cast<std::vector<net::Packet>>(
-        std::move(carrier.gso_segments)));
-    return;
-  }
-  // Someone else still holds the buffer: copy the segments out.
-  for (const auto& seg : *carrier.gso_segments) {
-    net::Packet wire = seg;
+  // The buffer is uniquely ours here: the socket moved its pooled buffer
+  // into the carrier and the slab moved the carrier, so the segment train
+  // moves straight into the slab — no per-segment copy.
+  QUICSTEPS_AUDIT(carrier.gso_segments.use_count() == 1,
+                  "Nic: a GSO buffer reached segmentation still shared");
+  auto& segments = const_cast<std::vector<net::Packet>&>(*carrier.gso_segments);
+  for (auto& seg : segments) {
+    const std::int64_t seg_bytes = seg.size_bytes;
+    net::Packet wire = std::move(seg);
     wire.kernel_entry_time = carrier.kernel_entry_time;
     QUICSTEPS_TRACE_SPAN(trace_bus_, obs::TraceStage::kGsoSegment,
                          trace_component_, now, wire);
     transmit(slab_.put(std::move(wire)), release);
     if (paced) {
-      release += carrier.gso_pacing_rate.transmit_time(seg.size_bytes);
+      release += carrier.gso_pacing_rate.transmit_time(seg_bytes);
     }
   }
+  // The buffer is spent; hand the husk (and its capacity) back to the
+  // slab pool so the next sendmsg_gso reuses it instead of allocating.
+  segments.clear();
+  slab_.put_gso_buffer(std::const_pointer_cast<std::vector<net::Packet>>(
+      std::move(carrier.gso_segments)));
 }
 
 void Nic::transmit(net::PacketSlab::Ref ref, sim::Time earliest) {

@@ -4,6 +4,12 @@
 
 namespace quicsteps::kernel {
 
+namespace {
+// RFC 8289 defaults (and fq_codel's).
+constexpr sim::Duration kTarget = sim::Duration::millis(5);
+constexpr sim::Duration kInterval = sim::Duration::millis(100);
+}  // namespace
+
 void FqCodelQdisc::deliver_ref(net::PacketSlab& slab,
                                net::PacketSlab::Ref ref) {
   note_arrival(slab, ref);
@@ -49,16 +55,16 @@ void FqCodelQdisc::drain_one() {
 
 bool FqCodelQdisc::codel_should_drop(sim::Time now, sim::Duration sojourn) {
   // RFC 8289 dequeue logic, condensed: track how long the sojourn time has
-  // continuously exceeded `target`; once it has for a full `interval`,
+  // continuously exceeded kTarget; once it has for a full kInterval,
   // enter dropping state and drop at intervals shrinking with 1/sqrt(count).
-  const bool above = sojourn >= config_.target;
+  const bool above = sojourn >= kTarget;
   if (!above) {
     first_above_time_ = sim::Time::infinite();
     dropping_ = false;
     return false;
   }
   if (first_above_time_.is_infinite()) {
-    first_above_time_ = now + config_.interval;
+    first_above_time_ = now + kInterval;
     return false;
   }
   if (!dropping_) {
@@ -68,15 +74,15 @@ bool FqCodelQdisc::codel_should_drop(sim::Time now, sim::Duration sojourn) {
     // (RFC 8289 section 5.4, the "count decay" heuristic).
     count_ = (count_ > 2 && last_count_ == count_) ? count_ - 2 : 1;
     last_count_ = count_;
-    drop_next_ = now + config_.interval *
-                           (1.0 / std::sqrt(static_cast<double>(count_)));
+    drop_next_ =
+        now + kInterval * (1.0 / std::sqrt(static_cast<double>(count_)));
     return true;
   }
   if (now >= drop_next_) {
     ++count_;
     last_count_ = count_;
-    drop_next_ = drop_next_ + config_.interval *
-                                  (1.0 / std::sqrt(static_cast<double>(count_)));
+    drop_next_ = drop_next_ +
+                 kInterval * (1.0 / std::sqrt(static_cast<double>(count_)));
     return true;
   }
   return false;

@@ -24,8 +24,6 @@ namespace quicsteps::kernel {
 class FqCodelQdisc final : public Qdisc {
  public:
   struct Config {
-    sim::Duration target = sim::Duration::millis(5);
-    sim::Duration interval = sim::Duration::millis(100);
     std::int64_t limit_packets = 10240;
     /// Rate at which the downstream drains this queue.
     net::DataRate drain_rate = net::DataRate::gigabits_per_second(1);

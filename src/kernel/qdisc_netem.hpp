@@ -1,9 +1,10 @@
-// netem model: constant delay (optional jitter) with a packet-count limit.
+// netem model: constant delay with a packet-count limit, random loss and
+// reordering.
 //
 // Used twice in the measurement topology, 20 ms in each direction, to build
 // the 40 ms minimum RTT. Following the paper's setup, its buffer is sized
-// to two bandwidth-delay products so that it never drops — drops must only
-// happen at the TBF bottleneck.
+// so that it never drops (the default limit) — drops must only happen at
+// the TBF bottleneck.
 //
 // A delivery is a slotless drain record carrying the packet's ref into the
 // shared net::PacketSlab (deliveries are never cancelled); netem forwards
@@ -22,7 +23,6 @@ class NetemQdisc final : public Qdisc {
  public:
   struct Config {
     sim::Duration delay = sim::Duration::millis(20);
-    sim::Duration jitter = sim::Duration::zero();
     std::int64_t limit_packets = 100000;
     /// Random independent loss probability (tc netem `loss`).
     double loss_probability = 0.0;
@@ -55,18 +55,14 @@ class NetemQdisc final : public Qdisc {
     }
     ++in_flight_;
     sim::Duration d = config_.delay;
-    if (config_.jitter > sim::Duration::zero()) {
-      d = rng_.normal_duration(config_.delay, config_.jitter,
-                               sim::Duration::zero());
-    }
     if (rng_.chance(config_.reorder_probability)) {
       d = sim::max(d - config_.reorder_gap, sim::Duration::zero());
       ++reordered_;
     }
     // A constant delay delivers in arrival order, so the packet joins the
-    // channel's delay line; jitter and reorder deliveries surface out of
-    // arrival order and keep one queued record each (refs are
-    // payload-addressed, so that needs no extra bookkeeping).
+    // channel's delay line; reorder deliveries surface out of arrival order
+    // and keep one queued record each (refs are payload-addressed, so that
+    // needs no extra bookkeeping).
     if (in_order()) {
       loop_.post_line_at(loop_.now() + d, delay_channel_, ref);
     } else {
@@ -79,12 +75,9 @@ class NetemQdisc final : public Qdisc {
   std::int64_t reordered() const { return reordered_; }
 
  private:
-  /// True when every packet gets the same delay (no jitter, no reorder),
-  /// so packets leave in the order they arrived.
-  bool in_order() const {
-    return config_.jitter <= sim::Duration::zero() &&
-           config_.reorder_probability <= 0.0;
-  }
+  /// True when every packet gets the same delay (no reorder), so packets
+  /// leave in the order they arrived.
+  bool in_order() const { return config_.reorder_probability <= 0.0; }
 
   static void drain_delivery(void* self, std::uint32_t ref) {
     NetemQdisc* netem = static_cast<NetemQdisc*>(self);

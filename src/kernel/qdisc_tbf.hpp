@@ -8,15 +8,17 @@
 // the reason the paper rules TBF out for QUIC pacing.
 //
 // Packets arrive, wait and leave as refs into the shared net::PacketSlab:
-// the FIFO holds the refs, and the drop-tail check and the token loop read
-// byte sizes off the slab's hot lane, so the TBF never loads a packet.
+// the FIFO holds the refs in a sim::FifoRing, which grows to the backlog's
+// high-water mark once and then allocates nothing, and the drop-tail check
+// and the token loop read byte sizes off the slab's hot lane, so the TBF
+// never loads a packet.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
 #include "kernel/qdisc.hpp"
 #include "net/packet_slab.hpp"
+#include "sim/fifo_ring.hpp"
 
 namespace quicsteps::kernel {
 
@@ -44,7 +46,7 @@ class TbfQdisc final : public Qdisc {
   void try_release();
 
   Config config_;
-  std::deque<net::PacketSlab::Ref> queue_;
+  sim::FifoRing<net::PacketSlab::Ref> queue_;
   std::int64_t backlog_bytes_ = 0;
   double tokens_bytes_;
   sim::Time last_refill_;

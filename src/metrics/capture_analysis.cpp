@@ -4,6 +4,15 @@
 
 namespace quicsteps::metrics {
 
+namespace {
+/// Gaps at/below this bound count as back-to-back. The theoretical minimum
+/// at 1 Gbit/s is ~12 us; 30 us absorbs timestamp jitter.
+constexpr sim::Duration kBackToBackBound = sim::Duration::micros(30);
+/// Gaps below this threshold chain packets into a train (the paper's rule:
+/// < 0.1 ms).
+constexpr sim::Duration kTrainThreshold = sim::Duration::micros(100);
+}  // namespace
+
 double TrainReport::fraction_in_trains_up_to(std::size_t n) const {
   if (total_packets == 0) return 0.0;
   std::int64_t covered = 0;
@@ -61,9 +70,9 @@ void CaptureAnalyzer::add(const net::Packet& pkt) {
     } else {
       gaps_ms_.push_back(gap.to_millis());
     }
-    if (gap <= config_.back_to_back_bound) ++b2b_gaps_;
+    if (gap <= kBackToBackBound) ++b2b_gaps_;
     if (gap < sim::Duration::micros(1500)) ++below_1500us_gaps_;
-    if (gap < config_.train_threshold) {
+    if (gap < kTrainThreshold) {
       ++current_train_;
     } else {
       if (!config_.lite) train_lengths_.push_back(current_train_);

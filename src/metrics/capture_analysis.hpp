@@ -26,8 +26,8 @@ namespace quicsteps::metrics {
 struct GapReport {
   /// All inter-packet gaps in milliseconds, capture order.
   std::vector<double> gaps_ms;
-  /// Fraction of gaps at or below the back-to-back bound (serialization
-  /// delay plus measurement slack).
+  /// Fraction of gaps at or below the back-to-back bound, 30 us
+  /// (serialization delay plus measurement slack).
   double back_to_back_fraction = 0.0;
   /// Fraction of gaps below 1.5 ms (the paper's "majority" observation).
   double below_1500us_fraction = 0.0;
@@ -92,12 +92,6 @@ class CaptureAnalyzer {
   struct Config {
     /// Only packets of this flow (and data kind) are analyzed.
     std::uint32_t flow = 1;
-    /// Gaps at/below this bound count as back-to-back. The theoretical
-    /// minimum at 1 Gbit/s is ~12 us; 30 us absorbs timestamp jitter.
-    sim::Duration back_to_back_bound = sim::Duration::micros(30);
-    /// Gaps below this threshold chain packets into a train (the paper's
-    /// rule: < 0.1 ms).
-    sim::Duration train_threshold = sim::Duration::micros(100);
     /// Lite mode: stream gap/offset samples through Welford accumulators
     /// instead of retaining them — O(1) memory per flow, for fabric-scale
     /// (10k-flow) runs where N full sample vectors don't fit. The finished

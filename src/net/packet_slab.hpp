@@ -116,8 +116,9 @@ class PacketSlab {
   /// (null when none is free — it then allocates one, once), and the NIC
   /// returns the husk after moving the segments out at the driver
   /// boundary. Nothing holds a pool reference while a buffer is in
-  /// flight, so the NIC's unique-ownership fast path (use_count() == 1)
-  /// still fires. The socket moves segments into a husk element by
+  /// flight, so the NIC owns the buffer alone when it segments it (it
+  /// audits use_count() == 1) and moves the segments out instead of
+  /// copying them. The socket moves segments into a husk element by
   /// element, and the stack's batch keeps its capacity too, so control
   /// block and vector capacity both amortize to the in-flight high-water
   /// mark of GSO bursts. (When the husk's vector was replaced by a batch

@@ -6,6 +6,15 @@ namespace quicsteps::obs {
 
 namespace {
 
+/// A no-activity gap longer than this many RTTs is a stall.
+constexpr double kStallRttMultiple = 4.0;
+/// Windows whose |mean wire-stage pacing error| exceeds this are spikes.
+constexpr std::int64_t kSpikeMeanErrorUs = 50'000;
+/// Drop-burst window: at least kDropBurstMinDrops drops and more than
+/// kDropBurstFraction of the packets the bottleneck handled that window.
+constexpr double kDropBurstFraction = 0.05;
+constexpr std::int64_t kDropBurstMinDrops = 8;
+
 /// Fixed six-decimal rendering for the few fractional fields — snprintf,
 /// not ostream, so locale and precision state cannot leak in.
 std::string fixed6(double value) {
@@ -133,7 +142,6 @@ HealthReport build_health_report(const HealthContext& context,
   report.evicted_windows = series->evicted_windows();
 
   // One ordinal walk: totals, the active range, spikes, and bursts.
-  const HealthThresholds& t = context.thresholds;
   std::int64_t first_active = -1;
   std::int64_t last_active = -1;
   for (std::int64_t o = series->begin_ordinal(); o < series->end_ordinal();
@@ -151,15 +159,15 @@ HealthReport build_health_report(const HealthContext& context,
     if (w.stage_count[wire_stage] > 0) {
       const std::int64_t mean =
           w.stage_error_sum_us[wire_stage] / w.stage_count[wire_stage];
-      if (mean > t.spike_mean_error_us || mean < -t.spike_mean_error_us) {
+      if (mean > kSpikeMeanErrorUs || mean < -kSpikeMeanErrorUs) {
         report.pacing_spikes.push_back(
             {o, mean, w.stage_count[wire_stage]});
       }
     }
     const std::int64_t handled = w.dropped_packets + w.delivered_packets;
-    if (w.dropped_packets >= t.drop_burst_min_drops && handled > 0 &&
+    if (w.dropped_packets >= kDropBurstMinDrops && handled > 0 &&
         static_cast<double>(w.dropped_packets) >
-            t.drop_burst_fraction * static_cast<double>(handled)) {
+            kDropBurstFraction * static_cast<double>(handled)) {
       report.drop_bursts.push_back({o, w.dropped_packets,
                                     w.delivered_packets});
     }
@@ -167,7 +175,7 @@ HealthReport build_health_report(const HealthContext& context,
 
   // Stall scan: maximal idle runs strictly inside the active range.
   const std::int64_t stall_ns = static_cast<std::int64_t>(
-      t.stall_rtt_multiple * static_cast<double>(context.rtt.ns()));
+      kStallRttMultiple * static_cast<double>(context.rtt.ns()));
   const std::int64_t width_ns = series->width().ns();
   std::int64_t run_begin = -1;
   for (std::int64_t o = first_active; o >= 0 && o <= last_active; ++o) {

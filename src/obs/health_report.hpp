@@ -11,13 +11,13 @@
 // Detectors:
 //   * stalls        — maximal runs of windows with neither wire activity
 //                     nor delivery, strictly between the first and last
-//                     active window, longer than k*RTT (a dead bottleneck
+//                     active window, longer than 4 RTTs (a dead bottleneck
 //                     mid-run; leading/trailing idle time is not a stall);
 //   * pacing spikes — windows whose mean wire-stage pacing error exceeds
-//                     a threshold (the pacer's intent collapsed);
-//   * drop bursts   — windows where the bottleneck dropped at least
-//                     `min_drops` packets AND more than `fraction` of
-//                     what it handled (loss concentrated in time);
+//                     50 ms (the pacer's intent collapsed);
+//   * drop bursts   — windows where the bottleneck dropped at least 8
+//                     packets AND more than 5% of what it handled (loss
+//                     concentrated in time);
 //   * conservation  — counter rows still holding packets at the end of
 //                     the run (in != out + dropped; in-flight leftovers).
 //
@@ -37,23 +37,11 @@
 
 namespace quicsteps::obs {
 
-struct HealthThresholds {
-  /// A no-activity gap longer than this many RTTs is a stall.
-  double stall_rtt_multiple = 4.0;
-  /// Windows whose |mean wire-stage pacing error| exceeds this are spikes.
-  std::int64_t spike_mean_error_us = 50'000;
-  /// Drop-burst window: at least `min_drops` drops and more than
-  /// `fraction` of the packets the bottleneck handled that window.
-  double drop_burst_fraction = 0.05;
-  std::int64_t drop_burst_min_drops = 8;
-};
-
 /// Everything the builder needs that is not in the telemetry structures
-/// themselves: the path RTT the stall scale hangs off, the thresholds,
-/// and the fleet summary the caller already computed.
+/// themselves: the path RTT the stall scale hangs off and the fleet
+/// summary the caller already computed.
 struct HealthContext {
   sim::Duration rtt;
-  HealthThresholds thresholds;
   std::int64_t flows = 0;
   std::int64_t completed_flows = 0;
   double fairness = 0.0;

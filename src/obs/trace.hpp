@@ -10,14 +10,11 @@
 // (obs/path_timeline.hpp) and exported as path-qlog JSONL or CSV
 // (obs/exporters.hpp).
 //
-// Cost discipline, mirroring check/audit.hpp:
-//   * compile-time gate — every QUICSTEPS_TRACE_SPAN() site compiles to
-//     nothing unless the build defines QUICSTEPS_TRACE_ENABLED (CMake
-//     option QUICSTEPS_TRACE, default ON);
-//   * runtime sink check — an instrumented component holds a TraceBus
-//     pointer that is null unless a run opted in (ExperimentConfig::trace),
-//     so a compiled-in-but-disabled site costs one predictable branch.
-// BENCH_micro's trace_overhead section quantifies both states.
+// Cost discipline: tracing is a runtime choice in every build. An
+// instrumented component holds a TraceBus pointer that is null unless a
+// run opted in (ExperimentConfig::trace), so an untraced run pays one
+// predictable branch per QUICSTEPS_TRACE_SPAN() site. BENCH_micro's
+// trace_overhead section measures both states.
 //
 // Determinism: spans are appended in event-loop execution order, which is a
 // pure function of the seed; component ids are assigned in wiring order.
@@ -41,11 +38,9 @@
 
 namespace quicsteps::obs {
 
-#ifdef QUICSTEPS_TRACE_ENABLED
+/// Not a setting: spans are always compiled in. The constant exists only
+/// because perfbench/src/traced_run.cpp still reads it.
 inline constexpr bool kTraceEnabled = true;
-#else
-inline constexpr bool kTraceEnabled = false;
-#endif
 
 /// Where on the path a span was recorded. Stage order is the nominal path
 /// order of a data packet; a reconstructed timeline need not visit every
@@ -218,13 +213,11 @@ class TraceSource {
   std::uint16_t trace_component_ = 0;
 };
 
-#ifdef QUICSTEPS_TRACE_ENABLED
 /// Publishes a span at stage `stage` for the packet named by the trailing
-/// arguments: a Packet, or a slab and a ref. Compiled to nothing when
-/// the build disables QUICSTEPS_TRACE. Otherwise the bus pointer is read
-/// once into a local and tested with a single branch predicted not-taken:
-/// a compiled-in-but-disabled site is one load + one never-taken jump,
-/// with the publish call laid out out-of-line off the fast path.
+/// arguments: a Packet, or a slab and a ref. The bus pointer is read once
+/// into a local and tested with a single branch predicted not-taken: an
+/// untraced site is one load + one never-taken jump, with the publish call
+/// laid out out-of-line off the fast path.
 #define QUICSTEPS_TRACE_SPAN(bus, stage, component, at, ...)               \
   do {                                                                     \
     ::quicsteps::obs::TraceBus* const qs_span_bus_ = (bus);                \
@@ -234,10 +227,5 @@ class TraceSource {
                                             __VA_ARGS__);                  \
     }                                                                      \
   } while (false)
-#else
-#define QUICSTEPS_TRACE_SPAN(bus, stage, component, at, ...) \
-  do {                                                       \
-  } while (false)
-#endif
 
 }  // namespace quicsteps::obs

@@ -3,8 +3,14 @@
 #include <algorithm>
 
 #include "check/audit.hpp"
+#include "quic/rtt_estimator.hpp"
 
 namespace quicsteps::quic {
+
+namespace {
+/// ACK ranges one ACK carries at most: the newest, plus the oldest.
+constexpr std::size_t kMaxAckBlocks = 32;
+}  // namespace
 
 bool AckManager::on_packet_received(std::uint64_t pn, bool ack_eliciting,
                                     sim::Time now) {
@@ -21,16 +27,15 @@ bool AckManager::on_packet_received(std::uint64_t pn, bool ack_eliciting,
 sim::Time AckManager::ack_deadline() const {
   if (pending_ack_eliciting_ == 0) return sim::Time::infinite();
   if (ack_due_now()) return first_pending_time_;
-  return first_pending_time_ + config_.max_ack_delay;
+  return first_pending_time_ + kMaxAckDelay;
 }
 
 std::shared_ptr<const net::TransportAck> AckManager::build_ack(
     sim::Time now, std::int64_t max_data) {
   auto ack = std::make_shared<net::TransportAck>();
   std::vector<net::AckBlock>& blocks = ack->blocks;
-  blocks.reserve(
-      std::min(received_.interval_count(), config_.max_ack_blocks));
-  received_.to_ack_blocks(config_.max_ack_blocks, blocks);
+  blocks.reserve(std::min(received_.interval_count(), kMaxAckBlocks));
+  received_.to_ack_blocks(kMaxAckBlocks, blocks);
   // RFC 9000 §19.3.1: each range has first <= last, and ranges descend
   // with at least one unacknowledged number between neighbours.
   for (std::size_t i = 0; check::kAuditEnabled && i < blocks.size(); ++i) {

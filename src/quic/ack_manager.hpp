@@ -1,5 +1,5 @@
 // Receiver-side acknowledgment policy (RFC 9000 §13.2): ACK every second
-// ack-eliciting packet, or after max_ack_delay, whichever first. The ACK
+// ack-eliciting packet, or after kMaxAckDelay, whichever first. The ACK
 // frequency shapes ACK clocking on the sender and thus pacing behavior —
 // the paper's background section flags this interaction explicitly.
 #pragma once
@@ -17,8 +17,6 @@ class AckManager {
  public:
   struct Config {
     int ack_eliciting_threshold = 2;  // RFC 9000 recommendation
-    sim::Duration max_ack_delay = sim::Duration::millis(25);
-    std::size_t max_ack_blocks = 32;
   };
 
   AckManager() : AckManager(Config{}) {}

@@ -2,7 +2,7 @@
 //
 // Consumes data packets, maintains the reassembly intervals, and runs the
 // delayed-ACK policy: an ACK goes out after every second ack-eliciting
-// packet or when max_ack_delay expires. ACKs leave through the client's
+// packet or when kMaxAckDelay expires. ACKs leave through the client's
 // egress path (netem +20 ms back to the server).
 #pragma once
 

@@ -8,8 +8,7 @@ namespace quicsteps::quic {
 Connection::Connection(Config config)
     : config_(config),
       cc_(cc::make_controller(config.cc)),
-      pacer_(pacing::make_pacer(config.pacer)),
-      loss_(config.loss) {
+      pacer_(pacing::make_pacer(config.pacer)) {
   peer_max_data_ = config_.flow_control_credit > 0
                        ? config_.flow_control_credit
                        : std::int64_t{1} << 60;
@@ -136,8 +135,7 @@ void Connection::on_ack_packet(const net::Packet& pkt, sim::Time now) {
     largest_acked_ = largest_pkt.pn;
     has_acked_anything_ = true;
     if (largest_pkt.ack_eliciting) {
-      rtt_.update(now - largest_pkt.time_sent, ack.ack_delay,
-                  config_.max_ack_delay);
+      rtt_.update(now - largest_pkt.time_sent, ack.ack_delay);
     }
   }
 

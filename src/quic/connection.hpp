@@ -61,8 +61,6 @@ class Connection {
     /// When true the connection starts with ZERO available bytes and an
     /// AppSource feeds availability over time (chunked / CBR workloads).
     bool app_limited_source = false;
-    sim::Duration max_ack_delay = sim::Duration::millis(25);
-    LossDetection::Config loss;
   };
 
   struct Stats {

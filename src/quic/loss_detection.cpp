@@ -4,10 +4,17 @@
 
 namespace quicsteps::quic {
 
+namespace {
+// RFC 9002 §6.1.1, §6.1.2 and §7.6.1.
+constexpr int kPacketThreshold = 3;
+constexpr double kTimeThreshold = 9.0 / 8.0;
+constexpr int kPersistentCongestionThreshold = 3;
+}  // namespace
+
 sim::Duration LossDetection::loss_delay(const RttEstimator& rtt) const {
   const sim::Duration base = sim::max(rtt.smoothed(), rtt.latest());
-  const auto delay = base * config_.time_threshold;
-  return sim::max(delay, config_.granularity);
+  const auto delay = base * kTimeThreshold;
+  return sim::max(delay, kGranularity);
 }
 
 LossDetection::Result LossDetection::detect(SentPacketMap& map,
@@ -20,7 +27,7 @@ LossDetection::Result LossDetection::detect(SentPacketMap& map,
 
   std::vector<std::uint64_t> to_remove;
   map.for_each_below(largest_acked, [&](const SentPacket& pkt) {
-    if (largest_acked >= pkt.pn + config_.packet_threshold ||
+    if (largest_acked >= pkt.pn + kPacketThreshold ||
         pkt.time_sent <= lost_send_time) {
       to_remove.push_back(pkt.pn);
     } else {
@@ -34,13 +41,13 @@ LossDetection::Result LossDetection::detect(SentPacketMap& map,
   }
 
   // Persistent congestion: the span of consecutive losses exceeds
-  // persistent_congestion_threshold * PTO (RFC 9002 §7.6), only meaningful
+  // kPersistentCongestionThreshold * PTO (RFC 9002 §7.6), only meaningful
   // with RTT samples.
   if (result.lost.size() >= 2 && rtt.has_samples()) {
-    const sim::Duration pto = rtt.pto_interval(config_.max_ack_delay);
+    const sim::Duration pto = rtt.pto_interval();
     const sim::Duration span =
         result.lost.back().time_sent - result.lost.front().time_sent;
-    if (span > pto * config_.persistent_congestion_threshold) {
+    if (span > pto * kPersistentCongestionThreshold) {
       result.persistent_congestion = true;
     }
   }
@@ -52,7 +59,7 @@ sim::Time LossDetection::pto_deadline(const SentPacketMap& map,
                                       int pto_count) const {
   const SentPacket* oldest = map.oldest();
   if (oldest == nullptr) return sim::Time::infinite();
-  sim::Duration interval = rtt.pto_interval(config_.max_ack_delay);
+  sim::Duration interval = rtt.pto_interval();
   for (int i = 0; i < pto_count; ++i) interval = interval * 2;  // backoff
   return oldest->time_sent + interval;
 }

@@ -14,14 +14,6 @@ namespace quicsteps::quic {
 
 class LossDetection {
  public:
-  struct Config {
-    int packet_threshold = 3;          // kPacketThreshold
-    double time_threshold = 9.0 / 8.0; // kTimeThreshold
-    sim::Duration granularity = sim::Duration::millis(1);
-    sim::Duration max_ack_delay = sim::Duration::millis(25);
-    int persistent_congestion_threshold = 3;
-  };
-
   struct Result {
     std::vector<SentPacket> lost;
     bool persistent_congestion = false;
@@ -29,9 +21,6 @@ class LossDetection {
     /// the time threshold; infinite if none.
     sim::Time next_loss_time = sim::Time::infinite();
   };
-
-  LossDetection() : LossDetection(Config{}) {}
-  explicit LossDetection(Config config) : config_(config) {}
 
   /// Scans `map` for packets now considered lost given `largest_acked`.
   /// Lost packets are REMOVED from the map.
@@ -42,12 +31,8 @@ class LossDetection {
   sim::Time pto_deadline(const SentPacketMap& map, const RttEstimator& rtt,
                          int pto_count) const;
 
-  const Config& config() const { return config_; }
-
  private:
   sim::Duration loss_delay(const RttEstimator& rtt) const;
-
-  Config config_;
 };
 
 }  // namespace quicsteps::quic

@@ -2,14 +2,13 @@
 
 namespace quicsteps::quic {
 
-void RttEstimator::update(sim::Duration latest, sim::Duration ack_delay,
-                          sim::Duration max_ack_delay) {
+void RttEstimator::update(sim::Duration latest, sim::Duration ack_delay) {
   latest_ = latest;
   min_ = sim::min(min_, latest);
 
   // Clamp the peer-reported delay and only subtract it when the result
   // stays above min_rtt (RFC 9002 §5.3).
-  ack_delay = sim::min(ack_delay, max_ack_delay);
+  ack_delay = sim::min(ack_delay, kMaxAckDelay);
   sim::Duration adjusted = latest;
   if (adjusted - ack_delay >= min_) adjusted = adjusted - ack_delay;
 
@@ -25,9 +24,8 @@ void RttEstimator::update(sim::Duration latest, sim::Duration ack_delay,
   smoothed_ = (smoothed_ * 7 + adjusted) / 8;
 }
 
-sim::Duration RttEstimator::pto_interval(sim::Duration max_ack_delay) const {
-  const sim::Duration granularity = sim::Duration::millis(1);  // kGranularity
-  return smoothed_ + sim::max(rttvar_ * 4, granularity) + max_ack_delay;
+sim::Duration RttEstimator::pto_interval() const {
+  return smoothed_ + sim::max(rttvar_ * 4, kGranularity) + kMaxAckDelay;
 }
 
 }  // namespace quicsteps::quic

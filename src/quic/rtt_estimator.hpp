@@ -5,12 +5,19 @@
 
 namespace quicsteps::quic {
 
+/// RFC 9002 max_ack_delay: the client's delayed-ACK deadline, and the bound
+/// both transports' RTT updates and PTO computations assume of the peer.
+inline constexpr sim::Duration kMaxAckDelay = sim::Duration::millis(25);
+/// RFC 9002 kGranularity: the timer granularity floor of the PTO and the
+/// loss delay.
+inline constexpr sim::Duration kGranularity = sim::Duration::millis(1);
+
 class RttEstimator {
  public:
-  /// Feeds one RTT sample; `ack_delay` is the peer-reported delay, applied
-  /// per RFC 9002 §5.3 (subtracted only when it keeps the sample >= min).
-  void update(sim::Duration latest, sim::Duration ack_delay,
-              sim::Duration max_ack_delay);
+  /// Feeds one RTT sample; `ack_delay` is the peer-reported delay, clamped
+  /// to kMaxAckDelay and applied per RFC 9002 §5.3 (subtracted only when it
+  /// keeps the sample >= min).
+  void update(sim::Duration latest, sim::Duration ack_delay);
 
   bool has_samples() const { return has_samples_; }
   sim::Duration latest() const { return latest_; }
@@ -19,7 +26,7 @@ class RttEstimator {
   sim::Duration min() const { return min_; }
 
   /// PTO interval per RFC 9002 §6.2.1 (excluding the backoff multiplier).
-  sim::Duration pto_interval(sim::Duration max_ack_delay) const;
+  sim::Duration pto_interval() const;
 
  private:
   bool has_samples_ = false;

@@ -54,17 +54,15 @@ std::uint32_t EventLoop::acquire_slot() {
 
 void EventLoop::note_scheduled(EventClass cls) {
   ++live_count_;
-  if constexpr (kLoopProfilingEnabled) {
-    ++stats_.scheduled[static_cast<std::size_t>(cls)];
-    if (live_count_ > stats_.max_pending) stats_.max_pending = live_count_;
-  }
+  ++stats_.scheduled[static_cast<std::size_t>(cls)];
+  if (live_count_ > stats_.max_pending) stats_.max_pending = live_count_;
 }
 
 void EventLoop::enqueue(const Rec& rec) {
   if (bucket_index(rec.at_ns) < base_idx_ + kBuckets) {
     wheel_insert(rec);
   } else {
-    if constexpr (kLoopProfilingEnabled) ++stats_.overflow_scheduled;
+    ++stats_.overflow_scheduled;
     overflow_.push_back(rec);
     std::push_heap(overflow_.begin(), overflow_.end(), rec_after);
   }
@@ -139,7 +137,7 @@ void EventLoop::deactivate_slot(std::uint32_t slot) {
 void EventLoop::cancel_slot(std::uint32_t slot, std::uint32_t gen) {
   if (!slot_live(slot, gen)) return;
   deactivate_slot(slot);
-  if constexpr (kLoopProfilingEnabled) ++stats_.cancelled;
+  ++stats_.cancelled;
   // The queue record became a tombstone; wheel tombstones are pruned when
   // the cursor reaches them, the overflow top is kept live eagerly.
   clean_overflow_top();
@@ -374,10 +372,8 @@ void EventLoop::execute(const Rec& rec) {
     deactivate_slot(rec.slot);
     release_slot(rec.slot);
   }
-  if constexpr (kLoopProfilingEnabled) {
-    ++stats_.executed[static_cast<std::size_t>(cls)];
-    ++stats_.drain_executed;
-  }
+  ++stats_.executed[static_cast<std::size_t>(cls)];
+  ++stats_.drain_executed;
   advance_now(Time::from_ns(rec.at_ns));
   if (line != kNoLine) {
     // The line's front ran: arm the next entry with its posted (at, seq)
@@ -404,7 +400,7 @@ std::size_t EventLoop::drain_trains(Time deadline) {
     if (head.at_ns > deadline.ns()) break;
     const Rec rec = pop_active();
     ++n;
-    if constexpr (kLoopProfilingEnabled) ++stats_.drain_batched;
+    ++stats_.drain_batched;
     const bool bucket_done = active_idx_ == kNoBucket;
     execute(rec);
     if (bucket_done) {

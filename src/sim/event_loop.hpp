@@ -49,9 +49,7 @@ class EventLoop;
 
 /// Coarse classification of scheduled callbacks, for the loop profile the
 /// observability layer reports (executed-event counts per class). The tag
-/// rides in the queue record's padding bytes, so carrying it is free; the
-/// per-class counters themselves are only maintained when the build defines
-/// QUICSTEPS_TRACE_ENABLED (CMake option QUICSTEPS_TRACE, default ON).
+/// rides in the queue record's padding bytes, so carrying it is free.
 enum class EventClass : std::uint8_t {
   kGeneral = 0,  // work no other class describes
   kTimer,        // timer-service / loss-timer wakeups
@@ -68,15 +66,13 @@ inline constexpr std::size_t kEventClassCount = 8;
 /// Stable lower-case name for reports ("general", "timer", ...).
 const char* to_string(EventClass cls);
 
-#ifdef QUICSTEPS_TRACE_ENABLED
+/// Not a setting: the loop profile is always kept. The constant exists
+/// only because perfbench/src/traced_run.cpp still reads it.
 inline constexpr bool kLoopProfilingEnabled = true;
-#else
-inline constexpr bool kLoopProfilingEnabled = false;
-#endif
 
 /// Deterministic loop profile: pure functions of the executed event
 /// sequence (no wall clocks), so serial and parallel runs of one seed
-/// produce identical profiles. All zeros when profiling is compiled out.
+/// produce identical profiles.
 struct LoopStats {
   std::array<std::uint64_t, kEventClassCount> scheduled{};
   std::array<std::uint64_t, kEventClassCount> executed{};
@@ -224,7 +220,7 @@ class EventLoop {
   /// Time of the earliest pending event, or Time::infinite() when empty.
   Time next_event_time() const;
 
-  /// Deterministic loop profile (all zeros when QUICSTEPS_TRACE is off).
+  /// Deterministic loop profile.
   const LoopStats& stats() const { return stats_; }
 
  private:

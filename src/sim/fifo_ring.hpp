@@ -1,8 +1,8 @@
 // FIFO queue on a power-of-two ring.
 //
 // The one queue shape the simulator's per-component FIFOs share: the
-// event loop's delay lines, FqCodel's packet queue and a QUIC
-// connection's retransmit queue. It allocates nothing until the first
+// event loop's delay lines, FqCodel's and the bottleneck TBF's packet
+// queues and a QUIC connection's retransmit queue. It allocates nothing until the first
 // push and then grows by doubling from one element, so its capacity
 // follows the high-water backlog: an idle queue costs no heap and a
 // shallow one a few bytes (a fleet builds thousands). Elements are small

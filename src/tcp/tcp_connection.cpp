@@ -5,6 +5,14 @@
 
 namespace quicsteps::tcp {
 
+namespace {
+/// SACK reordering window in segments: a hole is lost once this many newer
+/// segments are acked.
+constexpr int kDupackThreshold = 3;
+/// RACK-style reordering window in smoothed RTTs.
+constexpr double kTimeThreshold = 9.0 / 8.0;
+}  // namespace
+
 TcpConnection::TcpConnection(Config config)
     : config_(config),
       total_segments_((config.total_payload_bytes + kPayloadPerSegment - 1) /
@@ -101,7 +109,7 @@ void TcpConnection::on_ack_packet(const net::Packet& pkt, sim::Time now) {
 
   // Karn's rule: no RTT sample from retransmitted segments.
   if (!largest_was_retransmitted) {
-    rtt_.update(now - largest_sent_time, ack.ack_delay, config_.max_ack_delay);
+    rtt_.update(now - largest_sent_time, ack.ack_delay);
   }
 
   run_loss_detection(now);
@@ -119,11 +127,11 @@ void TcpConnection::on_ack_packet(const net::Packet& pkt, sim::Time now) {
 }
 
 void TcpConnection::run_loss_detection(sim::Time now) {
-  // SACK/RACK-style: a hole is lost once `dupack_threshold` newer segments
+  // SACK/RACK-style: a hole is lost once kDupackThreshold newer segments
   // were acked, or once it is older than the reordering time window.
   if (highest_sacked_ == 0 && outstanding_.empty()) return;
   const sim::Duration window =
-      sim::max(rtt_.smoothed(), rtt_.latest()) * config_.time_threshold;
+      sim::max(rtt_.smoothed(), rtt_.latest()) * kTimeThreshold;
   const sim::Time lost_before = now - window;
 
   cc::LossSample sample;
@@ -136,7 +144,7 @@ void TcpConnection::run_loss_detection(sim::Time now) {
     // number, so sequence-distance to newer SACKs says nothing about it —
     // judge it only by the time window from its own (re)send time.
     const bool seq_lost = !info.retransmitted &&
-                          highest_sacked_ >= seq + config_.dupack_threshold;
+                          highest_sacked_ >= seq + kDupackThreshold;
     if (seq_lost || info.time_sent <= lost_before) {
       lost.push_back(seq);
       sample.lost_bytes += info.bytes;
@@ -168,8 +176,7 @@ sim::Time TcpConnection::next_timer_deadline() const {
     // RTO: conservative lower bound of 200 ms (Linux TCP_RTO_MIN), doubled
     // per backoff.
     sim::Duration rto =
-        sim::max(rtt_.pto_interval(config_.max_ack_delay),
-                 sim::Duration::millis(200));
+        sim::max(rtt_.pto_interval(), sim::Duration::millis(200));
     for (int i = 0; i < rto_count_; ++i) rto = rto * 2;
     deadline = sim::min(deadline, outstanding_.begin()->second.time_sent + rto);
   }

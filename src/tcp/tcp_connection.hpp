@@ -37,9 +37,6 @@ class TcpConnection {
     std::int64_t total_payload_bytes = 10 * 1024 * 1024;
     std::uint32_t flow = 2;
     cc::CcConfig cc;  // algorithm; HyStart handled TCP-style below
-    sim::Duration max_ack_delay = sim::Duration::millis(25);
-    int dupack_threshold = 3;  // == SACK reordering window in segments
-    double time_threshold = 9.0 / 8.0;  // RACK-style reordering window
   };
 
   struct Stats {

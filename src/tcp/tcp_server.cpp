@@ -2,11 +2,16 @@
 
 namespace quicsteps::tcp {
 
+namespace {
+/// TSQ limit: segments allowed in the device queue at once.
+constexpr int kTsqBurst = 3;
+}  // namespace
+
 void TcpServer::attempt_send() {
   const sim::Time now = loop_.now();
   int burst = 0;
   while (connection_.has_data_to_send() && !connection_.congestion_blocked()) {
-    if (burst >= config_.tsq_burst) {
+    if (burst >= kTsqBurst) {
       // TSQ: wait for TX completion of the enqueued burst before handing
       // the device more segments.
       if (!tsq_timer_.pending()) {

@@ -2,7 +2,7 @@
 //
 // ACK processing and transmission happen "in the kernel": immediately, with
 // no syscall or timer noise. Burstiness is bounded by a TSQ (TCP Small
-// Queues) model — at most `tsq_burst` segments sit in the device queue at
+// Queues) model — at most three segments sit in the device queue at
 // once, and further sends wait for TX-completion clocking. This produces
 // the short (<=5 packet) trains Table 1 and Figure 3 report for TCP/TLS.
 #pragma once
@@ -17,7 +17,6 @@ class TcpServer : public net::PacketSink {
  public:
   struct Config {
     TcpConnection::Config connection;
-    int tsq_burst = 3;
     /// Device serialization rate used for TX-completion pacing.
     net::DataRate line_rate = net::DataRate::gigabits_per_second(1);
   };

@@ -2,9 +2,12 @@
 //
 // - Per ACK round trip. A quic::Client with flow-control credit renders
 //   every ACK and a quic::Connection consumes it, with enough receiver
-//   gaps that each ACK carries max_ack_blocks ranges (the shape of a long
-//   lossy run). The two allocations a round may make are the shared
+//   gaps that each ACK carries the 32 ranges an ACK may hold (the shape of
+//   a long lossy run). The two allocations a round may make are the shared
 //   TransportAck and its exact-size block vector.
+// - Per packet through the bottleneck. A saturated kernel::TbfQdisc moves
+//   a long stream through its FIFO into a sink; once its queue has grown
+//   to the backlog's high-water mark it allocates nothing.
 // - Per fleet flow at construction. A 1,000-flow network shaped like
 //   perfbench's fabric_10k (ideal QUIC over FqCodel) is built, and the
 //   allocations and bytes are divided by the flow count.
@@ -27,7 +30,10 @@
 #include <vector>
 
 #include "framework/flows.hpp"
+#include "kernel/qdisc_tbf.hpp"
+#include "net/data_rate.hpp"
 #include "net/packet.hpp"
+#include "net/packet_slab.hpp"
 #include "quic/client.hpp"
 #include "quic/connection.hpp"
 #include "sim/event_loop.hpp"
@@ -131,7 +137,7 @@ TEST(AckAllocations, AtMostTwoPerAckRound) {
   const std::uint64_t allocations = g_allocations.load() - before;
 
   EXPECT_EQ(path.sink.acks - acks_before, kRounds);  // one ACK per round
-  EXPECT_EQ(path.sink.min_blocks, AckManager::Config{}.max_ack_blocks);
+  EXPECT_EQ(path.sink.min_blocks, std::size_t{32});  // the ACK block cap
   EXPECT_TRUE(path.sink.granted);
   const double per_round = static_cast<double>(allocations) / kRounds;
   std::printf("heap allocations per ACK round: %.3f\n", per_round);
@@ -140,6 +146,58 @@ TEST(AckAllocations, AtMostTwoPerAckRound) {
 
 }  // namespace
 }  // namespace quicsteps::quic
+
+namespace quicsteps::kernel {
+namespace {
+
+using namespace quicsteps::sim::literals;
+
+/// Counts the packets the TBF releases and lets each one go.
+class CountingSink final : public net::PacketSink {
+ public:
+  void deliver(net::Packet) override { ++packets; }
+  std::int64_t packets = 0;
+};
+
+TEST(TbfQueue, SaturatedBottleneckAllocatesNothingPerPacket) {
+  // A source offers a 1500-byte packet every 200 us to a 40 Mbit/s TBF,
+  // which releases one every 300 us: the FIFO fills to its 200 kB limit
+  // and every packet that is not dropped moves through it. After warm-up
+  // the queue, the slab and the event wheel hold their high-water marks,
+  // so forwarding a packet must not touch the heap.
+  sim::EventLoop loop;
+  net::PacketSlab slab;
+  CountingSink sink;
+  TbfQdisc tbf(loop, slab,
+               {.rate = net::DataRate::megabits_per_second(40),
+                .burst_bytes = 2 * 1514,
+                .limit_bytes = 200 * 1000},
+               &sink);
+  net::Packet offered;
+  offered.size_bytes = 1500;
+  sim::Time now = sim::Time::zero();
+  const auto offer = [&](int packets) {
+    for (int i = 0; i < packets; ++i) {
+      now += 200_us;
+      loop.run_until(now);
+      tbf.deliver(offered);
+    }
+  };
+  offer(10'000);  // warm-up: 2 s of offered load
+
+  const std::int64_t released_before = sink.packets;
+  const std::uint64_t before = g_allocations.load();
+  offer(100'000);
+  const std::uint64_t allocations = g_allocations.load() - before;
+
+  // 20 s at 40 Mbit/s releases about 66,667 packets.
+  EXPECT_GT(sink.packets - released_before, 66'000);
+  EXPECT_GT(tbf.counters().packets_dropped, 0);
+  EXPECT_EQ(allocations, 0u);
+}
+
+}  // namespace
+}  // namespace quicsteps::kernel
 
 namespace quicsteps::framework {
 namespace {

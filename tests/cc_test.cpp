@@ -103,8 +103,8 @@ TEST(NewReno, NoGrowthDuringRecovery) {
 
 // ------------------------------------------------------------------ CUBIC
 
-Cubic::Config cubic_no_hystart() {
-  Cubic::Config cfg;
+CcConfig cubic_no_hystart() {
+  CcConfig cfg;
   cfg.hystart = false;
   return cfg;
 }
@@ -174,7 +174,7 @@ TEST(CubicTest, GrowthIsCubicNotLinear) {
 }
 
 TEST(CubicTest, CwndValidationFreezesOnlyInCongestionAvoidance) {
-  Cubic::Config cfg = cubic_no_hystart();
+  CcConfig cfg = cubic_no_hystart();
   cfg.require_cwnd_limited_growth = true;
   Cubic cubic(cfg);
   // Slow start is exempt: the window must still grow while app-limited.
@@ -202,7 +202,7 @@ TEST(CubicTest, CwndValidationFreezesOnlyInCongestionAvoidance) {
 }
 
 TEST(CubicTest, RollbackRestoresCheckpointOnSmallLoss) {
-  Cubic::Config cfg = cubic_no_hystart();
+  CcConfig cfg = cubic_no_hystart();
   cfg.spurious_loss_rollback = true;
   cfg.rollback_threshold_packets = 5;
   Cubic cubic(cfg);
@@ -220,7 +220,7 @@ TEST(CubicTest, RollbackRestoresCheckpointOnSmallLoss) {
 }
 
 TEST(CubicTest, NoRollbackOnLargeLoss) {
-  Cubic::Config cfg = cubic_no_hystart();
+  CcConfig cfg = cubic_no_hystart();
   cfg.spurious_loss_rollback = true;
   cfg.rollback_threshold_packets = 5;
   Cubic cubic(cfg);
@@ -235,7 +235,7 @@ TEST(CubicTest, NoRollbackOnLargeLoss) {
 }
 
 TEST(CubicTest, RollbackDisabledBySfPatch) {
-  Cubic::Config cfg = cubic_no_hystart();
+  CcConfig cfg = cubic_no_hystart();
   cfg.spurious_loss_rollback = false;  // the paper's SF patch
   Cubic cubic(cfg);
   cubic.on_ack(ack_at(Time::zero() + 40_ms, 30 * kMaxDatagramSize,
@@ -252,7 +252,7 @@ TEST(CubicTest, PerpetualRollbackOscillation) {
   // The pathological cycle from the paper's Appendix A: small loss ->
   // reduce -> rollback -> small loss -> ... The window must oscillate
   // between two values instead of converging.
-  Cubic::Config cfg = cubic_no_hystart();
+  CcConfig cfg = cubic_no_hystart();
   cfg.spurious_loss_rollback = true;
   Cubic cubic(cfg);
   cubic.on_ack(ack_at(Time::zero() + 40_ms, 30 * kMaxDatagramSize,

@@ -295,9 +295,6 @@ TEST(DeterminismHash, SerialEqualsParallelAcrossStacksAndSeeds) {
 }
 
 TEST(DeterminismHash, TracedRunsExportByteIdenticalSerialVsParallel) {
-  if (!obs::kTraceEnabled) {
-    GTEST_SKIP() << "built with -DQUICSTEPS_TRACE=OFF";
-  }
   // Path tracing must not perturb the schedule (wire_hash unchanged by
   // --trace) and the exported artifacts themselves must be reproducible
   // bytes: the parallel worker pool and a serial run of the same

@@ -271,13 +271,11 @@ TEST(TelemetryFleet, FleetSketchesArePinnedAtScale) {
   EXPECT_EQ(fct->second.to_string(),
             "count=652 sum=137489603 min=74620 max=466880 p50=176127 "
             "p90=352255 p99=450559 p999=466943");
-  if (obs::kTraceEnabled) {
-    const auto pacing = sketches.find("fleet/pacing_error_us/wire");
-    ASSERT_NE(pacing, sketches.end());
-    EXPECT_EQ(pacing->second.to_string(),
-              "count=49 sum=1166 min=22 max=24 p50=24 p90=24 p99=24 "
-              "p999=24");
-  }
+  const auto pacing = sketches.find("fleet/pacing_error_us/wire");
+  ASSERT_NE(pacing, sketches.end());
+  EXPECT_EQ(pacing->second.to_string(),
+            "count=49 sum=1166 min=22 max=24 p50=24 p90=24 p99=24 "
+            "p999=24");
 }
 
 TEST(TelemetryFleet, SampledTracingLeavesTheWireUntouched) {
@@ -303,26 +301,22 @@ TEST(TelemetryFleet, SampledTracingLeavesTheWireUntouched) {
     EXPECT_EQ(base.flows[f].wire_hash, traced.flows[f].wire_hash) << f;
   }
 
-  if (obs::kTraceEnabled) {
-    // Deterministic subset: exactly the flows the sampler picks carry a
-    // trace, and both runs' packet books agree.
-    const obs::FlowSampler sampler(sampled.seed, sampled.trace_sample);
-    std::size_t traced_flows = 0;
-    for (std::size_t f = 0; f < traced.flows.size(); ++f) {
-      const bool has_trace = traced.flows[f].trace != nullptr;
-      // Multi-flow fabrics assign wire ids 10, 11, ... in flows[] order.
-      EXPECT_EQ(has_trace,
-                sampler.sampled(static_cast<std::uint32_t>(10 + f)))
-          << f;
-      traced_flows += has_trace ? 1 : 0;
-    }
-    EXPECT_GT(traced_flows, 0u);
-    EXPECT_LT(traced_flows, traced.flows.size());
+  // Deterministic subset: exactly the flows the sampler picks carry a
+  // trace, and both runs' packet books agree.
+  const obs::FlowSampler sampler(sampled.seed, sampled.trace_sample);
+  std::size_t traced_flows = 0;
+  for (std::size_t f = 0; f < traced.flows.size(); ++f) {
+    const bool has_trace = traced.flows[f].trace != nullptr;
+    // Multi-flow fabrics assign wire ids 10, 11, ... in flows[] order.
+    EXPECT_EQ(has_trace, sampler.sampled(static_cast<std::uint32_t>(10 + f)))
+        << f;
+    traced_flows += has_trace ? 1 : 0;
   }
+  EXPECT_GT(traced_flows, 0u);
+  EXPECT_LT(traced_flows, traced.flows.size());
 }
 
 TEST(TelemetryFleet, SketchTailMatchesExactQuantilesOfTheRun) {
-  if (!obs::kTraceEnabled) GTEST_SKIP() << "trace compiled out";
   // Full-sample cross-check on a real run: trace every flow, rebuild the
   // exact wire-stage pacing-error population from the spans, and require
   // the fleet sketch's p50/p99 to land within one log bucket of the

@@ -360,9 +360,6 @@ ExperimentConfig traced_config() {
 }
 
 TEST(TraceEndToEnd, EveryPacedPacketChainsToDeliveryOrDrop) {
-  if (!obs::kTraceEnabled) {
-    GTEST_SKIP() << "built with -DQUICSTEPS_TRACE=OFF";
-  }
   const auto run = Runner::run_once(traced_config(), 1);
   ASSERT_TRUE(run.completed);
   ASSERT_NE(run.trace, nullptr);
@@ -391,9 +388,6 @@ TEST(TraceEndToEnd, EveryPacedPacketChainsToDeliveryOrDrop) {
 }
 
 TEST(TraceEndToEnd, WireSpansMatchTheCaptureAndPrecisionAnalyzer) {
-  if (!obs::kTraceEnabled) {
-    GTEST_SKIP() << "built with -DQUICSTEPS_TRACE=OFF";
-  }
   const auto run = Runner::run_once(traced_config(), 1);
   ASSERT_NE(run.trace, nullptr);
   ASSERT_NE(run.capture, nullptr);
@@ -441,9 +435,6 @@ TEST(TraceEndToEnd, WireSpansMatchTheCaptureAndPrecisionAnalyzer) {
 }
 
 TEST(TraceEndToEnd, RepeatedRunsExportIdenticalBytes) {
-  if (!obs::kTraceEnabled) {
-    GTEST_SKIP() << "built with -DQUICSTEPS_TRACE=OFF";
-  }
   const auto a = Runner::run_once(traced_config(), 1);
   const auto b = Runner::run_once(traced_config(), 1);
   ASSERT_NE(a.trace, nullptr);

@@ -251,7 +251,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(CubicRfc, KMatchesClosedForm) {
   // After a congestion event at window W, K = cbrt(W*(1-beta)/C) seconds
   // (RFC 9438 §4.2, in MSS units).
-  cc::Cubic::Config cfg;
+  cc::CcConfig cfg;
   cfg.hystart = false;
   cc::Cubic cubic(cfg);
 
@@ -288,7 +288,7 @@ TEST(CubicRfc, KMatchesClosedForm) {
 }
 
 TEST(CubicRfc, BetaReductionIsExact) {
-  cc::Cubic::Config cfg;
+  cc::CcConfig cfg;
   cfg.hystart = false;
   cc::Cubic cubic(cfg);
   const auto before = cubic.cwnd_bytes();

@@ -96,7 +96,7 @@ TEST(ByteIntervalSet, GapBlocksPrefix) {
 
 TEST(RttEstimator, FirstSampleInitializes) {
   RttEstimator rtt;
-  rtt.update(40_ms, Duration::zero(), 25_ms);
+  rtt.update(40_ms, Duration::zero());
   EXPECT_EQ(rtt.smoothed(), 40_ms);
   EXPECT_EQ(rtt.rttvar(), 20_ms);
   EXPECT_EQ(rtt.min(), 40_ms);
@@ -104,31 +104,31 @@ TEST(RttEstimator, FirstSampleInitializes) {
 
 TEST(RttEstimator, EwmaConverges) {
   RttEstimator rtt;
-  rtt.update(40_ms, Duration::zero(), 25_ms);
-  for (int i = 0; i < 100; ++i) rtt.update(50_ms, Duration::zero(), 25_ms);
+  rtt.update(40_ms, Duration::zero());
+  for (int i = 0; i < 100; ++i) rtt.update(50_ms, Duration::zero());
   EXPECT_NEAR(rtt.smoothed().to_millis(), 50.0, 1.0);
   EXPECT_EQ(rtt.min(), 40_ms);
 }
 
 TEST(RttEstimator, AckDelaySubtractedOnlyAboveMin) {
   RttEstimator rtt;
-  rtt.update(40_ms, Duration::zero(), 25_ms);
+  rtt.update(40_ms, Duration::zero());
   // 45 ms sample with 10 ms ack delay -> adjusted 35 ms would dip below
   // min (40 ms), so the raw sample must be used.
-  rtt.update(45_ms, 10_ms, 25_ms);
+  rtt.update(45_ms, 10_ms);
   EXPECT_GT(rtt.smoothed(), 39_ms);
   // 60 ms sample with 10 ms delay -> adjusted 50 ms, still >= min.
   RttEstimator rtt2;
-  rtt2.update(40_ms, Duration::zero(), 25_ms);
-  rtt2.update(60_ms, 10_ms, 25_ms);
+  rtt2.update(40_ms, Duration::zero());
+  rtt2.update(60_ms, 10_ms);
   EXPECT_LT(rtt2.smoothed(), 43_ms);  // (40*7 + 50)/8 = 41.25
 }
 
 TEST(RttEstimator, PtoIntervalFormula) {
   RttEstimator rtt;
-  rtt.update(40_ms, Duration::zero(), 25_ms);
+  rtt.update(40_ms, Duration::zero());
   // srtt + max(4*rttvar, 1ms) + max_ack_delay = 40 + 80 + 25.
-  EXPECT_EQ(rtt.pto_interval(25_ms), 145_ms);
+  EXPECT_EQ(rtt.pto_interval(), 145_ms);
 }
 
 // ------------------------------------------------------------- AckManager
@@ -182,7 +182,7 @@ TEST(LossDetectionTest, PacketThresholdDeclaresLoss) {
     map.add(sent_pkt(pn, Time::zero() + Duration::millis(pn)));
   }
   RttEstimator rtt;
-  rtt.update(40_ms, Duration::zero(), 25_ms);
+  rtt.update(40_ms, Duration::zero());
   LossDetection ld;
   // largest acked = 5: packets 1 and 2 are >= 3 behind.
   auto result = ld.detect(map, 5, rtt, Time::zero() + 10_ms);
@@ -197,7 +197,7 @@ TEST(LossDetectionTest, TimeThresholdDeclaresLoss) {
   map.add(sent_pkt(1, Time::zero() + 1_ms));
   map.add(sent_pkt(2, Time::zero() + 100_ms));
   RttEstimator rtt;
-  rtt.update(40_ms, Duration::zero(), 25_ms);
+  rtt.update(40_ms, Duration::zero());
   LossDetection ld;
   // largest acked = 2 (pn 1 only 1 behind, below packet threshold), but
   // pn 1 was sent 9/8*40=45 ms before now -> time threshold fires.
@@ -210,7 +210,7 @@ TEST(LossDetectionTest, SetsNextLossTimeForYoungPackets) {
   SentPacketMap map;
   map.add(sent_pkt(1, Time::zero() + 30_ms));
   RttEstimator rtt;
-  rtt.update(40_ms, Duration::zero(), 25_ms);
+  rtt.update(40_ms, Duration::zero());
   LossDetection ld;
   auto result = ld.detect(map, 2, rtt, Time::zero() + 40_ms);
   EXPECT_TRUE(result.lost.empty());
@@ -222,7 +222,7 @@ TEST(LossDetectionTest, PersistentCongestionOnLongSpan) {
   map.add(sent_pkt(1, Time::zero() + 10_ms));
   map.add(sent_pkt(2, Time::zero() + 800_ms));
   RttEstimator rtt;
-  rtt.update(40_ms, Duration::zero(), 25_ms);  // PTO = 145 ms, 3*PTO = 435 ms
+  rtt.update(40_ms, Duration::zero());  // PTO = 145 ms, 3*PTO = 435 ms
   LossDetection ld;
   auto result = ld.detect(map, 6, rtt, Time::zero() + 900_ms);
   ASSERT_EQ(result.lost.size(), 2u);
@@ -233,7 +233,7 @@ TEST(LossDetectionTest, PtoBacksOffExponentially) {
   SentPacketMap map;
   map.add(sent_pkt(1, Time::zero()));
   RttEstimator rtt;
-  rtt.update(40_ms, Duration::zero(), 25_ms);
+  rtt.update(40_ms, Duration::zero());
   LossDetection ld;
   const Time pto0 = ld.pto_deadline(map, rtt, 0);
   const Time pto2 = ld.pto_deadline(map, rtt, 2);

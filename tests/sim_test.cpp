@@ -196,7 +196,7 @@ TEST(EventLoop, MemberCallbackGetsThePayloadAndItsOwnClassPointer) {
   loop.run();
   EXPECT_EQ(both.got, std::vector<std::uint32_t>{7});
   EXPECT_EQ(loop.stats().executed[static_cast<std::size_t>(EventClass::kQueue)],
-            kLoopProfilingEnabled ? 1u : 0u);
+            1u);
 }
 
 TEST(EventLoop, NextEventTimeSkipsCancelled) {

@@ -175,9 +175,6 @@ TEST(DrainChannel, InterleavesWithSlottedEventsInScheduleOrder) {
 }
 
 TEST(DrainChannel, TrainLoopBatchesConsecutiveDrainRecords) {
-  if (!sim::kLoopProfilingEnabled) {
-    GTEST_SKIP() << "built with -DQUICSTEPS_TRACE=OFF";
-  }
   EventLoop loop;
   std::vector<int> order;
   const sim::DrainId ch =
@@ -204,9 +201,6 @@ TEST(DrainChannel, TrainLoopRunsEveryRecordKindEndToEnd) {
   // Every record kind rides the train loop, so on a whole run nearly every
   // executed record is batched: FqCodel's per-packet drain, the TCP
   // timers, ETF's per-packet release and the GRO flush included.
-  if (!sim::kLoopProfilingEnabled) {
-    GTEST_SKIP() << "built with -DQUICSTEPS_TRACE=OFF";
-  }
   using framework::QdiscKind;
   using framework::StackKind;
   struct Case {

@@ -4,16 +4,13 @@
 //   quicsteps-analyze [--root DIR] [--include-base DIR] [--layers FILE|-]
 //                     [--baseline FILE]... [--rules fam1,fam2]
 //                     [--sarif FILE] [--fix-baseline] [--list-rules]
-//                     [--no-exit-code] [PATHS...]
+//                     [PATHS...]
 //
 // Defaults: scans <root>/src and <root>/tools/analyze (self-hosting) with
 // <root>/tools/analyze/layers.json and <root>/tools/analyze/baseline.txt.
 // --fix-baseline rewrites the baseline file(s) in place, dropping stale
 // entries. Exit status: 0 clean (baselined findings do not
 // fail the run), 1 unbaselined findings, 2 bad invocation/configuration.
-// --no-exit-code reports findings but exits 0 anyway — for the CI diff
-// gate, which analyzes the merge base (whose findings must not fail the
-// job; only NEW findings in the head do, via tools/analyze_diff.py).
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -31,8 +28,7 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s [--root DIR] [--include-base DIR] [--layers FILE|-]\n"
       "          [--baseline FILE]... [--rules fam1,fam2] [--sarif FILE]\n"
-      "          [--fix-baseline] [--list-rules] [--no-exit-code]\n"
-      "          [PATHS...]\n",
+      "          [--fix-baseline] [--list-rules] [PATHS...]\n",
       argv0);
   return 2;
 }
@@ -59,7 +55,6 @@ int main(int argc, char** argv) {
   Options options;
   std::string sarif_path;
   bool list_rules = false;
-  bool no_exit_code = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -96,8 +91,6 @@ int main(int argc, char** argv) {
       options.fix_baseline = true;
     } else if (arg == "--list-rules") {
       list_rules = true;
-    } else if (arg == "--no-exit-code") {
-      no_exit_code = true;
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
@@ -158,6 +151,5 @@ int main(int argc, char** argv) {
                    result.files_scanned, result.rules_run,
                    result.active_count, result.baselined_count, elapsed_ms)
                    .c_str());
-  if (no_exit_code) return 0;
   return result.active_count > 0 ? 1 : 0;
 }
