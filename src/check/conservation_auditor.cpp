@@ -1,6 +1,5 @@
 #include "check/conservation_auditor.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <utility>
 
@@ -91,30 +90,6 @@ std::vector<std::string> ConservationAuditor::audit() const {
     audit_fail(__FILE__, __LINE__, "conservation", violation);
   }
   return found;
-}
-
-std::string ConservationAuditor::to_string() const {
-  std::vector<const Stage*> ordered;
-  ordered.reserve(stages_.size());
-  for (const Stage& stage : stages_) ordered.push_back(&stage);
-  std::stable_sort(ordered.begin(), ordered.end(),
-                   [](const Stage* a, const Stage* b) {
-                     return a->name < b->name;
-                   });
-  std::string out;
-  for (const Stage* stage : ordered) {
-    const net::Counters& c = *stage->counters;
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  ": in=%lld out=%lld dropped=%lld queued=%lld\n",
-                  static_cast<long long>(c.packets_in),
-                  static_cast<long long>(c.packets_out),
-                  static_cast<long long>(c.packets_dropped),
-                  static_cast<long long>(c.packets_queued()));
-    out += stage->name;
-    out += buf;
-  }
-  return out;
 }
 
 }  // namespace quicsteps::check

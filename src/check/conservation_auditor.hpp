@@ -54,10 +54,6 @@ class ConservationAuditor {
   /// Returns the violations for callers that want them anyway.
   std::vector<std::string> audit() const;
 
-  /// Per-stage counter table in sorted name order (deterministic emission
-  /// regardless of registration order).
-  std::string to_string() const;
-
  private:
   struct Stage {
     std::string name;

@@ -38,9 +38,6 @@ Aggregate aggregate(const std::string& label,
                               run.gaps.gaps_ms.end());
     for (const auto& [len, packets] : run.trains.packets_by_length) {
       agg.pooled_packets_by_length[len] += packets;
-      for (std::int64_t i = 0; i < packets; ++i) {
-        agg.pooled_train_lengths.push_back(static_cast<double>(len));
-      }
     }
     agg.pooled_total_packets += run.trains.total_packets;
   }

@@ -29,16 +29,11 @@ struct Aggregate {
 
   /// Pooled per-packet gap samples (ms) across repetitions.
   std::vector<double> pooled_gaps_ms;
-  /// Pooled per-packet train lengths across repetitions.
-  std::vector<double> pooled_train_lengths;
   /// Pooled packets-per-train-length histogram.
   std::map<std::size_t, std::int64_t> pooled_packets_by_length;
   std::int64_t pooled_total_packets = 0;
 
   metrics::Cdf gap_cdf() const { return metrics::Cdf(pooled_gaps_ms); }
-  metrics::Cdf train_cdf() const {
-    return metrics::Cdf(pooled_train_lengths);
-  }
   double fraction_in_trains_up_to(std::size_t n) const;
 };
 

@@ -102,7 +102,6 @@ class BottleneckPath {
   const kernel::TbfQdisc& bottleneck() const { return bottleneck_; }
   const kernel::NetemQdisc& data_netem() const { return data_netem_; }
   const kernel::NetemQdisc& ack_netem() const { return ack_netem_; }
-  kernel::OsModel& client_os() { return client_os_; }
 
   /// Total bottleneck drops — the paper's "dropped packets" column.
   std::int64_t bottleneck_drops() const {

@@ -22,18 +22,14 @@ struct OsTimingConfig {
   sim::Duration syscall_jitter_mean = sim::Duration::micros(1);
   sim::Duration syscall_jitter_cap = sim::Duration::micros(30);
 
-  /// Per-packet CPU cost of building/encrypting a QUIC packet in user space.
-  sim::Duration packet_build_cost = sim::Duration::micros(2);
-
   /// High-resolution kernel timer (hrtimer) slack: applies to qdisc watchdog
   /// wakeups (FQ/ETF release timers).
   sim::Duration hrtimer_slack_mean = sim::Duration::micros(30);
   sim::Duration hrtimer_slack_stddev = sim::Duration::micros(55);
 
-  /// Occasional softirq/scheduling hiccup affecting kernel releases.
+  /// Chance of a softirq/scheduling hiccup delaying a kernel release (its
+  /// size is drawn in draw_kernel_release_delay).
   double softirq_delay_chance = 0.08;
-  sim::Duration softirq_delay_mean = sim::Duration::micros(250);
-  sim::Duration softirq_delay_cap = sim::Duration::millis(2);
 
   /// Wakeup latency for a user-space thread blocked in epoll/select when a
   /// datagram arrives.

@@ -49,10 +49,7 @@ class UdpSocket : public obs::TraceSource {
   /// this with GSO). Leaves `packets` empty with its capacity.
   sim::Duration sendmmsg(std::vector<net::Packet>& packets);
 
-  void set_egress(net::PacketSink* egress) { egress_ = egress; }
-
   const net::Counters& counters() const { return counters_; }
-  std::uint64_t gso_buffers_sent() const { return next_gso_id_ - 1; }
   std::uint64_t syscalls() const { return syscalls_; }
 
  private:

@@ -26,14 +26,6 @@ std::size_t TrainReport::max_train_length() const {
   return packets_by_length.empty() ? 0 : packets_by_length.rbegin()->first;
 }
 
-double TrainReport::mean_train_length() const {
-  if (train_lengths.empty()) return 0.0;
-  std::int64_t sum = 0;
-  for (auto len : train_lengths) sum += static_cast<std::int64_t>(len);
-  return static_cast<double>(sum) /
-         static_cast<double>(train_lengths.size());
-}
-
 Cdf TrainReport::packet_train_cdf() const {
   std::vector<double> per_packet;
   per_packet.reserve(static_cast<std::size_t>(total_packets));

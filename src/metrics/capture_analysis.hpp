@@ -54,8 +54,6 @@ struct TrainReport {
   /// Fraction of packets in trains of length <= n.
   double fraction_in_trains_up_to(std::size_t n) const;
   std::size_t max_train_length() const;
-  /// Mean train length (packet-weighted = paper's view when false).
-  double mean_train_length() const;
   /// CDF over per-packet train lengths.
   Cdf packet_train_cdf() const;
 };
@@ -157,7 +155,6 @@ class FlowCaptureDemux {
   int add(const net::Packet& pkt);
 
   std::size_t flow_count() const { return slots_.size(); }
-  std::uint32_t flow_at(std::size_t slot) const { return slots_[slot].flow; }
 
   /// Per-flow reports, by slot index. Non-destructive, like
   /// CaptureAnalyzer::finish().

@@ -64,7 +64,6 @@ class Cdf {
   double quantile(double p) const;
 
   std::size_t count() const { return sorted_.size(); }
-  const std::vector<double>& sorted_samples() const { return sorted_; }
 
   /// Evenly spaced (x, F(x)) points for plotting/reporting.
   std::vector<std::pair<double, double>> curve(std::size_t points) const;

@@ -17,9 +17,6 @@ class DataRate {
   static constexpr DataRate bits_per_second(std::int64_t bps) {
     return DataRate(bps);
   }
-  static constexpr DataRate kilobits_per_second(std::int64_t kbps) {
-    return DataRate(kbps * 1'000);
-  }
   static constexpr DataRate megabits_per_second(std::int64_t mbps) {
     return DataRate(mbps * 1'000'000);
   }

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -118,19 +117,6 @@ class PacketSink {
   /// default is an endpoint's: it takes the packet out of the slab and
   /// calls deliver(Packet).
   virtual void deliver_ref(PacketSlab& slab, std::uint32_t ref);
-};
-
-/// Adapter turning any callable into a sink (wiring glue for topologies).
-class CallbackSink final : public PacketSink {
- public:
-  using Fn = std::function<void(Packet)>;
-  explicit CallbackSink(Fn fn) : fn_(std::move(fn)) {}
-  void deliver(Packet pkt) override {
-    if (fn_) fn_(std::move(pkt));
-  }
-
- private:
-  Fn fn_;
 };
 
 /// A sink that appends every packet to a vector (test helper and capture

@@ -134,8 +134,6 @@ class PacketSlab {
   void put_gso_buffer(std::shared_ptr<std::vector<Packet>> buf) {
     gso_buffers_.push_back(std::move(buf));
   }
-  /// Buffers resting in the pool (test hook).
-  std::size_t gso_buffers_pooled() const { return gso_buffers_.size(); }
 
  private:
   /// One 12-byte entry per slot: the generation check and the fields the

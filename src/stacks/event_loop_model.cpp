@@ -6,6 +6,10 @@ namespace quicsteps::stacks {
 
 namespace {
 
+// Per-packet CPU cost of building and encrypting a QUIC packet in user
+// space.
+constexpr sim::Duration kPacketBuildCost = sim::Duration::micros(2);
+
 quic::Connection::Config merge_config(quic::Connection::Config base,
                                       const StackProfile& profile) {
   base.cc = profile.cc;
@@ -119,7 +123,7 @@ void StackServer::send_with_txtime() {
     pkt.has_txtime = true;
     pkt.txtime = release + profile_.txtime_headroom;
     pkt.expected_send_time = pkt.txtime;
-    stats_.cpu_time += os_.config().packet_build_cost;
+    stats_.cpu_time += kPacketBuildCost;
     QUICSTEPS_TRACE_SPAN(trace_bus_, obs::TraceStage::kPacerRelease,
                          trace_component_, now, pkt);
 
@@ -182,7 +186,7 @@ void StackServer::send_waiting() {
       }
       const sim::Time r = connection_.pacer_release_time(now);
       net::Packet pkt = connection_.build_packet(now, sim::max(now, r));
-      stats_.cpu_time += os_.config().packet_build_cost;
+      stats_.cpu_time += kPacketBuildCost;
       QUICSTEPS_TRACE_SPAN(trace_bus_, obs::TraceStage::kPacerRelease,
                            trace_component_, now, pkt);
       charge_syscall();

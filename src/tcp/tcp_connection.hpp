@@ -66,7 +66,6 @@ class TcpConnection {
   const quic::RttEstimator& rtt() const { return rtt_; }
   std::int64_t bytes_in_flight() const { return bytes_in_flight_; }
   std::int64_t cwnd_bytes() const { return cc_->cwnd_bytes(); }
-  std::int64_t total_segments() const { return total_segments_; }
 
  private:
   struct Outstanding {

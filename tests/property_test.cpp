@@ -159,19 +159,19 @@ TEST_P(QdiscInvariants, ConservationAndOrder) {
   }
 }
 
+// A static table rather than Values(...) temporaries: gtest prints the
+// unprintable param's raw bytes, padding included, into the full test
+// name, and temporaries carry stack garbage in that padding. Static
+// storage zeroes it, so the ctest names are the same in every build.
+constexpr QdiscProperty kQdiscProperties[] = {
+    {QdiscUnderTest::kFifo, 1},  {QdiscUnderTest::kFifo, 2},
+    {QdiscUnderTest::kFq, 3},    {QdiscUnderTest::kFq, 4},
+    {QdiscUnderTest::kEtf, 5},   {QdiscUnderTest::kEtf, 6},
+    {QdiscUnderTest::kTbf, 7},   {QdiscUnderTest::kTbf, 8},
+    {QdiscUnderTest::kNetem, 9}, {QdiscUnderTest::kFqCodel, 10}};
+
 INSTANTIATE_TEST_SUITE_P(
-    AllQdiscs, QdiscInvariants,
-    ::testing::Values(
-        QdiscProperty{QdiscUnderTest::kFifo, 1},
-        QdiscProperty{QdiscUnderTest::kFifo, 2},
-        QdiscProperty{QdiscUnderTest::kFq, 3},
-        QdiscProperty{QdiscUnderTest::kFq, 4},
-        QdiscProperty{QdiscUnderTest::kEtf, 5},
-        QdiscProperty{QdiscUnderTest::kEtf, 6},
-        QdiscProperty{QdiscUnderTest::kTbf, 7},
-        QdiscProperty{QdiscUnderTest::kTbf, 8},
-        QdiscProperty{QdiscUnderTest::kNetem, 9},
-        QdiscProperty{QdiscUnderTest::kFqCodel, 10}),
+    AllQdiscs, QdiscInvariants, ::testing::ValuesIn(kQdiscProperties),
     [](const auto& info) {
       return std::string(name_of(info.param.qdisc)) + "_seed" +
              std::to_string(info.param.seed);

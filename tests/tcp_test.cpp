@@ -127,15 +127,10 @@ struct TcpHarness {
   kernel::NetemQdisc data_netem;
   TcpClient client;
 
-  net::CallbackSink to_client{
-      [this](Packet pkt) { client.on_datagram(pkt); }};
-  net::CallbackSink to_server{
-      [this](Packet pkt) { server.on_datagram(pkt); }};
-
   /// The default buffer never fills.
   explicit TcpHarness(std::int64_t payload,
                       std::int64_t buffer_bytes = std::int64_t{1} << 40)
-      : ack_netem(loop, slab, {.delay = 20_ms}, sim::Rng(1), &to_server),
+      : ack_netem(loop, slab, {.delay = 20_ms}, sim::Rng(1), &server),
         server(loop,
                [&] {
                  TcpServer::Config cfg;
@@ -148,7 +143,7 @@ struct TcpHarness {
                     .burst_bytes = kSegmentSize,
                     .limit_bytes = buffer_bytes},
                    &data_netem),
-        data_netem(loop, slab, {.delay = 20_ms}, sim::Rng(2), &to_client),
+        data_netem(loop, slab, {.delay = 20_ms}, sim::Rng(2), &client),
         client(loop, {.expected_payload_bytes = payload, .ack = {}},
                &ack_netem) {}
 };

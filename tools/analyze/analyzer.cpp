@@ -6,9 +6,6 @@
 #include <sstream>
 
 #include "baseline.hpp"
-#include "cfg.hpp"
-#include "dataflow.hpp"
-#include "symbols.hpp"
 
 namespace quicsteps::analyze {
 
@@ -68,11 +65,12 @@ AnalysisResult run_analysis(const Options& options) {
   std::vector<std::string> paths = options.paths;
   if (paths.empty()) {
     paths.push_back(root + "/src");
-    // Self-hosting: the analyzer's own sources are part of the default
-    // scan (fixture trees under testdata/ are skipped by build_model),
-    // and so are the bench drivers and examples, which the determinism
-    // and units rules cover like src/.
-    for (const char* extra : {"/tools/analyze", "/bench", "/examples"}) {
+    // The whole tools/ tree is part of the default scan: the CLI, where
+    // outside values enter, and the analyzer's own sources (it self-hosts;
+    // fixture trees under testdata/ are skipped by build_model). So are
+    // the bench drivers and examples, which the determinism and units
+    // rules cover like src/.
+    for (const char* extra : {"/tools", "/bench", "/examples"}) {
       const std::string dir = root + extra;
       if (std::filesystem::exists(dir)) paths.push_back(dir);
     }
@@ -88,7 +86,6 @@ AnalysisResult run_analysis(const Options& options) {
   // The manifest feeds the layering family. "-" skips it — fixture trees
   // without a real layer stack opt out of the manifest-driven rules.
   const bool want_layering = family_enabled(options, "layering");
-  const bool want_units = family_enabled(options, "units");
   LayerManifest manifest;
   bool have_manifest = false;
   if (want_layering) {
@@ -112,14 +109,8 @@ AnalysisResult run_analysis(const Options& options) {
     run_layering_rules(model, manifest, &findings);
   }
 
-  if (want_units) {
-    // The interval rules run over the semantic model: symbol index,
-    // dataflow skeleton and per-callable CFGs.
-    const SymbolIndex index = build_symbol_index(model);
-    const Dataflow flow = build_dataflow(model, index);
-    const CfgIndex cfgs = build_cfg_index(model, index);
+  if (family_enabled(options, "units")) {
     run_units_rules(model, &findings);
-    run_interval_rules(model, {&index, &flow, &cfgs}, &findings);
   }
   if (family_enabled(options, "determinism")) {
     run_determinism_rules(model, &findings);

@@ -13,8 +13,10 @@ namespace quicsteps::analyze {
 struct Options {
   std::string root;                        // anchors reported paths
   std::vector<std::string> paths;          // files/dirs; default: root/src
-                                           // plus root/tools/analyze (the
-                                           // analyzer self-hosts)
+                                           // plus root/tools (the CLI and
+                                           // the analyzer, which
+                                           // self-hosts), root/bench and
+                                           // root/examples
   std::string include_base;                // default: root/src
   std::string layers_file;                 // default:
                                            // root/tools/analyze/layers.json;

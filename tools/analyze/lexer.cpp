@@ -215,9 +215,7 @@ void Lexer::lex_header_name(LexResult* out) {
     adv();
   }
   if (cur() == close) adv();
-  Token t = make(TokKind::kIncludePath, path, line, col);
-  t.angle_include = open == '<';
-  out->tokens.push_back(t);
+  out->tokens.push_back(make(TokKind::kIncludePath, path, line, col));
   out->includes.push_back({std::move(path), open == '<', line});
 }
 

@@ -6,7 +6,8 @@
 //                     [--sarif FILE] [--fix-baseline] [--list-rules]
 //                     [PATHS...]
 //
-// Defaults: scans <root>/src and <root>/tools/analyze (self-hosting) with
+// Defaults: scans <root>/src, <root>/tools (the CLI and the analyzer
+// itself), <root>/bench and <root>/examples with
 // <root>/tools/analyze/layers.json and <root>/tools/analyze/baseline.txt.
 // --fix-baseline rewrites the baseline file(s) in place, dropping stale
 // entries. Exit status: 0 clean (baselined findings do not

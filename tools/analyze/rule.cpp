@@ -32,16 +32,6 @@ const std::vector<RuleInfo>& all_rules() {
       {"determinism/thread-sleep",
        "std::this_thread::sleep_* waits on the wall clock."},
       {"determinism/include-guard", "Header does not open with #pragma once."},
-      {"units/interval-overflow",
-       "Interval analysis proves this arithmetic can exceed the int64 "
-       "range BEFORE the value reaches sim::Time/Duration's saturating "
-       "sentinel arithmetic — the multiply/add itself is UB. Reorder to "
-       "divide first, or route through saturating_add_ns."},
-      {"units/div-by-zero-rate",
-       "Division by a rate/divisor whose interval contains zero on some "
-       "CFG path (no `> 0` / `!= 0` / is_zero() guard dominates the "
-       "division). A zero rate is a valid 'link down' configuration; guard "
-       "the division."},
   };
   return kRules;
 }

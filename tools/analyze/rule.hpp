@@ -86,26 +86,11 @@ struct LayerManifest {
 bool load_layer_manifest(const std::string& json_text, LayerManifest* out,
                          std::string* error);
 
-struct SymbolIndex;
-struct Dataflow;
-struct CfgIndex;
-
-/// The semantic model the interval rules read; built once per run by the
-/// analyzer when the units family is enabled (symbols.hpp, dataflow.hpp,
-/// cfg.hpp).
-struct SemanticModel {
-  const SymbolIndex* index = nullptr;
-  const Dataflow* flow = nullptr;
-  const CfgIndex* cfgs = nullptr;
-};
-
 // Rule family entry points. Each appends findings for every file in the
 // model; filtering (baseline, --rules) happens downstream.
 void run_determinism_rules(const Model& model, std::vector<Finding>* out);
 void run_units_rules(const Model& model, std::vector<Finding>* out);
 void run_layering_rules(const Model& model, const LayerManifest& manifest,
-                        std::vector<Finding>* out);
-void run_interval_rules(const Model& model, const SemanticModel& sem,
                         std::vector<Finding>* out);
 
 }  // namespace quicsteps::analyze

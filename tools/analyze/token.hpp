@@ -26,8 +26,7 @@ struct Token {
   std::string text;
   int line = 0;  // 1-based
   int col = 0;   // 1-based
-  bool in_pp = false;        // token is part of a preprocessor directive
-  bool angle_include = false;  // kIncludePath only: <...> form
+  bool in_pp = false;  // token is part of a preprocessor directive
 
   bool is_id(const char* s) const {
     return kind == TokKind::kIdentifier && text == s;

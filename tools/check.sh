@@ -10,8 +10,9 @@
 #   3. TSan build                     -> ctest -L tier1-tsan (tier-1 plus
 #                                        the worker-pool framework tests)
 #                                        + test_flows' ParallelFlows cases
-#   4. static analysis                -> quicsteps-analyze over src/ AND
-#                                        its own sources (self-hosting):
+#   4. static analysis                -> quicsteps-analyze over src/,
+#                                        bench/, examples/ and tools/ (the
+#                                        CLI and its own sources):
 #                                        layering / units / determinism
 #   5. clang-tidy (when installed)    -> `tidy` target, .clang-tidy profile
 #

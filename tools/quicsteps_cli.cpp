@@ -15,8 +15,11 @@
 //                     on one thread)
 //   --rate-mbit N     --rtt-ms N --buffer-kb N
 //   --loss P          --reorder P          --gro-us N
-//                     (P is a probability in [0, 1]; --rate-mbit and
-//                      --payload-mib are at least 1)
+//                     (P is a probability in [0, 1]; --rate-mbit,
+//                      --payload-mib and --buffer-kb are at least 1,
+//                      --rtt-ms and --gro-us at least 0, and each is
+//                      capped so its value in bits, bytes or ns fits
+//                      int64, --rate-mbit below DataRate::infinite())
 //   --csv PREFIX      (PREFIX_summary.csv, PREFIX_gaps.<rep>.csv,
 //                      PREFIX_capture.<rep>.csv, PREFIX_cwnd.<rep>.csv)
 //   --qlog PATH       (qlog JSON-SEQ per repetition: PATH.<seed>)
@@ -31,8 +34,9 @@
 //                         most framework::Network::kMaxFlows
 //   --trace-sample N      with --trace: record spans for 1 in N flows,
 //                         chosen deterministically from (seed, flow id)
-//   --window-ms N         fleet telemetry window width (default 10 when
-//                         any telemetry output below is requested)
+//   --window-ms N         fleet telemetry window width, N >= 0 (default
+//                         10 when 0 and any telemetry output below is
+//                         requested)
 //   --timeseries-csv PATH windowed fleet time-series CSV
 //   --health-report PATH  deterministic run-health JSON ('-' = stdout)
 //   --health-exit         exit nonzero when the health report is unhealthy
@@ -107,6 +111,15 @@ T parse_in_range(const std::string& flag, const std::string& value, T min,
   return out;
 }
 
+/// parse_in_range for a flag whose value the simulator multiplies by
+/// `scale` (a unit factory such as Duration::micros, or bytes per KB): the
+/// ceiling keeps the product inside int64.
+std::int64_t parse_scaled(const std::string& flag, const std::string& value,
+                          std::int64_t min, std::int64_t scale) {
+  return parse_in_range<std::int64_t>(
+      flag, value, min, std::numeric_limits<std::int64_t>::max() / scale);
+}
+
 /// parse_number for a probability flag: a finite number in [0, 1].
 double parse_probability(const std::string& flag, const std::string& value) {
   const double out = parse_number<double>(flag, value);
@@ -153,7 +166,7 @@ kernel::GsoMode parse_gso(const std::string& value) {
 /// Fleet mode: one N-flow fabric, telemetry, health report. Returns the
 /// process exit code.
 int run_fleet(const framework::ExperimentConfig& base, int flows,
-              std::uint32_t trace_sample, std::int64_t window_ms,
+              std::uint32_t trace_sample, sim::Duration window,
               const std::string& timeseries_csv,
               const std::string& health_path, bool health_exit) {
   framework::MultiFlowConfig fleet;
@@ -163,11 +176,12 @@ int run_fleet(const framework::ExperimentConfig& base, int flows,
   // summaries instead (same switch the 10k benches use).
   fleet.lite_metrics = flows >= 64;
   fleet.trace_sample = trace_sample;
-  const bool telemetry_requested =
-      window_ms > 0 || !timeseries_csv.empty() || !health_path.empty();
+  const bool telemetry_requested = window > sim::Duration::zero() ||
+                                   !timeseries_csv.empty() ||
+                                   !health_path.empty();
   if (telemetry_requested) {
-    fleet.telemetry_window = sim::Duration::millis(window_ms > 0 ? window_ms
-                                                                 : 10);
+    fleet.telemetry_window =
+        window > sim::Duration::zero() ? window : sim::Duration::millis(10);
   }
 
   framework::MultiFlowResult result = framework::run_flows(fleet);
@@ -219,7 +233,7 @@ int main(int argc, char** argv) {
   std::string qlog_dir;
   int flows = 1;
   std::uint32_t trace_sample = 0;
-  std::int64_t window_ms = 0;
+  sim::Duration window = sim::Duration::zero();
   std::string timeseries_csv;
   std::string health_path;
   bool health_exit = false;
@@ -246,8 +260,8 @@ int main(int argc, char** argv) {
     } else if (flag == "--sendmmsg") {
       config.use_sendmmsg = true;
     } else if (flag == "--payload-mib") {
-      config.payload_bytes =
-          parse_at_least<std::int64_t>(flag, next_value(i), 1) * 1024 * 1024;
+      constexpr std::int64_t kMiB = 1024 * 1024;
+      config.payload_bytes = parse_scaled(flag, next_value(i), 1, kMiB) * kMiB;
     } else if (flag == "--reps") {
       config.repetitions = parse_at_least(flag, next_value(i), 1);
     } else if (flag == "--seed") {
@@ -255,14 +269,17 @@ int main(int argc, char** argv) {
     } else if (flag == "--jobs") {
       jobs = parse_number<int>(flag, next_value(i));
     } else if (flag == "--rate-mbit") {
-      config.topology.bottleneck_rate = net::DataRate::megabits_per_second(
-          parse_at_least<std::int64_t>(flag, next_value(i), 1));
+      config.topology.bottleneck_rate =
+          net::DataRate::megabits_per_second(parse_in_range<std::int64_t>(
+              flag, next_value(i), 1,
+              (net::DataRate::infinite().bps() - 1) / 1'000'000));
     } else if (flag == "--rtt-ms") {
       config.topology.path_delay_one_way = sim::Duration::millis(
-          parse_number<std::int64_t>(flag, next_value(i)) / 2);
+          parse_scaled(flag, next_value(i), 0, 1'000'000) / 2);
     } else if (flag == "--buffer-kb") {
+      // A zero-byte buffer drops every packet.
       config.topology.bottleneck_buffer_bytes =
-          parse_number<std::int64_t>(flag, next_value(i)) * 1000;
+          parse_scaled(flag, next_value(i), 1, 1000) * 1000;
     } else if (flag == "--loss") {
       config.topology.path_loss_probability =
           parse_probability(flag, next_value(i));
@@ -270,8 +287,8 @@ int main(int argc, char** argv) {
       config.topology.path_reorder_probability =
           parse_probability(flag, next_value(i));
     } else if (flag == "--gro-us") {
-      config.topology.client_gro_window = sim::Duration::micros(
-          parse_at_least<std::int64_t>(flag, next_value(i), 0));
+      config.topology.client_gro_window =
+          sim::Duration::micros(parse_scaled(flag, next_value(i), 0, 1000));
     } else if (flag == "--csv") {
       csv_prefix = next_value(i);
       config.keep_capture = true;
@@ -289,7 +306,8 @@ int main(int argc, char** argv) {
     } else if (flag == "--trace-sample") {
       trace_sample = parse_number<std::uint32_t>(flag, next_value(i));
     } else if (flag == "--window-ms") {
-      window_ms = parse_number<std::int64_t>(flag, next_value(i));
+      window = sim::Duration::millis(
+          parse_scaled(flag, next_value(i), 0, 1'000'000));
     } else if (flag == "--timeseries-csv") {
       timeseries_csv = next_value(i);
     } else if (flag == "--health-report") {
@@ -317,7 +335,7 @@ int main(int argc, char** argv) {
   if (!qlog_dir.empty()) config.trace = true;  // --qlog-dir implies --trace
 
   if (flows > 1) {
-    return run_fleet(config, flows, trace_sample, window_ms, timeseries_csv,
+    return run_fleet(config, flows, trace_sample, window, timeseries_csv,
                      health_path, health_exit);
   }
 
