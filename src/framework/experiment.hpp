@@ -55,12 +55,6 @@ struct ExperimentConfig {
   /// Record per-packet path spans (pacer release through delivery) on the
   /// run's TraceBus; the finished trace lands in RunResult::trace.
   bool trace = false;
-
-  ExperimentConfig& with(StackKind s, cc::CcAlgorithm a) {
-    stack = s;
-    cca = a;
-    return *this;
-  }
 };
 
 struct RunResult {

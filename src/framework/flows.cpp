@@ -301,12 +301,8 @@ MultiFlowResult run_flows(const MultiFlowConfig& config) {
   if (telemetry && tracing) timeseries->fold_spans(all_spans.events);
 
   // Per-flow extraction, in flows[] order: demux finish, hash digest,
-  // fill_result, trace filtering and the fleet's wire-stage pacing error.
+  // fill_result and trace filtering.
   std::vector<double> goodputs(n);
-  obs::QuantileSketch* wire_errors =
-      telemetry && tracing
-          ? &result.metrics.sketch("fleet/pacing_error_us/wire")
-          : nullptr;
   for (std::size_t i = 0; i < n; ++i) {
     RunResult& flow_result = result.flows[i];
     net.host(i).endpoint().fill_result(flow_result);
@@ -334,13 +330,6 @@ MultiFlowResult run_flows(const MultiFlowConfig& config) {
         flow_trace->components = all_spans.components;
         for (const obs::SpanEvent& ev : all_spans.events) {
           if (ev.flow == id) flow_trace->events.push_back(ev);
-        }
-      }
-      if (wire_errors != nullptr) {
-        for (const obs::SpanEvent& ev : flow_trace->events) {
-          if (ev.stage == obs::TraceStage::kWire && ev.intended.ns() != 0) {
-            wire_errors->observe((ev.at - ev.intended).us());
-          }
         }
       }
       flow_result.trace = std::move(flow_trace);
@@ -372,6 +361,12 @@ MultiFlowResult run_flows(const MultiFlowConfig& config) {
                   static_cast<std::int64_t>(ls.drain_batched));
   reg.set_gauge("loop/max_pending",
                 static_cast<std::int64_t>(ls.max_pending));
+  // The fleet's wire-stage pacing error merges each traced flow's wire
+  // sketch, in flows[] order (merging is an elementwise add, so the
+  // result equals one serial pass over every sampled flow's wire spans).
+  obs::QuantileSketch* wire_errors =
+      telemetry && tracing ? &reg.sketch("fleet/pacing_error_us/wire")
+                           : nullptr;
   for (std::size_t i = 0; i < n; ++i) {
     const RunResult& flow_result = result.flows[i];
     const std::string flow_prefix =
@@ -384,18 +379,19 @@ MultiFlowResult run_flows(const MultiFlowConfig& config) {
                     flow_result.pacer_deferrals);
     if (flow_result.trace != nullptr) {
       // Streaming digest: no per-packet timeline is materialized.
-      const obs::TraceSummary summary =
-          obs::summarize_trace(*flow_result.trace);
+      obs::TraceSummary summary = obs::summarize_trace(*flow_result.trace);
       reg.set_gauge(flow_prefix + "complete_chains", summary.complete_chains);
-      for (const obs::StageErrorReport& se : summary.errors) {
-        reg.histogram(flow_prefix + "pacing_error/" +
-                      obs::to_string(se.stage)) = se.error_us;
+      for (obs::StageErrorReport& se : summary.errors) {
+        if (wire_errors != nullptr && se.stage == obs::TraceStage::kWire) {
+          wire_errors->merge(se.error_us);
+        }
+        reg.sketch(flow_prefix + "pacing_error/" + obs::to_string(se.stage)) =
+            std::move(se.error_us);
       }
     }
   }
   if (telemetry) {
-    // Fleet tails: flow completion times (the wire-stage pacing error was
-    // observed during extraction).
+    // Fleet tails: flow completion times.
     obs::QuantileSketch& fct = reg.sketch("fleet/fct_us");
     for (const RunResult& flow_result : result.flows) {
       if (flow_result.completed) {

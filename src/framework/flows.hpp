@@ -85,9 +85,11 @@ struct MultiFlowResult {
   net::CountersTable counters;
   /// Everything the run measured about itself: counter-table gauges,
   /// event-loop profile per event class, per-flow pacer ledgers and drop
-  /// attribution, (when tracing) per-stage pacing-error histograms, and
+  /// attribution, (when tracing) each traced flow's per-stage pacing
+  /// error as a quantile sketch "flow<id>/pacing_error/<stage>", and
   /// (when telemetry is on) the fleet quantile sketches
-  /// "fleet/pacing_error_us/wire" and "fleet/fct_us".
+  /// "fleet/pacing_error_us/wire" (the traced flows' wire-stage sketches,
+  /// merged) and "fleet/fct_us".
   obs::MetricsRegistry metrics;
   /// Windowed fleet telemetry when MultiFlowConfig::telemetry_window is
   /// set; null otherwise.

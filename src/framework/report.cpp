@@ -119,33 +119,6 @@ std::string render_precision_table(const std::vector<Aggregate>& rows,
   return out;
 }
 
-std::string render_flow_report(const MultiFlowResult& result,
-                               const std::string& title) {
-  std::string out = heading(title);
-  out += "Per-component counters:\n";
-  out += result.counters.to_string();
-  char line[160];
-  std::snprintf(line, sizeof(line), "\n%-6s %10s %18s %18s %10s\n", "Flow",
-                "completed", "Goodput [Mbit/s]", "Bottleneck drops",
-                "lost");
-  out += line;
-  out += std::string(66, '-') + "\n";
-  for (std::size_t i = 0; i < result.flows.size(); ++i) {
-    const RunResult& flow = result.flows[i];
-    std::snprintf(line, sizeof(line), "%-6zu %10s %18.2f %18lld %10lld\n", i,
-                  flow.completed ? "yes" : "no", flow.goodput.goodput.mbps(),
-                  static_cast<long long>(flow.dropped_packets),
-                  static_cast<long long>(flow.packets_declared_lost));
-    out += line;
-  }
-  std::snprintf(line, sizeof(line),
-                "\nBottleneck drops total: %lld   Jain fairness: %.4f\n",
-                static_cast<long long>(result.bottleneck_drops),
-                result.fairness);
-  out += line;
-  return out;
-}
-
 std::string render_cwnd_trace(const RunResult& run, const std::string& title,
                               int width, int height) {
   std::string out = heading(title);

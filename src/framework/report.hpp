@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "framework/aggregate.hpp"
-#include "framework/flows.hpp"
+#include "framework/experiment.hpp"
 #include "sim/time.hpp"
 
 namespace quicsteps::framework {
@@ -31,11 +31,5 @@ std::string render_precision_table(const std::vector<Aggregate>& rows,
 /// Fig. 7 style: cwnd time series as an ASCII plot.
 std::string render_cwnd_trace(const RunResult& run, const std::string& title,
                               int width = 78, int height = 16);
-
-/// Multi-flow self-report: every component's packet books (sorted rows),
-/// then one line per flow with its goodput, bottleneck-drop attribution,
-/// and loss count, then the totals and Jain fairness.
-std::string render_flow_report(const MultiFlowResult& result,
-                               const std::string& title);
 
 }  // namespace quicsteps::framework

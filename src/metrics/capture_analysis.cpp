@@ -26,17 +26,6 @@ std::size_t TrainReport::max_train_length() const {
   return packets_by_length.empty() ? 0 : packets_by_length.rbegin()->first;
 }
 
-Cdf TrainReport::packet_train_cdf() const {
-  std::vector<double> per_packet;
-  per_packet.reserve(static_cast<std::size_t>(total_packets));
-  for (const auto& [len, packets] : packets_by_length) {
-    for (std::int64_t i = 0; i < packets; ++i) {
-      per_packet.push_back(static_cast<double>(len));
-    }
-  }
-  return Cdf(std::move(per_packet));
-}
-
 void CaptureAnalyzer::add(const net::Packet& pkt) {
   if (pkt.flow != config_.flow) return;
   if (pkt.kind != net::PacketKind::kQuicData &&
@@ -67,7 +56,6 @@ void CaptureAnalyzer::add(const net::Packet& pkt) {
     if (gap < kTrainThreshold) {
       ++current_train_;
     } else {
-      if (!config_.lite) train_lengths_.push_back(current_train_);
       auto it = std::lower_bound(
           packets_by_length_.begin(), packets_by_length_.end(),
           current_train_,
@@ -100,12 +88,10 @@ CaptureAnalysis CaptureAnalyzer::finish() const {
         config_.lite ? gap_stream_.summary() : summarize(out.gaps.gaps_ms);
   }
 
-  out.trains.train_lengths = train_lengths_;  // empty in lite mode
   out.trains.packets_by_length.insert(packets_by_length_.begin(),
                                       packets_by_length_.end());
   if (data_packets_ > 0) {
     // Close the open train without disturbing the incremental state.
-    if (!config_.lite) out.trains.train_lengths.push_back(current_train_);
     out.trains.packets_by_length[current_train_] +=
         static_cast<std::int64_t>(current_train_);
   }

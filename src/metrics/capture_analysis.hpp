@@ -48,14 +48,11 @@ struct TrainReport {
   /// packets_by_length[L] = number of PACKETS that sit in trains of
   /// length L.
   std::map<std::size_t, std::int64_t> packets_by_length;
-  std::vector<std::size_t> train_lengths;  // one entry per train
   std::int64_t total_packets = 0;
 
   /// Fraction of packets in trains of length <= n.
   double fraction_in_trains_up_to(std::size_t n) const;
   std::size_t max_train_length() const;
-  /// CDF over per-packet train lengths.
-  Cdf packet_train_cdf() const;
 };
 
 /// Pacing precision (paper Section 4.4).
@@ -121,7 +118,6 @@ class CaptureAnalyzer {
   std::vector<double> offsets_ms_;
   StreamingSummary gap_stream_;
   StreamingSummary offset_stream_;
-  std::vector<std::size_t> train_lengths_;   // closed trains only
   /// Closed trains' packets by train length: (length, packets) pairs
   /// sorted by length. A run sees few distinct lengths, so a closed train
   /// costs a binary search over one short array, not a map node walk.

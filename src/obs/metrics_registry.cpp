@@ -2,50 +2,9 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 namespace quicsteps::obs {
-
-std::vector<std::int64_t> Histogram::pacing_error_bounds_us() {
-  // Symmetric decades around zero: early releases are as interesting as
-  // late ones, and the paper's precision spreads live between 1 us and a
-  // few ms.
-  return {-10'000, -1'000, -100, -10, 0, 10, 100, 1'000, 10'000, 100'000};
-}
-
-Histogram::Histogram(std::vector<std::int64_t> bounds)
-    : bounds_(std::move(bounds)), counts_(bounds_.size() + 1, 0) {
-  std::sort(bounds_.begin(), bounds_.end());
-}
-
-void Histogram::observe(std::int64_t value) {
-  if (count_ == 0 || value < min_) min_ = value;
-  if (count_ == 0 || value > max_) max_ = value;
-  ++count_;
-  sum_ += value;
-  if (value < bounds_.front()) {
-    // Below every edge: an explicit underflow counter instead of
-    // silently widening the first bucket (which made a -10 s outlier
-    // indistinguishable from a -10 ms one).
-    ++underflow_;
-    return;
-  }
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-  ++counts_[static_cast<std::size_t>(it - bounds_.begin())];
-}
-
-std::string Histogram::to_string() const {
-  std::string out = "count=" + std::to_string(count_) +
-                    " sum=" + std::to_string(sum_) +
-                    " min=" + std::to_string(min_) +
-                    " max=" + std::to_string(max_) +
-                    " under=" + std::to_string(underflow_);
-  for (std::size_t i = 0; i < bounds_.size(); ++i) {
-    out += " le" + std::to_string(bounds_[i]) + "=" +
-           std::to_string(counts_[i]);
-  }
-  out += " over=" + std::to_string(counts_.back());
-  return out;
-}
 
 void MetricsRegistry::set_gauge(const std::string& name, std::int64_t value) {
   gauges_[name] = value;
@@ -60,10 +19,6 @@ CounterHandle MetricsRegistry::counter(const std::string& name) {
   // std::map nodes are pointer-stable under later insertions, so the
   // handle survives any number of other metrics being registered.
   return CounterHandle(&counters_[name]);
-}
-
-Histogram& MetricsRegistry::histogram(const std::string& name) {
-  return histograms_[name];
 }
 
 QuantileSketch& MetricsRegistry::sketch(const std::string& name) {
@@ -85,16 +40,12 @@ std::string MetricsRegistry::to_string() const {
   // Merge the three ordered maps into one name-sorted emission; the kind
   // tag keeps a gauge and a counter of the same name distinguishable.
   std::vector<std::pair<std::string, std::string>> lines;
-  lines.reserve(gauges_.size() + counters_.size() + histograms_.size() +
-                sketches_.size());
+  lines.reserve(gauges_.size() + counters_.size() + sketches_.size());
   for (const auto& [name, value] : gauges_) {
     lines.emplace_back(name, name + ": gauge " + std::to_string(value));
   }
   for (const auto& [name, value] : counters_) {
     lines.emplace_back(name, name + ": counter " + std::to_string(value));
-  }
-  for (const auto& [name, hist] : histograms_) {
-    lines.emplace_back(name, name + ": histogram " + hist.to_string());
   }
   for (const auto& [name, sk] : sketches_) {
     lines.emplace_back(name, name + ": sketch " + sk.to_string());

@@ -9,7 +9,7 @@ TraceSummary summarize_trace(const TraceData& data) {
   // Pass 1: hash spans into (flow, id) groups, recording each group's
   // pacer intent (first non-zero in publication order) and stage mask.
   // Pass 2: fold every span of every intent-carrying group into the
-  // per-stage error histograms. Packet ids are unique per sender packet;
+  // per-stage error sketches. Packet ids are unique per sender packet;
   // retransmissions reuse a packet number under a fresh id, so id is the
   // grouping key.
   const std::vector<SpanEvent>& evs = data.events;

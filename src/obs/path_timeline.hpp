@@ -11,15 +11,15 @@
 #include <cstdint>
 #include <vector>
 
-#include "obs/metrics_registry.hpp"
+#include "obs/quantile_sketch.hpp"
 #include "obs/trace.hpp"
 
 namespace quicsteps::obs {
 
-/// Per-stage pacing-error aggregation (microseconds).
+/// Per-stage pacing-error distribution (microseconds).
 struct StageErrorReport {
   TraceStage stage = TraceStage::kPacerRelease;
-  Histogram error_us;
+  QuantileSketch error_us;
   double mean_us() const {
     return error_us.count() == 0
                ? 0.0

@@ -49,15 +49,22 @@ std::int64_t QuantileSketch::quantile(double q) const {
   }
   target = std::clamp<std::int64_t>(target, 1, count_);
 
+  // The bucket's outer edge can lie past the observed range (a lone
+  // -3,000 sample sits in a bucket whose edge is -3,007); the clamp keeps
+  // the answer inside [min, max] and inside the same bucket.
   std::int64_t cumulative = 0;
   // Negative side first, most negative magnitude downward.
   for (std::size_t i = neg_.size(); i-- > 0;) {
     cumulative += neg_[i];
-    if (cumulative >= target) return -bucket_upper_edge(i);
+    if (cumulative >= target) {
+      return std::clamp(-bucket_upper_edge(i), min_, max_);
+    }
   }
   for (std::size_t i = 0; i < pos_.size(); ++i) {
     cumulative += pos_[i];
-    if (cumulative >= target) return bucket_upper_edge(i);
+    if (cumulative >= target) {
+      return std::clamp(bucket_upper_edge(i), min_, max_);
+    }
   }
   // Unreachable when the counts are consistent; max() is the safe answer.
   return max_;

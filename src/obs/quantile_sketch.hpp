@@ -1,22 +1,25 @@
-// QuantileSketch: HDR-style log-linear quantile sketch for fleet tails.
+// QuantileSketch: HDR-style log-linear quantile sketch, the one
+// distribution type the simulator reports.
 //
-// The fixed-bound obs::Histogram answers the paper's whole-run questions
-// (decade buckets around zero) but cannot produce p99/p999 at fleet
-// scale: its bounds clip and its resolution is a decade. This sketch
-// buckets |value| log-linearly — each power-of-two octave is split into
-// 32 linear sub-buckets (kSubBits = 5), so any representative is within
-// a 1/32 ≈ 3.1% relative error of the true value — over the full signed
-// int64 range, with an exact region for small magnitudes (|v| < 64, one
-// bucket per integer). Pacing errors in microseconds and flow-completion
-// times both fit: microsecond-exact near zero, 3% at the tail.
+// Per-stage pacing errors (obs::StageErrorReport, one per traced flow and
+// stage) and the fleet tails (fleet/pacing_error_us/wire, fleet/fct_us)
+// are all sketches: count, sum, min and max exact, p50-p999 within one
+// log bucket, and no edge to clip at. The sketch buckets |value|
+// log-linearly — each power-of-two octave is split into 32 linear
+// sub-buckets (kSubBits = 5), so any representative is within a 1/32 ≈
+// 3.1% relative error of the true value — over the full signed int64
+// range, with an exact region for small magnitudes (|v| < 64, one bucket
+// per integer). Pacing errors in microseconds and flow-completion times
+// both fit: microsecond-exact near zero, 3% at the tail.
 //
 // Determinism and merging: buckets hold integer counts, so merging is an
 // elementwise add — commutative and associative — and a sketch merged
 // from per-flow sketches is bit-identical to one built serially, in any
 // merge order. quantile() walks buckets from the most negative magnitude
-// upward and returns the bucket's inclusive upper edge, a pure function
-// of the counts. No floats touch the state; doubles appear only in the
-// final rank arithmetic, identically on every platform we build for.
+// upward and returns the bucket's inclusive upper edge clamped to the
+// observed [min, max], a pure function of the state. No floats touch the
+// state; doubles appear only in the final rank arithmetic, identically on
+// every platform we build for.
 #pragma once
 
 #include <bit>
@@ -55,8 +58,9 @@ class QuantileSketch {
   std::int64_t max() const { return count_ == 0 ? 0 : max_; }
 
   /// Inclusive upper edge of the bucket holding the rank-ceil(q*count)
-  /// value (negative buckets report their most-negative edge). 0 when
-  /// empty. q is clamped to [0, 1].
+  /// value (negative buckets report their most-negative edge), clamped to
+  /// [min(), max()] so it never leaves the observed range. 0 when empty.
+  /// q is clamped to [0, 1].
   std::int64_t quantile(double q) const;
 
   /// Signed bucket ordinal of `value` — equal ordinals = same bucket,

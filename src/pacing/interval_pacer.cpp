@@ -27,6 +27,4 @@ void IntervalPacer::on_packet_sent(sim::Time at, std::int64_t bytes,
   started_ = true;
 }
 
-void IntervalPacer::reset() { started_ = false; }
-
 }  // namespace quicsteps::pacing

@@ -21,7 +21,6 @@ class IntervalPacer final : public Pacer {
                                net::DataRate rate) override;
   void on_packet_sent(sim::Time at, std::int64_t bytes,
                       net::DataRate rate) override;
-  void reset() override;
   const char* name() const override { return "interval"; }
 
  private:

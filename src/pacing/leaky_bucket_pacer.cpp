@@ -44,9 +44,4 @@ void LeakyBucketPacer::on_packet_sent(sim::Time at, std::int64_t bytes,
   tokens_ = std::max(tokens_, -static_cast<double>(depth_));
 }
 
-void LeakyBucketPacer::reset() {
-  tokens_ = static_cast<double>(depth_);
-  started_ = false;
-}
-
 }  // namespace quicsteps::pacing

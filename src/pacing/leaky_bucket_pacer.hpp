@@ -22,7 +22,6 @@ class LeakyBucketPacer final : public Pacer {
                                net::DataRate rate) override;
   void on_packet_sent(sim::Time at, std::int64_t bytes,
                       net::DataRate rate) override;
-  void reset() override;
   const char* name() const override { return "leaky-bucket"; }
 
   double tokens() const { return tokens_; }

@@ -5,22 +5,8 @@
 
 namespace quicsteps::pacing {
 
-const char* to_string(PacerKind kind) {
-  switch (kind) {
-    case PacerKind::kNone:
-      return "none";
-    case PacerKind::kInterval:
-      return "interval";
-    case PacerKind::kLeakyBucket:
-      return "leaky-bucket";
-  }
-  return "?";
-}
-
 std::unique_ptr<Pacer> make_pacer(const PacerConfig& config) {
   switch (config.kind) {
-    case PacerKind::kNone:
-      return std::make_unique<NullPacer>();
     case PacerKind::kInterval:
       return std::make_unique<IntervalPacer>(config.max_schedule_ahead);
     case PacerKind::kLeakyBucket:

@@ -45,20 +45,16 @@ class Pacer {
   virtual void on_packet_sent(sim::Time at, std::int64_t bytes,
                               net::DataRate rate) = 0;
 
-  virtual void reset() = 0;
   virtual const char* name() const = 0;
 
-  /// Cumulative over the connection's lifetime (reset() does not clear —
-  /// it restarts the release schedule, not the ledger).
+  /// Cumulative over the connection's lifetime.
   const Stats& stats() const { return stats_; }
 
  protected:
   Stats stats_;
 };
 
-enum class PacerKind : std::uint8_t { kNone, kInterval, kLeakyBucket };
-
-const char* to_string(PacerKind kind);
+enum class PacerKind : std::uint8_t { kInterval, kLeakyBucket };
 
 struct PacerConfig {
   PacerKind kind = PacerKind::kInterval;
@@ -72,19 +68,5 @@ struct PacerConfig {
 };
 
 std::unique_ptr<Pacer> make_pacer(const PacerConfig& config);
-
-/// Pass-through pacer: never delays (used for "no pacing" ablations).
-class NullPacer final : public Pacer {
- public:
-  sim::Time earliest_send_time(sim::Time now, std::int64_t,
-                               net::DataRate) override {
-    return now;
-  }
-  void on_packet_sent(sim::Time, std::int64_t, net::DataRate) override {
-    ++stats_.packets_released;
-  }
-  void reset() override {}
-  const char* name() const override { return "none"; }
-};
 
 }  // namespace quicsteps::pacing

@@ -270,7 +270,7 @@ TEST(TelemetryFleet, FleetSketchesArePinnedAtScale) {
   ASSERT_NE(fct, sketches.end());
   EXPECT_EQ(fct->second.to_string(),
             "count=652 sum=137489603 min=74620 max=466880 p50=176127 "
-            "p90=352255 p99=450559 p999=466943");
+            "p90=352255 p99=450559 p999=466880");
   const auto pacing = sketches.find("fleet/pacing_error_us/wire");
   ASSERT_NE(pacing, sketches.end());
   EXPECT_EQ(pacing->second.to_string(),

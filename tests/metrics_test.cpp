@@ -106,9 +106,6 @@ TEST(TrainAnalyzerTest, PaperRuleSplitsAtPointOneMs) {
                                  wire_packet(0.45)};
   auto report = analyze(capture).trains;
   EXPECT_EQ(report.total_packets, 5);
-  ASSERT_EQ(report.train_lengths.size(), 2u);
-  EXPECT_EQ(report.train_lengths[0], 3u);
-  EXPECT_EQ(report.train_lengths[1], 2u);
   // Packets-by-length weighting: 3 packets in length-3, 2 in length-2.
   EXPECT_EQ(report.packets_by_length.at(3), 3);
   EXPECT_EQ(report.packets_by_length.at(2), 2);
@@ -126,11 +123,11 @@ TEST(TrainAnalyzerTest, ExactThresholdBreaksTrain) {
   // Gap of exactly 0.1 ms: the paper's rule is "< 0.1 ms", so it breaks.
   std::vector<Packet> capture = {wire_packet(0.0), wire_packet(0.1)};
   auto report = analyze(capture).trains;
-  EXPECT_EQ(report.train_lengths.size(), 2u);
+  EXPECT_EQ(report.packets_by_length.at(1), 2);
 }
 
 TEST(TrainAnalyzerTest, PacketWeightedCdf) {
-  // 1 train of 4 + 4 singletons: packet-weighted CDF at length 1 = 0.5.
+  // 1 train of 4 + 4 singletons: half the packets sit in trains of 1.
   std::vector<Packet> capture;
   double t = 0.0;
   for (int i = 0; i < 4; ++i) {
@@ -141,9 +138,9 @@ TEST(TrainAnalyzerTest, PacketWeightedCdf) {
     t += 1.0;
     capture.push_back(wire_packet(t));
   }
-  auto cdf = analyze(capture).trains.packet_train_cdf();
-  EXPECT_DOUBLE_EQ(cdf.fraction_below(1.0), 0.5);
-  EXPECT_DOUBLE_EQ(cdf.fraction_below(4.0), 1.0);
+  auto report = analyze(capture).trains;
+  EXPECT_DOUBLE_EQ(report.fraction_in_trains_up_to(1), 0.5);
+  EXPECT_DOUBLE_EQ(report.fraction_in_trains_up_to(4), 1.0);
 }
 
 TEST(PrecisionTest, StddevOfOffsets) {

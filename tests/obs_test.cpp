@@ -1,6 +1,6 @@
 // Observability spine tests (src/obs/): TraceBus mechanics, GSO span
-// expansion, Histogram/MetricsRegistry determinism, the per-run trace
-// digest (packet grouping + per-stage pacing error), byte-pinned exporter
+// expansion, MetricsRegistry determinism, the per-run trace digest
+// (packet grouping + per-stage pacing error), byte-pinned exporter
 // goldens, and a traced end-to-end run whose span chains must be complete
 // and must agree with the wire capture and its precision metric.
 #include <algorithm>
@@ -93,47 +93,7 @@ TEST(TraceBus, PublishPacketSpanWithNullBusIsANoOp) {
                            span_packet(1, 100, 1, 1200));
 }
 
-// ----------------------------------------------- Histogram and registry
-
-TEST(Histogram, BucketsByInclusiveUpperEdgeWithOverflow) {
-  obs::Histogram h({0, 10});
-  h.observe(5);
-  h.observe(20);
-  EXPECT_EQ(h.to_string(),
-            "count=2 sum=25 min=5 max=20 under=0 le0=0 le10=1 over=1");
-}
-
-TEST(Histogram, DefaultPacingBoundsCoverBothSigns) {
-  obs::Histogram h;
-  h.observe(-20'000);  // below the lowest edge -> explicit underflow
-  h.observe(0);
-  h.observe(200'000);  // beyond the highest edge -> overflow
-  EXPECT_EQ(h.count(), 3);
-  EXPECT_EQ(h.min(), -20'000);
-  EXPECT_EQ(h.max(), 200'000);
-  EXPECT_EQ(h.underflow(), 1);
-  EXPECT_EQ(h.bucket_counts().front(), 0);  // not clipped into a bucket
-  EXPECT_EQ(h.overflow(), 1);
-  EXPECT_EQ(h.bucket_counts().back(), 1);
-}
-
-TEST(Histogram, UnderAndOverflowAreNeverSilent) {
-  // The regression this guards: out-of-range mass used to be invisible in
-  // the rendering (underflow widened the first bucket, overflow hid
-  // behind "rest="). Both ends must show up in to_string verbatim.
-  obs::Histogram h({-10, 10});
-  h.observe(-50);
-  h.observe(-50);
-  h.observe(0);
-  h.observe(99);
-  EXPECT_EQ(h.underflow(), 2);
-  EXPECT_EQ(h.overflow(), 1);
-  // min/max/count/sum still include the out-of-range samples.
-  EXPECT_EQ(h.count(), 4);
-  EXPECT_EQ(h.sum(), -1);
-  EXPECT_EQ(h.to_string(),
-            "count=4 sum=-1 min=-50 max=99 under=2 le-10=0 le10=1 over=1");
-}
+// ------------------------------------------------------------ registry
 
 TEST(MetricsRegistry, EmitsSortedAcrossKindsRegardlessOfInsertionOrder) {
   obs::MetricsRegistry reg;
@@ -141,12 +101,11 @@ TEST(MetricsRegistry, EmitsSortedAcrossKindsRegardlessOfInsertionOrder) {
   reg.add_counter("zz/events", 3);  // counters accumulate
   reg.set_gauge("aa/depth", 7);
   reg.set_gauge("aa/depth", 9);  // gauges last-write-win
-  reg.histogram("mm/err").observe(5);
+  reg.sketch("mm/err").observe(5);
   EXPECT_EQ(reg.to_string(),
             "aa/depth: gauge 9\n"
-            "mm/err: histogram count=1 sum=5 min=5 max=5 under=0 "
-            "le-10000=0 le-1000=0 le-100=0 le-10=0 le0=0 le10=1 le100=0 "
-            "le1000=0 le10000=0 le100000=0 over=0\n"
+            "mm/err: sketch count=1 sum=5 min=5 max=5 p50=5 p90=5 p99=5 "
+            "p999=5\n"
             "zz/events: counter 5\n");
 }
 
@@ -218,7 +177,7 @@ void expect_summary_matches_reference(const TraceData& data) {
       ++complete;
     }
   }
-  std::vector<obs::Histogram> errors(obs::kTraceStageCount);
+  std::vector<obs::QuantileSketch> errors(obs::kTraceStageCount);
   for (const SpanEvent& ev : data.events) {
     const RefPacket& p = packets.at({ev.flow, ev.packet_id});
     if (p.intended.ns() == 0) continue;
@@ -231,16 +190,13 @@ void expect_summary_matches_reference(const TraceData& data) {
   EXPECT_EQ(summary.complete_chains, complete);
   std::size_t next = 0;
   for (std::size_t stage = 0; stage < errors.size(); ++stage) {
-    const obs::Histogram& want = errors[stage];
+    const obs::QuantileSketch& want = errors[stage];
     if (want.count() == 0) continue;
     ASSERT_LT(next, summary.errors.size());
     const obs::StageErrorReport& got = summary.errors[next++];
     EXPECT_EQ(got.stage, static_cast<TraceStage>(stage));
-    EXPECT_EQ(got.error_us.count(), want.count());
-    EXPECT_EQ(got.error_us.sum(), want.sum());
-    EXPECT_EQ(got.error_us.min(), want.min());
-    EXPECT_EQ(got.error_us.max(), want.max());
-    EXPECT_EQ(got.error_us.bucket_counts(), want.bucket_counts());
+    // count, sum, min, max and the four quantiles.
+    EXPECT_EQ(got.error_us.to_string(), want.to_string());
   }
   EXPECT_EQ(next, summary.errors.size());
 }

@@ -140,17 +140,9 @@ TEST(LeakyBucket, WaitTimeMatchesDeficit) {
 }
 
 TEST(Factory, MakesConfiguredKind) {
-  EXPECT_STREQ(make_pacer({.kind = PacerKind::kNone})->name(), "none");
   EXPECT_STREQ(make_pacer({.kind = PacerKind::kInterval})->name(), "interval");
   EXPECT_STREQ(make_pacer({.kind = PacerKind::kLeakyBucket})->name(),
                "leaky-bucket");
-}
-
-TEST(NullPacer, NeverDelays) {
-  NullPacer pacer;
-  pacer.on_packet_sent(Time::zero(), kPkt, kRate);
-  EXPECT_EQ(pacer.earliest_send_time(Time::zero() + 1_ms, kPkt, kRate),
-            Time::zero() + 1_ms);
 }
 
 }  // namespace

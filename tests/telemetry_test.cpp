@@ -98,6 +98,25 @@ TEST(QuantileSketch, EmptySketchReportsZeros) {
             "count=0 sum=0 min=0 max=0 p50=0 p90=0 p99=0 p999=0");
 }
 
+TEST(QuantileSketch, QuantilesStayInsideTheObservedRange) {
+  // A bucket's outer edge can lie past every sample in it: a lone -3,000
+  // sits in the bucket of magnitudes 2,944..3,007, and a lone 100 in
+  // 100..101. The reported quantile is clamped to [min, max], which keeps
+  // it in the same bucket.
+  QuantileSketch lone;
+  lone.observe(-3'000);
+  EXPECT_EQ(lone.to_string(),
+            "count=1 sum=-3000 min=-3000 max=-3000 p50=-3000 p90=-3000 "
+            "p99=-3000 p999=-3000");
+  QuantileSketch both;
+  both.observe(-3'000);
+  both.observe(100);
+  EXPECT_EQ(both.quantile(0.0), -3'000);
+  EXPECT_EQ(both.quantile(1.0), 100);
+  EXPECT_EQ(QuantileSketch::bucket_of(both.quantile(1.0)),
+            QuantileSketch::bucket_of(101));
+}
+
 TEST(QuantileSketch, MergeMatchesSerialInAnyOrder) {
   QuantileSketch serial, a, b;
   for (std::int64_t i = 0; i < 2000; ++i) {

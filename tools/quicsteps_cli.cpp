@@ -274,8 +274,10 @@ int main(int argc, char** argv) {
               flag, next_value(i), 1,
               (net::DataRate::infinite().bps() - 1) / 1'000'000));
     } else if (flag == "--rtt-ms") {
-      config.topology.path_delay_one_way = sim::Duration::millis(
-          parse_scaled(flag, next_value(i), 0, 1'000'000) / 2);
+      // Halved in nanoseconds, so an odd RTT keeps its half millisecond.
+      const sim::Duration rtt = sim::Duration::millis(
+          parse_scaled(flag, next_value(i), 0, 1'000'000));
+      config.topology.path_delay_one_way = rtt / 2;
     } else if (flag == "--buffer-kb") {
       // A zero-byte buffer drops every packet.
       config.topology.bottleneck_buffer_bytes =
@@ -378,8 +380,8 @@ int main(int argc, char** argv) {
       registry.set_gauge("bottleneck/dropped_packets", run.dropped_packets);
       registry.set_gauge("trace/complete_chains", summary.complete_chains);
       for (const auto& se : summary.errors) {
-        registry.histogram(std::string("pacing_error/") +
-                           obs::to_string(se.stage)) = se.error_us;
+        registry.sketch(std::string("pacing_error/") +
+                        obs::to_string(se.stage)) = se.error_us;
       }
       std::printf("    metrics registry:\n");
       const std::string metrics_text = registry.to_string();
