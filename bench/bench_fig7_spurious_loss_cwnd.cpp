@@ -12,7 +12,7 @@ int main() {
   auto config = base_config("quiche+fq");
   config.stack = framework::StackKind::kQuiche;
   config.topology.server_qdisc = framework::QdiscKind::kFq;
-  config.record_cwnd_trace = true;
+  config.trace = true;  // the cwnd series is the run's recovery samples
   config.repetitions = 1;
 
   auto rollback_run = framework::Runner::run_once(config, config.seed);

@@ -64,7 +64,6 @@
 #include "quic/app_source.hpp"
 #include "quic/client.hpp"
 #include "quic/connection.hpp"
-#include "quic/qlog.hpp"
 #include "quic/server.hpp"
 #include "sim/event_loop.hpp"
 #include "sim/random.hpp"

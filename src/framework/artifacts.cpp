@@ -19,9 +19,10 @@ void write_capture_csv(std::ostream& out,
 
 void write_cwnd_trace_csv(std::ostream& out, const RunResult& run) {
   out << "time_ns,cwnd_bytes,bytes_in_flight\n";
-  for (const auto& point : run.cwnd_trace) {
-    out << point.t.ns() << ',' << point.cwnd << ',' << point.in_flight
-        << '\n';
+  if (run.trace == nullptr) return;
+  for (const obs::RecoverySample& sample : run.trace->recovery) {
+    out << sample.at.ns() << ',' << sample.cwnd << ','
+        << sample.bytes_in_flight << '\n';
   }
 }
 

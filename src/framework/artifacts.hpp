@@ -21,8 +21,8 @@ namespace quicsteps::framework {
 void write_capture_csv(std::ostream& out,
                        const std::vector<net::Packet>& capture);
 
-/// Writes a congestion-window trace (Fig. 7 data) as CSV:
-/// time_ns, cwnd_bytes, bytes_in_flight.
+/// Writes a traced run's recovery samples (Fig. 7 data) as CSV:
+/// time_ns, cwnd_bytes, bytes_in_flight — header only when untraced.
 void write_cwnd_trace_csv(std::ostream& out, const RunResult& run);
 
 /// Writes per-packet inter-arrival gaps (ms) as a single CSV column.
@@ -33,8 +33,8 @@ void write_gaps_csv(std::ostream& out, const RunResult& run);
 void write_summary_csv(std::ostream& out, const std::string& label,
                        const RunResult& run, bool header);
 
-/// Writes a run's per-packet path trace (RunResult::trace) as path-qlog
-/// JSONL — header only when the run was untraced.
+/// Writes a run's path trace (RunResult::trace: spans and recovery
+/// samples) as path-qlog JSONL — header only when the run was untraced.
 void write_path_qlog(std::ostream& out, const RunResult& run,
                      const std::string& title);
 

@@ -1,6 +1,5 @@
 #include "framework/endpoint.hpp"
 
-#include <fstream>
 #include <string>
 #include <utility>
 
@@ -9,7 +8,6 @@
 #include "metrics/goodput.hpp"
 #include "quic/app_source.hpp"
 #include "quic/client.hpp"
-#include "quic/qlog.hpp"
 #include "quic/server.hpp"
 #include "stacks/event_loop_model.hpp"
 #include "tcp/tcp_client.hpp"
@@ -25,9 +23,8 @@ class QuicEndpoint final : public FlowEndpoint {
  public:
   QuicEndpoint(sim::EventLoop& loop, net::PacketSlab& slab,
                kernel::OsModel& sender_os, const ExperimentConfig& config,
-               std::uint32_t flow_id, std::uint64_t seed,
-               net::PacketSink* server_egress, net::PacketSink* client_egress,
-               RunResult& live_result) {
+               std::uint32_t flow_id, net::PacketSink* server_egress,
+               net::PacketSink* client_egress) {
     const stacks::StackProfile profile = profile_for(config);
     quic::Connection::Config conn_cfg;
     conn_cfg.total_payload_bytes = config.payload_bytes;
@@ -54,25 +51,8 @@ class QuicEndpoint final : public FlowEndpoint {
                                  profile.flow_control_credit},
         client_egress);
 
-    quic::Connection& conn = connection();
-    if (config.record_cwnd_trace) {
-      RunResult* live = &live_result;
-      conn.set_cwnd_tracer([live](sim::Time t, std::int64_t cwnd,
-                                  std::int64_t in_flight) {
-        live->cwnd_trace.push_back(RunResult::CwndPoint{t, cwnd, in_flight});
-      });
-    }
-    if (!config.qlog_path.empty()) {
-      qlog_stream_ = std::make_unique<std::ofstream>(config.qlog_path + "." +
-                                                     std::to_string(seed));
-      qlog_ = std::make_unique<quic::QlogWriter>(*qlog_stream_);
-      qlog_->write_header(config.label.empty() ? "quicsteps run"
-                                               : config.label);
-      conn.set_observer(qlog_.get());
-    }
-
     source_ = std::make_unique<quic::AppSource>(
-        loop, conn, config.workload, [this] {
+        loop, connection(), config.workload, [this] {
           if (stack_ != nullptr) {
             stack_->poke();
           } else {
@@ -100,6 +80,7 @@ class QuicEndpoint final : public FlowEndpoint {
 
   void set_trace(obs::TraceBus& bus, const std::string& prefix) override {
     const std::uint16_t id = bus.register_component(prefix + "stack");
+    connection().set_trace(&bus, id);  // recovery samples share the id
     if (stack_ != nullptr) {
       stack_->set_trace(&bus, id, bus.register_component(prefix + "socket"));
     } else {
@@ -141,14 +122,12 @@ class QuicEndpoint final : public FlowEndpoint {
   std::unique_ptr<stacks::StackServer> stack_;
   std::unique_ptr<quic::ReferenceServer> ideal_;
   std::unique_ptr<quic::Client> client_;
-  // Only a run that asked for a qlog pays for the stream.
-  std::unique_ptr<std::ofstream> qlog_stream_;
-  std::unique_ptr<quic::QlogWriter> qlog_;
   std::unique_ptr<quic::AppSource> source_;
 };
 
 /// The kernel TCP baseline: segments enter the same egress qdisc directly
-/// (tc treats them alike); no UDP sockets, app source, or qlog.
+/// (tc treats them alike); no UDP sockets, app source, or recovery
+/// samples.
 class TcpEndpoint final : public FlowEndpoint {
  public:
   TcpEndpoint(sim::EventLoop& loop, const ExperimentConfig& config,
@@ -197,16 +176,15 @@ class TcpEndpoint final : public FlowEndpoint {
 
 std::unique_ptr<FlowEndpoint> make_flow_endpoint(
     sim::EventLoop& loop, net::PacketSlab& slab, kernel::OsModel& sender_os,
-    const ExperimentConfig& config, std::uint32_t flow_id, std::uint64_t seed,
-    net::PacketSink* server_egress, net::PacketSink* client_egress,
-    RunResult& live_result) {
+    const ExperimentConfig& config, std::uint32_t flow_id,
+    net::PacketSink* server_egress, net::PacketSink* client_egress) {
   if (config.stack == StackKind::kTcpTls) {
     return std::make_unique<TcpEndpoint>(loop, config, flow_id,
                                          server_egress, client_egress);
   }
   return std::make_unique<QuicEndpoint>(loop, slab, sender_os, config,
-                                        flow_id, seed, server_egress,
-                                        client_egress, live_result);
+                                        flow_id, server_egress,
+                                        client_egress);
 }
 
 }  // namespace quicsteps::framework

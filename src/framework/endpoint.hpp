@@ -38,8 +38,10 @@ class FlowEndpoint {
   virtual bool complete() const = 0;
 
   /// Installs path tracing on the endpoint's user-space components (stack
-  /// and socket), registering them on `bus` under `prefix`. Default: the
-  /// endpoint has no traceable user-space stages (TCP baseline).
+  /// and socket), registering them on `bus` under `prefix`; a QUIC
+  /// connection publishes its recovery samples under the stack's id.
+  /// Default: the endpoint has no traceable user-space stages (TCP
+  /// baseline).
   virtual void set_trace(obs::TraceBus& bus, const std::string& prefix) {
     (void)bus;
     (void)prefix;
@@ -55,13 +57,10 @@ class FlowEndpoint {
 /// (a measured stack's socket recycles GSO segment buffers through its
 /// pool); `sender_os` is the host kernel the stack's syscalls and timers
 /// are charged to; `server_egress` is the host's qdisc; `client_egress` is
-/// the shared ACK return path. Cwnd trace points stream into
-/// `live_result` during the run (it must outlive the endpoint); qlog files
-/// are named "<qlog_path>.<seed>".
+/// the shared ACK return path.
 std::unique_ptr<FlowEndpoint> make_flow_endpoint(
     sim::EventLoop& loop, net::PacketSlab& slab, kernel::OsModel& sender_os,
-    const ExperimentConfig& config, std::uint32_t flow_id, std::uint64_t seed,
-    net::PacketSink* server_egress, net::PacketSink* client_egress,
-    RunResult& live_result);
+    const ExperimentConfig& config, std::uint32_t flow_id,
+    net::PacketSink* server_egress, net::PacketSink* client_egress);
 
 }  // namespace quicsteps::framework

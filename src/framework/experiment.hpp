@@ -43,17 +43,15 @@ struct ExperimentConfig {
   std::int64_t payload_bytes = 10ll * 1024 * 1024;
   int repetitions = 5;
   std::uint64_t seed = 1;
-  bool record_cwnd_trace = false;
   /// Application workload shape (bulk download, chunked VOD, CBR
   /// real-time); QUIC stacks only.
   quic::SourceConfig workload;
   /// Retain the full tap capture in RunResult (CSV export, tooling).
   bool keep_capture = false;
-  /// Write a qlog JSON-SEQ trace of the server connection to this path
-  /// (empty = no trace). One file per repetition: "<path>.<rep>".
-  std::string qlog_path;
-  /// Record per-packet path spans (pacer release through delivery) on the
-  /// run's TraceBus; the finished trace lands in RunResult::trace.
+  /// Record per-packet path spans (pacer release through delivery) and
+  /// the QUIC connection's recovery samples (cwnd, bytes in flight, RTT
+  /// per ACK and loss; Fig. 7) on the run's TraceBus; the finished trace
+  /// lands in RunResult::trace.
   bool trace = false;
 };
 
@@ -83,21 +81,13 @@ struct RunResult {
   std::int64_t pacer_releases = 0;
   std::int64_t pacer_deferrals = 0;
 
-  /// This flow's per-packet path spans when ExperimentConfig::trace was
-  /// set (component table shared across flows; events filtered to the
-  /// flow). Null otherwise.
+  /// This flow's per-packet path spans and recovery samples when
+  /// ExperimentConfig::trace was set (component table shared across
+  /// flows; spans and samples filtered to the flow). Null otherwise.
   std::shared_ptr<const obs::TraceData> trace;
 
   /// Full tap capture when ExperimentConfig::keep_capture is set.
   std::shared_ptr<const std::vector<net::Packet>> capture;
-
-  /// (time, cwnd, bytes_in_flight) trace when requested (Fig. 7).
-  struct CwndPoint {
-    sim::Time t;
-    std::int64_t cwnd;
-    std::int64_t in_flight;
-  };
-  std::vector<CwndPoint> cwnd_trace;
 };
 
 /// Environment knobs shared by all benches:

@@ -38,27 +38,23 @@ obs::TimeSeries::Snapshot bottleneck_snapshot(void* ctx) {
 }  // namespace
 
 SenderHost::SenderHost(sim::EventLoop& loop, const FlowSpec& spec,
-                       std::uint32_t flow_id, std::uint64_t seed,
-                       kernel::OsModel& os, BottleneckPath& path,
-                       RunResult& live_result)
+                       std::uint32_t flow_id, kernel::OsModel& os,
+                       BottleneckPath& path)
     : flow_id_(flow_id),
       start_delay_(spec.start_delay),
       path_(loop, path.slab(), spec.config.topology, os,
             path.wire_ingress()) {
   endpoint_ = make_flow_endpoint(loop, path.slab(), os, spec.config, flow_id_,
-                                 seed, path_.egress(), path.ack_ingress(),
-                                 live_result);
+                                 path_.egress(), path.ack_ingress());
   // Duplicate flow ids trip the flow table's registration audit.
   path.register_flow(flow_id_, &endpoint_->data_ingress(),
                      &endpoint_->ack_ingress());
 }
 
 Network::Network(sim::EventLoop& loop, const MultiFlowConfig& config,
-                 sim::Rng& rng, std::vector<RunResult>& live_results)
+                 sim::Rng& rng, std::vector<RunResult>& /*unused*/)
     : loop_(loop), deadline_(sim::Time::zero() + flows_deadline(config)) {
   QUICSTEPS_AUDIT(!config.flows.empty(), "Network needs at least one flow");
-  QUICSTEPS_AUDIT(live_results.size() == config.flows.size(),
-                  "live_results must be sized to the flow count");
   if (config.flows.empty()) return;
   const std::size_t n = config.flows.size();
   os_.reserve(n);
@@ -77,18 +73,12 @@ Network::Network(sim::EventLoop& loop, const MultiFlowConfig& config,
   loop.reserve_drains(n);  // each sender host's NIC registers one
 
   for (std::size_t i = 0; i < n; ++i) {
-    FlowSpec spec = config.flows[i];
-    const std::uint32_t id = wire_flow_id(spec, i, n);
-    if (n > 1 && !spec.config.qlog_path.empty()) {
-      // One qlog file per flow, not N writers on one file.
-      spec.config.qlog_path += ".flow" + std::to_string(id);
-    }
+    const FlowSpec& spec = config.flows[i];
     if (i != 0) {
       os_.emplace_back(spec.config.topology.server_os,
                        rng.fork(1 + 16 * static_cast<std::uint64_t>(i)));
     }
-    hosts_.emplace_back(loop, spec, id, config.seed, os_[i], *path_,
-                        live_results[i]);
+    hosts_.emplace_back(loop, spec, wire_flow_id(spec, i, n), os_[i], *path_);
   }
   path_->finish_flow_registration();
 }
@@ -103,10 +93,6 @@ void Network::start() {
         loop_.now() + flow_host.start_delay(), sim::EventClass::kGeneral,
         &flow_host);
   }
-}
-
-void Network::set_trace(obs::TraceBus& bus) {
-  set_trace(bus, obs::FlowSampler());
 }
 
 void Network::set_trace(obs::TraceBus& bus, const obs::FlowSampler& sampler) {
@@ -173,13 +159,20 @@ sim::Duration flows_deadline(const MultiFlowConfig& config) {
   // Every flow gets its full budget, offset by its start delay — the max,
   // not flow A's budget plus B's delay (which truncated a larger flow B).
   sim::Duration deadline = sim::Duration::zero();
+  std::int64_t total_payload = 0;
   for (const FlowSpec& spec : config.flows) {
     const sim::Duration flow_deadline = spec.start_delay +
                                         run_deadline(spec.config) +
                                         workload_duration(spec.config);
     if (flow_deadline > deadline) deadline = flow_deadline;
+    total_payload += spec.config.payload_bytes;
   }
-  return deadline;
+  if (config.flows.empty()) return deadline;
+  // The flows share one bottleneck, so the fleet also gets the budget of
+  // one flow moving every payload over it (for one flow, the same value).
+  ExperimentConfig fleet = config.flows[0].config;
+  fleet.payload_bytes = total_payload;
+  return sim::max(deadline, run_deadline(fleet));
 }
 
 MultiFlowResult run_flows(const MultiFlowConfig& config) {
@@ -295,7 +288,7 @@ MultiFlowResult run_flows(const MultiFlowConfig& config) {
 
   // Demux the shared bus into per-flow traces: each traced flow gets the
   // full component table plus only its own spans (ACKs included — they
-  // carry the flow's id on the return path).
+  // carry the flow's id on the return path) and recovery samples.
   obs::TraceData all_spans;
   if (tracing) all_spans = trace_bus.take();
   if (telemetry && tracing) timeseries->fold_spans(all_spans.events);
@@ -330,6 +323,9 @@ MultiFlowResult run_flows(const MultiFlowConfig& config) {
         flow_trace->components = all_spans.components;
         for (const obs::SpanEvent& ev : all_spans.events) {
           if (ev.flow == id) flow_trace->events.push_back(ev);
+        }
+        for (const obs::RecoverySample& sample : all_spans.recovery) {
+          if (sample.flow == id) flow_trace->recovery.push_back(sample);
         }
       }
       flow_result.trace = std::move(flow_trace);

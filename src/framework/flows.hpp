@@ -104,8 +104,8 @@ struct MultiFlowResult {
 class SenderHost {
  public:
   SenderHost(sim::EventLoop& loop, const FlowSpec& spec,
-             std::uint32_t flow_id, std::uint64_t seed, kernel::OsModel& os,
-             BottleneckPath& path, RunResult& live_result);
+             std::uint32_t flow_id, kernel::OsModel& os,
+             BottleneckPath& path);
 
   /// Starts the endpoint (server send loop + application source).
   void start() { endpoint_->start(); }
@@ -142,19 +142,18 @@ class Network {
   static constexpr std::size_t kMaxFlows =
       sim::EventLoop::kMaxDrainChannels - 4;
 
-  /// `live_results[i]` receives flow i's streaming fields (cwnd trace)
-  /// during the run; it must be sized to the flow count and outlive the
-  /// network. Flow ids follow from the flow count (see FlowSpec).
+  /// Flow ids follow from the flow count (see FlowSpec). The unnamed
+  /// vector is unused; perfbench/src still passes it.
   Network(sim::EventLoop& loop, const MultiFlowConfig& config, sim::Rng& rng,
-          std::vector<RunResult>& live_results);
+          std::vector<RunResult>& /*unused*/);
 
   /// Starts every flow: zero-delay flows immediately (in flows[] order),
   /// delayed flows via scheduled events.
   void start();
 
-  /// When the run gives up: the max over flows of start delay + per-flow
-  /// deadline — every flow gets its full time budget (the old duel loop
-  /// granted only flow A's).
+  /// When the run gives up: flows_deadline(config) after t = 0 — every
+  /// flow gets its full time budget, and the fleet the time its summed
+  /// payload needs on the shared bottleneck.
   sim::Time deadline() const { return deadline_; }
 
   BottleneckPath& path() { return *path_; }
@@ -168,14 +167,12 @@ class Network {
   net::CountersTable counters_table() const;
   check::ConservationAuditor conservation_auditor() const;
 
-  /// Installs tracing on every host and the shared path. Component ids are
-  /// assigned in wiring order (hosts in flows[] order, then the path), so
-  /// the table is a pure function of the config.
-  void set_trace(obs::TraceBus& bus);
-  /// Sampled variant: hosts whose flow id the sampler rejects keep a null
-  /// bus (their sender-side spans cost nothing); the shared path is always
-  /// wired and the bus filters its per-flow packets via the sampler. The
-  /// component table stays a pure function of (config, seed).
+  /// Installs tracing on every sampled host and the shared path.
+  /// Component ids are assigned in wiring order (hosts in flows[] order,
+  /// then the path), so the table is a pure function of (config, seed).
+  /// Hosts whose flow id the sampler rejects keep a null bus (their
+  /// sender-side spans cost nothing); the shared path is always wired and
+  /// the bus filters its per-flow packets via the sampler.
   void set_trace(obs::TraceBus& bus, const obs::FlowSampler& sampler);
 
  private:
@@ -196,7 +193,9 @@ class Network {
 double jain_index(const std::vector<double>& xs);
 
 /// Simulated-time budget for a whole multi-flow run, measured from t=0:
-/// max over flows of start_delay + run_deadline + workload_duration.
+/// max over flows of start_delay + run_deadline + workload_duration, and
+/// at least the run_deadline of one flow carrying every flow's payload
+/// over the shared bottleneck.
 sim::Duration flows_deadline(const MultiFlowConfig& config);
 
 /// Runs N competing flows to completion (or deadline) and extracts every

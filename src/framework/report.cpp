@@ -122,21 +122,22 @@ std::string render_precision_table(const std::vector<Aggregate>& rows,
 std::string render_cwnd_trace(const RunResult& run, const std::string& title,
                               int width, int height) {
   std::string out = heading(title);
-  if (run.cwnd_trace.empty()) {
+  if (run.trace == nullptr || run.trace->recovery.empty()) {
     out += "(no trace recorded)\n";
     return out;
   }
-  const auto t0 = run.cwnd_trace.front().t;
-  const auto t1 = run.cwnd_trace.back().t;
+  const std::vector<obs::RecoverySample>& samples = run.trace->recovery;
+  const auto t0 = samples.front().at;
+  const auto t1 = samples.back().at;
   std::int64_t max_cwnd = 1;
-  for (const auto& p : run.cwnd_trace) max_cwnd = std::max(max_cwnd, p.cwnd);
+  for (const auto& p : samples) max_cwnd = std::max(max_cwnd, p.cwnd);
 
   std::vector<std::string> grid(
       static_cast<std::size_t>(height),
       std::string(static_cast<std::size_t>(width), ' '));
-  for (const auto& p : run.cwnd_trace) {
+  for (const auto& p : samples) {
     const double xf = (t1 - t0).ns() > 0
-                          ? static_cast<double>((p.t - t0).ns()) /
+                          ? static_cast<double>((p.at - t0).ns()) /
                                 static_cast<double>((t1 - t0).ns())
                           : 0.0;
     int col = static_cast<int>(xf * (width - 1) + 0.5);

@@ -28,7 +28,8 @@ std::string render_train_figure(const std::vector<Aggregate>& rows,
 std::string render_precision_table(const std::vector<Aggregate>& rows,
                                    const std::string& title);
 
-/// Fig. 7 style: cwnd time series as an ASCII plot.
+/// Fig. 7 style: cwnd time series as an ASCII plot, read from a traced
+/// run's recovery samples.
 std::string render_cwnd_trace(const RunResult& run, const std::string& title,
                               int width = 78, int height = 16);
 

@@ -41,7 +41,6 @@ class Qdisc : public net::PacketHop, public obs::TraceSource {
 
   const std::string& name() const { return name_; }
   const net::Counters& counters() const { return counters_; }
-  void set_downstream(net::PacketSink* sink) { downstream_ = sink; }
 
   /// Live queue depth in packets for conservation auditing, or -1 when the
   /// discipline does not report one (only sign/edge invariants then apply

@@ -23,9 +23,6 @@ class DataRate {
   static constexpr DataRate gigabits_per_second(std::int64_t gbps) {
     return DataRate(gbps * 1'000'000'000);
   }
-  static constexpr DataRate bytes_per_second(std::int64_t bytes) {
-    return DataRate(bytes * 8);
-  }
   static constexpr DataRate zero() { return DataRate(0); }
   static constexpr DataRate infinite() {
     return DataRate(std::int64_t{1} << 62);

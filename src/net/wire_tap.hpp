@@ -37,11 +37,8 @@ class WireTap final : public PacketHop, public obs::TraceSource {
     hand_off(downstream_, ref);
   }
 
-  void set_downstream(PacketSink* sink) { downstream_ = sink; }
-
   /// Full capture, in wire order.
   const std::vector<Packet>& capture() const { return capture_; }
-  void clear() { capture_.clear(); }
 
   /// Retention switch. Defaults to on (hand-wired paths read the capture
   /// directly); run_flows turns it off — its analysis streams through

@@ -24,6 +24,37 @@ void write_event(std::ostream& out, const TraceData& data,
   out << "}}\n";
 }
 
+/// One sample as qlog renders it: the ACK (`transport:packet_received`)
+/// or loss (`recovery:packet_lost`), then `recovery:metrics_updated`.
+void write_sample(std::ostream& out, const TraceData& data,
+                  const RecoverySample& sample) {
+  const std::string time = sample.at.to_micros_string();
+  const std::string& component = component_name(data, sample.component);
+  const auto prefix = [&](const char* name) {
+    out << "{\"time\":" << time << ",\"name\":\"" << name
+        << "\",\"data\":{\"component\":\"" << component
+        << "\",\"flow\":" << sample.flow << ',';
+  };
+  if (sample.event == RecoveryEvent::kAck) {
+    prefix("transport:packet_received");
+    out << "\"header\":{\"packet_type\":\"1RTT\"},\"frames\":[{"
+           "\"frame_type\":\"ack\",\"largest_acked\":"
+        << sample.packets << ",\"acked_bytes\":" << sample.bytes << "}]}}\n";
+  } else {
+    prefix("recovery:packet_lost");
+    out << "\"packets\":" << sample.packets << ",\"bytes\":" << sample.bytes
+        << "}}\n";
+  }
+  prefix("recovery:metrics_updated");
+  out << "\"congestion_window\":" << sample.cwnd
+      << ",\"bytes_in_flight\":" << sample.bytes_in_flight
+      << ",\"smoothed_rtt\":" << sample.smoothed_rtt.to_micros_string();
+  if (!sample.pacing_rate.is_infinite() && !sample.pacing_rate.is_zero()) {
+    out << ",\"pacing_rate\":" << sample.pacing_rate.bps();
+  }
+  out << "}}\n";
+}
+
 }  // namespace
 
 void write_path_qlog(std::ostream& out, const TraceData& data,
@@ -37,8 +68,16 @@ void write_path_qlog(std::ostream& out, const TraceData& data,
     out << '"' << data.components[i] << '"';
   }
   out << "]}}\n";
+  // Merge by time; a sample goes after the spans of its instant.
+  auto sample = data.recovery.begin();
   for (const SpanEvent& ev : data.events) {
+    for (; sample != data.recovery.end() && sample->at < ev.at; ++sample) {
+      write_sample(out, data, *sample);
+    }
     write_event(out, data, ev);
+  }
+  for (; sample != data.recovery.end(); ++sample) {
+    write_sample(out, data, *sample);
   }
 }
 

@@ -8,7 +8,9 @@
 // delivery), keyed by flow id + packet number, so a packet's full journey
 // can be reconstructed and diffed against its intended txtime
 // (obs/path_timeline.hpp) and exported as path-qlog JSONL or CSV
-// (obs/exporters.hpp).
+// (obs/exporters.hpp). The sending QUIC connection publishes its recovery
+// state on the same bus (RecoverySample), so the transport's window sits
+// in one trace beside the kernel path.
 //
 // Cost discipline: tracing is a runtime choice in every build. An
 // instrumented component holds a TraceBus pointer that is null unless a
@@ -78,14 +80,40 @@ struct SpanEvent {
   std::uint16_t component = 0;  // index into TraceData::components
 };
 
-/// A completed trace: the component name table plus every span, in
-/// publication (= event-loop execution) order.
+/// What a RecoverySample reports beside the connection's metrics.
+enum class RecoveryEvent : std::uint8_t {
+  kAck,   // an ACK newly acknowledged at least one packet
+  kLoss,  // loss detection declared packets lost
+};
+
+/// The sending connection's recovery state after one ACK it processed or
+/// one loss it declared: the quantities qlog's `recovery:metrics_updated`
+/// carries, plus the event's own numbers. Published under the stack's
+/// component id, so the component table needs no transport entry.
+struct RecoverySample {
+  sim::Time at;
+  sim::Duration smoothed_rtt;
+  net::DataRate pacing_rate;  // infinite before the first RTT sample
+  std::int64_t cwnd = 0;
+  std::int64_t bytes_in_flight = 0;
+  /// kAck: the largest newly acked packet number. kLoss: packets lost.
+  std::uint64_t packets = 0;
+  /// kAck: bytes newly acked. kLoss: bytes lost.
+  std::int64_t bytes = 0;
+  std::uint32_t flow = 0;
+  RecoveryEvent event = RecoveryEvent::kAck;
+  std::uint16_t component = 0;
+};
+
+/// A completed trace: the component name table, every span and every
+/// recovery sample, each in publication (= event-loop execution) order.
 struct TraceData {
   std::vector<std::string> components;
   std::vector<SpanEvent> events;
+  std::vector<RecoverySample> recovery;
 };
 
-/// The per-run span sink. One bus per run_flows invocation; components
+/// The per-run trace sink. One bus per run_flows invocation; components
 /// publish through a raw pointer that is null when tracing is off, so the
 /// bus itself needs no enabled flag. Not thread-safe — a run owns its loop,
 /// its network, and its bus (parallelism is across runs, never within one).
@@ -99,6 +127,9 @@ class TraceBus {
   }
 
   void publish(const SpanEvent& ev) { data_.events.push_back(ev); }
+  void publish(const RecoverySample& sample) {
+    data_.recovery.push_back(sample);
+  }
 
   /// Appends a whole span train in one call — one capacity check and one
   /// contiguous copy instead of a push_back per span. The GSO expansion in
@@ -117,7 +148,6 @@ class TraceBus {
   /// accepts() per packet — one splitmix hash, far cheaper than storing
   /// the span. Default: everything accepted.
   void set_sampler(const FlowSampler& sampler) { sampler_ = sampler; }
-  const FlowSampler& sampler() const { return sampler_; }
 
   /// True when `flow`'s spans belong on this bus.
   bool accepts(std::uint32_t flow) const { return sampler_.sampled(flow); }

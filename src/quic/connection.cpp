@@ -29,7 +29,8 @@ bool Connection::flow_control_blocked() const {
 }
 
 bool Connection::congestion_blocked() const {
-  return sent_.bytes_in_flight() + kDatagramSize > cc_->cwnd_bytes();
+  return !probe_owed_ &&
+         sent_.bytes_in_flight() + kDatagramSize > cc_->cwnd_bytes();
 }
 
 net::DataRate Connection::pacing_rate() const {
@@ -68,6 +69,7 @@ Connection::Chunk Connection::next_chunk() {
 net::Packet Connection::build_packet(sim::Time send_time,
                                      sim::Time pacer_commit_time) {
   const Chunk chunk = next_chunk();
+  probe_owed_ = false;
 
   net::Packet pkt;
   pkt.id = next_packet_id_++;
@@ -103,7 +105,6 @@ net::Packet Connection::build_packet(sim::Time send_time,
 
   ++stats_.packets_sent;
   stats_.bytes_sent += pkt.size_bytes;
-  if (observer_ != nullptr) observer_->on_packet_sent(send_time, pkt);
   return pkt;
 }
 
@@ -176,10 +177,8 @@ void Connection::on_ack_packet(const net::Packet& pkt, sim::Time now) {
   sample.app_limited = largest_pkt.app_limited_at_send;
   sample.delivered_bytes = delivered_bytes_;
   cc_->on_ack(sample);
-  if (observer_ != nullptr) {
-    observer_->on_ack_processed(now, largest_pkt.pn, acked_bytes);
-  }
-  trace(now);
+  publish_recovery(now, obs::RecoveryEvent::kAck, largest_pkt.pn,
+                   acked_bytes);
 }
 
 void Connection::handle_lost(std::vector<SentPacket> lost, bool persistent,
@@ -202,10 +201,9 @@ void Connection::handle_lost(std::vector<SentPacket> lost, bool persistent,
   }
   sample.bytes_in_flight = sent_.bytes_in_flight();
   cc_->on_loss(sample);
-  if (observer_ != nullptr) {
-    observer_->on_packets_lost(now, sample.lost_packets, sample.lost_bytes);
-  }
-  trace(now);
+  publish_recovery(now, obs::RecoveryEvent::kLoss,
+                   static_cast<std::uint64_t>(sample.lost_packets),
+                   sample.lost_bytes);
 }
 
 sim::Time Connection::next_timer_deadline() const {
@@ -235,16 +233,26 @@ void Connection::on_timer(sim::Time now) {
     if (oldest != nullptr && oldest->stream_offset >= 0) {
       retransmit_queue_.push_front(
           Chunk{oldest->stream_offset, oldest->stream_length, oldest->fin});
+      probe_owed_ = true;
     }
   }
 }
 
-void Connection::trace(sim::Time now) {
-  if (tracer_) tracer_(now, cc_->cwnd_bytes(), sent_.bytes_in_flight());
-  if (observer_ != nullptr) {
-    observer_->on_metrics(now, cc_->cwnd_bytes(), sent_.bytes_in_flight(),
-                          rtt_.smoothed(), pacing_rate());
-  }
+void Connection::publish_recovery(sim::Time now, obs::RecoveryEvent event,
+                                  std::uint64_t packets, std::int64_t bytes) {
+  if (trace_bus_ == nullptr) return;
+  obs::RecoverySample sample;
+  sample.at = now;
+  sample.smoothed_rtt = rtt_.smoothed();
+  sample.pacing_rate = pacing_rate();
+  sample.cwnd = cc_->cwnd_bytes();
+  sample.bytes_in_flight = sent_.bytes_in_flight();
+  sample.packets = packets;
+  sample.bytes = bytes;
+  sample.flow = config_.flow;
+  sample.event = event;
+  sample.component = trace_component_;
+  trace_bus_->publish(sample);
 }
 
 }  // namespace quicsteps::quic

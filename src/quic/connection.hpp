@@ -10,12 +10,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "cc/cc_factory.hpp"
 #include "net/packet.hpp"
+#include "obs/trace.hpp"
 #include "pacing/pacer.hpp"
 #include "quic/ack_manager.hpp"
 #include "quic/frames.hpp"
@@ -26,23 +26,10 @@
 
 namespace quicsteps::quic {
 
-/// Observer interface the Connection reports its lifecycle through
-/// (structured tracing; see quic/qlog.hpp for the qlog JSON writer).
-class ConnectionObserver {
- public:
-  virtual ~ConnectionObserver() = default;
-  virtual void on_packet_sent(sim::Time now, const net::Packet& pkt) = 0;
-  virtual void on_ack_processed(sim::Time now, std::uint64_t largest_acked,
-                                std::int64_t acked_bytes) = 0;
-  virtual void on_packets_lost(sim::Time now, std::int64_t lost_packets,
-                               std::int64_t lost_bytes) = 0;
-  virtual void on_metrics(sim::Time now, std::int64_t cwnd,
-                          std::int64_t bytes_in_flight,
-                          sim::Duration smoothed_rtt,
-                          net::DataRate pacing_rate) = 0;
-};
-
-class Connection {
+/// A traced connection (set_trace, under its stack's component id)
+/// publishes one obs::RecoverySample per ACK it processes and per loss it
+/// declares.
+class Connection : public obs::TraceSource {
  public:
   struct Config {
     std::int64_t total_payload_bytes = 10 * 1024 * 1024;
@@ -82,7 +69,8 @@ class Connection {
   /// True when only the peer's MAX_DATA blocks further NEW data (a window
   /// update will unblock; retransmissions are never blocked).
   bool flow_control_blocked() const;
-  /// True when cwnd blocks a full-sized packet right now.
+  /// True when cwnd blocks a full-sized packet right now. Never while a
+  /// PTO probe is owed: probes bypass the window (RFC 9002 §6.2.4).
   bool congestion_blocked() const;
   /// Current pacing rate (infinite before the first RTT sample so the
   /// initial window leaves as the burst real stacks emit).
@@ -140,15 +128,6 @@ class Connection {
   pacing::Pacer& pacer() { return *pacer_; }
   const pacing::Pacer& pacer() const { return *pacer_; }
 
-  /// Trace hook invoked after every CC-relevant event with (time, cwnd,
-  /// bytes_in_flight) — feeds the Fig. 7 congestion-window plots.
-  using CwndTracer =
-      std::function<void(sim::Time, std::int64_t, std::int64_t)>;
-  void set_cwnd_tracer(CwndTracer tracer) { tracer_ = std::move(tracer); }
-
-  /// Structured event observer (qlog); optional, may be null.
-  void set_observer(ConnectionObserver* observer) { observer_ = observer; }
-
  private:
   struct Chunk {
     std::int64_t offset;
@@ -159,7 +138,10 @@ class Connection {
   Chunk next_chunk();
   void handle_lost(std::vector<SentPacket> lost, bool persistent,
                    sim::Time now);
-  void trace(sim::Time now);
+  /// Publishes the recovery state after an ACK or a loss; a no-op when
+  /// untraced.
+  void publish_recovery(sim::Time now, obs::RecoveryEvent event,
+                        std::uint64_t packets, std::int64_t bytes);
 
   Config config_;
   std::unique_ptr<cc::CongestionController> cc_;
@@ -187,10 +169,10 @@ class Connection {
 
   sim::Time loss_timer_ = sim::Time::infinite();
   int pto_count_ = 0;
+  // A PTO queued a probe that the next built packet carries.
+  bool probe_owed_ = false;
 
   Stats stats_;
-  CwndTracer tracer_;
-  ConnectionObserver* observer_ = nullptr;
 };
 
 }  // namespace quicsteps::quic

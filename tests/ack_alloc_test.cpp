@@ -205,8 +205,8 @@ namespace {
 TEST(FlowFootprint, FabricFlowBuildsInNineAllocationsAnd2560Bytes) {
   // What one flow costs before its first packet: its OS model and host
   // records in Network's arrays, its qdisc and NIC, and its endpoint.
-  // Undrawn generators, idle queues and an unrequested qlog stream must
-  // cost nothing.
+  // Undrawn generators, idle queues and an untraced connection must cost
+  // nothing.
   constexpr std::size_t kFlows = 1000;
   ExperimentConfig flow;
   flow.stack = StackKind::kIdealQuic;

@@ -249,7 +249,7 @@ TEST(Artifacts, CaptureCsvHasHeaderAndRows) {
   framework::ExperimentConfig config;
   config.stack = framework::StackKind::kQuicheSf;
   config.payload_bytes = 1ll * 1024 * 1024;
-  config.record_cwnd_trace = true;
+  config.trace = true;  // the cwnd CSV reads the recovery samples
   auto run = framework::Runner::run_once(config, 9);
 
   std::ostringstream gaps;

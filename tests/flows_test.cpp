@@ -108,6 +108,21 @@ TEST(RunFlows, DeadlineCoversEveryFlow) {
   EXPECT_GT(framework::flows_deadline(chunked), deadline);
 }
 
+TEST(RunFlows, DeadlineCoversTheSharedBottleneck) {
+  // The flows share one bottleneck, so a fleet gets the budget of one flow
+  // carrying every payload; a single flow keeps its own run_deadline.
+  const ExperimentConfig flow = small_config(StackKind::kIdealQuic, 1 << 20);
+  MultiFlowConfig one;
+  one.flows.push_back(FlowSpec{.config = flow});
+  EXPECT_EQ(framework::flows_deadline(one), framework::run_deadline(flow));
+
+  MultiFlowConfig fleet;
+  fleet.flows.assign(100, FlowSpec{.config = flow});
+  ExperimentConfig all = flow;
+  all.payload_bytes = 100 * flow.payload_bytes;
+  EXPECT_EQ(framework::flows_deadline(fleet), framework::run_deadline(all));
+}
+
 // -------------------------------------------------- N-flow fairness
 
 TEST(RunFlows, FourIdenticalFlowsSplitFairly) {
@@ -208,6 +223,31 @@ TEST(RunFlows, LiteMetricsKeepAggregatesIdentical) {
   }
 }
 
+TEST(RunFlows, TracedFlowsGetOnlyTheirOwnRecoverySamples) {
+  // Both connections publish on the run's one bus, each under its host's
+  // stack id; run_flows hands each flow its own samples.
+  MultiFlowConfig config;
+  config.seed = 5;
+  for (int i = 0; i < 2; ++i) {
+    FlowSpec spec{.config = small_config(StackKind::kQuiche, 256 * 1024)};
+    spec.config.trace = true;
+    config.flows.push_back(spec);
+  }
+  const MultiFlowResult result = framework::run_flows(config);
+  ASSERT_EQ(result.flows.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const auto& trace = result.flows[i].trace;
+    ASSERT_NE(trace, nullptr);
+    ASSERT_FALSE(trace->recovery.empty());
+    for (const obs::RecoverySample& sample : trace->recovery) {
+      EXPECT_EQ(sample.flow, 10 + i);
+      ASSERT_LT(sample.component, trace->components.size());
+      EXPECT_EQ(trace->components[sample.component],
+                "host" + std::to_string(i) + "/stack");
+    }
+  }
+}
+
 TEST(RunFlows, JainIndexHandMath) {
   EXPECT_DOUBLE_EQ(framework::jain_index({10.0, 10.0, 10.0, 10.0}), 1.0);
   // One flow hogging everything: 1/N.
@@ -269,12 +309,12 @@ TEST(TelemetryFleet, FleetSketchesArePinnedAtScale) {
   const auto fct = sketches.find("fleet/fct_us");
   ASSERT_NE(fct, sketches.end());
   EXPECT_EQ(fct->second.to_string(),
-            "count=652 sum=137489603 min=74620 max=466880 p50=176127 "
-            "p90=352255 p99=450559 p999=466880");
+            "count=685 sum=147986536 min=74620 max=466880 p50=176127 "
+            "p90=360447 p99=450559 p999=466880");
   const auto pacing = sketches.find("fleet/pacing_error_us/wire");
   ASSERT_NE(pacing, sketches.end());
   EXPECT_EQ(pacing->second.to_string(),
-            "count=49 sum=1166 min=22 max=24 p50=24 p90=24 p99=24 "
+            "count=68 sum=1618 min=22 max=24 p50=24 p90=24 p99=24 "
             "p999=24");
 }
 

@@ -85,10 +85,11 @@ TEST(Topology, QdiscSelection) {
 
 TEST(Runner, RecordsCwndTraceWhenRequested) {
   auto config = quick_config(StackKind::kQuiche);
-  config.record_cwnd_trace = true;
+  config.trace = true;
   auto result = Runner::run_once(config, 1);
   EXPECT_TRUE(result.completed);
-  EXPECT_GT(result.cwnd_trace.size(), 100u);
+  ASSERT_NE(result.trace, nullptr);
+  EXPECT_GT(result.trace->recovery.size(), 100u);
 }
 
 TEST(Aggregation, PoolsAcrossRepetitions) {
@@ -119,7 +120,7 @@ TEST(Reports, RenderWithoutCrashing) {
 
 TEST(Reports, CwndTraceRendering) {
   auto config = quick_config(StackKind::kQuiche);
-  config.record_cwnd_trace = true;
+  config.trace = true;
   auto result = Runner::run_once(config, 1);
   auto out = render_cwnd_trace(result, "cwnd");
   EXPECT_NE(out.find("cwnd max"), std::string::npos);

@@ -290,6 +290,63 @@ TEST(Exporters, PathQlogJsonlIsBytePinned) {
                            kGoldenSpan2 + kGoldenSpan3);
 }
 
+// The golden spans plus two recovery samples: an ACK at the NIC span's
+// instant (it goes after that span) with a sub-µs smoothed RTT, and a loss
+// after the last span, before the first RTT sample (no pacing rate yet).
+TraceData golden_trace_with_recovery() {
+  TraceData data = golden_trace();
+  obs::RecoverySample ack;
+  ack.at = sim::Time::from_ns(1'250'000);
+  ack.smoothed_rtt = sim::Duration::nanos(40'001'500);
+  ack.pacing_rate = net::DataRate::megabits_per_second(40);
+  ack.cwnd = 30000;
+  ack.bytes_in_flight = 15000;
+  ack.packets = 6;
+  ack.bytes = 2400;
+  ack.flow = 1;
+  ack.event = obs::RecoveryEvent::kAck;
+  ack.component = 0;
+  data.recovery.push_back(ack);
+  obs::RecoverySample loss;
+  loss.at = sim::Time::from_ns(2'100'000);
+  loss.smoothed_rtt = sim::Duration::millis(333);
+  loss.pacing_rate = net::DataRate::infinite();
+  loss.cwnd = 21000;
+  loss.bytes_in_flight = 12000;
+  loss.packets = 2;
+  loss.bytes = 2400;
+  loss.flow = 1;
+  loss.event = obs::RecoveryEvent::kLoss;
+  loss.component = 0;
+  data.recovery.push_back(loss);
+  return data;
+}
+
+TEST(Exporters, PathQlogMergesRecoverySamplesBytePinned) {
+  std::ostringstream out;
+  obs::write_path_qlog(out, golden_trace_with_recovery(), "golden");
+  EXPECT_EQ(
+      out.str(),
+      std::string(kGoldenHeader) + kGoldenSpan1 + kGoldenSpan2 +
+          "{\"time\":1250.000,\"name\":\"transport:packet_received\","
+          "\"data\":{\"component\":\"stack\",\"flow\":1,"
+          "\"header\":{\"packet_type\":\"1RTT\"},\"frames\":[{"
+          "\"frame_type\":\"ack\",\"largest_acked\":6,"
+          "\"acked_bytes\":2400}]}}\n"
+          "{\"time\":1250.000,\"name\":\"recovery:metrics_updated\","
+          "\"data\":{\"component\":\"stack\",\"flow\":1,"
+          "\"congestion_window\":30000,\"bytes_in_flight\":15000,"
+          "\"smoothed_rtt\":40001.500,\"pacing_rate\":40000000}}\n" +
+          kGoldenSpan3 +
+          "{\"time\":2100.000,\"name\":\"recovery:packet_lost\","
+          "\"data\":{\"component\":\"stack\",\"flow\":1,\"packets\":2,"
+          "\"bytes\":2400}}\n"
+          "{\"time\":2100.000,\"name\":\"recovery:metrics_updated\","
+          "\"data\":{\"component\":\"stack\",\"flow\":1,"
+          "\"congestion_window\":21000,\"bytes_in_flight\":12000,"
+          "\"smoothed_rtt\":333000.000}}\n");
+}
+
 TEST(Exporters, TraceCsvIsBytePinned) {
   std::ostringstream out;
   obs::write_trace_csv(out, golden_trace());

@@ -676,6 +676,61 @@ TEST(ConnectionTest, PtoFiresAndProbes) {
   EXPECT_TRUE(conn.has_data_to_send());  // probe chunk queued
 }
 
+TEST(ConnectionTest, PtoProbePassesAFullWindow) {
+  // RFC 9002 §6.2.4: probe packets MUST NOT be blocked by the congestion
+  // controller. After a tail loss the lost packets still fill the window,
+  // so a blocked probe would leave nothing to draw an ACK.
+  Connection conn(small_transfer());
+  for (int i = 0; i < 10; ++i) conn.build_packet(Time::zero(), Time::zero());
+  ASSERT_TRUE(conn.congestion_blocked());
+  conn.on_timer(conn.next_timer_deadline());
+  EXPECT_FALSE(conn.congestion_blocked());  // the probe is owed
+  const Packet probe = conn.build_packet(Time::zero() + 1_s,
+                                         Time::zero() + 1_s);
+  EXPECT_EQ(probe.stream_offset, 0);  // the oldest chunk
+  EXPECT_TRUE(conn.congestion_blocked());  // paid off: the window rules
+}
+
+TEST(ConnectionTest, TracedConnectionPublishesOneSamplePerAckAndLoss) {
+  obs::TraceBus bus;
+  Connection::Config cfg = small_transfer();
+  cfg.flow = 7;
+  Connection traced(cfg);
+  traced.set_trace(&bus, 3);
+  Connection untraced(cfg);
+  for (Connection* conn : {&traced, &untraced}) {
+    for (int i = 0; i < 10; ++i) {
+      conn->build_packet(Time::zero(), Time::zero());
+    }
+    // ACK 4..10: packets 1..3 are declared lost inside the ACK.
+    conn->on_ack_packet(ack_packet(4, 10), Time::zero() + 40_ms);
+    conn->on_ack_packet(ack_packet(4, 10), Time::zero() + 41_ms);  // dup
+  }
+
+  const obs::TraceData data = bus.take();
+  EXPECT_TRUE(data.events.empty());
+  // Two samples, both from the traced connection: the loss (declared
+  // while the ACK is processed), then the ACK. The duplicate is no event.
+  ASSERT_EQ(data.recovery.size(), 2u);
+  const obs::RecoverySample& loss = data.recovery[0];
+  EXPECT_EQ(loss.event, obs::RecoveryEvent::kLoss);
+  EXPECT_EQ(loss.packets, 3u);
+  EXPECT_EQ(loss.bytes, traced.stats().bytes_declared_lost);
+  const obs::RecoverySample& ack = data.recovery[1];
+  EXPECT_EQ(ack.event, obs::RecoveryEvent::kAck);
+  EXPECT_EQ(ack.packets, 10u);  // the largest newly acked packet
+  EXPECT_EQ(ack.bytes, 7 * kDatagramSize);
+  EXPECT_EQ(ack.cwnd, traced.cwnd_bytes());
+  EXPECT_EQ(ack.bytes_in_flight, 0);
+  EXPECT_EQ(ack.smoothed_rtt, traced.rtt().smoothed());
+  EXPECT_EQ(ack.pacing_rate, traced.pacing_rate());
+  for (const obs::RecoverySample& sample : data.recovery) {
+    EXPECT_EQ(sample.at, Time::zero() + 40_ms);
+    EXPECT_EQ(sample.flow, 7u);
+    EXPECT_EQ(sample.component, 3u);
+  }
+}
+
 TEST(ConnectionTest, DuplicateAckIsIgnored) {
   Connection conn(small_transfer());
   for (int i = 0; i < 4; ++i) conn.build_packet(Time::zero(), Time::zero());

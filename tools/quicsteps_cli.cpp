@@ -1,8 +1,9 @@
 // quicsteps_cli — run any experiment of the reproduction from the command
-// line and export its artifacts (summary/gaps/capture CSV, qlog traces).
+// line and export its artifacts (summary/gaps/capture CSV, path-qlog
+// traces).
 //
 //   quicsteps_cli --stack quiche-sf --qdisc fq --payload-mib 10 --reps 3
-//                 --csv out/run --qlog out/trace.qlog
+//                 --csv out/run --trace --qlog-dir out
 //
 // Flags (all optional; defaults reproduce the paper baseline):
 //   --stack     quiche | quiche-sf | picoquic | ngtcp2 | tcp | ideal
@@ -22,11 +23,12 @@
 //                      int64, --rate-mbit below DataRate::infinite())
 //   --csv PREFIX      (PREFIX_summary.csv, PREFIX_gaps.<rep>.csv,
 //                      PREFIX_capture.<rep>.csv, PREFIX_cwnd.<rep>.csv)
-//   --qlog PATH       (qlog JSON-SEQ per repetition: PATH.<seed>)
 //   --trace           record per-packet path spans (pacer->wire->delivery)
-//                     and print the run's metrics registry
+//                     and the connection's recovery samples, and print
+//                     the run's metrics registry
 //   --qlog-dir DIR    with --trace: write DIR/path.<rep>.qlog (path-qlog
-//                     JSONL) and DIR/path.<rep>.csv per repetition
+//                     JSONL: spans, ACKs, losses and recovery metrics) and
+//                     DIR/path.<rep>.csv (spans) per repetition
 //
 // Fleet mode (--flows N with N >= 2) runs one N-flow fabric over a shared
 // bottleneck instead of repetitions of a single flow:
@@ -231,6 +233,7 @@ int main(int argc, char** argv) {
   config.label = "cli";
   std::string csv_prefix;
   std::string qlog_dir;
+  bool print_trace = false;
   int flows = 1;
   std::uint32_t trace_sample = 0;
   sim::Duration window = sim::Duration::zero();
@@ -294,11 +297,8 @@ int main(int argc, char** argv) {
     } else if (flag == "--csv") {
       csv_prefix = next_value(i);
       config.keep_capture = true;
-      config.record_cwnd_trace = true;
-    } else if (flag == "--qlog") {
-      config.qlog_path = next_value(i);
     } else if (flag == "--trace") {
-      config.trace = true;
+      print_trace = true;
     } else if (flag == "--qlog-dir") {
       qlog_dir = next_value(i);
     } else if (flag == "--flows") {
@@ -334,12 +334,15 @@ int main(int argc, char** argv) {
               flows > 1 ? flows : config.repetitions,
               flows > 1 ? " flows" : "");
 
-  if (!qlog_dir.empty()) config.trace = true;  // --qlog-dir implies --trace
+  if (!qlog_dir.empty()) print_trace = true;  // --qlog-dir implies --trace
+  config.trace = print_trace;
 
   if (flows > 1) {
     return run_fleet(config, flows, trace_sample, window, timeseries_csv,
                      health_path, health_exit);
   }
+  // The cwnd CSV is the run's recovery samples.
+  if (!csv_prefix.empty()) config.trace = true;
 
   std::ofstream summary;
   if (!csv_prefix.empty()) {
@@ -362,7 +365,7 @@ int main(int argc, char** argv) {
         static_cast<long long>(run.packets_declared_lost),
         100.0 * run.trains.fraction_in_trains_up_to(5),
         run.precision.precision_ms);
-    if (run.trace != nullptr) {
+    if (print_trace && run.trace != nullptr) {
       const obs::TraceSummary summary = obs::summarize_trace(*run.trace);
       std::printf("    trace: %zu spans over %lld packets, %lld complete "
                   "pacer->delivery chains\n",
