@@ -33,7 +33,7 @@ int main() {
     stacks::StackServer server(loop, path.slab(), server_os, profile,
                                conn_cfg, sender.egress());
     quic::Client client(
-        loop,
+        loop, path.slab(),
         {.ack = {}, .expected_payload_bytes = conn_cfg.total_payload_bytes},
         path.ack_ingress());
     path.register_flow(conn_cfg.flow, &client, &server);

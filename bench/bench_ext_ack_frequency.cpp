@@ -40,7 +40,7 @@ AckFreqResult run_ack_threshold(framework::QdiscKind qdisc, int threshold,
   quic::Client::Config ccfg;
   ccfg.expected_payload_bytes = payload;
   ccfg.ack.ack_eliciting_threshold = threshold;
-  quic::Client client(loop, ccfg, path.ack_ingress());
+  quic::Client client(loop, path.slab(), ccfg, path.ack_ingress());
   path.register_flow(conn_cfg.flow, &client, &server);
   path.finish_flow_registration();
 

@@ -44,7 +44,8 @@ LabResult run_ideal(std::int64_t payload, kernel::OsTimingConfig os_timing) {
                         sim::Duration::micros(20);
   kernel::TimerService timers(loop, server_os, timer_cfg);
   server.set_pacer_timers(&timers);
-  quic::Client client(loop, {.ack = {}, .expected_payload_bytes = payload},
+  quic::Client client(loop, path.slab(),
+                      {.ack = {}, .expected_payload_bytes = payload},
                       path.ack_ingress());
   path.register_flow(conn_cfg.flow, &client, &server);
   path.finish_flow_registration();

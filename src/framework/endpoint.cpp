@@ -23,7 +23,7 @@ class QuicEndpoint final : public FlowEndpoint {
  public:
   QuicEndpoint(sim::EventLoop& loop, net::PacketSlab& slab,
                kernel::OsModel& sender_os, const ExperimentConfig& config,
-               std::uint32_t flow_id, net::PacketSink* server_egress,
+               std::uint32_t flow_id, net::PacketHop* server_egress,
                net::PacketSink* client_egress) {
     const stacks::StackProfile profile = profile_for(config);
     quic::Connection::Config conn_cfg;
@@ -43,7 +43,7 @@ class QuicEndpoint final : public FlowEndpoint {
     }
 
     client_ = std::make_unique<quic::Client>(
-        loop,
+        loop, slab,
         quic::Client::Config{.flow = flow_id,
                              .ack = {},
                              .expected_payload_bytes = config.payload_bytes,
@@ -130,9 +130,9 @@ class QuicEndpoint final : public FlowEndpoint {
 /// samples.
 class TcpEndpoint final : public FlowEndpoint {
  public:
-  TcpEndpoint(sim::EventLoop& loop, const ExperimentConfig& config,
-              std::uint32_t flow_id, net::PacketSink* server_egress,
-              net::PacketSink* client_egress) {
+  TcpEndpoint(sim::EventLoop& loop, net::PacketSlab& slab,
+              const ExperimentConfig& config, std::uint32_t flow_id,
+              net::PacketHop* server_egress, net::PacketSink* client_egress) {
     tcp::TcpServer::Config server_cfg;
     server_cfg.connection.total_payload_bytes = config.payload_bytes;
     server_cfg.connection.flow = flow_id;
@@ -141,7 +141,7 @@ class TcpEndpoint final : public FlowEndpoint {
     server_ = std::make_unique<tcp::TcpServer>(loop, server_cfg,
                                                server_egress);
     client_ = std::make_unique<tcp::TcpClient>(
-        loop,
+        loop, slab,
         tcp::TcpClient::Config{.flow = flow_id,
                                .expected_payload_bytes = config.payload_bytes,
                                .ack = {}},
@@ -177,9 +177,9 @@ class TcpEndpoint final : public FlowEndpoint {
 std::unique_ptr<FlowEndpoint> make_flow_endpoint(
     sim::EventLoop& loop, net::PacketSlab& slab, kernel::OsModel& sender_os,
     const ExperimentConfig& config, std::uint32_t flow_id,
-    net::PacketSink* server_egress, net::PacketSink* client_egress) {
+    net::PacketHop* server_egress, net::PacketSink* client_egress) {
   if (config.stack == StackKind::kTcpTls) {
-    return std::make_unique<TcpEndpoint>(loop, config, flow_id,
+    return std::make_unique<TcpEndpoint>(loop, slab, config, flow_id,
                                          server_egress, client_egress);
   }
   return std::make_unique<QuicEndpoint>(loop, slab, sender_os, config,

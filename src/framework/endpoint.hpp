@@ -54,13 +54,13 @@ class FlowEndpoint {
 };
 
 /// Builds the endpoint `config` selects. `slab` is the shared packet slab
-/// (a measured stack's socket recycles GSO segment buffers through its
-/// pool); `sender_os` is the host kernel the stack's syscalls and timers
-/// are charged to; `server_egress` is the host's qdisc; `client_egress` is
+/// (a measured stack's socket and the client put their packets there);
+/// `sender_os` is the host kernel the stack's syscalls and timers are
+/// charged to; `server_egress` is the host's qdisc; `client_egress` is
 /// the shared ACK return path.
 std::unique_ptr<FlowEndpoint> make_flow_endpoint(
     sim::EventLoop& loop, net::PacketSlab& slab, kernel::OsModel& sender_os,
     const ExperimentConfig& config, std::uint32_t flow_id,
-    net::PacketSink* server_egress, net::PacketSink* client_egress);
+    net::PacketHop* server_egress, net::PacketSink* client_egress);
 
 }  // namespace quicsteps::framework

@@ -48,8 +48,9 @@ class SenderPath {
              const TopologyConfig& config, kernel::OsModel& os,
              net::PacketSink* wire);
 
-  /// Head of the chain: the stack's UdpSocket target.
-  net::PacketSink* egress() { return qdisc_.get(); }
+  /// Head of the chain: the stack's UdpSocket target, and the kernel
+  /// entry of the ideal server's and TCP's packets.
+  net::PacketHop* egress() { return qdisc_.get(); }
   kernel::Qdisc& qdisc() { return *qdisc_; }
   const kernel::Qdisc& qdisc() const { return *qdisc_; }
   const kernel::Nic& nic() const { return *nic_; }
@@ -78,9 +79,9 @@ class BottleneckPath {
                  sim::Rng& rng, kernel::OsModel& server_recv_os);
 
   /// Where sender NICs serialize to: the tap (then TBF, netem, client).
-  net::PacketSink* wire_ingress() { return tap_.get(); }
+  net::PacketHop* wire_ingress() { return tap_.get(); }
   /// Where client endpoints send ACKs: netem back toward the servers.
-  net::PacketSink* ack_ingress() { return &ack_netem_; }
+  net::PacketHop* ack_ingress() { return &ack_netem_; }
 
   /// Room for `flows` more registrations in both dispatch tables and the
   /// drop attribution, so fabric-scale registration never regrows them.

@@ -1,8 +1,5 @@
 #include "kernel/gso.hpp"
 
-#include <memory>
-#include <utility>
-
 namespace quicsteps::kernel {
 
 const char* to_string(GsoMode mode) {
@@ -17,34 +14,31 @@ const char* to_string(GsoMode mode) {
   return "?";
 }
 
-net::Packet make_gso_buffer(std::shared_ptr<std::vector<net::Packet>> segments,
-                            std::uint64_t buffer_id,
-                            net::DataRate gso_pacing_rate) {
-  std::vector<net::Packet>& segs = *segments;
-  net::Packet carrier;
-  carrier.flow = segs.front().flow;
-  carrier.kind = segs.front().kind;
-  carrier.id = segs.front().id;
-  carrier.packet_number = segs.front().packet_number;
-  carrier.has_txtime = segs.front().has_txtime;
-  carrier.txtime = segs.front().txtime;
-  carrier.expected_send_time = segs.front().expected_send_time;
+net::PacketSlab::Ref make_gso_buffer(net::PacketSlab& slab,
+                                     const std::vector<net::Packet>& segments,
+                                     std::uint64_t buffer_id,
+                                     net::DataRate gso_pacing_rate) {
+  // The carrier is the first segment's header sized to the whole buffer.
+  net::Packet carrier = segments.front();
+  carrier.size_bytes = 0;
   carrier.gso_buffer_id = buffer_id;
-  carrier.gso_segment_count = static_cast<std::uint32_t>(segs.size());
+  carrier.gso_segment_count = static_cast<std::uint32_t>(segments.size());
   carrier.gso_pacing_rate = gso_pacing_rate;
+  for (const net::Packet& seg : segments) carrier.size_bytes += seg.size_bytes;
 
-  std::int64_t total = 0;
+  const net::PacketSlab::Ref ref = slab.put(carrier);
+  net::PacketSlab::Ref tail = ref;
   std::uint32_t index = 0;
-  for (auto& seg : segs) {
-    total += seg.size_bytes;
+  for (net::Packet seg : segments) {
     seg.gso_buffer_id = buffer_id;
     seg.gso_segment_index = index++;
     seg.gso_segment_count = carrier.gso_segment_count;
     seg.gso_pacing_rate = gso_pacing_rate;
+    const net::PacketSlab::Ref next = slab.put(seg);
+    slab.link(tail, next);
+    tail = next;
   }
-  carrier.size_bytes = total;
-  carrier.gso_segments = std::move(segments);
-  return carrier;
+  return ref;
 }
 
 }  // namespace quicsteps::kernel

@@ -12,10 +12,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "net/packet.hpp"
+#include "net/packet_slab.hpp"
 
 namespace quicsteps::kernel {
 
@@ -23,14 +23,17 @@ enum class GsoMode : std::uint8_t { kOff, kOn, kPaced };
 
 const char* to_string(GsoMode mode);
 
-/// Builds the super-packet the kernel sees for one GSO sendmsg. `segments`
-/// must be non-null and non-empty; their sizes are summed for the carrier.
-/// The carrier inherits the txtime of the FIRST segment (a real GSO buffer
-/// carries one SCM_TXTIME for the whole call). The caller owns the buffer's
-/// lifetime: UdpSocket recycles buffers through a pool so the steady-state
-/// send path performs no allocation here.
-net::Packet make_gso_buffer(std::shared_ptr<std::vector<net::Packet>> segments,
-                            std::uint64_t buffer_id,
-                            net::DataRate gso_pacing_rate);
+/// Puts the super-packet the kernel sees for one GSO sendmsg into `slab`
+/// and returns its ref: a carrier whose size is the segments' sum, with a
+/// copy of each segment (stamped with its buffer id, index and rate)
+/// linked behind it in order. `segments` must be non-empty. The carrier
+/// inherits the first segment's header, txtime included (a real GSO
+/// buffer carries one SCM_TXTIME for the whole call). A GSO buffer crosses
+/// the qdisc layer as its carrier — which is why GSO defeats qdisc pacing
+/// — and the NIC transmits the linked segments.
+net::PacketSlab::Ref make_gso_buffer(net::PacketSlab& slab,
+                                     const std::vector<net::Packet>& segments,
+                                     std::uint64_t buffer_id,
+                                     net::DataRate gso_pacing_rate);
 
 }  // namespace quicsteps::kernel

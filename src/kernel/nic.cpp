@@ -1,23 +1,16 @@
 #include "kernel/nic.hpp"
 
-#include <memory>
-#include <utility>
-#include <vector>
-
-#include "check/audit.hpp"
-
 namespace quicsteps::kernel {
 
 void Nic::deliver_ref(net::PacketSlab& slab, net::PacketSlab::Ref ref) {
   check_slab(slab);
-  const sim::Time now = loop_.now();
-  const net::Packet& pkt = slab_.at(ref);
-
-  if (pkt.is_gso_buffer()) {
-    segment(slab_.take(ref));
+  if (slab_.next(ref) != net::PacketSlab::kNoRef) {
+    segment(ref);
     return;
   }
 
+  const sim::Time now = loop_.now();
+  const net::Packet& pkt = slab_.at(ref);
   sim::Time earliest = now;
   if (config_.launch_time && pkt.has_txtime) {
     if (pkt.txtime > now) {
@@ -27,42 +20,32 @@ void Nic::deliver_ref(net::PacketSlab& slab, net::PacketSlab::Ref ref) {
     } else if (config_.drop_missed_launch) {
       // The launch slot has passed before the descriptor reached the NIC.
       ++missed_launch_drops_;
-      (void)slab_.take(ref);
+      slab_.retire(ref);
       return;
     }
   }
   transmit(ref, earliest);
 }
 
-void Nic::segment(net::Packet carrier) {
+void Nic::segment(net::PacketSlab::Ref carrier) {
   // Segmentation happens here, at the driver boundary. Stock GSO releases
   // all segments immediately (they then serialize back-to-back at line
   // rate); the paced-GSO patch spaces segment i by i * seg/rate.
   const sim::Time now = loop_.now();
-  const bool paced = !carrier.gso_pacing_rate.is_zero();
+  const net::DataRate rate = slab_.at(carrier).gso_pacing_rate;
   sim::Time release = now;
-  // The buffer is uniquely ours here: the socket moved its pooled buffer
-  // into the carrier and the slab moved the carrier, so the segment train
-  // moves straight into the slab — no per-segment copy.
-  QUICSTEPS_AUDIT(carrier.gso_segments.use_count() == 1,
-                  "Nic: a GSO buffer reached segmentation still shared");
-  auto& segments = const_cast<std::vector<net::Packet>&>(*carrier.gso_segments);
-  for (auto& seg : segments) {
-    const std::int64_t seg_bytes = seg.size_bytes;
-    net::Packet wire = std::move(seg);
-    wire.kernel_entry_time = carrier.kernel_entry_time;
+  net::PacketSlab::Ref seg = slab_.unlink(carrier);
+  slab_.retire(carrier);
+  while (seg != net::PacketSlab::kNoRef) {
+    // Each segment leaves the chain before it is transmitted alone.
+    const net::PacketSlab::Ref following = slab_.unlink(seg);
     QUICSTEPS_TRACE_SPAN(trace_bus_, obs::TraceStage::kGsoSegment,
-                         trace_component_, now, wire);
-    transmit(slab_.put(std::move(wire)), release);
-    if (paced) {
-      release += carrier.gso_pacing_rate.transmit_time(seg_bytes);
-    }
+                         trace_component_, now, slab_, seg);
+    const std::uint32_t seg_bytes = slab_.size_bytes(seg);
+    transmit(seg, release);
+    if (!rate.is_zero()) release += rate.transmit_time(seg_bytes);
+    seg = following;
   }
-  // The buffer is spent; hand the husk (and its capacity) back to the
-  // slab pool so the next sendmsg_gso reuses it instead of allocating.
-  segments.clear();
-  slab_.put_gso_buffer(std::const_pointer_cast<std::vector<net::Packet>>(
-      std::move(carrier.gso_segments)));
 }
 
 void Nic::transmit(net::PacketSlab::Ref ref, sim::Time earliest) {

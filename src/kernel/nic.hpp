@@ -9,9 +9,10 @@
 //     minimum inter-packet gap the paper calls out for 1 Gbit/s.
 //
 // TX completions are drain records carrying the packet's ref into the
-// shared net::PacketSlab. The NIC borrows a packet in place for its GSO
-// and LaunchTime checks; a GSO carrier is the one packet it takes out, to
-// put each of its segments in.
+// shared net::PacketSlab. A GSO carrier is a slab packet with its segments
+// linked behind it (the hot lane says so): the NIC retires the carrier and
+// transmits the segments under the refs the socket minted. The NIC borrows
+// a packet in place only for its LaunchTime check.
 #pragma once
 
 #include <cstdint>
@@ -54,13 +55,12 @@ class Nic final : public net::PacketHop, public obs::TraceSource {
 
   void deliver_ref(net::PacketSlab& slab, net::PacketSlab::Ref ref) override;
 
-  void set_downstream(net::PacketSink* sink) { downstream_ = sink; }
   std::int64_t packets_sent() const { return packets_sent_; }
   std::int64_t missed_launch_drops() const { return missed_launch_drops_; }
 
  private:
   /// Splits a GSO carrier into wire packets at the driver boundary.
-  void segment(net::Packet carrier);
+  void segment(net::PacketSlab::Ref carrier);
   /// Serializes one wire packet whose transmission may start no earlier
   /// than `earliest`.
   void transmit(net::PacketSlab::Ref ref, sim::Time earliest);

@@ -81,7 +81,7 @@ class Qdisc : public net::PacketHop, public obs::TraceSource {
     QUICSTEPS_TRACE_SPAN(trace_bus_, obs::TraceStage::kQdiscDrop,
                          trace_component_, loop_.now(), slab_, ref);
     if (drop_observer_) drop_observer_(slab_.flow(ref));
-    (void)slab_.take(ref);
+    slab_.retire(ref);
   }
   void note_arrival(net::PacketSlab& slab, net::PacketSlab::Ref ref) {
     check_slab(slab);

@@ -1,54 +1,44 @@
 #include "kernel/udp_socket.hpp"
 
-#include <iterator>
-#include <memory>
-
 namespace quicsteps::kernel {
 
-void UdpSocket::inject(net::Packet pkt) {
-  pkt.kernel_entry_time = loop_.now();
-  counters_.count_in(pkt.size_bytes);
-  counters_.count_out(pkt.size_bytes);
+void UdpSocket::inject(net::PacketSlab::Ref ref) {
+  const std::int64_t bytes = slab_.size_bytes(ref);
+  counters_.count_in(bytes);
+  counters_.count_out(bytes);
   QUICSTEPS_TRACE_SPAN(trace_bus_, obs::TraceStage::kSocketWrite,
-                       trace_component_, pkt.kernel_entry_time, pkt);
-  // The kernel entry: the packet enters the slab here, and every hop up
-  // to the receiving socket passes its ref.
+                       trace_component_, loop_.now(), slab_, ref);
   if (egress_ != nullptr) {
-    egress_->deliver_ref(slab_, slab_.put(std::move(pkt)));
+    egress_->deliver_ref(slab_, ref);
+  } else {
+    slab_.retire(ref);
   }
 }
 
 sim::Duration UdpSocket::sendmsg(net::Packet pkt) {
   ++syscalls_;
-  inject(std::move(pkt));
+  // The kernel entry: the packet enters the slab here, and every hop up
+  // to its endpoint passes its ref.
+  pkt.kernel_entry_time = loop_.now();
+  inject(slab_.put(pkt));
   return os_.draw_syscall_cost();
 }
 
 sim::Duration UdpSocket::sendmsg_gso(std::vector<net::Packet>& segments,
                                      net::DataRate gso_pacing_rate) {
   ++syscalls_;
-  // Draw a recycled buffer from the slab pool (the NIC returns husks once
-  // it has segmented them); only the first bursts of a run allocate. The
-  // segments are moved element by element, so both the husk's capacity
-  // and the caller's survive for the next burst.
-  std::shared_ptr<std::vector<net::Packet>> buffer = slab_.take_gso_buffer();
-  if (buffer == nullptr) {
-    buffer = std::make_shared<std::vector<net::Packet>>();
-  }
-  buffer->assign(std::make_move_iterator(segments.begin()),
-                 std::make_move_iterator(segments.end()));
+  for (net::Packet& seg : segments) seg.kernel_entry_time = loop_.now();
+  inject(make_gso_buffer(slab_, segments, next_gso_id_++, gso_pacing_rate));
   segments.clear();
-  net::Packet carrier =
-      make_gso_buffer(std::move(buffer), next_gso_id_++, gso_pacing_rate);
-  inject(std::move(carrier));
   // One syscall regardless of segment count — this is GSO's CPU win.
   return os_.draw_syscall_cost();
 }
 
 sim::Duration UdpSocket::sendmmsg(std::vector<net::Packet>& packets) {
   ++syscalls_;
-  for (auto& pkt : packets) {
-    inject(std::move(pkt));
+  for (net::Packet& pkt : packets) {
+    pkt.kernel_entry_time = loop_.now();
+    inject(slab_.put(pkt));
   }
   packets.clear();
   // One kernel entry regardless of message count — the kernel loops over
@@ -63,7 +53,7 @@ void UdpReceiver::deliver_ref(net::PacketSlab& slab,
   counters_.count_in(bytes);
   if (buffered_bytes_ + bytes > rcvbuf_bytes_) {
     counters_.count_drop(bytes);
-    (void)slab_.take(ref);
+    slab_.retire(ref);
     return;
   }
   buffered_bytes_ += bytes;

@@ -26,9 +26,7 @@ namespace quicsteps::kernel {
 
 class UdpSocket : public obs::TraceSource {
  public:
-  /// Sent packets enter `slab` here and travel the egress chain as refs;
-  /// GSO segment buffers recycle through its pool instead of being
-  /// allocated per sendmsg_gso call.
+  /// Sent packets enter `slab` here and travel the egress chain as refs.
   UdpSocket(sim::EventLoop& loop, net::PacketSlab& slab, OsModel& os,
             net::PacketSink* egress)
       : loop_(loop), slab_(slab), os_(os), egress_(egress) {}
@@ -38,9 +36,10 @@ class UdpSocket : public obs::TraceSource {
   sim::Duration sendmsg(net::Packet pkt);
 
   /// One sendmsg with UDP_SEGMENT: all segments travel as a single GSO
-  /// buffer. `gso_pacing_rate` is the paced-GSO patch extension (zero for
-  /// stock GSO). The segments are moved out and `segments` is left empty
-  /// with its capacity, so the caller's batch is reused, not regrown.
+  /// buffer, each segment put into the slab behind the carrier
+  /// (make_gso_buffer). `gso_pacing_rate` is the paced-GSO patch extension
+  /// (zero for stock GSO). `segments` is left empty with its capacity, so
+  /// the caller's batch is reused, not regrown.
   sim::Duration sendmsg_gso(std::vector<net::Packet>& segments,
                             net::DataRate gso_pacing_rate);
 
@@ -53,7 +52,8 @@ class UdpSocket : public obs::TraceSource {
   std::uint64_t syscalls() const { return syscalls_; }
 
  private:
-  void inject(net::Packet pkt);
+  /// The kernel entry of a packet already put into the slab.
+  void inject(net::PacketSlab::Ref ref);
 
   sim::EventLoop& loop_;
   net::PacketSlab& slab_;
@@ -68,7 +68,7 @@ class UdpSocket : public obs::TraceSource {
 /// epoll wakeup latency, enforcing the configured receive buffer. Each
 /// per-datagram wakeup is a drain record carrying the datagram's ref into
 /// `slab`; the receiver accounts bytes off the slab's hot lane and hands
-/// the ref on, so the packet leaves the slab only at the endpoint.
+/// the ref on, so the endpoint reads the packet where it was put.
 ///
 /// With a non-zero GRO window, packets arriving within the window of the
 /// first unflushed packet are coalesced and handed to user space in one

@@ -41,7 +41,7 @@ void FlowTableSink::deliver_ref(PacketSlab& slab, PacketSlab::Ref ref) {
                              std::to_string(flow) + " (" +
                              to_string(slab_.at(ref).kind) +
                              std::string(")"));
-  (void)slab_.take(ref);
+  slab_.retire(ref);
 }
 
 }  // namespace quicsteps::net

@@ -6,8 +6,8 @@
 
 namespace quicsteps::net {
 
-void PacketSink::deliver_ref(PacketSlab& slab, std::uint32_t ref) {
-  deliver(slab.take(ref));
+void CollectorSink::deliver_ref(PacketSlab& slab, std::uint32_t ref) {
+  packets_.push_back(slab.take(ref));
 }
 
 const char* to_string(PacketKind kind) {

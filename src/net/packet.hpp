@@ -3,13 +3,16 @@
 // Packets carry no payload bytes — only sizes and the metadata the
 // measurement study needs: transport packet numbers, the user-space pacer's
 // intended release time (SO_TXTIME analogue), GSO buffer membership, and the
-// timestamps stamped along the path. Packets are small value types; they are
-// copied freely (the wire tap keeps copies, like a real capture does).
+// timestamps stamped along the path. A Packet is plain data: it owns
+// nothing, so copying one is a memcpy (the wire tap keeps copies, like a
+// real capture does). What a packet carries beyond its fields lives in the
+// net::PacketSlab beside it: an ACK packet's frame (PacketSlab::ack) and a
+// GSO carrier's segments (PacketSlab::next).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "net/data_rate.hpp"
@@ -33,7 +36,9 @@ struct AckBlock {
   std::uint64_t last = 0;
 };
 
-/// Acknowledgment payload carried by ACK packets of either transport.
+/// The ACK frame of an ACK packet of either transport. Frames live in the
+/// slab's frame pool, attached to their packet's slot (PacketSlab::ack),
+/// and keep their block capacity when the pool reuses them.
 struct TransportAck {
   std::vector<AckBlock> blocks;  // descending, blocks[0].last = largest
   sim::Duration ack_delay;
@@ -62,8 +67,6 @@ struct Packet {
   /// STREAM chunk carried by a data packet (-1 offset = no stream data).
   std::int64_t stream_offset = -1;
   std::int64_t stream_length = 0;
-  /// ACK frame carried by an ACK packet.
-  std::shared_ptr<const TransportAck> ack;
 
   // --- user-space pacing metadata -----------------------------------------
   /// Requested kernel release time (valid when has_txtime).
@@ -80,14 +83,6 @@ struct Packet {
   std::uint32_t gso_segment_count = 0;
   /// Paced-GSO kernel patch: per-buffer pacing rate (zero = unpaced GSO).
   DataRate gso_pacing_rate;
-  /// Segments carried by a GSO super-packet. A GSO buffer traverses the
-  /// qdisc layer as one unit (this is why GSO defeats qdisc pacing) and is
-  /// expanded into wire packets at the NIC/driver boundary.
-  std::shared_ptr<const std::vector<Packet>> gso_segments;
-
-  bool is_gso_buffer() const {
-    return gso_segments != nullptr && !gso_segments->empty();
-  }
 
   // --- path timestamps ------------------------------------------------------
   /// When user space handed the packet (or its GSO buffer) to the kernel.
@@ -98,32 +93,32 @@ struct Packet {
   std::string to_string() const;
 };
 
-// The slab moves a Packet in at put() and out at take(), and endpoints
-// pass it by value, so its size is per-packet cost.
-static_assert(sizeof(Packet) == 136, "Packet must stay 136 bytes");
+// The slab copies a Packet in at put(), and the tap's capture copies it
+// out, so its size is per-packet cost.
+static_assert(sizeof(Packet) == 104, "Packet must stay 104 bytes");
+static_assert(std::is_trivially_copyable_v<Packet>,
+              "Packet is plain data: side payloads live in the slab");
 
 class PacketSlab;
 
 /// Anything that accepts packets. Components form a chain: the caller has
-/// already accounted for all timing; deliver() is invoked at the simulated
-/// instant the packet arrives at this component.
+/// already accounted for all timing; deliver_ref() is invoked at the
+/// simulated instant the packet arrives at this component.
 class PacketSink {
  public:
   virtual ~PacketSink() = default;
-  virtual void deliver(Packet pkt) = 0;
-  /// The ref entry: the packet already sits in `slab` under `ref` (a
+  /// The one entry: the packet sits in `slab` under `ref` (a
   /// PacketSlab::Ref), and this sink now owns that ref. Kernel hops
-  /// (PacketHop, packet_slab.hpp) override it and pass the ref on. The
-  /// default is an endpoint's: it takes the packet out of the slab and
-  /// calls deliver(Packet).
-  virtual void deliver_ref(PacketSlab& slab, std::uint32_t ref);
+  /// (PacketHop, packet_slab.hpp) pass it on; an endpoint reads the
+  /// packet in place and retires the ref.
+  virtual void deliver_ref(PacketSlab& slab, std::uint32_t ref) = 0;
 };
 
-/// A sink that appends every packet to a vector (test helper and capture
-/// buffer).
+/// A sink that takes every packet out of the slab into a vector (test
+/// helper and capture buffer).
 class CollectorSink final : public PacketSink {
  public:
-  void deliver(Packet pkt) override { packets_.push_back(std::move(pkt)); }
+  void deliver_ref(PacketSlab& slab, std::uint32_t ref) override;
   const std::vector<Packet>& packets() const { return packets_; }
   std::vector<Packet>& packets() { return packets_; }
   void clear() { packets_.clear(); }

@@ -7,37 +7,44 @@
 // that rides as an event's payload (sim::EventLoop::post_drain_at,
 // schedule_at), and slots recycle through a free list, so the slab
 // allocates nothing per packet once its lanes reach the in-flight
-// high-water mark. What a whole run allocates per wire data packet (about
-// one, almost all of it the transport's two per ACK) is counted on every
-// benchmark traffic shape by tests/ack_alloc_test.cpp's SteadyState case.
+// high-water mark. The slab owns everything a packet in flight carries:
+// the Packet itself (plain data), an ACK packet's frame and a GSO
+// carrier's segments. What a whole run allocates per wire data packet is
+// counted on every benchmark traffic shape by tests/ack_alloc_test.cpp's
+// SteadyState case.
 //
-// The ref rule: a Ref is minted where user space hands the packet to the
-// kernel (UdpSocket::inject, or a hop's by-value deliver(): PacketHop
-// below) and consumed where the receiving socket hands the packet to its
-// endpoint (the default PacketSink::deliver_ref). Every kernel hop in
-// between receives and forwards the 32-bit ref; the packet is written
-// once at put() and moved out once at take(). A hop that drops a packet
-// take()s its ref, so live() balances on every drop path. Only the NIC
-// mints refs mid-path: it takes a GSO carrier out and puts each of its
-// segments in.
+// The ref rule: a Ref is minted only where user space hands a packet to
+// the kernel — UdpSocket (each GSO segment included), a client sending
+// its ACK, or a hop's deliver(const Packet&) (PacketHop below) — and
+// retired where the endpoint has read it in place (retire()). Every
+// kernel hop in between receives and forwards the 32-bit ref; the packet
+// is written once, at put(). A hop that drops a packet retires its ref,
+// so live() balances on every drop path.
 //
 // Lanes: the Packet values themselves are the cold lane; the hot lane
-// holds each slot's generation, byte size and flow id, written at put().
-// Byte accounting (TBF tokens, qdisc counters, the receive buffer), flow
-// routing (FlowTableSink) and the span sampler's per-packet filter read
-// the hot lane, so a hop that needs no other field never loads a packet
-// that sat cold in a queue.
+// holds each slot's generation, byte size, flow id and link, written at
+// put(). Byte accounting (TBF tokens, qdisc counters, the receive buffer),
+// flow routing (FlowTableSink), the span sampler's per-packet filter and
+// the GSO check read the hot lane, so a hop that needs no other field
+// never loads a packet that sat cold in a queue. A link is either the
+// next segment of a GSO buffer, which travels as its carrier with the
+// segments linked behind it (link(), next()), or the index of an ACK
+// packet's frame in the frame pool (ack()). The pool holds as many frames
+// as ACKs are in flight, not one per slot; retiring a ref returns its
+// frame, and retiring a carrier retires its segments.
 //
 // Borrows: a hop that must see other fields (the tap's wire_time stamp,
-// the NIC's GSO and LaunchTime checks, FQ's and ETF's txtimes, a sampled
-// flow's span) reads the packet in place through at(). A borrow never
-// outlives the hop's call, and is never held across a put(): put() may
-// grow the cold lane's vector and move every packet in it.
+// the NIC's LaunchTime check, FQ's and ETF's txtimes, a sampled flow's
+// span, an endpoint) reads the packet in place through at(), and a
+// transport reads an ACK's frame through ack(). A borrow never outlives
+// the caller's use of the ref, and is never held across a put() or an
+// ack() that attaches a frame: either may grow a vector and move every
+// packet or frame in it.
 //
 // Ref layout: low 24 bits slot index, high 8 bits the slot's generation at
-// put() time. take() and at() audit the generation, so a stale ref — a
-// recycled slot reached through a ref that was already consumed — trips
-// QUICSTEPS_AUDIT instead of silently aliasing another packet
+// put() time. retire(), at() and ack() audit the generation, so a stale
+// ref — a recycled slot reached through a ref that was already retired —
+// trips QUICSTEPS_AUDIT instead of silently aliasing another packet
 // (tests/slab_test.cpp pins this).
 //
 // One slab is shared by every component on a network's datapath and every
@@ -46,9 +53,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "check/audit.hpp"
@@ -63,19 +68,22 @@ class PacketSlab {
 
   static constexpr std::uint32_t kSlotBits = 24;
   static constexpr std::uint32_t kSlotMask = (1u << kSlotBits) - 1;
+  /// No packet: the end of a GSO chain. Slot kSlotMask is never handed
+  /// out, so no ref equals it.
+  static constexpr Ref kNoRef = ~Ref{0};
 
   /// Stores `pkt` and returns its ref. O(1), allocation-free once the
   /// high-water number of in-flight packets has been reached.
-  Ref put(Packet&& pkt) {
+  Ref put(const Packet& pkt) {
     std::uint32_t slot;
     if (!free_.empty()) {
       slot = free_.back();
       free_.pop_back();
-      packets_[slot] = std::move(pkt);
+      packets_[slot] = pkt;
     } else {
       slot = static_cast<std::uint32_t>(packets_.size());
-      QUICSTEPS_AUDIT(slot <= kSlotMask, "PacketSlab exceeded 2^24 slots");
-      packets_.push_back(std::move(pkt));
+      QUICSTEPS_AUDIT(slot < kSlotMask, "PacketSlab exceeded 2^24 - 1 slots");
+      packets_.push_back(pkt);
       hot_.push_back(HotLane{});
     }
     HotLane& hot = hot_[slot];
@@ -85,21 +93,70 @@ class PacketSlab {
     return slot | (static_cast<std::uint32_t>(hot.gen) << kSlotBits);
   }
 
-  /// Moves the packet out and recycles the slot. The ref is dead
-  /// afterwards: the slot's generation advances, so a second take()
-  /// through the same ref audits (recycled-slot aliasing).
+  /// Recycles the slot, its ACK frame and every segment linked behind it.
+  /// The ref is dead afterwards: the slot's generation advances, so a
+  /// second retire() through the same ref audits (recycled-slot
+  /// aliasing).
+  void retire(Ref ref) { recycle(checked_slot(ref)); }
+
+  /// Copies the packet out and retires the ref.
   Packet take(Ref ref) {
     const std::uint32_t slot = checked_slot(ref);
-    Packet pkt = std::move(packets_[slot]);
-    ++hot_[slot].gen;  // wraps mod 256; outstanding refs go stale
-    free_.push_back(slot);
-    --live_;
+    const Packet pkt = packets_[slot];
+    recycle(slot);
     return pkt;
   }
 
-  /// Borrows the packet in place, with take()'s generation audit. Valid
-  /// until the hop's call returns or the next put(), whichever is first.
+  /// Borrows the packet in place, with retire()'s generation audit.
   Packet& at(Ref ref) { return packets_[checked_slot(ref)]; }
+
+  /// Borrows the ACK frame of `ref`'s packet, first attaching an empty one
+  /// from the frame pool if it has none. A reused frame keeps its block
+  /// capacity, so rendering an ACK allocates nothing once the pool holds
+  /// the ACKs in flight.
+  TransportAck& ack(Ref ref) {
+    HotLane& hot = hot_[checked_slot(ref)];
+    if (hot.link_kind != Link::kFrame) {
+      QUICSTEPS_AUDIT(hot.link_kind == Link::kNone,
+                      "a GSO carrier or segment has no ACK frame");
+      hot.link_kind = Link::kFrame;
+      if (free_frames_.empty()) {
+        hot.link = static_cast<std::uint32_t>(frames_.size());
+        frames_.emplace_back();
+      } else {
+        hot.link = free_frames_.back();
+        free_frames_.pop_back();
+        TransportAck& frame = frames_[hot.link];
+        frame.blocks.clear();
+        frame.ack_delay = sim::Duration::zero();
+        frame.max_data = 0;
+      }
+    }
+    return frames_[hot.link];
+  }
+
+  /// GSO chains: links `next` behind `ref`, so next(ref) returns it and
+  /// retiring `ref` retires it too. `ref` must have no link yet.
+  void link(Ref ref, Ref next) {
+    HotLane& hot = hot_[checked_slot(ref)];
+    QUICSTEPS_AUDIT(hot.link_kind == Link::kNone && next != kNoRef,
+                    "PacketSlab::link on a linked slot or to no packet");
+    hot.link_kind = Link::kSegment;
+    hot.link = next;
+  }
+  /// The ref linked behind `ref`, or kNoRef. A hot-lane read: a packet
+  /// with a successor is a GSO carrier.
+  Ref next(Ref ref) const {
+    const HotLane& hot = hot_[ref & kSlotMask];
+    return hot.link_kind == Link::kSegment ? hot.link : kNoRef;
+  }
+  /// Detaches and returns the ref linked behind `ref` (kNoRef when none):
+  /// retiring `ref` then leaves it alone.
+  Ref unlink(Ref ref) {
+    const Ref following = next(ref);
+    if (following != kNoRef) hot_[checked_slot(ref)].link_kind = Link::kNone;
+    return following;
+  }
 
   /// Hot-lane reads: no Packet cache line touched.
   std::uint32_t size_bytes(Ref ref) const {
@@ -111,39 +168,38 @@ class PacketSlab {
   std::size_t live() const { return live_; }
   /// Slots ever allocated (the in-flight high-water mark).
   std::size_t capacity() const { return packets_.size(); }
-
-  /// GSO buffer recycling. The socket draws a spent segment buffer here
-  /// (null when none is free — it then allocates one, once), and the NIC
-  /// returns the husk after moving the segments out at the driver
-  /// boundary. Nothing holds a pool reference while a buffer is in
-  /// flight, so the NIC owns the buffer alone when it segments it (it
-  /// audits use_count() == 1) and moves the segments out instead of
-  /// copying them. The socket moves segments into a husk element by
-  /// element, and the stack's batch keeps its capacity too, so control
-  /// block and vector capacity both amortize to the in-flight high-water
-  /// mark of GSO bursts. (When the husk's vector was replaced by a batch
-  /// regrown from empty for every burst, stock and paced GSO read 1.55
-  /// allocations per wire data packet; 1.08 since.)
-  std::shared_ptr<std::vector<Packet>> take_gso_buffer() {
-    if (gso_buffers_.empty()) return nullptr;
-    std::shared_ptr<std::vector<Packet>> buf =
-        std::move(gso_buffers_.back());
-    gso_buffers_.pop_back();
-    return buf;
-  }
-  void put_gso_buffer(std::shared_ptr<std::vector<Packet>> buf) {
-    gso_buffers_.push_back(std::move(buf));
-  }
+  /// ACK frames ever allocated (the high-water mark of ACKs in flight).
+  std::size_t frame_capacity() const { return frames_.size(); }
 
  private:
-  /// One 12-byte entry per slot: the generation check and the fields the
-  /// byte accounting, flow routing and span sampling read share a cache
-  /// line access.
+  /// What a slot's link names.
+  enum class Link : std::uint8_t { kNone, kSegment, kFrame };
+
+  /// One 16-byte entry per slot: the generation check and the fields the
+  /// byte accounting, flow routing, span sampling and GSO check read
+  /// share a cache line access.
   struct HotLane {
     std::uint32_t size_bytes = 0;
     std::uint32_t flow = 0;
+    std::uint32_t link = 0;  // a segment's ref or a frame's index
     std::uint8_t gen = 0;
+    Link link_kind = Link::kNone;
   };
+  static_assert(sizeof(HotLane) == 16);
+
+  void recycle(std::uint32_t slot) {
+    for (;;) {
+      HotLane& hot = hot_[slot];
+      const Link kind = hot.link_kind;
+      hot.link_kind = Link::kNone;
+      ++hot.gen;  // wraps mod 256; outstanding refs go stale
+      free_.push_back(slot);
+      --live_;
+      if (kind == Link::kFrame) free_frames_.push_back(hot.link);
+      if (kind != Link::kSegment) return;
+      slot = checked_slot(hot.link);
+    }
+  }
 
   std::uint32_t checked_slot(Ref ref) const {
     const std::uint32_t slot = ref & kSlotMask;
@@ -157,7 +213,8 @@ class PacketSlab {
   std::vector<Packet> packets_;  // cold lane
   std::vector<HotLane> hot_;
   std::vector<std::uint32_t> free_;
-  std::vector<std::shared_ptr<std::vector<Packet>>> gso_buffers_;
+  std::vector<TransportAck> frames_;  // the ACK frame pool
+  std::vector<std::uint32_t> free_frames_;
   std::size_t live_ = 0;
 };
 
@@ -165,18 +222,16 @@ class PacketSlab {
 // cannot include this header).
 static_assert(std::is_same_v<PacketSlab::Ref, std::uint32_t>);
 
-/// A kernel hop: a sink that works on slab refs. The one by-value entry,
-/// deliver(Packet), puts the packet into the hop's slab and continues on
-/// the ref path — that put is where the packet enters the kernel for the
-/// ideal server's and TCP's egress and for a client's ACKs, and what tests
-/// call. Every hop implements deliver_ref() only.
+/// A kernel hop: a sink that works on slab refs. Every hop implements
+/// deliver_ref() only.
 class PacketHop : public PacketSink {
  public:
   explicit PacketHop(PacketSlab& slab) : slab_(slab) {}
 
-  void deliver(Packet pkt) final {
-    deliver_ref(slab_, slab_.put(std::move(pkt)));
-  }
+  /// Puts `pkt` into the hop's slab and continues on the ref path: the
+  /// kernel entry of the ideal server's and TCP's egress, and what tests
+  /// call.
+  void deliver(const Packet& pkt) { deliver_ref(slab_, slab_.put(pkt)); }
   void deliver_ref(PacketSlab& slab, PacketSlab::Ref ref) override = 0;
 
  protected:
@@ -190,7 +245,7 @@ class PacketHop : public PacketSink {
     if (next != nullptr) {
       next->deliver_ref(slab_, ref);
     } else {
-      (void)slab_.take(ref);
+      slab_.retire(ref);
     }
   }
 

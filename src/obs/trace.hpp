@@ -132,8 +132,8 @@ class TraceBus {
   }
 
   /// Appends a whole span train in one call — one capacity check and one
-  /// contiguous copy instead of a push_back per span. The GSO expansion in
-  /// publish_packet_span uses this so a segment train costs one flush.
+  /// contiguous copy instead of a push_back per span. The ref form of
+  /// publish_packet_span uses this so a GSO segment train costs one flush.
   void publish_train(const SpanEvent* evs, std::size_t n) {
     data_.events.insert(data_.events.end(), evs, evs + n);
   }
@@ -179,53 +179,46 @@ inline SpanEvent make_span(TraceStage stage, std::uint16_t component,
   return ev;
 }
 
-/// Publishes one span per wire packet of an accepted flow: a GSO
-/// super-packet is expanded into its segments so every delivered packet's
-/// chain stays complete even through stages that handle the buffer as one
-/// unit (socket, qdiscs). The segment train is buffered on the stack and
-/// flushed with one publish_train call.
-inline void publish_accepted_span(TraceBus* bus, TraceStage stage,
-                                  std::uint16_t component, sim::Time at,
-                                  const net::Packet& pkt) {
-  if (pkt.is_gso_buffer()) {
-    constexpr std::size_t kTrainBuf = 64;
-    SpanEvent train[kTrainBuf];
-    std::size_t n = 0;
-    for (const net::Packet& seg : *pkt.gso_segments) {
-      train[n++] = make_span(stage, component, at, seg);
-      if (n == kTrainBuf) {
-        bus->publish_train(train, n);
-        n = 0;
-      }
-    }
-    if (n > 0) bus->publish_train(train, n);
-    return;
-  }
-  bus->publish(make_span(stage, component, at, pkt));
-}
-
 inline void publish_packet_span(TraceBus* bus, TraceStage stage,
                                 std::uint16_t component, sim::Time at,
                                 const net::Packet& pkt) {
   // Null bus = tracing disabled. The QUICSTEPS_TRACE_SPAN macro checks
   // before calling, but direct callers reach here unguarded.
   if (bus == nullptr) return;
-  // Sampled-out flow: drop the span before it costs memory. GSO segments
-  // always share their carrier's flow, so one check covers the train.
+  // Sampled-out flow: drop the span before it costs memory.
   if (!bus->accepts(pkt.flow)) return;
-  publish_accepted_span(bus, stage, component, at, pkt);
+  bus->publish(make_span(stage, component, at, pkt));
 }
 
 /// The ref form, for hops that hold a slab ref: the sampler reads the flow
 /// off the slab's hot lane, so a shared-path hop never loads an unsampled
-/// flow's packet. A sampled one is borrowed in place for the span.
+/// flow's packet. A sampled one is borrowed in place for the span. A GSO
+/// carrier publishes one span per segment linked behind it, so every
+/// delivered packet's chain stays complete through the stages that handle
+/// the buffer as one unit (socket, qdiscs); the segments share the
+/// carrier's flow, and the train is flushed with one publish_train call.
 inline void publish_packet_span(TraceBus* bus, TraceStage stage,
                                 std::uint16_t component, sim::Time at,
                                 net::PacketSlab& slab,
                                 net::PacketSlab::Ref ref) {
   if (bus == nullptr) return;
   if (!bus->accepts(slab.flow(ref))) return;
-  publish_accepted_span(bus, stage, component, at, slab.at(ref));
+  net::PacketSlab::Ref seg = slab.next(ref);
+  if (seg == net::PacketSlab::kNoRef) {
+    bus->publish(make_span(stage, component, at, slab.at(ref)));
+    return;
+  }
+  constexpr std::size_t kTrainBuf = 64;
+  SpanEvent train[kTrainBuf];
+  std::size_t n = 0;
+  for (; seg != net::PacketSlab::kNoRef; seg = slab.next(seg)) {
+    train[n++] = make_span(stage, component, at, slab.at(seg));
+    if (n == kTrainBuf) {
+      bus->publish_train(train, n);
+      n = 0;
+    }
+  }
+  if (n > 0) bus->publish_train(train, n);
 }
 
 /// Mixin giving a component its trace hookup. The default state (null bus)

@@ -30,10 +30,10 @@ sim::Time AckManager::ack_deadline() const {
   return first_pending_time_ + kMaxAckDelay;
 }
 
-std::shared_ptr<const net::TransportAck> AckManager::build_ack(
-    sim::Time now, std::int64_t max_data) {
-  auto ack = std::make_shared<net::TransportAck>();
-  std::vector<net::AckBlock>& blocks = ack->blocks;
+void AckManager::build_ack(sim::Time now, std::int64_t max_data,
+                           net::TransportAck& ack) {
+  std::vector<net::AckBlock>& blocks = ack.blocks;
+  blocks.clear();
   blocks.reserve(std::min(received_.interval_count(), kMaxAckBlocks));
   received_.to_ack_blocks(kMaxAckBlocks, blocks);
   // RFC 9000 §19.3.1: each range has first <= last, and ranges descend
@@ -44,11 +44,10 @@ std::shared_ptr<const net::TransportAck> AckManager::build_ack(
                          blocks[i].first > blocks[i + 1].last + 1),
                     "AckManager: ACK ranges must descend, with gaps");
   }
-  ack->ack_delay = now - largest_recv_time_;
-  ack->max_data = max_data;
+  ack.ack_delay = now - largest_recv_time_;
+  ack.max_data = max_data;
   pending_ack_eliciting_ = 0;
   first_pending_time_ = sim::Time::infinite();
-  return ack;
 }
 
 }  // namespace quicsteps::quic

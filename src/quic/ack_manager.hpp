@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "net/packet.hpp"
 #include "quic/frames.hpp"
@@ -34,10 +33,11 @@ class AckManager {
 
   bool has_pending() const { return pending_ack_eliciting_ > 0; }
 
-  /// Builds the ACK payload, carrying `max_data` as its MAX_DATA grant
-  /// (0 = none), and clears the pending state.
-  std::shared_ptr<const net::TransportAck> build_ack(
-      sim::Time now, std::int64_t max_data = 0);
+  /// Renders the ACK frame into `ack` (the slab frame of the ACK packet:
+  /// its blocks are replaced in the capacity they already have), carrying
+  /// `max_data` as its MAX_DATA grant (0 = none), and clears the pending
+  /// state.
+  void build_ack(sim::Time now, std::int64_t max_data, net::TransportAck& ack);
 
  private:
   Config config_;

@@ -36,8 +36,6 @@ void Client::on_datagram(const net::Packet& pkt) {
 void Client::send_ack_now() {
   ack_timer_.cancel();
   if (!ack_manager_.has_pending()) return;
-  const sim::Time now = loop_.now();
-
   net::Packet ack;
   ack.id = (std::uint64_t{config_.flow} << 40) + next_ack_id_++;
   ack.flow = config_.flow;
@@ -49,9 +47,15 @@ void Client::send_ack_now() {
       config_.flow_control_credit > 0
           ? received_.contiguous_prefix() + config_.flow_control_credit
           : 0;
-  ack.ack = ack_manager_.build_ack(now, max_data);
+  // The kernel entry: the frame is rendered in place in the slab.
+  const net::PacketSlab::Ref ref = slab_.put(ack);
+  ack_manager_.build_ack(loop_.now(), max_data, slab_.ack(ref));
   ++stats_.acks_sent;
-  if (ack_egress_ != nullptr) ack_egress_->deliver(std::move(ack));
+  if (ack_egress_ != nullptr) {
+    ack_egress_->deliver_ref(slab_, ref);
+  } else {
+    slab_.retire(ref);
+  }
 }
 
 void Client::arm_ack_timer() {

@@ -2,14 +2,15 @@
 //
 // Consumes data packets, maintains the reassembly intervals, and runs the
 // delayed-ACK policy: an ACK goes out after every second ack-eliciting
-// packet or when kMaxAckDelay expires. ACKs leave through the client's
-// egress path (netem +20 ms back to the server).
+// packet or when kMaxAckDelay expires. The client puts each ACK into the
+// slab, renders its frame there, and hands the ref to its egress path
+// (netem +20 ms back to the server).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "net/packet.hpp"
+#include "net/packet_slab.hpp"
 #include "quic/ack_manager.hpp"
 #include "quic/frames.hpp"
 #include "sim/event_loop.hpp"
@@ -37,17 +38,23 @@ class Client : public net::PacketSink {
     sim::Time completion_time = sim::Time::infinite();
   };
 
-  /// `ack_egress` transmits ACK packets toward the server.
-  Client(sim::EventLoop& loop, Config config, net::PacketSink* ack_egress)
-      : loop_(loop), config_(config), ack_manager_(config.ack),
+  /// ACK packets enter `slab` here; `ack_egress` transmits them toward
+  /// the server.
+  Client(sim::EventLoop& loop, net::PacketSlab& slab, Config config,
+         net::PacketSink* ack_egress)
+      : loop_(loop), slab_(slab), config_(config), ack_manager_(config.ack),
         ack_egress_(ack_egress) {}
 
-  /// Feed one received datagram (the client UdpReceiver's flow table
-  /// routes here).
+  /// Feed one received datagram. An ACK it sends is put after the last
+  /// read of `pkt`, so `pkt` may be a slab borrow.
   void on_datagram(const net::Packet& pkt);
 
-  /// PacketSink ingress (flow-table routing targets the client directly).
-  void deliver(net::Packet pkt) override { on_datagram(pkt); }
+  /// PacketSink ingress (flow-table routing targets the client directly):
+  /// reads the packet in place, then retires it.
+  void deliver_ref(net::PacketSlab& slab, net::PacketSlab::Ref ref) override {
+    on_datagram(slab.at(ref));
+    slab.retire(ref);
+  }
 
   bool complete() const {
     return config_.expected_payload_bytes > 0 &&
@@ -61,6 +68,7 @@ class Client : public net::PacketSink {
   void arm_ack_timer();
 
   sim::EventLoop& loop_;
+  net::PacketSlab& slab_;
   Config config_;
   AckManager ack_manager_;
   net::PacketSink* ack_egress_;

@@ -108,10 +108,8 @@ net::Packet Connection::build_packet(sim::Time send_time,
   return pkt;
 }
 
-void Connection::on_ack_packet(const net::Packet& pkt, sim::Time now) {
-  if (pkt.ack == nullptr) return;
+void Connection::on_ack(const net::TransportAck& ack, sim::Time now) {
   ++stats_.acks_received;
-  const net::TransportAck& ack = *pkt.ack;
   if (ack.max_data > 0) {
     peer_max_data_ = std::max(peer_max_data_, ack.max_data);
   }

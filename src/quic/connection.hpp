@@ -22,6 +22,7 @@
 #include "quic/loss_detection.hpp"
 #include "quic/rtt_estimator.hpp"
 #include "quic/sent_packet_map.hpp"
+#include "sim/event_loop.hpp"
 #include "sim/fifo_ring.hpp"
 
 namespace quicsteps::quic {
@@ -105,8 +106,8 @@ class Connection : public obs::TraceSource {
   }
 
   // --- receive path ---------------------------------------------------------
-  /// Processes an incoming ACK packet.
-  void on_ack_packet(const net::Packet& pkt, sim::Time now);
+  /// Processes the frame of an incoming ACK packet.
+  void on_ack(const net::TransportAck& ack, sim::Time now);
 
   // --- timers -----------------------------------------------------------------
   /// Earliest of the loss timer and the PTO; infinite when nothing is
@@ -173,6 +174,35 @@ class Connection : public obs::TraceSource {
   bool probe_owed_ = false;
 
   Stats stats_;
+};
+
+/// The lazy loss timer a server re-arms for its connection's
+/// next_timer_deadline() after every packet it sends and every ACK it
+/// processes. The PTO is timed from the oldest unacked packet, so ACKs
+/// move the deadline, mostly later, and sends rarely do; the timer stays
+/// armed unless the deadline moves earlier, so a re-arm costs a compare
+/// instead of a cancel and a reschedule. A handler that wakes before the
+/// current deadline re-arms through arm() and touches nothing else, so
+/// the wire is what an eagerly re-armed timer would produce.
+class LossTimer {
+ public:
+  /// Schedules `Handler` on `owner` at `deadline` unless a timer armed no
+  /// later is pending; an infinite deadline arms nothing.
+  template <auto Handler, typename Owner>
+  void arm(sim::EventLoop& loop, sim::Time deadline, Owner* owner) {
+    if (handle_.pending()) {
+      if (deadline >= armed_) return;
+      handle_.cancel();
+    }
+    if (deadline.is_infinite()) return;
+    armed_ = deadline;
+    handle_ = loop.schedule_at<Handler>(deadline, sim::EventClass::kTimer,
+                                        owner);
+  }
+
+ private:
+  sim::EventHandle handle_;
+  sim::Time armed_ = sim::Time::infinite();
 };
 
 }  // namespace quicsteps::quic

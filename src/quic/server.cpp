@@ -2,6 +2,16 @@
 
 namespace quicsteps::quic {
 
+void ReferenceServer::deliver_ref(net::PacketSlab& slab,
+                                  net::PacketSlab::Ref ref) {
+  const bool ack = slab.at(ref).kind == net::PacketKind::kQuicAck;
+  if (ack) connection_.on_ack(slab.ack(ref), loop_.now());
+  slab.retire(ref);
+  if (!ack) return;
+  rearm_loss_timer();
+  attempt_send();
+}
+
 void ReferenceServer::attempt_send() {
   const sim::Time now = loop_.now();
   while (connection_.has_data_to_send()) {
@@ -31,33 +41,20 @@ void ReferenceServer::attempt_send() {
     QUICSTEPS_TRACE_SPAN(trace_bus_, obs::TraceStage::kPacerRelease,
                          trace_component_, now, pkt);
     rearm_loss_timer();
-    if (egress_ != nullptr) egress_->deliver(std::move(pkt));
+    if (egress_ != nullptr) egress_->deliver(pkt);
   }
   planned_release_ = sim::Time::infinite();
   connection_.set_app_limited();
 }
 
 void ReferenceServer::rearm_loss_timer() {
-  const sim::Time deadline = connection_.next_timer_deadline();
-  if (loss_timer_.pending()) {
-    // Lazy re-arm (same discipline as StackServer): a deadline that only
-    // moved later keeps the armed timer; the fire handler re-checks.
-    if (deadline >= armed_loss_deadline_) return;
-    loss_timer_.cancel();
-  }
-  if (deadline.is_infinite()) return;
-  armed_loss_deadline_ = deadline;
-  loss_timer_ = loop_.schedule_at<&ReferenceServer::on_loss_timer>(
-      deadline, sim::EventClass::kTimer, this);
+  loss_timer_.arm<&ReferenceServer::on_loss_timer>(
+      loop_, connection_.next_timer_deadline(), this);
 }
 
 void ReferenceServer::on_loss_timer() {
-  const sim::Time deadline = connection_.next_timer_deadline();
-  if (deadline.is_infinite()) return;
-  if (loop_.now() < deadline) {
-    armed_loss_deadline_ = deadline;
-    loss_timer_ = loop_.schedule_at<&ReferenceServer::on_loss_timer>(
-        deadline, sim::EventClass::kTimer, this);
+  if (loop_.now() < connection_.next_timer_deadline()) {
+    rearm_loss_timer();  // woken early: the deadline moved later
     return;
   }
   connection_.on_timer(loop_.now());

@@ -7,10 +7,9 @@
 // "perfect user-space pacing" ablation baseline.
 #pragma once
 
-#include <memory>
-
 #include "kernel/timer_service.hpp"
 #include "net/packet.hpp"
+#include "net/packet_slab.hpp"
 #include "obs/trace.hpp"
 #include "quic/connection.hpp"
 #include "sim/event_loop.hpp"
@@ -19,8 +18,9 @@ namespace quicsteps::quic {
 
 class ReferenceServer : public net::PacketSink, public obs::TraceSource {
  public:
+  /// Each packet enters the kernel at `egress` (deliver(const Packet&)).
   ReferenceServer(sim::EventLoop& loop, Connection::Config config,
-                  net::PacketSink* egress)
+                  net::PacketHop* egress)
       : loop_(loop), connection_(config), egress_(egress) {}
 
   /// Routes pacer sleeps through `timers` (OS-quality wakeups) instead of
@@ -31,16 +31,9 @@ class ReferenceServer : public net::PacketSink, public obs::TraceSource {
   /// Kicks off the transfer.
   void start() { attempt_send(); }
 
-  /// Feed one received datagram (ACKs).
-  void on_datagram(const net::Packet& pkt) {
-    if (pkt.kind != net::PacketKind::kQuicAck) return;
-    connection_.on_ack_packet(pkt, loop_.now());
-    rearm_loss_timer();
-    attempt_send();
-  }
-
-  /// PacketSink ingress (flow-table routing targets the server directly).
-  void deliver(net::Packet pkt) override { on_datagram(pkt); }
+  /// PacketSink ingress (flow-table routing targets the server directly):
+  /// an ACK's frame is read in place, and every packet is retired.
+  void deliver_ref(net::PacketSlab& slab, net::PacketSlab::Ref ref) override;
 
   Connection& connection() { return connection_; }
   const Connection& connection() const { return connection_; }
@@ -55,16 +48,14 @@ class ReferenceServer : public net::PacketSink, public obs::TraceSource {
 
   sim::EventLoop& loop_;
   Connection connection_;
-  net::PacketSink* egress_;
+  net::PacketHop* egress_;
   kernel::TimerService* timers_ = nullptr;
   /// Intended release of the packet we armed a timer for: the wakeup may
   /// land late, but the packet's *intended* send time (what the precision
   /// metric compares against) is the pre-sleep value.
   sim::Time planned_release_ = sim::Time::infinite();
   sim::EventHandle send_timer_;
-  sim::EventHandle loss_timer_;
-  /// Deadline loss_timer_ is armed for (lazy re-arm; see StackServer).
-  sim::Time armed_loss_deadline_ = sim::Time::infinite();
+  LossTimer loss_timer_;
 };
 
 }  // namespace quicsteps::quic

@@ -25,6 +25,7 @@ StackServer::StackServer(sim::EventLoop& loop, net::PacketSlab& slab,
                          quic::Connection::Config conn_config,
                          net::PacketSink* kernel_egress)
     : loop_(loop),
+      slab_(slab),
       os_(os),
       profile_(std::move(profile)),
       connection_(merge_config(conn_config, profile_)),
@@ -36,8 +37,13 @@ void StackServer::charge_syscall() {
   ++stats_.send_syscalls;
 }
 
-void StackServer::on_datagram(const net::Packet& pkt) {
-  if (pkt.kind != net::PacketKind::kQuicAck) return;
+void StackServer::deliver_ref([[maybe_unused]] net::PacketSlab& slab,
+                              net::PacketSlab::Ref ref) {
+  QUICSTEPS_AUDIT(&slab == &slab_, "ACK from another slab");
+  if (slab_.at(ref).kind != net::PacketKind::kQuicAck) {
+    slab_.retire(ref);
+    return;
+  }
 
   // Duty-cycle loop stall: during the busy part of the cycle the loop is
   // off doing other work; everything that arrives queues until it ends.
@@ -45,7 +51,7 @@ void StackServer::on_datagram(const net::Packet& pkt) {
   if (cycle > sim::Duration::zero()) {
     const std::int64_t phase = loop_.now().ns() % cycle.ns();
     if (phase < profile_.loop_busy_duration.ns()) {
-      pending_acks_.push_back(pkt);
+      pending_acks_.push_back(ref);
       if (!batch_timer_.pending()) {
         batch_timer_ = loop_.schedule_at<&StackServer::process_ack_batch>(
             loop_.now() +
@@ -59,7 +65,7 @@ void StackServer::on_datagram(const net::Packet& pkt) {
   // Stochastic iteration latency: coalesce ACKs for an exponentially drawn
   // window (short typical iterations, heavy-ish tail).
   if (!profile_.recv_batch_window.is_zero()) {
-    pending_acks_.push_back(pkt);
+    pending_acks_.push_back(ref);
     if (!batch_timer_.pending()) {
       const sim::Duration window = os_.rng().exponential_duration(
           profile_.recv_batch_window, profile_.recv_batch_window * 8.0);
@@ -70,7 +76,8 @@ void StackServer::on_datagram(const net::Packet& pkt) {
   }
 
   ++stats_.wakeups;
-  connection_.on_ack_packet(pkt, loop_.now());
+  connection_.on_ack(slab_.ack(ref), loop_.now());
+  slab_.retire(ref);
   rearm_loss_timer();
   attempt_send();
 }
@@ -78,8 +85,9 @@ void StackServer::on_datagram(const net::Packet& pkt) {
 void StackServer::process_ack_batch() {
   ++stats_.wakeups;
   const sim::Time now = loop_.now();
-  for (const net::Packet& ack : pending_acks_) {
-    connection_.on_ack_packet(ack, now);
+  for (const net::PacketSlab::Ref ref : pending_acks_) {
+    connection_.on_ack(slab_.ack(ref), now);
+    slab_.retire(ref);
   }
   pending_acks_.clear();
   rearm_loss_timer();
@@ -129,9 +137,9 @@ void StackServer::send_with_txtime() {
 
     if (profile_.gso == kernel::GsoMode::kOff && !profile_.use_sendmmsg) {
       charge_syscall();
-      socket_.sendmsg(std::move(pkt));
+      socket_.sendmsg(pkt);
     } else {
-      send_batch_.push_back(std::move(pkt));
+      send_batch_.push_back(pkt);
       if (static_cast<int>(send_batch_.size()) >= profile_.gso_segments) {
         flush_send_batch();
       }
@@ -190,7 +198,7 @@ void StackServer::send_waiting() {
       QUICSTEPS_TRACE_SPAN(trace_bus_, obs::TraceStage::kPacerRelease,
                            trace_component_, now, pkt);
       charge_syscall();
-      socket_.sendmsg(std::move(pkt));
+      socket_.sendmsg(pkt);
     }
   }
   if (!connection_.has_data_to_send()) connection_.set_app_limited();
@@ -198,32 +206,13 @@ void StackServer::send_waiting() {
 }
 
 void StackServer::rearm_loss_timer() {
-  const sim::Time deadline = connection_.next_timer_deadline();
-  if (loss_timer_.pending()) {
-    // Lazy re-arm: every sent packet pushes the PTO deadline later, so the
-    // common case is "deadline moved out" — leave the armed timer alone
-    // and let the fire handler re-check. Only an earlier deadline forces a
-    // reschedule. This turns the per-packet cancel + reschedule into a
-    // compare.
-    if (deadline >= armed_loss_deadline_) return;
-    loss_timer_.cancel();
-  }
-  if (deadline.is_infinite()) return;
-  armed_loss_deadline_ = deadline;
-  loss_timer_ = loop_.schedule_at<&StackServer::on_loss_timer>(
-      deadline, sim::EventClass::kTimer, this);
+  loss_timer_.arm<&StackServer::on_loss_timer>(
+      loop_, connection_.next_timer_deadline(), this);
 }
 
 void StackServer::on_loss_timer() {
-  const sim::Time deadline = connection_.next_timer_deadline();
-  if (deadline.is_infinite()) return;  // everything was acked meanwhile
-  if (loop_.now() < deadline) {
-    // Spurious wake: the deadline moved later since arming. Re-arm
-    // silently — no connection callback, so behavior (and the wire) is
-    // exactly what an eagerly re-armed timer would have produced.
-    armed_loss_deadline_ = deadline;
-    loss_timer_ = loop_.schedule_at<&StackServer::on_loss_timer>(
-        deadline, sim::EventClass::kTimer, this);
+  if (loop_.now() < connection_.next_timer_deadline()) {
+    rearm_loss_timer();  // woken early: the deadline moved later
     return;
   }
   connection_.on_timer(loop_.now());

@@ -8,11 +8,11 @@
 // the paper's per-stack wire signatures purely through these disciplines.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "kernel/timer_service.hpp"
 #include "kernel/udp_socket.hpp"
+#include "net/packet_slab.hpp"
 #include "obs/trace.hpp"
 #include "quic/connection.hpp"
 #include "stacks/stack_profile.hpp"
@@ -29,7 +29,7 @@ class StackServer : public net::PacketSink, public obs::TraceSource {
     std::int64_t send_syscalls = 0;
   };
 
-  /// The socket recycles GSO segment buffers through `slab`'s pool.
+  /// The socket puts sent packets into `slab`, and ACKs arrive in it.
   StackServer(sim::EventLoop& loop, net::PacketSlab& slab,
               kernel::OsModel& os, StackProfile profile,
               quic::Connection::Config conn_config,
@@ -38,11 +38,10 @@ class StackServer : public net::PacketSink, public obs::TraceSource {
   /// Kicks off the transfer.
   void start() { attempt_send(); }
 
-  /// Wire this to the server-side UdpReceiver (delivers ACKs).
-  void on_datagram(const net::Packet& pkt);
-
-  /// PacketSink ingress (flow-table routing targets the server directly).
-  void deliver(net::Packet pkt) override { on_datagram(pkt); }
+  /// PacketSink ingress (flow-table routing targets the server directly):
+  /// an ACK is processed now or held as a ref for the next batch; every
+  /// packet is retired once read.
+  void deliver_ref(net::PacketSlab& slab, net::PacketSlab::Ref ref) override;
 
   /// External wake-up (new application data became available).
   void poke() { attempt_send(); }
@@ -76,15 +75,16 @@ class StackServer : public net::PacketSink, public obs::TraceSource {
   void charge_syscall();
 
   sim::EventLoop& loop_;
+  net::PacketSlab& slab_;
   kernel::OsModel& os_;
   StackProfile profile_;
   quic::Connection connection_;
   kernel::UdpSocket socket_;
   kernel::TimerService pacer_timers_;
 
-  // ACKs held for the next batch, in arrival order (unallocated until a
-  // batching profile holds its first ACK).
-  std::vector<net::Packet> pending_acks_;
+  // ACKs held in the slab for the next batch, in arrival order
+  // (unallocated until a batching profile holds its first ACK).
+  std::vector<net::PacketSlab::Ref> pending_acks_;
   // Packets for the next GSO buffer, or the next sendmmsg call when GSO is
   // off. Each syscall empties it but keeps its capacity (unallocated until
   // a batching profile sends its first).
@@ -92,11 +92,7 @@ class StackServer : public net::PacketSink, public obs::TraceSource {
   sim::EventHandle batch_timer_;
   sim::EventHandle send_timer_;
   sim::EventHandle yield_timer_;
-  sim::EventHandle loss_timer_;
-  /// Deadline loss_timer_ is armed for (lazy re-arm: the timer may sit at
-  /// an earlier time than the connection's current deadline and silently
-  /// re-arm when it fires).
-  sim::Time armed_loss_deadline_ = sim::Time::infinite();
+  quic::LossTimer loss_timer_;
 
   Stats stats_;
 };

@@ -41,16 +41,19 @@ void TcpClient::on_datagram(const net::Packet& pkt) {
 void TcpClient::send_ack_now(bool force) {
   ack_timer_.cancel();
   if (!force && !ack_manager_.has_pending()) return;
-  const sim::Time now = loop_.now();
-
   net::Packet ack;
   ack.id = (std::uint64_t{config_.flow} << 40) + next_ack_id_++;
   ack.flow = config_.flow;
   ack.kind = net::PacketKind::kTcpAck;
   ack.size_bytes = kAckSegmentSize;
-  ack.ack = ack_manager_.build_ack(now);
+  const net::PacketSlab::Ref ref = slab_.put(ack);
+  ack_manager_.build_ack(loop_.now(), 0, slab_.ack(ref));
   ++stats_.acks_sent;
-  if (ack_egress_ != nullptr) ack_egress_->deliver(std::move(ack));
+  if (ack_egress_ != nullptr) {
+    ack_egress_->deliver_ref(slab_, ref);
+  } else {
+    slab_.retire(ref);
+  }
 }
 
 void TcpClient::arm_ack_timer() {

@@ -1,9 +1,11 @@
 // TCP receiver (the wget side): cumulative + SACK acknowledgments with the
 // kernel's delayed-ACK policy (ACK every second segment or after the
-// delayed-ACK timer).
+// delayed-ACK timer). Like the QUIC client, it puts each ACK into the
+// slab and renders its frame there.
 #pragma once
 
 #include "net/packet.hpp"
+#include "net/packet_slab.hpp"
 #include "quic/ack_manager.hpp"
 #include "quic/frames.hpp"
 #include "sim/event_loop.hpp"
@@ -29,14 +31,21 @@ class TcpClient : public net::PacketSink {
     sim::Time completion_time = sim::Time::infinite();
   };
 
-  TcpClient(sim::EventLoop& loop, Config config, net::PacketSink* ack_egress)
-      : loop_(loop), config_(config), ack_manager_(config.ack),
+  TcpClient(sim::EventLoop& loop, net::PacketSlab& slab, Config config,
+            net::PacketSink* ack_egress)
+      : loop_(loop), slab_(slab), config_(config), ack_manager_(config.ack),
         ack_egress_(ack_egress) {}
 
+  /// Feed one received segment. An ACK it sends is put after the last
+  /// read of `pkt`, so `pkt` may be a slab borrow.
   void on_datagram(const net::Packet& pkt);
 
-  /// PacketSink ingress (flow-table routing targets the client directly).
-  void deliver(net::Packet pkt) override { on_datagram(pkt); }
+  /// PacketSink ingress (flow-table routing targets the client directly):
+  /// reads the packet in place, then retires it.
+  void deliver_ref(net::PacketSlab& slab, net::PacketSlab::Ref ref) override {
+    on_datagram(slab.at(ref));
+    slab.retire(ref);
+  }
 
   bool complete() const {
     return config_.expected_payload_bytes > 0 &&
@@ -50,6 +59,7 @@ class TcpClient : public net::PacketSink {
   void arm_ack_timer();
 
   sim::EventLoop& loop_;
+  net::PacketSlab& slab_;
   Config config_;
   quic::AckManager ack_manager_;
   net::PacketSink* ack_egress_;

@@ -73,10 +73,7 @@ net::Packet TcpConnection::build_segment(sim::Time now) {
   return pkt;
 }
 
-void TcpConnection::on_ack_packet(const net::Packet& pkt, sim::Time now) {
-  if (pkt.ack == nullptr) return;
-  const net::TransportAck& ack = *pkt.ack;
-
+void TcpConnection::on_ack(const net::TransportAck& ack, sim::Time now) {
   std::int64_t acked_bytes = 0;
   std::uint64_t largest_acked = 0;
   sim::Time largest_sent_time;

@@ -53,7 +53,7 @@ class TcpConnection {
   bool congestion_blocked() const;
   /// Builds the next segment (retransmission first).
   net::Packet build_segment(sim::Time now);
-  void on_ack_packet(const net::Packet& pkt, sim::Time now);
+  void on_ack(const net::TransportAck& ack, sim::Time now);
 
   sim::Time next_timer_deadline() const;
   void on_timer(sim::Time now);

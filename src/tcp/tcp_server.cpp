@@ -24,7 +24,7 @@ void TcpServer::attempt_send() {
     }
     net::Packet pkt = connection_.build_segment(now);
     ++burst;
-    if (egress_ != nullptr) egress_->deliver(std::move(pkt));
+    if (egress_ != nullptr) egress_->deliver(pkt);
   }
   rearm_loss_timer();
 }

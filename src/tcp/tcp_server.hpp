@@ -8,6 +8,7 @@
 #pragma once
 
 #include "net/packet.hpp"
+#include "net/packet_slab.hpp"
 #include "sim/event_loop.hpp"
 #include "tcp/tcp_connection.hpp"
 
@@ -21,21 +22,23 @@ class TcpServer : public net::PacketSink {
     net::DataRate line_rate = net::DataRate::gigabits_per_second(1);
   };
 
-  TcpServer(sim::EventLoop& loop, Config config, net::PacketSink* egress)
+  /// Each segment enters the kernel at `egress` (deliver(const Packet&)).
+  TcpServer(sim::EventLoop& loop, Config config, net::PacketHop* egress)
       : loop_(loop), config_(config), connection_(config.connection),
         egress_(egress) {}
 
   void start() { attempt_send(); }
 
-  void on_datagram(const net::Packet& pkt) {
-    if (pkt.kind != net::PacketKind::kTcpAck) return;
-    connection_.on_ack_packet(pkt, loop_.now());
+  /// PacketSink ingress (flow-table routing targets the server directly):
+  /// an ACK's frame is read in place, and every packet is retired.
+  void deliver_ref(net::PacketSlab& slab, net::PacketSlab::Ref ref) override {
+    const bool ack = slab.at(ref).kind == net::PacketKind::kTcpAck;
+    if (ack) connection_.on_ack(slab.ack(ref), loop_.now());
+    slab.retire(ref);
+    if (!ack) return;
     rearm_loss_timer();
     attempt_send();
   }
-
-  /// PacketSink ingress (flow-table routing targets the server directly).
-  void deliver(net::Packet pkt) override { on_datagram(pkt); }
 
   TcpConnection& connection() { return connection_; }
   const TcpConnection& connection() const { return connection_; }
@@ -48,7 +51,7 @@ class TcpServer : public net::PacketSink {
   sim::EventLoop& loop_;
   Config config_;
   TcpConnection connection_;
-  net::PacketSink* egress_;
+  net::PacketHop* egress_;
   sim::EventHandle tsq_timer_;
   sim::EventHandle loss_timer_;
 };

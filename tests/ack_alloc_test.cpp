@@ -1,10 +1,10 @@
 // Heap allocations on the paths whose cost scales with the work:
 //
 // - Per ACK round trip. A quic::Client with flow-control credit renders
-//   every ACK and a quic::Connection consumes it, with enough receiver
-//   gaps that each ACK carries the 32 ranges an ACK may hold (the shape of
-//   a long lossy run). The two allocations a round may make are the shared
-//   TransportAck and its exact-size block vector.
+//   every ACK into the packet slab and a quic::Connection consumes the
+//   frame in place, with enough receiver gaps that each ACK carries the 32
+//   ranges an ACK may hold (the shape of a long lossy run). Once the slab
+//   and its frame pool hold the ACKs in flight, a round allocates nothing.
 // - Per packet through the bottleneck. A saturated kernel::TbfQdisc moves
 //   a long stream through its FIFO into a sink; once its queue has grown
 //   to the backlog's high-water mark it allocates nothing.
@@ -64,17 +64,20 @@ namespace {
 
 using namespace quicsteps::sim::literals;
 
-/// Hands each ACK the client sends straight to the connection.
+/// Hands the frame of each ACK the client sends straight to the
+/// connection, in place, and retires the ACK.
 class AckToConnection final : public net::PacketSink {
  public:
   AckToConnection(sim::EventLoop& loop, Connection& conn)
       : loop_(loop), conn_(conn) {}
 
-  void deliver(net::Packet pkt) override {
+  void deliver_ref(net::PacketSlab& slab, net::PacketSlab::Ref ref) override {
+    const net::TransportAck& ack = slab.ack(ref);
     ++acks;
-    min_blocks = std::min(min_blocks, pkt.ack->blocks.size());
-    granted = granted && pkt.ack->max_data > 0;
-    conn_.on_ack_packet(pkt, loop_.now());
+    min_blocks = std::min(min_blocks, ack.blocks.size());
+    granted = granted && ack.max_data > 0;
+    conn_.on_ack(ack, loop_.now());
+    slab.retire(ref);
   }
 
   std::int64_t acks = 0;
@@ -95,7 +98,7 @@ struct AckLoop {
           return config;
         }()),
         sink(loop, conn),
-        client(loop,
+        client(loop, slab,
                [] {
                  Client::Config config;
                  config.flow_control_credit = std::int64_t{1} << 30;
@@ -115,12 +118,13 @@ struct AckLoop {
   }
 
   sim::EventLoop loop;
+  net::PacketSlab slab;
   Connection conn;
   AckToConnection sink;
   Client client;
 };
 
-TEST(AckAllocations, AtMostTwoPerAckRound) {
+TEST(AckAllocations, NonePerAckRound) {
   AckLoop path;
   // 40 lost packets leave 40 permanent gaps in the client's packet
   // numbers, so from here on every ACK carries 32 ranges.
@@ -139,9 +143,11 @@ TEST(AckAllocations, AtMostTwoPerAckRound) {
   EXPECT_EQ(path.sink.acks - acks_before, kRounds);  // one ACK per round
   EXPECT_EQ(path.sink.min_blocks, std::size_t{32});  // the ACK block cap
   EXPECT_TRUE(path.sink.granted);
+  EXPECT_EQ(path.slab.live(), 0u);
+  EXPECT_EQ(path.slab.frame_capacity(), 1u);  // one ACK in flight at a time
   const double per_round = static_cast<double>(allocations) / kRounds;
   std::printf("heap allocations per ACK round: %.3f\n", per_round);
-  EXPECT_LE(per_round, 2.0);
+  EXPECT_EQ(allocations, 0u);
 }
 
 }  // namespace
@@ -155,7 +161,10 @@ using namespace quicsteps::sim::literals;
 /// Counts the packets the TBF releases and lets each one go.
 class CountingSink final : public net::PacketSink {
  public:
-  void deliver(net::Packet) override { ++packets; }
+  void deliver_ref(net::PacketSlab& slab, net::PacketSlab::Ref ref) override {
+    ++packets;
+    slab.retire(ref);
+  }
   std::int64_t packets = 0;
 };
 
@@ -301,8 +310,8 @@ void add_paper_grid(std::vector<SteadyShape>& shapes) {
     config.topology.server_qdisc = grid.qdisc;
     config.gso = grid.gso;
     // TCP keeps one std::map node per segment in flight
-    // (TcpConnection::outstanding_), on top of QUIC's per-ACK pair.
-    const double bound = grid.stack == StackKind::kTcpTls ? 2.10 : 1.15;
+    // (TcpConnection::outstanding_).
+    const double bound = grid.stack == StackKind::kTcpTls ? 1.10 : 0.15;
     shapes.push_back({grid.label, single_flow(config, 8 * kMiB),
                       single_flow(config, 16 * kMiB), bound});
   }
@@ -322,7 +331,7 @@ void add_hotpath_10g(std::vector<SteadyShape>& shapes) {
   config.topology.tbf_burst_bytes = 16 * 1514;
   config.topology.client_gro_window = sim::Duration::micros(16);
   shapes.push_back({"hotpath_10g", single_flow(config, 32 * kMiB),
-                    single_flow(config, 64 * kMiB), 1.05});
+                    single_flow(config, 64 * kMiB), 0.05});
 }
 
 // perfbench's fabric_10k at 1,000 flows: a 2 Mbit/s fair share per flow,
@@ -368,7 +377,7 @@ TEST(SteadyState, AllocationsPerWireDataPacket) {
   std::vector<SteadyShape> shapes;
   add_paper_grid(shapes);
   add_hotpath_10g(shapes);
-  shapes.push_back({"fabric_1k", fleet(64 * 1024), fleet(128 * 1024), 1.05});
+  shapes.push_back({"fabric_1k", fleet(64 * 1024), fleet(128 * 1024), 0.05});
 
   for (const SteadyShape& shape : shapes) {
     const RunCost small = counted_run(shape.small);

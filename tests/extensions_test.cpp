@@ -42,13 +42,10 @@ TEST(FlowControl, MaxDataGrantUnblocks) {
     conn.build_packet(sim::Time::zero(), sim::Time::zero());
   }
   ASSERT_TRUE(conn.flow_control_blocked());
-  net::Packet ack;
-  ack.kind = net::PacketKind::kQuicAck;
-  auto payload = std::make_shared<net::TransportAck>();
-  payload->blocks = {net::AckBlock{1, 3}};
-  payload->max_data = 6 * quic::kPayloadPerDatagram;
-  ack.ack = payload;
-  conn.on_ack_packet(ack, sim::Time::zero() + 40_ms);
+  net::TransportAck ack;
+  ack.blocks = {net::AckBlock{1, 3}};
+  ack.max_data = 6 * quic::kPayloadPerDatagram;
+  conn.on_ack(ack, sim::Time::zero() + 40_ms);
   EXPECT_FALSE(conn.flow_control_blocked());
   EXPECT_TRUE(conn.has_data_to_send());
 }
@@ -61,12 +58,9 @@ TEST(FlowControl, RetransmissionsExempt) {
   ASSERT_TRUE(conn.flow_control_blocked());
   // ACK 4..10 declares 1..3 lost: the retransmissions must flow despite
   // the exhausted credit.
-  net::Packet ack;
-  ack.kind = net::PacketKind::kQuicAck;
-  auto payload = std::make_shared<net::TransportAck>();
-  payload->blocks = {net::AckBlock{4, 10}};
-  ack.ack = payload;
-  conn.on_ack_packet(ack, sim::Time::zero() + 40_ms);
+  net::TransportAck ack;
+  ack.blocks = {net::AckBlock{4, 10}};
+  conn.on_ack(ack, sim::Time::zero() + 40_ms);
   EXPECT_GT(conn.stats().packets_declared_lost, 0);
   EXPECT_TRUE(conn.has_data_to_send());
   EXPECT_FALSE(conn.flow_control_blocked());

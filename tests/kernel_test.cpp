@@ -2,8 +2,6 @@
 // buffer construction, NIC expansion/LaunchTime, and the UDP socket.
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "kernel/gso.hpp"
@@ -30,12 +28,6 @@ Packet make_packet(std::uint64_t id, std::int64_t size = 1500) {
   p.id = id;
   p.size_bytes = size;
   return p;
-}
-
-/// make_gso_buffer takes the shared buffer the socket pools; tests build
-/// one directly.
-std::shared_ptr<std::vector<Packet>> share(std::vector<Packet> segs) {
-  return std::make_shared<std::vector<Packet>>(std::move(segs));
 }
 
 OsTimingConfig quiet_os() {
@@ -144,27 +136,39 @@ TEST(TimerService, CancelWorks) {
 }
 
 TEST(Gso, BufferAggregatesSizesAndIndexesSegments) {
+  net::PacketSlab slab;
   std::vector<Packet> segs;
   for (int i = 0; i < 4; ++i) segs.push_back(make_packet(i, 1200));
-  Packet carrier = make_gso_buffer(share(std::move(segs)), 7,
-                                   DataRate::megabits_per_second(40));
-  EXPECT_EQ(carrier.size_bytes, 4800);
-  EXPECT_EQ(carrier.gso_segment_count, 4u);
-  EXPECT_TRUE(carrier.is_gso_buffer());
-  ASSERT_NE(carrier.gso_segments, nullptr);
+  const net::PacketSlab::Ref carrier =
+      make_gso_buffer(slab, segs, 7, DataRate::megabits_per_second(40));
+  EXPECT_EQ(slab.size_bytes(carrier), 4800u);
+  EXPECT_EQ(slab.at(carrier).size_bytes, 4800);
+  EXPECT_EQ(slab.at(carrier).gso_segment_count, 4u);
+  EXPECT_EQ(slab.live(), 5u);  // the carrier and a copy of each segment
+  // The segments hang off the carrier in send order.
+  net::PacketSlab::Ref seg = slab.next(carrier);
   for (std::uint32_t i = 0; i < 4; ++i) {
-    EXPECT_EQ((*carrier.gso_segments)[i].gso_segment_index, i);
-    EXPECT_EQ((*carrier.gso_segments)[i].gso_buffer_id, 7u);
+    ASSERT_NE(seg, net::PacketSlab::kNoRef);
+    EXPECT_EQ(slab.at(seg).id, i);
+    EXPECT_EQ(slab.at(seg).gso_segment_index, i);
+    EXPECT_EQ(slab.at(seg).gso_buffer_id, 7u);
+    EXPECT_EQ(slab.at(seg).gso_pacing_rate, DataRate::megabits_per_second(40));
+    seg = slab.next(seg);
   }
+  EXPECT_EQ(seg, net::PacketSlab::kNoRef);
+  slab.retire(carrier);  // retiring a carrier retires its chain
+  EXPECT_EQ(slab.live(), 0u);
 }
 
 TEST(Gso, CarrierInheritsFirstSegmentTxtime) {
+  net::PacketSlab slab;
   std::vector<Packet> segs{make_packet(1), make_packet(2)};
   segs[0].has_txtime = true;
   segs[0].txtime = Time::zero() + 9_ms;
-  Packet carrier = make_gso_buffer(share(std::move(segs)), 1, DataRate::zero());
-  EXPECT_TRUE(carrier.has_txtime);
-  EXPECT_EQ(carrier.txtime, Time::zero() + 9_ms);
+  const net::PacketSlab::Ref carrier =
+      make_gso_buffer(slab, segs, 1, DataRate::zero());
+  EXPECT_TRUE(slab.at(carrier).has_txtime);
+  EXPECT_EQ(slab.at(carrier).txtime, Time::zero() + 9_ms);
 }
 
 class NicTest : public ::testing::Test {
@@ -176,10 +180,9 @@ class NicTest : public ::testing::Test {
 };
 
 TEST_F(NicTest, SerializesAtLineRate) {
-  Nic nic(loop, slab, {.line_rate = DataRate::gigabits_per_second(1)}, os,
-          &sink);
   net::WireTap tap(loop, slab, &sink);
-  nic.set_downstream(&tap);
+  Nic nic(loop, slab, {.line_rate = DataRate::gigabits_per_second(1)}, os,
+          &tap);
   nic.deliver(make_packet(1));
   nic.deliver(make_packet(2));
   loop.run();
@@ -189,13 +192,12 @@ TEST_F(NicTest, SerializesAtLineRate) {
 }
 
 TEST_F(NicTest, StockGsoExpandsBackToBack) {
-  Nic nic(loop, slab, {.line_rate = DataRate::gigabits_per_second(1)}, os,
-          &sink);
   net::WireTap tap(loop, slab, &sink);
-  nic.set_downstream(&tap);
+  Nic nic(loop, slab, {.line_rate = DataRate::gigabits_per_second(1)}, os,
+          &tap);
   std::vector<Packet> segs;
   for (int i = 0; i < 8; ++i) segs.push_back(make_packet(i, 1500));
-  nic.deliver(make_gso_buffer(share(std::move(segs)), 1, DataRate::zero()));
+  nic.deliver_ref(slab, make_gso_buffer(slab, segs, 1, DataRate::zero()));
   loop.run();
   ASSERT_EQ(tap.capture().size(), 8u);
   EXPECT_EQ(slab.live(), 0u);
@@ -207,15 +209,14 @@ TEST_F(NicTest, StockGsoExpandsBackToBack) {
 }
 
 TEST_F(NicTest, PacedGsoSpreadsSegments) {
-  Nic nic(loop, slab, {.line_rate = DataRate::gigabits_per_second(1)}, os,
-          &sink);
   net::WireTap tap(loop, slab, &sink);
-  nic.set_downstream(&tap);
+  Nic nic(loop, slab, {.line_rate = DataRate::gigabits_per_second(1)}, os,
+          &tap);
   std::vector<Packet> segs;
   for (int i = 0; i < 8; ++i) segs.push_back(make_packet(i, 1500));
   // Paced-GSO patch: 40 Mbit/s pacing rate -> 300 us between segments.
-  nic.deliver(
-      make_gso_buffer(share(std::move(segs)), 1, DataRate::megabits_per_second(40)));
+  nic.deliver_ref(slab, make_gso_buffer(slab, segs, 1,
+                                        DataRate::megabits_per_second(40)));
   loop.run();
   ASSERT_EQ(tap.capture().size(), 8u);
   EXPECT_EQ(slab.live(), 0u);
@@ -226,13 +227,12 @@ TEST_F(NicTest, PacedGsoSpreadsSegments) {
 }
 
 TEST_F(NicTest, LaunchTimeHoldsEarlyPackets) {
+  net::WireTap tap(loop, slab, &sink);
   Nic nic(loop, slab,
           {.line_rate = DataRate::gigabits_per_second(1),
            .launch_time = true,
            .launch_jitter_max = Duration::zero()},
-          os, &sink);
-  net::WireTap tap(loop, slab, &sink);
-  nic.set_downstream(&tap);
+          os, &tap);
   Packet p = make_packet(1);
   p.has_txtime = true;
   p.txtime = Time::zero() + 5_ms;
@@ -243,13 +243,12 @@ TEST_F(NicTest, LaunchTimeHoldsEarlyPackets) {
 }
 
 TEST_F(NicTest, StrictLaunchTimeDropsAMissedSlot) {
+  net::WireTap tap(loop, slab, &sink);
   Nic nic(loop, slab,
           {.line_rate = DataRate::gigabits_per_second(1),
            .launch_time = true,
            .drop_missed_launch = true},
-          os, &sink);
-  net::WireTap tap(loop, slab, &sink);
-  nic.set_downstream(&tap);
+          os, &tap);
   loop.run_until(Time::zero() + 1_ms);
   Packet p = make_packet(1);
   p.has_txtime = true;
@@ -263,9 +262,8 @@ TEST_F(NicTest, StrictLaunchTimeDropsAMissedSlot) {
 }
 
 TEST_F(NicTest, LaunchTimeDisabledSendsImmediately) {
-  Nic nic(loop, slab, {.launch_time = false}, os, &sink);
   net::WireTap tap(loop, slab, &sink);
-  nic.set_downstream(&tap);
+  Nic nic(loop, slab, {.launch_time = false}, os, &tap);
   Packet p = make_packet(1);
   p.has_txtime = true;
   p.txtime = Time::zero() + 5_ms;
@@ -299,8 +297,11 @@ TEST(UdpSocket, GsoSendIsOneSyscall) {
   socket.sendmsg_gso(segs, DataRate::zero());
   EXPECT_TRUE(segs.empty());
   EXPECT_EQ(socket.syscalls(), 1u);
+  // One carrier crossed the socket; taking it out retired its segments.
   ASSERT_EQ(sink.packets().size(), 1u);
-  EXPECT_TRUE(sink.packets()[0].is_gso_buffer());
+  EXPECT_EQ(sink.packets()[0].gso_segment_count, 16u);
+  EXPECT_EQ(sink.packets()[0].size_bytes, 16 * 1500);
+  EXPECT_EQ(slab.live(), 0u);
 }
 
 TEST(UdpSocket, SendmmsgKeepsPacketsSeparate) {
@@ -315,7 +316,7 @@ TEST(UdpSocket, SendmmsgKeepsPacketsSeparate) {
   EXPECT_TRUE(pkts.empty());
   EXPECT_EQ(socket.syscalls(), 1u);
   EXPECT_EQ(sink.packets().size(), 5u);  // separate skbs, paceable by qdisc
-  EXPECT_FALSE(sink.packets()[0].is_gso_buffer());
+  EXPECT_EQ(sink.packets()[0].gso_segment_count, 0u);
 }
 
 TEST(UdpReceiver, EnforcesReceiveBuffer) {

@@ -275,14 +275,5 @@ TEST(FlowIndex, RejectsIdsFarSparserThanTheFlowCount) {
   EXPECT_EQ(index.find(1'000'000), FlowIndex::kNone);
 }
 
-TEST(Packet, GsoBufferPredicate) {
-  Packet p = make_packet(1);
-  EXPECT_FALSE(p.is_gso_buffer());
-  auto segs = std::make_shared<std::vector<Packet>>();
-  segs->push_back(make_packet(2));
-  p.gso_segments = segs;
-  EXPECT_TRUE(p.is_gso_buffer());
-}
-
 }  // namespace
 }  // namespace quicsteps::net

@@ -63,15 +63,19 @@ TEST(TraceBus, GsoBufferExpandsIntoPerSegmentSpans) {
   TraceBus bus;
   const std::uint16_t id = bus.register_component("socket");
 
-  auto segments = std::make_shared<std::vector<net::Packet>>();
-  segments->push_back(span_packet(10, 100, 1, 1200, sim::Time::from_ns(1000)));
-  segments->push_back(span_packet(11, 101, 1, 1200, sim::Time::from_ns(2000)));
-  net::Packet carrier = span_packet(99, 100, 1, 2400);
-  carrier.gso_segments = segments;
-  ASSERT_TRUE(carrier.is_gso_buffer());
+  // A carrier with its two segments linked behind it, as the socket
+  // builds a GSO buffer.
+  net::PacketSlab slab;
+  const net::PacketSlab::Ref carrier = slab.put(span_packet(99, 100, 1, 2400));
+  const net::PacketSlab::Ref first = slab.put(
+      span_packet(10, 100, 1, 1200, sim::Time::from_ns(1000)));
+  const net::PacketSlab::Ref second = slab.put(
+      span_packet(11, 101, 1, 1200, sim::Time::from_ns(2000)));
+  slab.link(carrier, first);
+  slab.link(first, second);
 
   obs::publish_packet_span(&bus, TraceStage::kSocketWrite, id,
-                           sim::Time::from_ns(3000), carrier);
+                           sim::Time::from_ns(3000), slab, carrier);
   // The carrier id never appears: each wire packet keeps its own chain.
   ASSERT_EQ(bus.events().size(), 2u);
   EXPECT_EQ(bus.events()[0].packet_id, 10u);
@@ -83,6 +87,9 @@ TEST(TraceBus, GsoBufferExpandsIntoPerSegmentSpans) {
                            sim::Time::from_ns(4000),
                            span_packet(12, 102, 1, 1200));
   EXPECT_EQ(bus.events().size(), 3u);  // non-GSO publishes exactly one
+  obs::publish_packet_span(&bus, TraceStage::kNicTx, id,
+                           sim::Time::from_ns(5000), slab, second);
+  EXPECT_EQ(bus.events().size(), 4u);  // so does a segment at the end
 }
 
 TEST(TraceBus, PublishPacketSpanWithNullBusIsANoOp) {

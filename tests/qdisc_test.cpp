@@ -5,6 +5,7 @@
 
 #include <numeric>
 
+#include "kernel/gso.hpp"
 #include "kernel/os_model.hpp"
 #include "kernel/qdisc_etf.hpp"
 #include "kernel/qdisc_fifo.hpp"
@@ -46,14 +47,23 @@ Packet timed_packet(std::uint64_t id, Time txtime, std::int64_t size = 1500) {
   return p;
 }
 
+/// A 4-segment GSO carrier in `slab`, timed by its first segment.
+net::PacketSlab::Ref timed_gso_carrier(net::PacketSlab& slab, Time txtime) {
+  std::vector<Packet> segs;
+  for (std::uint64_t id = 1; id <= 4; ++id) {
+    segs.push_back(timed_packet(id, txtime));
+  }
+  return make_gso_buffer(slab, segs, 1, DataRate::zero());
+}
+
 /// Records the loop time at which each packet reaches it (robust against
 /// synchronous forwarding during deliver()).
 class TimestampSink final : public net::PacketSink {
  public:
   explicit TimestampSink(EventLoop& loop) : loop_(loop) {}
-  void deliver(Packet pkt) override {
+  void deliver_ref(net::PacketSlab& slab, net::PacketSlab::Ref ref) override {
     times_.push_back(loop_.now());
-    packets_.push_back(std::move(pkt));
+    packets_.push_back(slab.take(ref));
   }
   const std::vector<Time>& times() const { return times_; }
   const std::vector<Packet>& packets() const { return packets_; }
@@ -131,6 +141,14 @@ TEST_F(QdiscTest, FqDropsBeyondHorizon) {
   EXPECT_EQ(slab.live(), 0u);  // a horizon drop retires its ref
 }
 
+TEST_F(QdiscTest, FqHorizonDropOfAGsoCarrierRetiresItsSegments) {
+  FqQdisc fq(loop, slab, {.horizon = 1_s, .horizon_drop = true}, os,
+             &sink);
+  fq.deliver_ref(slab, timed_gso_carrier(slab, Time::zero() + 2_s));
+  EXPECT_EQ(fq.counters().packets_dropped, 1);  // the buffer is one skb
+  EXPECT_EQ(slab.live(), 0u);
+}
+
 TEST_F(QdiscTest, FqDropsPastItsLimit) {
   FqQdisc fq(loop, slab, {.limit_packets = 2}, os, &sink);
   for (int i = 0; i < 3; ++i) {
@@ -187,6 +205,14 @@ TEST_F(QdiscTest, EtfDropsPacketsWithPastTxtime) {
   EXPECT_EQ(etf.late_drops(), 1);
   EXPECT_TRUE(sink.packets().empty());
   EXPECT_EQ(slab.live(), 0u);  // a late drop retires its ref
+}
+
+TEST_F(QdiscTest, EtfLateDropOfAGsoCarrierRetiresItsSegments) {
+  EtfQdisc etf(loop, slab, {}, os, &sink);
+  loop.run_until(Time::zero() + 10_ms);
+  etf.deliver_ref(slab, timed_gso_carrier(slab, Time::zero() + 5_ms));
+  EXPECT_EQ(etf.late_drops(), 1);
+  EXPECT_EQ(slab.live(), 0u);
 }
 
 TEST_F(QdiscTest, EtfRejectsUntimedPackets) {

@@ -151,9 +151,10 @@ TEST(AckManager, BuildAckClearsPendingAndReportsDelay) {
   AckManager mgr;
   mgr.on_packet_received(1, true, Time::zero() + 1_ms);
   mgr.on_packet_received(2, true, Time::zero() + 2_ms);
-  auto ack = mgr.build_ack(Time::zero() + 5_ms);
-  EXPECT_EQ(ack->largest(), 2u);
-  EXPECT_EQ(ack->ack_delay, 3_ms);
+  TransportAck ack;
+  mgr.build_ack(Time::zero() + 5_ms, 0, ack);
+  EXPECT_EQ(ack.largest(), 2u);
+  EXPECT_EQ(ack.ack_delay, 3_ms);
   EXPECT_FALSE(mgr.has_pending());
 }
 
@@ -249,22 +250,12 @@ Connection::Config small_transfer(std::int64_t bytes = 50 * kPayloadPerDatagram)
   return cfg;
 }
 
-std::shared_ptr<const TransportAck> ack_of(std::uint64_t first,
-                                           std::uint64_t last,
-                                           Duration delay = Duration::zero()) {
-  auto ack = std::make_shared<TransportAck>();
-  ack->blocks = {AckBlock{first, last}};
-  ack->ack_delay = delay;
+TransportAck ack_of(std::uint64_t first, std::uint64_t last,
+                    Duration delay = Duration::zero()) {
+  TransportAck ack;
+  ack.blocks = {AckBlock{first, last}};
+  ack.ack_delay = delay;
   return ack;
-}
-
-Packet ack_packet(std::uint64_t first, std::uint64_t last,
-                  Duration delay = Duration::zero()) {
-  Packet pkt;
-  pkt.kind = net::PacketKind::kQuicAck;
-  pkt.size_bytes = kAckPacketSize;
-  pkt.ack = ack_of(first, last, delay);
-  return pkt;
 }
 
 // ------------------------------------- differential: SentPacketMap ring
@@ -614,7 +605,7 @@ TEST(ConnectionTest, CongestionBlockedAtInitialWindow) {
 TEST(ConnectionTest, AckFreesWindowAndMeasuresRtt) {
   Connection conn(small_transfer());
   for (int i = 0; i < 10; ++i) conn.build_packet(Time::zero(), Time::zero());
-  conn.on_ack_packet(ack_packet(1, 10), Time::zero() + 40_ms);
+  conn.on_ack(ack_of(1, 10), Time::zero() + 40_ms);
   EXPECT_EQ(conn.bytes_in_flight(), 0);
   EXPECT_EQ(conn.rtt().latest(), 40_ms);
   EXPECT_FALSE(conn.congestion_blocked());
@@ -633,7 +624,7 @@ TEST(ConnectionTest, LossQueuesRetransmission) {
   Connection conn(small_transfer());
   for (int i = 0; i < 10; ++i) conn.build_packet(Time::zero(), Time::zero());
   // ACK 4..10, leaving 1..3 behind by more than the packet threshold.
-  conn.on_ack_packet(ack_packet(4, 10), Time::zero() + 40_ms);
+  conn.on_ack(ack_of(4, 10), Time::zero() + 40_ms);
   EXPECT_EQ(conn.stats().packets_declared_lost, 3);
   ASSERT_TRUE(conn.has_data_to_send());
   auto retx = conn.build_packet(Time::zero() + 41_ms, Time::zero() + 41_ms);
@@ -646,9 +637,9 @@ TEST(ConnectionTest, CompletionRequiresAllBytesAcked) {
   conn.build_packet(Time::zero(), Time::zero());
   conn.build_packet(Time::zero(), Time::zero());
   conn.build_packet(Time::zero(), Time::zero());
-  conn.on_ack_packet(ack_packet(1, 2), Time::zero() + 40_ms);
+  conn.on_ack(ack_of(1, 2), Time::zero() + 40_ms);
   EXPECT_FALSE(conn.transfer_complete());
-  conn.on_ack_packet(ack_packet(3, 3), Time::zero() + 41_ms);
+  conn.on_ack(ack_of(3, 3), Time::zero() + 41_ms);
   EXPECT_TRUE(conn.transfer_complete());
   EXPECT_EQ(conn.stats().completion_time, Time::zero() + 41_ms);
 }
@@ -657,7 +648,7 @@ TEST(ConnectionTest, PacingRateInfiniteBeforeFirstRttSample) {
   Connection conn(small_transfer());
   EXPECT_TRUE(conn.pacing_rate().is_infinite());
   for (int i = 0; i < 10; ++i) conn.build_packet(Time::zero(), Time::zero());
-  conn.on_ack_packet(ack_packet(1, 10), Time::zero() + 40_ms);
+  conn.on_ack(ack_of(1, 10), Time::zero() + 40_ms);
   EXPECT_FALSE(conn.pacing_rate().is_infinite());
   // rate = 1.25 * cwnd / srtt; cwnd doubled to 30000 by the slow-start ack.
   const double expected =
@@ -703,8 +694,8 @@ TEST(ConnectionTest, TracedConnectionPublishesOneSamplePerAckAndLoss) {
       conn->build_packet(Time::zero(), Time::zero());
     }
     // ACK 4..10: packets 1..3 are declared lost inside the ACK.
-    conn->on_ack_packet(ack_packet(4, 10), Time::zero() + 40_ms);
-    conn->on_ack_packet(ack_packet(4, 10), Time::zero() + 41_ms);  // dup
+    conn->on_ack(ack_of(4, 10), Time::zero() + 40_ms);
+    conn->on_ack(ack_of(4, 10), Time::zero() + 41_ms);  // dup
   }
 
   const obs::TraceData data = bus.take();
@@ -734,9 +725,9 @@ TEST(ConnectionTest, TracedConnectionPublishesOneSamplePerAckAndLoss) {
 TEST(ConnectionTest, DuplicateAckIsIgnored) {
   Connection conn(small_transfer());
   for (int i = 0; i < 4; ++i) conn.build_packet(Time::zero(), Time::zero());
-  conn.on_ack_packet(ack_packet(1, 2), Time::zero() + 40_ms);
+  conn.on_ack(ack_of(1, 2), Time::zero() + 40_ms);
   const auto cwnd = conn.cwnd_bytes();
-  conn.on_ack_packet(ack_packet(1, 2), Time::zero() + 45_ms);
+  conn.on_ack(ack_of(1, 2), Time::zero() + 45_ms);
   EXPECT_EQ(conn.cwnd_bytes(), cwnd);
 }
 
@@ -754,26 +745,11 @@ struct Harness {
   kernel::NetemQdisc data_netem;
   Client client;
 
-  class ToClient final : public net::PacketSink {
-   public:
-    explicit ToClient(Harness& h) : h_(h) {}
-    void deliver(Packet pkt) override { h_.client.on_datagram(pkt); }
-    Harness& h_;
-  };
-  class ToServer final : public net::PacketSink {
-   public:
-    explicit ToServer(Harness& h) : h_(h) {}
-    void deliver(Packet pkt) override { h_.server.on_datagram(pkt); }
-    Harness& h_;
-  };
-  ToClient to_client{*this};
-  ToServer to_server{*this};
-
   /// The default buffer never fills.
   explicit Harness(std::int64_t payload_bytes,
                    std::int64_t buffer_bytes = std::int64_t{1} << 40,
                    cc::CcAlgorithm algo = cc::CcAlgorithm::kCubic)
-      : ack_netem(loop, slab, {.delay = 20_ms}, sim::Rng(1), &to_server),
+      : ack_netem(loop, slab, {.delay = 20_ms}, sim::Rng(1), &server),
         server(loop,
                [&] {
                  Connection::Config cfg;
@@ -788,8 +764,9 @@ struct Harness {
                     .burst_bytes = kDatagramSize,
                     .limit_bytes = buffer_bytes},
                    &data_netem),
-        data_netem(loop, slab, {.delay = 20_ms}, sim::Rng(2), &to_client),
-        client(loop, {.ack = {}, .expected_payload_bytes = payload_bytes},
+        data_netem(loop, slab, {.delay = 20_ms}, sim::Rng(2), &client),
+        client(loop, slab,
+               {.ack = {}, .expected_payload_bytes = payload_bytes},
                &ack_netem) {}
 };
 

@@ -1,10 +1,11 @@
 // Batched-datapath storage and scheduling tests: PacketSlab put/take
-// round-trips, in-place borrows and free-list recycling, the recycled-slot
-// aliasing audit, drain-channel execution order against slotted events
-// (shared sequence counter), the run() train loop — in isolation and end
-// to end over every record kind — a slab-backed TBF splitting a burst
-// train across a drop-tail boundary, and the ref datapath: a packet keeps
-// the ref it got at kernel entry all the way to its endpoint.
+// round-trips, in-place borrows and free-list recycling, the ACK frame
+// pool, the recycled-slot aliasing audit, drain-channel execution order
+// against slotted events (shared sequence counter), the run() train loop —
+// in isolation and end to end over every record kind — a slab-backed TBF
+// splitting a burst train across a drop-tail boundary, and the ref
+// datapath: a packet (a GSO segment included) keeps the ref it got at
+// kernel entry all the way to its endpoint.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,6 +18,7 @@
 #include "framework/flows.hpp"
 #include "framework/network.hpp"
 #include "kernel/qdisc_tbf.hpp"
+#include "kernel/udp_socket.hpp"
 #include "net/packet.hpp"
 #include "net/packet_slab.hpp"
 #include "sim/event_loop.hpp"
@@ -72,7 +74,7 @@ TEST(PacketSlab, AtBorrowsInPlaceAndTheHotLaneCarriesTheFlow) {
   PacketSlab slab;
   Packet pkt = make_packet(42, 1234);
   pkt.flow = 9;
-  const PacketSlab::Ref ref = slab.put(std::move(pkt));
+  const PacketSlab::Ref ref = slab.put(pkt);
   EXPECT_EQ(slab.flow(ref), 9u);
   slab.at(ref).wire_time = Time::zero() + Duration::micros(5);
   EXPECT_EQ(slab.live(), 1u);  // a borrow leaves the packet in its slot
@@ -108,6 +110,34 @@ TEST(PacketSlab, RefsStayDistinctAcrossRecycling) {
   EXPECT_EQ(first & PacketSlab::kSlotMask, second & PacketSlab::kSlotMask);
   EXPECT_NE(first, second);
   EXPECT_EQ(slab.take(second).id, 2u);
+}
+
+TEST(PacketSlab, AckFramesRecycleWithTheirBlockCapacity) {
+  PacketSlab slab;
+  // Data packets take slots but no frames: the pool follows the ACKs.
+  for (std::uint64_t id = 10; id < 18; ++id) (void)slab.put(make_packet(id));
+  const PacketSlab::Ref first = slab.put(make_packet(1, 60));
+  net::TransportAck& frame = slab.ack(first);
+  frame.blocks.assign(32, net::AckBlock{1, 2});
+  frame.max_data = 7;
+  const net::AckBlock* storage = frame.blocks.data();
+  const std::size_t capacity = frame.blocks.capacity();
+  EXPECT_EQ(&slab.ack(first), &frame);  // a second borrow finds the frame
+  slab.retire(first);
+
+  // The next ACK draws the same frame: emptied, with its block storage.
+  const PacketSlab::Ref second = slab.put(make_packet(2, 60));
+  const net::TransportAck& reused = slab.ack(second);
+  EXPECT_TRUE(reused.blocks.empty());
+  EXPECT_EQ(reused.max_data, 0);
+  EXPECT_EQ(reused.blocks.data(), storage);
+  EXPECT_EQ(reused.blocks.capacity(), capacity);
+  EXPECT_EQ(slab.take(second).id, 2u);  // take() returns the frame too
+
+  const PacketSlab::Ref third = slab.put(make_packet(3, 60));
+  EXPECT_EQ(slab.ack(third).blocks.capacity(), capacity);
+  EXPECT_EQ(slab.frame_capacity(), 1u);
+  EXPECT_EQ(slab.live(), 9u);
 }
 
 TEST_F(AuditCaptureTest, StaleRefAfterRecyclingTripsTheAliasingAudit) {
@@ -349,26 +379,22 @@ TEST(SlabTbf, BurstTrainSplitsAcrossTheDropTailBoundary) {
 
 // ------------------------------------------------------ the ref datapath
 
-/// An endpoint that records the ref each packet arrives under, then takes
-/// it out of the slab as the default ref entry does. A packet that arrives
-/// by value instead lands in by_value().
+/// An endpoint that records the ref each packet arrives under, reading
+/// the packet in place, then retires it as an endpoint does.
 class RefRecorder final : public net::PacketSink {
  public:
-  void deliver(Packet pkt) override { by_value_.push_back(pkt.id); }
   void deliver_ref(PacketSlab& slab, PacketSlab::Ref ref) override {
     arrivals_.emplace_back(slab.at(ref).id, ref);
-    (void)slab.take(ref);
+    slab.retire(ref);
   }
 
   const std::vector<std::pair<std::uint64_t, PacketSlab::Ref>>& arrivals()
       const {
     return arrivals_;
   }
-  const std::vector<std::uint64_t>& by_value() const { return by_value_; }
 
  private:
   std::vector<std::pair<std::uint64_t, PacketSlab::Ref>> arrivals_;
-  std::vector<std::uint64_t> by_value_;
 };
 
 struct RefPathCase {
@@ -406,14 +432,14 @@ TEST_P(RefDatapath, EachPacketReachesItsEndpointUnderItsKernelEntryRef) {
     pkt.has_txtime = true;
     pkt.txtime = Time::zero() +
                  Duration::micros(500 + 300 * static_cast<std::int64_t>(id));
-    const PacketSlab::Ref ref = slab.put(std::move(pkt));
+    const PacketSlab::Ref ref = slab.put(pkt);
     minted[id] = ref;
     sender.egress()->deliver_ref(slab, ref);
   }
   for (std::uint64_t id = 101; id <= 105; ++id) {
     Packet ack = make_packet(id, 60);
     ack.kind = net::PacketKind::kQuicAck;
-    const PacketSlab::Ref ref = slab.put(std::move(ack));
+    const PacketSlab::Ref ref = slab.put(ack);
     minted[id] = ref;
     path.ack_ingress()->deliver_ref(slab, ref);
   }
@@ -422,7 +448,6 @@ TEST_P(RefDatapath, EachPacketReachesItsEndpointUnderItsKernelEntryRef) {
   ASSERT_EQ(client.arrivals().size(), 20u);
   ASSERT_EQ(server.arrivals().size(), 5u);
   for (const RefRecorder* endpoint : {&client, &server}) {
-    EXPECT_TRUE(endpoint->by_value().empty());
     for (const auto& [id, ref] : endpoint->arrivals()) {
       EXPECT_EQ(ref, minted.at(id)) << "packet " << id << " changed ref";
     }
@@ -445,6 +470,76 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(framework::to_string(info.param.qdisc)) +
              (info.param.gro ? "_gro" : "");
     });
+
+/// A hop that records the ref each packet passes under (for a GSO
+/// carrier, the ref of each segment linked behind it), then hands it on.
+class RefTap final : public net::PacketHop {
+ public:
+  RefTap(PacketSlab& slab, net::PacketSink* next)
+      : PacketHop(slab), next_(next) {}
+
+  void deliver_ref(PacketSlab& slab, PacketSlab::Ref ref) override {
+    check_slab(slab);
+    const PacketSlab::Ref first = slab.next(ref);
+    if (first == PacketSlab::kNoRef) {
+      refs[slab.at(ref).id] = ref;
+    } else {
+      for (PacketSlab::Ref seg = first; seg != PacketSlab::kNoRef;
+           seg = slab.next(seg)) {
+        refs[slab.at(seg).id] = seg;
+      }
+    }
+    hand_off(next_, ref);
+  }
+
+  std::map<std::uint64_t, PacketSlab::Ref> refs;  // by packet id
+
+ private:
+  net::PacketSink* next_;
+};
+
+TEST(RefDatapathGso, EachSegmentReachesTheTapAndItsEndpointUnderItsSocketRef) {
+  // The GSO case of RefDatapath: a socket sends four 5-segment GSO
+  // buffers through FQ. The socket mints one ref per segment, linked
+  // behind its carrier; the NIC retires the carrier and transmits each
+  // segment under its own ref, which must reach the tap and the endpoint
+  // unchanged.
+  EventLoop loop;
+  sim::Rng rng(5);
+  framework::TopologyConfig config;
+  config.server_qdisc = framework::QdiscKind::kFq;
+  kernel::OsModel os(config.server_os, rng.fork(1));
+  framework::BottleneckPath path(loop, config, rng, os);
+  PacketSlab& slab = path.slab();
+  RefTap at_wire(slab, path.wire_ingress());
+  framework::SenderPath sender(loop, slab, config, os, &at_wire);
+  RefTap at_entry(slab, sender.egress());
+  kernel::UdpSocket socket(loop, slab, os, &at_entry);
+  RefRecorder client;
+  RefRecorder server;
+  path.register_flow(1, &client, &server);
+  path.finish_flow_registration();
+
+  std::vector<Packet> batch;
+  for (std::uint64_t id = 1; id <= 20; ++id) {
+    Packet pkt = make_packet(id, 1200);
+    pkt.has_txtime = true;
+    pkt.txtime = Time::zero() +
+                 Duration::micros(500 + 300 * static_cast<std::int64_t>(id));
+    batch.push_back(pkt);
+    if (batch.size() == 5) socket.sendmsg_gso(batch, DataRate::zero());
+  }
+  loop.run();
+
+  ASSERT_EQ(at_entry.refs.size(), 20u);
+  EXPECT_EQ(at_wire.refs, at_entry.refs);
+  ASSERT_EQ(client.arrivals().size(), 20u);
+  for (const auto& [id, ref] : client.arrivals()) {
+    EXPECT_EQ(ref, at_entry.refs.at(id)) << "segment " << id << " changed ref";
+  }
+  EXPECT_EQ(path.tap().capture().size(), 20u);
+  EXPECT_EQ(slab.live(), 0u);
+}
 
 }  // namespace
 }  // namespace quicsteps

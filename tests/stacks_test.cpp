@@ -112,8 +112,9 @@ TEST(StackServer, GsoBatchesIntoSuperPackets) {
   rig.server.start();
   rig.loop.run_until(Time::zero() + 1_ms);
   ASSERT_FALSE(rig.sink.packets().empty());
-  EXPECT_TRUE(rig.sink.packets()[0].is_gso_buffer());
   EXPECT_EQ(rig.sink.packets()[0].gso_segment_count, 8u);
+  EXPECT_EQ(rig.sink.packets()[0].size_bytes, 8 * quic::kDatagramSize);
+  EXPECT_EQ(rig.slab.live(), 0u);  // each carrier left with its segments
   // One syscall per buffer, not per packet.
   EXPECT_LT(rig.server.stats().send_syscalls, 3u);
 }
@@ -128,19 +129,18 @@ TEST(StackServer, PacedGsoCarriesRate) {
   // ACK so the pacing rate exists, then expect rated buffers.
   Packet ack;
   ack.kind = net::PacketKind::kQuicAck;
-  auto payload = std::make_shared<net::TransportAck>();
-  payload->blocks = {net::AckBlock{1, 10}};
-  payload->ack_delay = Duration::zero();
-  ack.ack = payload;
+  const net::PacketSlab::Ref ref = rig.slab.put(ack);
+  rig.slab.ack(ref).blocks = {net::AckBlock{1, 10}};
   rig.loop.run_until(Time::zero() + 40_ms);
-  rig.server.on_datagram(ack);
+  rig.server.deliver_ref(rig.slab, ref);
   rig.loop.run_until(Time::zero() + 41_ms);
   bool saw_rated = false;
   for (const auto& pkt : rig.sink.packets()) {
-    if (pkt.is_gso_buffer() && !pkt.gso_pacing_rate.is_zero()) {
+    if (pkt.gso_segment_count > 0 && !pkt.gso_pacing_rate.is_zero()) {
       saw_rated = true;
     }
   }
+  EXPECT_EQ(rig.slab.live(), 0u);  // the ACK was retired once read
   EXPECT_TRUE(saw_rated);
 }
 

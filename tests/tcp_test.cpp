@@ -28,16 +28,12 @@ TcpConnection::Config small_transfer(std::int64_t segments = 50) {
   return cfg;
 }
 
-Packet tcp_ack(std::vector<AckBlock> blocks,
-               Duration delay = Duration::zero()) {
-  Packet pkt;
-  pkt.kind = net::PacketKind::kTcpAck;
-  pkt.size_bytes = kAckSegmentSize;
-  auto ack = std::make_shared<TransportAck>();
-  ack->blocks = std::move(blocks);
-  ack->ack_delay = delay;
-  pkt.ack = std::move(ack);
-  return pkt;
+TransportAck tcp_ack(std::vector<AckBlock> blocks,
+                     Duration delay = Duration::zero()) {
+  TransportAck ack;
+  ack.blocks = std::move(blocks);
+  ack.ack_delay = delay;
+  return ack;
 }
 
 TEST(TcpConnection, BuildsSequentialSegments) {
@@ -54,7 +50,7 @@ TEST(TcpConnection, CumulativeAckAdvancesCompletion) {
   TcpConnection conn(small_transfer(3));
   for (int i = 0; i < 3; ++i) conn.build_segment(Time::zero());
   EXPECT_FALSE(conn.transfer_complete());
-  conn.on_ack_packet(tcp_ack({{0, 2}}), Time::zero() + 40_ms);
+  conn.on_ack(tcp_ack({{0, 2}}), Time::zero() + 40_ms);
   EXPECT_TRUE(conn.transfer_complete());
   EXPECT_EQ(conn.bytes_in_flight(), 0);
 }
@@ -63,7 +59,7 @@ TEST(TcpConnection, SackHoleDeclaredLostAfterDupThreshold) {
   TcpConnection conn(small_transfer());
   for (int i = 0; i < 8; ++i) conn.build_segment(Time::zero());
   // Cumulative 0..1, SACK 5..7: hole 2..4; seq 2,3,4 all >= 3 behind 7.
-  conn.on_ack_packet(tcp_ack({{5, 7}, {0, 1}}), Time::zero() + 40_ms);
+  conn.on_ack(tcp_ack({{5, 7}, {0, 1}}), Time::zero() + 40_ms);
   EXPECT_EQ(conn.stats().segments_declared_lost, 3);
   // Lost segments queue for retransmission, oldest first, same sequence.
   auto retx = conn.build_segment(Time::zero() + 41_ms);
@@ -73,22 +69,22 @@ TEST(TcpConnection, SackHoleDeclaredLostAfterDupThreshold) {
 TEST(TcpConnection, RetransmissionJudgedOnlyByTime) {
   TcpConnection conn(small_transfer());
   for (int i = 0; i < 8; ++i) conn.build_segment(Time::zero());
-  conn.on_ack_packet(tcp_ack({{5, 7}, {0, 1}}), Time::zero() + 40_ms);
+  conn.on_ack(tcp_ack({{5, 7}, {0, 1}}), Time::zero() + 40_ms);
   ASSERT_EQ(conn.stats().segments_declared_lost, 3);
   // Retransmit seq 2; newer SACKs must NOT instantly re-declare it lost.
   conn.build_segment(Time::zero() + 41_ms);
-  conn.on_ack_packet(tcp_ack({{8, 8}, {0, 1}}), Time::zero() + 45_ms);
+  conn.on_ack(tcp_ack({{8, 8}, {0, 1}}), Time::zero() + 45_ms);
   EXPECT_EQ(conn.stats().segments_declared_lost, 3);  // unchanged
 }
 
 TEST(TcpConnection, KarnsRuleSkipsRetransmittedRttSamples) {
   TcpConnection conn(small_transfer());
   for (int i = 0; i < 8; ++i) conn.build_segment(Time::zero());
-  conn.on_ack_packet(tcp_ack({{5, 7}, {0, 1}}), Time::zero() + 40_ms);
+  conn.on_ack(tcp_ack({{5, 7}, {0, 1}}), Time::zero() + 40_ms);
   const auto srtt_before = conn.rtt().smoothed();
   conn.build_segment(Time::zero() + 100_ms);  // retransmit seq 2
   // ACK covering only the retransmitted segment: no RTT update.
-  conn.on_ack_packet(tcp_ack({{2, 2}}), Time::zero() + 900_ms);
+  conn.on_ack(tcp_ack({{2, 2}}), Time::zero() + 900_ms);
   EXPECT_EQ(conn.rtt().smoothed(), srtt_before);
 }
 
@@ -144,7 +140,7 @@ struct TcpHarness {
                     .limit_bytes = buffer_bytes},
                    &data_netem),
         data_netem(loop, slab, {.delay = 20_ms}, sim::Rng(2), &client),
-        client(loop, {.expected_payload_bytes = payload, .ack = {}},
+        client(loop, slab, {.expected_payload_bytes = payload, .ack = {}},
                &ack_netem) {}
 };
 
@@ -172,8 +168,9 @@ TEST(TcpEndToEnd, DuplicateTriggersImmediateAck) {
   // Covered implicitly by the lossy test completing; here verify the
   // counter moves when the same segment arrives twice.
   EventLoop loop;
+  net::PacketSlab slab;
   net::CollectorSink acks;
-  TcpClient client(loop, {.expected_payload_bytes = 1 << 20, .ack = {}},
+  TcpClient client(loop, slab, {.expected_payload_bytes = 1 << 20, .ack = {}},
                    &acks);
   Packet seg;
   seg.kind = net::PacketKind::kTcpData;

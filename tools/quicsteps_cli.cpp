@@ -29,9 +29,12 @@
 //   --qlog-dir DIR    with --trace: write DIR/path.<rep>.qlog (path-qlog
 //                     JSONL: spans, ACKs, losses and recovery metrics) and
 //                     DIR/path.<rep>.csv (spans) per repetition
+//                     (--csv and --qlog-dir are single-flow flags)
 //
 // Fleet mode (--flows N with N >= 2) runs one N-flow fabric over a shared
-// bottleneck instead of repetitions of a single flow:
+// bottleneck instead of repetitions of a single flow. Each mode rejects
+// the other mode's flags with a usage error (exit 2) instead of ignoring
+// them. The fleet flags:
 //   --flows N             number of competing senders (ids 10..), at
 //                         most framework::Network::kMaxFlows
 //   --trace-sample N      with --trace: record spans for 1 in N flows,
@@ -241,6 +244,9 @@ int main(int argc, char** argv) {
   std::string health_path;
   bool health_exit = false;
   int jobs = 0;  // 0 = QUICSTEPS_JOBS env, then hardware concurrency.
+  // The last flag given that only one mode reads.
+  std::string single_flow_flag;
+  std::string fleet_flag;
 
   auto next_value = [&](int& i) -> std::string {
     if (i + 1 >= argc) usage_error(std::string(argv[i]) + " needs a value");
@@ -297,31 +303,49 @@ int main(int argc, char** argv) {
     } else if (flag == "--csv") {
       csv_prefix = next_value(i);
       config.keep_capture = true;
+      single_flow_flag = flag;
     } else if (flag == "--trace") {
       print_trace = true;
     } else if (flag == "--qlog-dir") {
       qlog_dir = next_value(i);
+      single_flow_flag = flag;
     } else if (flag == "--flows") {
       flows = parse_in_range(
           flag, next_value(i), 1,
           static_cast<int>(framework::Network::kMaxFlows));
     } else if (flag == "--trace-sample") {
       trace_sample = parse_number<std::uint32_t>(flag, next_value(i));
+      fleet_flag = flag;
     } else if (flag == "--window-ms") {
       window = sim::Duration::millis(
           parse_scaled(flag, next_value(i), 0, 1'000'000));
+      fleet_flag = flag;
     } else if (flag == "--timeseries-csv") {
       timeseries_csv = next_value(i);
+      fleet_flag = flag;
     } else if (flag == "--health-report") {
       health_path = next_value(i);
+      fleet_flag = flag;
     } else if (flag == "--health-exit") {
       health_exit = true;
+      fleet_flag = flag;
     } else if (flag == "--help" || flag == "-h") {
       std::printf("see the header comment of tools/quicsteps_cli.cpp\n");
       return 0;
     } else {
       usage_error("unknown flag '" + flag + "'");
     }
+  }
+
+  if (flows > 1 && !single_flow_flag.empty()) {
+    usage_error(single_flow_flag +
+                " is a single-flow flag, and fleet mode (--flows " +
+                std::to_string(flows) + ") does not read it");
+  }
+  if (flows == 1 && !fleet_flag.empty()) {
+    usage_error(fleet_flag +
+                " is a fleet flag, and single-flow mode does not read it "
+                "(a fleet needs --flows N with N >= 2)");
   }
 
   // A fleet runs once with N flows; single-flow mode runs repetitions.
